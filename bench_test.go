@@ -312,25 +312,17 @@ func BenchmarkExplore(b *testing.B) {
 		}
 		b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
 	})
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"seq", 1},
-		{fmt.Sprintf("par-%d", runtime.GOMAXPROCS(0)), 0},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			states := 0
-			for i := 0; i < b.N; i++ {
-				l, err := lts.Explore(sem, system, lts.Options{Workers: bc.workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				states = l.NumStates()
+	b.Run("seq", func(b *testing.B) {
+		states := 0
+		for i := 0; i < b.N; i++ {
+			l, err := lts.Explore(sem, system, lts.Options{})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
-		})
-	}
+			states = l.NumStates()
+		}
+		b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
+	})
 	// The spill variant prices memory-pressure mode: the visited index
 	// lives in hash-sharded disk files from the first state (watermark
 	// 0), the worst case of the disk store. The LTS is byte-identical to
@@ -340,7 +332,7 @@ func BenchmarkExplore(b *testing.B) {
 		states := 0
 		for i := 0; i < b.N; i++ {
 			st := statestore.NewSpill(statestore.SpillConfig{Dir: dir, SoftMemBytes: 0})
-			l, err := lts.Explore(sem, system, lts.Options{Workers: 1, Store: st})
+			l, err := lts.Explore(sem, system, lts.Options{Store: st})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -2,10 +2,11 @@
 // via testing.Benchmark and writes the measurements as machine-readable
 // JSON (BENCH_refine.json) — the artefact CI publishes so performance
 // regressions in exploration, refinement checking and campaign
-// throughput are visible per commit. The paired entries measure the
-// same work sequentially and in parallel (Explore, FaultCampaign) or
-// cold versus cached (Refines); on a single-core host the parallel
-// numbers measure synchronization overhead, not speedup, so readers
+// throughput are visible per commit. Every row records ns/op and
+// allocs/op, and exploration rows add states/s. The paired entries
+// measure the same work cold versus cached (Refines) or sequentially
+// and in parallel (FaultCampaign); on a single-core host the parallel
+// campaign measures synchronization overhead, not speedup, so readers
 // must interpret the table together with goMaxProcs.
 //
 // With -gate, a previously committed BENCH_refine.json acts as the
@@ -17,24 +18,17 @@
 // default) or skips the comparison with a logged reason
 // (-gate-procs-mismatch skip) — it is never compared silently.
 //
-// Two further gates compare measurements within the fresh run, so they
-// hold on any host without a committed reference:
-//
-//   - -gate-speedup F requires Explore/par to beat Explore/seq by at
-//     least F in states/s. Parallel speedup needs cores: when
-//     GOMAXPROCS is below -gate-speedup-procs the gate is skipped with
-//     a logged reason instead of measuring scheduler overhead.
-//   - -gate-intern F requires Explore/seq to beat Explore/stringkeys
-//     (the frozen string-keyed reference engine) by at least F in
-//     states/s. This pins the interned-representation win and is
-//     environment-independent.
+// A further gate compares measurements within the fresh run, so it
+// holds on any host without a committed reference: -gate-intern F
+// requires Explore/seq to beat Explore/stringkeys (the frozen
+// string-keyed reference engine) by at least F in states/s.
 //
 // Usage:
 //
 //	benchsmoke [-o BENCH_refine.json] [-bench regexp] [-benchtime 2s|10x]
 //	           [-gate BENCH_refine.json] [-gate-factor 2]
 //	           [-gate-procs-mismatch fail|skip]
-//	           [-gate-speedup F] [-gate-speedup-procs N] [-gate-intern F]
+//	           [-gate-intern F]
 //	           [-metrics] [-tracefile trace.jsonl] [-progress]
 package main
 
@@ -64,6 +58,8 @@ type Measurement struct {
 	Name       string `json:"name"`
 	Iterations int    `json:"iterations"`
 	NsPerOp    int64  `json:"nsPerOp"`
+	// AllocsPerOp is the mean number of heap allocations per iteration.
+	AllocsPerOp int64 `json:"allocsPerOp"`
 	// StatesPerSec reports exploration throughput where it applies.
 	StatesPerSec float64 `json:"statesPerSec,omitempty"`
 }
@@ -87,8 +83,6 @@ type runConfig struct {
 	gatePath      string    // reference BENCH_refine.json; empty disables the gate
 	gateFactor    float64   // max allowed fresh/reference ns/op ratio
 	procsMismatch string    // "fail" or "skip" when reference goMaxProcs differs
-	speedupFloor  float64   // min Explore/par vs Explore/seq states/s ratio; 0 disables
-	speedupProcs  int       // min GOMAXPROCS for the speedup gate to apply
 	internFloor   float64   // min Explore/seq vs Explore/stringkeys states/s ratio; 0 disables
 	obs           obs.Flags // -metrics / -tracefile / -progress
 }
@@ -101,8 +95,6 @@ func main() {
 	flag.StringVar(&cfg.gatePath, "gate", "", "reference BENCH_refine.json to gate against (empty: no gate)")
 	flag.Float64Var(&cfg.gateFactor, "gate-factor", 2, "fail when fresh ns/op exceeds the reference by more than this factor")
 	flag.StringVar(&cfg.procsMismatch, "gate-procs-mismatch", "fail", `"fail" or "skip" the -gate comparison when the reference was captured at a different GOMAXPROCS`)
-	flag.Float64Var(&cfg.speedupFloor, "gate-speedup", 0, "fail unless Explore/par beats Explore/seq by this states/s factor (0: no gate; skipped below -gate-speedup-procs)")
-	flag.IntVar(&cfg.speedupProcs, "gate-speedup-procs", 4, "minimum GOMAXPROCS for -gate-speedup to apply")
 	flag.Float64Var(&cfg.internFloor, "gate-intern", 0, "fail unless Explore/seq beats Explore/stringkeys by this states/s factor (0: no gate)")
 	cfg.obs.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -150,11 +142,11 @@ func run(cfg runConfig, stdout io.Writer) error {
 		if res.N == 0 {
 			return fmt.Errorf("benchmark %s failed", bm.name)
 		}
-		m := Measurement{Name: bm.name, Iterations: res.N, NsPerOp: res.NsPerOp()}
+		m := Measurement{Name: bm.name, Iterations: res.N, NsPerOp: res.NsPerOp(), AllocsPerOp: res.AllocsPerOp()}
 		if v, ok := res.Extra["states/s"]; ok {
 			m.StatesPerSec = v
 		}
-		fmt.Fprintf(stdout, "%-24s %6d iterations  %12d ns/op\n", m.Name, m.Iterations, m.NsPerOp)
+		fmt.Fprintf(stdout, "%-24s %6d iterations  %12d ns/op  %10d allocs/op\n", m.Name, m.Iterations, m.NsPerOp, m.AllocsPerOp)
 		ms = append(ms, m)
 	}
 	if len(ms) == 0 {
@@ -192,11 +184,6 @@ func run(cfg runConfig, stdout io.Writer) error {
 			return err
 		}
 	}
-	if cfg.speedupFloor > 0 {
-		if err := checkSpeedupGate(ms, cfg.speedupFloor, cfg.speedupProcs, runtime.GOMAXPROCS(0), stdout); err != nil {
-			return err
-		}
-	}
 	if cfg.internFloor > 0 {
 		if err := checkInternGate(ms, cfg.internFloor, stdout); err != nil {
 			return err
@@ -216,36 +203,6 @@ func statesPerSec(ms []Measurement, name string) (float64, error) {
 		}
 	}
 	return 0, fmt.Errorf("%s was not measured (check -bench)", name)
-}
-
-// checkSpeedupGate pins the parallel exploration win within a single
-// run: Explore/par must beat Explore/seq by at least floor in states/s.
-// The gate only applies on hosts with at least minProcs schedulable
-// CPUs — below that there is no parallelism to demonstrate, so the gate
-// is skipped with a logged reason rather than measuring coordination
-// overhead and calling it a regression.
-func checkSpeedupGate(ms []Measurement, floor float64, minProcs, procs int, stdout io.Writer) error {
-	if procs < minProcs {
-		fmt.Fprintf(stdout, "gate: speedup skipped: GOMAXPROCS=%d < %d, no parallelism to demonstrate on this host\n",
-			procs, minProcs)
-		return nil
-	}
-	seq, err := statesPerSec(ms, "Explore/seq")
-	if err != nil {
-		return fmt.Errorf("speedup gate: %w", err)
-	}
-	par, err := statesPerSec(ms, "Explore/par")
-	if err != nil {
-		return fmt.Errorf("speedup gate: %w", err)
-	}
-	ratio := par / seq
-	fmt.Fprintf(stdout, "gate: speedup %.0f vs %.0f states/s (%.2fx, floor %.2fx, GOMAXPROCS=%d)\n",
-		par, seq, ratio, floor, procs)
-	if ratio < floor {
-		return fmt.Errorf("speedup gate failed: Explore/par %.0f states/s is only %.2fx of Explore/seq %.0f (floor %.2fx at GOMAXPROCS=%d)",
-			par, ratio, seq, floor, procs)
-	}
-	return nil
 }
 
 // checkInternGate pins the interned-representation win within a single
@@ -337,7 +294,8 @@ type namedBench struct {
 }
 
 // suite builds the benchmark list: exploration of the largest
-// case-study state space (sequential vs parallel), a full refinement
+// case-study state space (against the string-keyed reference engine
+// and with a disk-backed visited index), a full refinement
 // check (cold vs cached), and the fault-injection campaign (sequential
 // vs parallel scenarios). The observer (nil when disabled) is threaded
 // through every layer so -metrics aggregates the whole suite.
@@ -370,18 +328,16 @@ func suite(o *obs.Observer) ([]namedBench, error) {
 		}
 		b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
 	}
-	explore := func(workers int) func(b *testing.B) {
-		return func(b *testing.B) {
-			states := 0
-			for i := 0; i < b.N; i++ {
-				l, err := lts.Explore(sem, system, lts.Options{Workers: workers, Obs: o})
-				if err != nil {
-					b.Fatal(err)
-				}
-				states = l.NumStates()
+	explore := func(b *testing.B) {
+		states := 0
+		for i := 0; i < b.N; i++ {
+			l, err := lts.Explore(sem, system, lts.Options{Obs: o})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
+			states = l.NumStates()
 		}
+		b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
 	}
 	refines := func(cache *lts.Cache) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -419,7 +375,7 @@ func suite(o *obs.Observer) ([]namedBench, error) {
 		states := 0
 		for i := 0; i < b.N; i++ {
 			st := statestore.NewSpill(statestore.SpillConfig{Dir: dir, SoftMemBytes: 0, Obs: o})
-			l, err := lts.Explore(sem, system, lts.Options{Workers: 1, Store: st, Obs: o})
+			l, err := lts.Explore(sem, system, lts.Options{Store: st, Obs: o})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -452,8 +408,7 @@ func suite(o *obs.Observer) ([]namedBench, error) {
 	primed.Obs = o
 	return []namedBench{
 		{"Explore/stringkeys", exploreStringKeys},
-		{"Explore/seq", explore(1)},
-		{"Explore/par", explore(0)},
+		{"Explore/seq", explore},
 		{"Explore/spill", exploreSpill},
 		{"Refines/cold", refines(nil)},
 		{"Refines/cached", refines(primed)},

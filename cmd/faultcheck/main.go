@@ -108,7 +108,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *model {
-		if err := runModelChecks(stdout, *loss, *maxStates, *workers, observer); err != nil {
+		if err := runModelChecks(stdout, *loss, *maxStates, observer); err != nil {
 			return err
 		}
 	}
@@ -120,7 +120,7 @@ func run(args []string, stdout io.Writer) error {
 // simulation evidence into a refinement-checked robustness claim. One
 // LTS cache is shared per variant, so the spec and system terms the six
 // assertions have in common are explored once.
-func runModelChecks(stdout io.Writer, lossBudget, maxStates, workers int, observer *obs.Observer) error {
+func runModelChecks(stdout io.Writer, lossBudget, maxStates int, observer *obs.Observer) error {
 	fmt.Fprintf(stdout, "\nlossy-channel refinement checks (loss budget %d per direction):\n", lossBudget)
 	for _, variant := range []ota.LossyVariant{ota.NaiveGateway, ota.HardenedGateway} {
 		sys, err := ota.BuildLossy(variant, lossBudget)
@@ -129,7 +129,7 @@ func runModelChecks(stdout io.Writer, lossBudget, maxStates, workers int, observ
 		}
 		cache := lts.NewCache()
 		cache.Obs = observer
-		bgt := fdr.Budget{MaxStates: maxStates, Workers: workers, Cache: cache, Obs: observer}
+		bgt := fdr.Budget{MaxStates: maxStates, Cache: cache, Obs: observer}
 		fmt.Fprintf(stdout, "\n%s:\n", variant)
 		for i, a := range sys.Model.Asserts {
 			res, err := ota.CheckAssertionBudget(sys, i, bgt)

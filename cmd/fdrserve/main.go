@@ -69,7 +69,6 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	cacheStates := fs.Int("cache-states", 0, "model-store state watermark (0 = 8x max-states)")
 	cacheEntries := fs.Int("cache-entries", 0, "model-store entry watermark (0 = unbounded entries)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight checks on shutdown")
-	exploreWorkers := fs.Int("explore-workers", 1, "lts exploration parallelism per check")
 	dataDir := fs.String("data-dir", "", "durable state directory: job records, checkpoints and spill shards (empty = jobs are memory-only)")
 	softMem := fs.Int64("soft-mem", 0, "per-exploration soft memory watermark in bytes; past it visited state spills to disk (0 = never spill)")
 	maxMem := fs.Int64("max-mem", 0, "per-exploration hard memory watermark in bytes; past it the check degrades to a budget:memory verdict (0 = unbounded)")
@@ -97,16 +96,15 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	}
 
 	srv := serve.New(serve.Config{
-		Workers:        *checkWorkers,
-		MaxQueue:       *queue,
-		MaxBodyBytes:   *maxBody,
-		MaxStates:      *maxStates,
-		MaxDuration:    *maxDuration,
-		ExploreWorkers: *exploreWorkers,
-		CacheEntries:   *cacheEntries,
-		CacheStates:    *cacheStates,
-		Obs:            observer,
-		EnableChaos:    *chaos,
+		Workers:      *checkWorkers,
+		MaxQueue:     *queue,
+		MaxBodyBytes: *maxBody,
+		MaxStates:    *maxStates,
+		MaxDuration:  *maxDuration,
+		CacheEntries: *cacheEntries,
+		CacheStates:  *cacheStates,
+		Obs:          observer,
+		EnableChaos:  *chaos,
 
 		DataDir:               *dataDir,
 		SoftMemBytes:          *softMem,

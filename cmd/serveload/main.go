@@ -85,7 +85,7 @@ func expectVerdicts(src string) ([]serve.AssertVerdict, error) {
 	if err != nil {
 		return nil, err
 	}
-	bgt := fdr.Budget{MaxStates: oracleBudget.MaxStates, Workers: 1, Cache: lts.NewCache()}
+	bgt := fdr.Budget{MaxStates: oracleBudget.MaxStates, Cache: lts.NewCache()}
 	out := make([]serve.AssertVerdict, 0, len(model.Asserts))
 	for _, a := range model.Asserts {
 		res, err := fdr.RunAssertBudget(model, a, bgt)

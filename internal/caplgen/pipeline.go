@@ -203,7 +203,7 @@ func RunOne(spec *Spec, cfg Config) (res ProgramResult) {
 	// Phase 3: the hidden model must be finitely explorable.
 	hidden := csp.Hide(csp.Call("NODE"), hiddenTimerEvents())
 	sem := csp.NewSemantics(model.Env, model.Ctx)
-	l, err := lts.Explore(sem, hidden, lts.Options{MaxStates: cfg.MaxStates, Workers: 1})
+	l, err := lts.Explore(sem, hidden, lts.Options{MaxStates: cfg.MaxStates})
 	if err != nil {
 		res.Verdict = VerdictExplore
 		res.Detail = err.Error()

@@ -123,11 +123,11 @@ func fnv64a(b []byte) uint64 {
 // rendered syntax — all models this library builds — the two relations
 // coincide.
 //
-// An Interner is not safe for concurrent use; exploration interns from
-// its single sequential merge goroutine only. EventSets and rename
-// mappings are memoized by pointer (they are structurally shared across
-// Subst), so they must not be mutated once interning has begun — the
-// same immutability exploration already requires of them.
+// An Interner is not safe for concurrent use; each exploration owns
+// one. EventSets and rename mappings are memoized by pointer (they are
+// structurally shared across Subst), so they must not be mutated once
+// interning has begun — the same immutability exploration already
+// requires of them.
 type Interner struct {
 	table   InternTable
 	n       int
@@ -216,30 +216,17 @@ func (in *Interner) Process(p Process) TermID {
 		in.id(cont)
 		return in.finish()
 	case ExtChoiceProc:
-		return in.binaryProc(itagExtChoice, x.L, x.R)
+		return in.ExtChoice(in.Process(x.L), in.Process(x.R))
 	case IntChoiceProc:
-		return in.binaryProc(itagIntChoice, x.L, x.R)
+		return in.binary(itagIntChoice, in.Process(x.L), in.Process(x.R))
 	case SeqProc:
-		return in.binaryProc(itagSeq, x.L, x.R)
+		return in.Seq(in.Process(x.L), in.Process(x.R))
 	case ParProc:
-		l, r, s := in.Process(x.L), in.Process(x.R), in.set(x.Sync)
-		in.begin(itagPar)
-		in.id(l)
-		in.id(r)
-		in.id(s)
-		return in.finish()
+		return in.Par(in.Process(x.L), in.Process(x.R), in.EventSet(x.Sync))
 	case HideProc:
-		p, s := in.Process(x.P), in.set(x.Set)
-		in.begin(itagHide)
-		in.id(p)
-		in.id(s)
-		return in.finish()
+		return in.Hide(in.Process(x.P), in.EventSet(x.Set))
 	case RenameProc:
-		p, m := in.Process(x.P), in.mapping(x.Mapping)
-		in.begin(itagRename)
-		in.id(p)
-		in.id(m)
-		return in.finish()
+		return in.Rename(in.Process(x.P), in.Mapping(x.Mapping))
 	case IfProc:
 		c, t, e := in.expr(x.Cond), in.Process(x.Then), in.Process(x.Else)
 		in.begin(itagIf)
@@ -264,11 +251,36 @@ func (in *Interner) Process(p Process) TermID {
 	panic(fmt.Sprintf("csp: interner: unknown process type %T", p))
 }
 
-func (in *Interner) binaryProc(tag byte, l, r Process) TermID {
-	li, ri := in.Process(l), in.Process(r)
+// The constructors below intern a composite process node directly from
+// its children's IDs, with exactly the encoding Process gives the same
+// term, so a compiled exploration can build successor states without
+// materialising and re-walking their syntax trees.
+
+// ExtChoice interns l [] r.
+func (in *Interner) ExtChoice(l, r TermID) TermID { return in.binary(itagExtChoice, l, r) }
+
+// Seq interns l ; r.
+func (in *Interner) Seq(l, r TermID) TermID { return in.binary(itagSeq, l, r) }
+
+// Par interns l [| sync |] r, where sync is an EventSet ID.
+func (in *Interner) Par(l, r, sync TermID) TermID {
+	in.begin(itagPar)
+	in.id(l)
+	in.id(r)
+	in.id(sync)
+	return in.finish()
+}
+
+// Hide interns p \ set, where set is an EventSet ID.
+func (in *Interner) Hide(p, set TermID) TermID { return in.binary(itagHide, p, set) }
+
+// Rename interns p[[mapping]], where mapping is a Mapping ID.
+func (in *Interner) Rename(p, mapping TermID) TermID { return in.binary(itagRename, p, mapping) }
+
+func (in *Interner) binary(tag byte, l, r TermID) TermID {
 	in.begin(tag)
-	in.id(li)
-	in.id(ri)
+	in.id(l)
+	in.id(r)
 	return in.finish()
 }
 
@@ -409,11 +421,11 @@ func (in *Interner) Event(e Event) TermID {
 	return in.finish()
 }
 
-// set interns an event set by content. A nil set encodes identically to
+// EventSet interns an event set by content. A nil set encodes identically to
 // an empty set — the same identification the canonical Key strings have
 // always made — and distinct *EventSet pointers with equal content
 // intern to the same ID. The per-pointer memo only skips re-encoding.
-func (in *Interner) set(s *EventSet) TermID {
+func (in *Interner) EventSet(s *EventSet) TermID {
 	if s != nil {
 		if id, ok := in.sets[s]; ok {
 			return id
@@ -452,9 +464,9 @@ func (in *Interner) set(s *EventSet) TermID {
 	return id
 }
 
-// mapping interns a rename mapping by content, memoized by map pointer
+// Mapping interns a rename mapping by content, memoized by map pointer
 // (mappings are shared unchanged across Subst).
-func (in *Interner) mapping(m map[string]string) TermID {
+func (in *Interner) Mapping(m map[string]string) TermID {
 	var ptr uintptr
 	if m != nil {
 		ptr = reflect.ValueOf(m).Pointer()

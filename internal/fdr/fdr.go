@@ -46,10 +46,6 @@ type Budget struct {
 	// zero means unbounded. Exceeding it yields a *refine.BudgetError
 	// with a "-deadline" phase.
 	MaxDuration time.Duration
-	// Workers is the exploration parallelism (0: GOMAXPROCS, 1:
-	// sequential). Verdicts and counterexamples are identical at any
-	// worker count.
-	Workers int
 	// Cache, when non-nil, shares explored LTSs and normalisations
 	// across assertions and across checkers — campaign runs should pass
 	// one cache for the whole campaign so each distinct spec/impl term
@@ -111,7 +107,6 @@ func RunAssertBudget(m *cspm.Model, a cspm.ResolvedAssert, bgt Budget) (res refi
 	c.MaxProductStates = bgt.MaxProductStates
 	c.MaxSteps = bgt.MaxSteps
 	c.MaxDuration = bgt.MaxDuration
-	c.Workers = bgt.Workers
 	c.Cache = bgt.Cache
 	c.Obs = bgt.Obs
 	c.Ctx = bgt.Ctx

@@ -2,6 +2,7 @@ package learn
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/csp"
 )
@@ -27,16 +28,20 @@ type DFA struct {
 	// BFS-shortest access words.
 	Access []csp.Trace
 
-	symIdx map[string]int
+	// symIdx maps rendered symbols to alphabet positions. It is built
+	// once on first use; concurrent equivalence workers walk one shared
+	// hypothesis, so the build is guarded by idxOnce.
+	symIdx  map[string]int
+	idxOnce sync.Once
 }
 
 func (d *DFA) index() map[string]int {
-	if d.symIdx == nil {
+	d.idxOnce.Do(func() {
 		d.symIdx = make(map[string]int, len(d.Alpha))
 		for i, a := range d.Alpha {
 			d.symIdx[a.String()] = i
 		}
-	}
+	})
 	return d.symIdx
 }
 

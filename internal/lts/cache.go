@@ -113,9 +113,8 @@ func NewCache() *Cache {
 
 // Explore is a caching front end to Explore: concurrent callers asking
 // for the same (semantics, process, bound) share one exploration, and
-// later callers reuse its result. Options.MaxDuration and
-// Options.Workers only influence how a miss is computed, never whether
-// an entry hits.
+// later callers reuse its result. Options.MaxDuration only influences
+// how a miss is computed, never whether an entry hits.
 func (c *Cache) Explore(sem *csp.Semantics, p csp.Process, opts Options) (*LTS, error) {
 	maxStates := opts.MaxStates
 	if maxStates <= 0 {

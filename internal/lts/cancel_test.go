@@ -42,30 +42,28 @@ func TestExplorePreCancelledContext(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err %v does not match context.Canceled", err)
 	}
-	// A pre-cancelled context must be observed at the first state, not
-	// after a check interval's worth of work.
-	if ce.Explored >= deadlineCheckInterval {
-		t.Errorf("explored %d states before noticing cancellation, want < %d",
-			ce.Explored, deadlineCheckInterval)
+	// A pre-cancelled context must be observed before the root is
+	// expanded.
+	if ce.Explored != 1 {
+		t.Errorf("explored %d states before noticing cancellation, want 1", ce.Explored)
 	}
 }
 
 // TestExploreCancelMidExplore cancels at randomized points while the
 // exploration runs and verifies the abort is cooperative: a
 // *CanceledError wrapping context.Canceled, never a hang or a leaked
-// worker (the leakcheck covers the parallel expansion goroutines).
+// goroutine.
 func TestExploreCancelMidExplore(t *testing.T) {
 	leakcheck.Check(t)
 	sem, p := countSem(t, 200000)
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 8; trial++ {
-		workers := 1 + trial%3
 		ctx, cancel := context.WithCancel(context.Background())
 		go func(after time.Duration) {
 			time.Sleep(after)
 			cancel()
 		}(time.Duration(rng.Intn(2000)) * time.Microsecond)
-		_, err := Explore(sem, p, Options{Ctx: ctx, Workers: workers, MaxStates: 1 << 20})
+		_, err := Explore(sem, p, Options{Ctx: ctx, MaxStates: 1 << 20})
 		cancel()
 		if err == nil {
 			// The exploration won the race — only plausible for the very
@@ -74,7 +72,7 @@ func TestExploreCancelMidExplore(t *testing.T) {
 		}
 		var ce *CanceledError
 		if !errors.As(err, &ce) {
-			t.Fatalf("trial %d (workers=%d): err = %T %v, want *CanceledError", trial, workers, err, err)
+			t.Fatalf("trial %d: err = %T %v, want *CanceledError", trial, err, err)
 		}
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("trial %d: err %v does not match context.Canceled", trial, err)
@@ -83,15 +81,13 @@ func TestExploreCancelMidExplore(t *testing.T) {
 }
 
 // TestExploreDeadlineInsideLevel pins the deadline-granularity fix: an
-// already-expired MaxDuration must abort inside the first level, even
-// on the sequential expansion path. Before the fix the sequential path
-// never checked the clock and the merge loop only probed every
-// deadlineCheckInterval states, so a model smaller than the interval
+// already-expired MaxDuration must abort before the first expansion.
+// Once the clock was only probed every 256 states, so a smaller model
 // explored to completion and returned success despite the deadline.
 func TestExploreDeadlineInsideLevel(t *testing.T) {
 	leakcheck.Check(t)
-	sem, p := countSem(t, 100) // well under deadlineCheckInterval states
-	_, err := Explore(sem, p, Options{MaxDuration: time.Nanosecond, Workers: 1})
+	sem, p := countSem(t, 100)
+	_, err := Explore(sem, p, Options{MaxDuration: time.Nanosecond})
 	if err == nil {
 		t.Fatal("exploration with an expired deadline returned success")
 	}
@@ -99,18 +95,17 @@ func TestExploreDeadlineInsideLevel(t *testing.T) {
 	if !errors.As(err, &de) {
 		t.Fatalf("err = %T %v, want *DeadlineError", err, err)
 	}
-	if de.Explored >= deadlineCheckInterval {
-		t.Errorf("explored %d states past an expired deadline, want < %d",
-			de.Explored, deadlineCheckInterval)
+	if de.Explored != 1 {
+		t.Errorf("explored %d states past an expired deadline, want 1", de.Explored)
 	}
 }
 
-// TestExploreDeadlineParallelWorkers does the same through the parallel
-// expansion path: the per-worker probes must abort a level mid-flight.
-func TestExploreDeadlineParallelWorkers(t *testing.T) {
+// TestExploreDeadlineMidLevel does the same on a model too large to
+// finish within the budget: the per-state probe must abort mid-run.
+func TestExploreDeadlineMidLevel(t *testing.T) {
 	leakcheck.Check(t)
 	sem, p := countSem(t, 100000)
-	_, err := Explore(sem, p, Options{MaxDuration: time.Millisecond, Workers: 4})
+	_, err := Explore(sem, p, Options{MaxDuration: time.Millisecond})
 	if err == nil {
 		t.Skip("machine explored 100k states in under a millisecond")
 	}

@@ -1,0 +1,392 @@
+package lts
+
+import (
+	"repro/internal/csp"
+)
+
+// Compiled semantics. Exploration does not re-derive a product state's
+// transitions from its syntax tree; it memoizes the transitions of every
+// interned process node, once, as (event ID, TermID) runs in one arena.
+// Operators whose transitions are a function of their children's —
+// parallel, hiding, renaming, external choice and sequential
+// composition — combine the children's memoized runs and intern each
+// successor straight from child IDs. Every other node (prefix, call,
+// conditional, internal choice, STOP, SKIP, Ω) is a leaf: its
+// transitions come from the operational semantics, evaluated once per
+// distinct term.
+//
+// Each combinator emits exactly the transitions, in exactly the order,
+// that csp.Semantics computes for the whole term, so the LTS is
+// byte-identical to the reference engine's. The memo lives and dies
+// with one Explore call and is single-threaded.
+
+// transitionSource evaluates leaf terms. *csp.Semantics is the
+// production implementation; tests substitute failing or panicking fakes.
+type transitionSource interface {
+	Transitions(p csp.Process) ([]csp.Transition, error)
+}
+
+// Node operators of the compiled form.
+const (
+	opUnseen uint8 = iota // interned, but not (yet) a known process node
+	opLeaf
+	opPar
+	opHide
+	opRename
+	opExt
+	opSeq
+)
+
+// ctrans is one memoized transition: a compiled event ID (TauID, TickID,
+// or a dense visible-event ID) and the successor's TermID.
+type ctrans struct {
+	ev int32
+	to csp.TermID
+}
+
+// cnode is the compiled form of one interned process node, indexed by
+// its TermID. Its memoized transitions are arena[off : off+n] once
+// computed; arena[0] is reserved, so off == 0 means not yet.
+type cnode struct {
+	proc  csp.Process
+	off   uint32
+	n     uint32
+	a, b  csp.TermID // children: [| |], [] and ; use both; \ and [[ ]] use a
+	aux   int32      // index of the node's event-set or renaming memo
+	state int32      // state ID + 1; 0 when the node is not a state
+	op    uint8
+}
+
+// evMemo is an interned event set or renaming. For a set, in caches
+// membership per compiled event ID: 0 unknown, 1 absent, 2 present.
+type evMemo struct {
+	tid csp.TermID
+	set *csp.EventSet
+	m   map[string]string
+	in  []int8
+}
+
+// compiler holds the memo of one exploration.
+type compiler struct {
+	leaf  transitionSource
+	in    *csp.Interner
+	nodes []cnode
+	arena []ctrans
+
+	events  []csp.Event // compiled event ID -> event
+	ltsID   []int32     // compiled event ID -> LTS event ID + 1, 0 until on an edge
+	eventOf map[csp.TermID]int32
+
+	memos  []evMemo
+	memoOf map[csp.TermID]int32
+
+	omega csp.TermID
+
+	// syncHead/syncNext index the right child's synchronising
+	// transitions by event ID while a parallel node is combined. Between
+	// uses every syncHead entry is -1.
+	syncHead []int32
+	syncNext []int32
+
+	hits, misses int64
+}
+
+func newCompiler(leaf transitionSource, in *csp.Interner) *compiler {
+	c := &compiler{
+		leaf:    leaf,
+		in:      in,
+		events:  []csp.Event{csp.Tau(), csp.Tick()},
+		ltsID:   []int32{TauID + 1, TickID + 1},
+		eventOf: map[csp.TermID]int32{},
+		memoOf:  map[csp.TermID]int32{},
+		arena:   make([]ctrans, 1),
+	}
+	c.omega = c.intern(csp.OmegaProc{})
+	return c
+}
+
+// bytes estimates the memo's resident size: ~96 bytes per node-table
+// slot with its boxed term, 8 per arena transition, and the set caches.
+func (c *compiler) bytes() int64 {
+	b := int64(len(c.nodes))*96 + int64(cap(c.arena))*8
+	for i := range c.memos {
+		b += int64(len(c.memos[i].in))
+	}
+	return b
+}
+
+// intern registers a process term and every composite node inside it,
+// returning its TermID. Children, sets and mappings are interned (Go
+// evaluates call arguments left to right) in the order
+// csp.Interner.Process visits them.
+func (c *compiler) intern(p csp.Process) csp.TermID {
+	switch x := p.(type) {
+	case csp.ParProc:
+		return c.node(opPar, c.intern(x.L), c.intern(x.R), c.memo(c.in.EventSet(x.Sync), x.Sync, nil), p)
+	case csp.HideProc:
+		return c.node(opHide, c.intern(x.P), 0, c.memo(c.in.EventSet(x.Set), x.Set, nil), p)
+	case csp.RenameProc:
+		return c.node(opRename, c.intern(x.P), 0, c.memo(c.in.Mapping(x.Mapping), nil, x.Mapping), p)
+	case csp.ExtChoiceProc:
+		return c.node(opExt, c.intern(x.L), c.intern(x.R), 0, p)
+	case csp.SeqProc:
+		return c.node(opSeq, c.intern(x.L), c.intern(x.R), 0, p)
+	}
+	id := c.in.Process(p)
+	if c.fresh(id) {
+		c.nodes[id] = cnode{proc: p, op: opLeaf}
+	}
+	return id
+}
+
+// node interns the composite node op(a, b) straight from child IDs, with
+// the interner's own encoding, and registers it when new. p is its term,
+// or nil to build the term from the children's only when the node is new.
+func (c *compiler) node(op uint8, a, b csp.TermID, aux int32, p csp.Process) csp.TermID {
+	var id csp.TermID
+	switch op {
+	case opPar:
+		id = c.in.Par(a, b, c.memos[aux].tid)
+	case opHide:
+		id = c.in.Hide(a, c.memos[aux].tid)
+	case opRename:
+		id = c.in.Rename(a, c.memos[aux].tid)
+	case opExt:
+		id = c.in.ExtChoice(a, b)
+	default:
+		id = c.in.Seq(a, b)
+	}
+	if !c.fresh(id) {
+		return id
+	}
+	if p == nil {
+		l, r := c.nodes[a].proc, c.nodes[b].proc
+		switch op {
+		case opPar:
+			p = csp.ParProc{L: l, R: r, Sync: c.memos[aux].set}
+		case opHide:
+			p = csp.HideProc{P: l, Set: c.memos[aux].set}
+		case opRename:
+			p = csp.RenameProc{P: l, Mapping: c.memos[aux].m}
+		case opExt:
+			p = csp.ExtChoiceProc{L: l, R: r}
+		default:
+			p = csp.SeqProc{L: l, R: r}
+		}
+	}
+	c.nodes[id] = cnode{proc: p, op: op, a: a, b: b, aux: aux}
+	return id
+}
+
+// fresh grows the node table to cover id and reports whether id is not
+// yet a known process node.
+func (c *compiler) fresh(id csp.TermID) bool {
+	if int(id) >= len(c.nodes) {
+		grown := make([]cnode, max(c.in.Len(), 2*len(c.nodes)))
+		copy(grown, c.nodes)
+		c.nodes = grown
+	}
+	return c.nodes[id].op == opUnseen
+}
+
+// event returns the compiled ID of an event.
+func (c *compiler) event(ev csp.Event) int32 {
+	switch {
+	case ev.IsTau():
+		return TauID
+	case ev.IsTick():
+		return TickID
+	}
+	tid := c.in.Event(ev)
+	if id, ok := c.eventOf[tid]; ok {
+		return id
+	}
+	id := int32(len(c.events))
+	c.events = append(c.events, ev)
+	c.ltsID = append(c.ltsID, 0)
+	c.eventOf[tid] = id
+	return id
+}
+
+// memo returns the index of the event memo of the set or mapping
+// interned as tid.
+func (c *compiler) memo(tid csp.TermID, set *csp.EventSet, m map[string]string) int32 {
+	if i, ok := c.memoOf[tid]; ok {
+		return i
+	}
+	i := int32(len(c.memos))
+	c.memos = append(c.memos, evMemo{tid: tid, set: set, m: m})
+	c.memoOf[tid] = i
+	return i
+}
+
+// inSet reports whether compiled event ev is in event set memo s.
+func (c *compiler) inSet(s, ev int32) bool {
+	m := &c.memos[s]
+	if int(ev) >= len(m.in) {
+		m.in = append(m.in, make([]int8, len(c.events)-len(m.in))...)
+	}
+	if m.in[ev] == 0 {
+		m.in[ev] = 1
+		if m.set.Contains(c.events[ev]) {
+			m.in[ev] = 2
+		}
+	}
+	return m.in[ev] == 2
+}
+
+// renamed returns the image of compiled event ev under renaming memo m.
+// A renaming node's run is computed once, so this is not cached.
+func (c *compiler) renamed(m, ev int32) int32 {
+	e := c.events[ev]
+	if to, ok := c.memos[m].m[e.Chan]; ok && ev > TickID {
+		return c.event(csp.Event{Chan: to, Args: e.Args})
+	}
+	return ev
+}
+
+// trans returns the memoized transitions of process node id, computing
+// them on first use. The returned slice is shared and must not be
+// modified.
+func (c *compiler) trans(id csp.TermID) ([]ctrans, error) {
+	if n := &c.nodes[id]; n.off != 0 {
+		c.hits++
+		return c.arena[n.off : n.off+n.n : n.off+n.n], nil
+	}
+	c.misses++
+	n := c.nodes[id]
+	// Children are computed before this node's run starts, so the run is
+	// contiguous; their runs stay valid when the arena grows.
+	var lt, rt []ctrans
+	var err error
+	if n.op != opLeaf {
+		if lt, err = c.trans(n.a); err != nil {
+			return nil, err
+		}
+	}
+	if n.op == opPar || n.op == opExt {
+		if rt, err = c.trans(n.b); err != nil {
+			return nil, err
+		}
+	}
+	off := uint32(len(c.arena))
+	switch n.op {
+	case opPar:
+		c.parTrans(n, lt, rt)
+	case opHide:
+		for _, t := range lt {
+			switch {
+			case t.ev == TickID:
+				c.emit(TickID, c.omega)
+			case c.inSet(n.aux, t.ev):
+				c.emit(TauID, c.node(opHide, t.to, 0, n.aux, nil))
+			default:
+				c.emit(t.ev, c.node(opHide, t.to, 0, n.aux, nil))
+			}
+		}
+	case opRename:
+		for _, t := range lt {
+			if t.ev == TickID {
+				c.emit(TickID, c.omega)
+			} else {
+				c.emit(c.renamed(n.aux, t.ev), c.node(opRename, t.to, 0, n.aux, nil))
+			}
+		}
+	case opExt:
+		// Tau does not resolve external choice; every other move keeps
+		// the chosen branch's successor.
+		for _, t := range lt {
+			if t.ev == TauID {
+				t.to = c.node(opExt, t.to, n.b, 0, nil)
+			}
+			c.arena = append(c.arena, t)
+		}
+		for _, t := range rt {
+			if t.ev == TauID {
+				t.to = c.node(opExt, n.a, t.to, 0, nil)
+			}
+			c.arena = append(c.arena, t)
+		}
+	case opSeq:
+		// Termination of the first component is internal to P;Q.
+		for _, t := range lt {
+			if t.ev == TickID {
+				c.emit(TauID, n.b)
+			} else {
+				c.emit(t.ev, c.node(opSeq, t.to, n.b, 0, nil))
+			}
+		}
+	default:
+		trs, err := c.leaf.Transitions(n.proc)
+		if err != nil {
+			return nil, err
+		}
+		for _, tr := range trs {
+			c.emit(c.event(tr.Ev), c.intern(tr.To))
+		}
+	}
+	end := uint32(len(c.arena))
+	m := &c.nodes[id]
+	m.off, m.n = off, end-off
+	return c.arena[off:end:end], nil
+}
+
+func (c *compiler) emit(ev int32, to csp.TermID) {
+	c.arena = append(c.arena, ctrans{ev: ev, to: to})
+}
+
+// parTrans mirrors csp's parTransitions: unsynchronised moves of the
+// left then the right component, then synchronised pairs in left-major
+// order — matched through an event-ID index over the right component —
+// then distributed termination.
+func (c *compiler) parTrans(n cnode, lt, rt []ctrans) {
+	s := n.aux
+	leftTick, rightTick, sync := false, false, false
+	for _, t := range lt {
+		switch {
+		case t.ev == TickID:
+			leftTick = true
+		case t.ev == TauID || !c.inSet(s, t.ev):
+			c.emit(t.ev, c.node(opPar, t.to, n.b, s, nil))
+		default:
+			sync = true
+		}
+	}
+	for _, t := range rt {
+		switch {
+		case t.ev == TickID:
+			rightTick = true
+		case t.ev == TauID || !c.inSet(s, t.ev):
+			c.emit(t.ev, c.node(opPar, n.a, t.to, s, nil))
+		}
+	}
+	if sync {
+		for len(c.syncHead) < len(c.events) {
+			c.syncHead = append(c.syncHead, -1)
+		}
+		if cap(c.syncNext) < len(rt) {
+			c.syncNext = make([]int32, len(rt))
+		}
+		head, next := c.syncHead, c.syncNext[:len(rt)]
+		for j := len(rt) - 1; j >= 0; j-- {
+			if ev := rt[j].ev; ev > TickID && c.inSet(s, ev) {
+				next[j], head[ev] = head[ev], int32(j)
+			}
+		}
+		for _, t := range lt {
+			if t.ev > TickID && c.inSet(s, t.ev) {
+				for j := head[t.ev]; j >= 0; j = next[j] {
+					c.emit(t.ev, c.node(opPar, t.to, rt[j].to, s, nil))
+				}
+			}
+		}
+		for _, t := range rt {
+			if t.ev > TickID {
+				head[t.ev] = -1
+			}
+		}
+	}
+	if leftTick && rightTick {
+		c.emit(TickID, c.omega)
+	}
+}

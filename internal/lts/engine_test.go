@@ -1,7 +1,7 @@
 // Regression tests against the exploration engine's internals: panic
-// attribution under parallel expansion, and the resident-size estimate
-// actually covering the event-intern table. Both need package-internal
-// access — the transitionSource seam and the size constants.
+// attribution, and the resident-size estimate actually covering the
+// event-intern table. Both need package-internal access — the
+// transitionSource seam and the size constants.
 package lts
 
 import (
@@ -11,14 +11,15 @@ import (
 	"testing"
 
 	"repro/internal/csp"
+	"repro/internal/obs"
 	"repro/internal/statestore"
 )
 
 // panicSource is a fake operational semantics over a binary tree of
 // Call("S", n) terms: state n steps to 2n+1 and 2n+2 below size, leaves
 // are silent, and evaluating the term with n == panicAt panics. It
-// reproduces the shape that once misattributed worker panics: many
-// states per level, exactly one of them poisonous.
+// reproduces the shape that once misattributed panics: many states per
+// level, exactly one of them poisonous.
 type panicSource struct {
 	size    int
 	panicAt int
@@ -52,28 +53,22 @@ func (s *panicSource) Transitions(p csp.Process) ([]csp.Transition, error) {
 	return trs, nil
 }
 
-// TestWorkerPanicNamesTheFaultingState pins panic attribution: whatever
-// worker evaluates the poisoned state, the error must name that state's
-// term — not whichever state a stale claim range happened to point at
-// (the old parallel expander reused its claim slice across batches
-// without resetting it, so a panic could be reported against a state
-// from a previous batch).
-func TestWorkerPanicNamesTheFaultingState(t *testing.T) {
+// TestPanicNamesTheFaultingState pins panic attribution: a panic while
+// evaluating a leaf term must surface as an error naming the state
+// being expanded, with the panic payload, never as a crash.
+func TestPanicNamesTheFaultingState(t *testing.T) {
 	const size, panicAt = 127, 37
 	wantKey := treeTerm(panicAt).Key()
-	for _, workers := range []int{0, 1, 2, 4, 8} {
-		src := newPanicSource(size, panicAt)
-		_, err := explore(src, treeTerm(0), Options{Workers: workers})
-		if err == nil {
-			t.Fatalf("workers=%d: exploration of a panicking semantics succeeded", workers)
-		}
-		if !strings.Contains(err.Error(), fmt.Sprintf("state %q", wantKey)) {
-			t.Fatalf("workers=%d: panic attributed to the wrong state:\n  got  %v\n  want mention of state %q",
-				workers, err, wantKey)
-		}
-		if !strings.Contains(err.Error(), fmt.Sprintf("poisoned state %d", panicAt)) {
-			t.Fatalf("workers=%d: panic payload lost: %v", workers, err)
-		}
+	src := newPanicSource(size, panicAt)
+	_, err := explore(src, treeTerm(0), Options{})
+	if err == nil {
+		t.Fatal("exploration of a panicking semantics succeeded")
+	}
+	if !strings.Contains(err.Error(), fmt.Sprintf("state %q", wantKey)) {
+		t.Fatalf("panic attributed to the wrong state:\n  got  %v\n  want mention of state %q", err, wantKey)
+	}
+	if !strings.Contains(err.Error(), fmt.Sprintf("poisoned state %d", panicAt)) {
+		t.Fatalf("panic payload lost: %v", err)
 	}
 }
 
@@ -161,5 +156,70 @@ func TestMaxMemBytesCountsEventTable(t *testing.T) {
 	})
 	if !errors.As(err, &me) {
 		t.Fatalf("resume path: event-table bytes not counted: err = %v, want *MemoryError", err)
+	}
+}
+
+// TestMaxMemBytesCountsMemo pins that the resident-size estimate covers
+// the compiled memo and node table. The limit is the final size of
+// everything else an exploration holds — interned-term index, states,
+// edges and event table — which no level-boundary estimate without the
+// memo can exceed, so the watermark trips only if the memo is counted.
+func TestMaxMemBytesCountsMemo(t *testing.T) {
+	const n = 16
+	sem, root := eventHeavySem(t, n)
+	store := statestore.NewMem()
+	ref, err := Explore(sem, root, Options{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := store.Bytes() + int64(ref.NumStates())*ltsStateOverhead
+	for i := 0; i < ref.NumStates(); i++ {
+		limit += int64(len(ref.Edges[i])) * ltsEdgeBytes
+	}
+	for _, ev := range ref.Events[2:] {
+		limit += int64(len(ev.String())) + eventEntryOverhead
+	}
+	_, err = Explore(sem, root, Options{MaxMemBytes: limit})
+	var me *MemoryError
+	if !errors.As(err, &me) {
+		t.Fatalf("memo bytes not counted: err = %v, want *MemoryError", err)
+	}
+	// With room for the memo the same exploration succeeds.
+	if _, err := Explore(sem, root, Options{MaxMemBytes: limit + 1<<20}); err != nil {
+		t.Fatalf("exploration with room for the memo failed: %v", err)
+	}
+}
+
+// TestExploreMemoMetrics pins the compiled-memo instrumentation: misses
+// count distinct nodes whose transitions were computed, hits count
+// reuses, the node gauge covers the interned table, and none of it
+// changes the LTS.
+func TestExploreMemoMetrics(t *testing.T) {
+	sem, root := eventHeavySem(t, 8)
+	plain, err := Explore(sem, root, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two copies side by side: every component state recurs across many
+	// product states, so the memo must hit.
+	o := obs.New()
+	l, err := Explore(sem, csp.Interleave(root, root), Options{Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := o.Counter("lts.explore.memo.hits").Value()
+	misses := o.Counter("lts.explore.memo.misses").Value()
+	if misses == 0 || hits == 0 {
+		t.Errorf("memo hits=%d misses=%d, want both > 0", hits, misses)
+	}
+	if nodes := o.Gauge("lts.explore.nodes").Value(); nodes < int64(l.NumStates()) {
+		t.Errorf("nodes gauge %d below the %d states", nodes, l.NumStates())
+	}
+	again, err := Explore(sem, root, Options{Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.NumStates() != plain.NumStates() || again.NumTransitions() != plain.NumTransitions() {
+		t.Error("observability changed the LTS")
 	}
 }

@@ -9,10 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/csp"
@@ -89,14 +86,6 @@ type Options struct {
 	// means unbounded. Exceeding it returns a *DeadlineError, so a
 	// pathological state space cannot hang a campaign-scale caller.
 	MaxDuration time.Duration
-	// Workers is the number of goroutines evaluating transitions
-	// concurrently. 0 means GOMAXPROCS; 1 forces sequential exploration.
-	// Workers share the frontier through work-stealing chunked claiming,
-	// but all state interning and event-ID assignment happen in a single
-	// sequential merge, so the resulting LTS (state numbering, Edges,
-	// Events) is byte-identical to the sequential result at any worker
-	// count.
-	Workers int
 	// Ctx, when non-nil, cooperatively cancels the exploration: the BFS
 	// checks the context before every state expansion, so a cancelled
 	// request (a disconnected client, a fired per-request deadline)
@@ -117,8 +106,9 @@ type Options struct {
 	// caller owns the store's lifetime (Close).
 	Store statestore.Store
 	// MaxMemBytes is a hard watermark on the estimated resident size of
-	// the exploration (interned-term index + LTS under construction,
-	// including the event-intern table), checked once per BFS level.
+	// the exploration (interned-term index, compiled memo and node table,
+	// and the LTS under construction including the event-intern table),
+	// checked once per BFS level.
 	// Exceeding it returns a *MemoryError — a structured budget verdict
 	// instead of an OOM kill. 0 means unbounded.
 	MaxMemBytes int64
@@ -200,29 +190,12 @@ func (e *CanceledError) Error() string {
 // Unwrap exposes the context error to errors.Is.
 func (e *CanceledError) Unwrap() error { return e.Cause }
 
-// deadlineCheckInterval is how many states are merged between
-// wall-clock checks in the merge loop; a power of two keeps the
-// hot-loop test cheap. Workers probe the stop conditions per state
-// instead: transition evaluation dominates the probe by orders of
-// magnitude, and per-state probing is what bounds deadline overshoot
-// and cancellation latency to a single slow state rather than a whole
-// level.
-const deadlineCheckInterval = 256
-
 // DefaultMaxStates is the exploration bound used when Options.MaxStates
 // is zero.
 const DefaultMaxStates = 1 << 20
 
-// parallelLevelThreshold is the smallest evaluation backlog worth
-// fanning out to a worker pool; below it the goroutine hand-off costs
-// more than the transition evaluations it saves. Workers start lazily
-// the first time the backlog reaches the threshold and then stay on for
-// the rest of the exploration.
-const parallelLevelThreshold = 16
-
 // ltsStateOverhead approximates the per-state resident cost of the LTS
-// under construction: the Procs/Edges slice slots, the term pointer and
-// the interner's state-ID slot.
+// under construction: the Procs/Edges slice slots and the term pointer.
 const ltsStateOverhead = 64
 
 // ltsEdgeBytes is the resident cost of one Edge.
@@ -230,116 +203,36 @@ const ltsEdgeBytes = 16
 
 // eventEntryOverhead approximates the per-entry resident cost of the
 // event-intern table beyond the rendered key bytes: the Events slice
-// slot, the eventIDs map entry and the term-ID index entry.
+// slot, the eventIDs map entry and the compiled-event index entry.
 const eventEntryOverhead = 104
 
-// transitionSource is the evaluation seam of the exploration: anything
-// that can produce the outgoing transitions of a process term.
-// *csp.Semantics is the production implementation; tests substitute
-// failing or panicking fakes to pin worker error handling.
-type transitionSource interface {
-	Transitions(p csp.Process) ([]csp.Transition, error)
-}
+const maxEdgeChunk = 4096 // cap on the Edge chunks edge lists come from
 
 // Explore builds the LTS reachable from root under the given semantics.
 //
-// Exploration is a pipelined BFS: discovered states are published to a
-// pool of workers that claim contiguous chunks of the frontier with an
-// atomic cursor (work-stealing — no level barrier, so stragglers never
-// idle the pool), evaluate their transition lists (the operational
-// semantics is pure, so concurrent evaluation is safe) and post them
-// into per-state result slots. A single sequential merge consumes the
-// slots in state order and performs all term interning and event-ID
-// assignment, so the resulting LTS is byte-identical to a sequential
-// exploration at any worker count — deterministic reports stay
-// deterministic.
+// Exploration is a sequential BFS over compiled semantics (see
+// compile.go): states are interned TermIDs, and each state's
+// transitions are combined from its components' memoized transition
+// lists. States are numbered in discovery order and event IDs assigned
+// in order of first appearance on an edge, so the LTS is byte-identical
+// to ExploreReference's.
 func Explore(sem *csp.Semantics, root csp.Process, opts Options) (*LTS, error) {
 	return explore(sem, root, opts)
 }
 
-// chunk geometry of the shared state tables. Terms and result slots
-// live in fixed-size chunks so workers can index them without ever
-// racing a slice reallocation in the merge goroutine: a chunk, once its
-// pointer is published, never moves. Chunks are small enough that a
-// tiny exploration pays for one chunk, not a bound's worth — the chunk
-// tables themselves grow dynamically until the first worker launches
-// (see fixTables).
-const (
-	stateChunkShift = 7
-	stateChunkSize  = 1 << stateChunkShift
-	stateChunkMask  = stateChunkSize - 1
-)
-
-type procChunk [stateChunkSize]csp.Process
-
-// resSlot receives one state's evaluated transitions. ready is the
-// publication flag: the producer fills trs/err first and then sets
-// ready (release); the merger reads them only after observing ready
-// (acquire).
-type resSlot struct {
-	trs   []csp.Transition
-	err   error
-	ready atomic.Bool
-}
-
-type slotChunk [stateChunkSize]resSlot
-
-// errStopped marks a result slot that was skipped because a stop
-// condition (deadline or cancellation) had fired. It is written only
-// when stopper.fired() returned true; stop conditions are sticky, so
-// the merger re-derives the concrete typed error — with an accurate
-// explored count — from stop.check when it consumes the slot.
-var errStopped = errors.New("lts: stop condition fired before evaluation")
-
-// exploration is the in-flight state of one Explore call: the interner
-// and LTS under construction (touched only by the merge goroutine), the
-// chunked publish tables shared with workers, and the coordination
-// state for work-stealing claiming.
 type exploration struct {
-	src       transitionSource
-	in        *csp.Interner
-	visited   statestore.Store
+	c         *compiler
 	l         *LTS
-	stateOf   []int32 // term ID -> state ID, -1 if the node is not a state
-	eventOf   map[csp.TermID]int
-	nStates   int
+	states    []csp.TermID // state ID -> term
+	edgeBuf   []Edge
 	maxStates int
 	ltsBytes  int64
-	stop      *stopper
 
-	// Shared chunk tables: written by the merger before publishing,
-	// indexed lock-free by workers.
-	procTab []*procChunk
-	slotTab []*slotChunk
-	// seqSlot is the reusable result slot of the sequential fast path,
-	// so a worker-free exploration allocates no slot chunks at all.
-	seqSlot resSlot
-
-	// published is the number of states whose term and result slot are
-	// visible to workers; next is the claim cursor (states [0,next) are
-	// claimed). aborted makes idle workers exit and is set on any error
-	// path; done is set when the merge completes.
-	published atomic.Int64
-	next      atomic.Int64
-	aborted   atomic.Bool
-	done      atomic.Bool
-
-	// Parking: waiters (workers out of work, or the merger awaiting a
-	// claimed slot) sleep on cond; producers broadcast only when the
-	// waiter counter is nonzero.
-	mu      sync.Mutex
-	cond    *sync.Cond
-	waiters atomic.Int32
-
-	// engineErr records a worker-goroutine failure outside transition
-	// evaluation (an engine bug surfacing as a panic); guarded by mu. The
-	// merger checks it while parked so a crashed worker can never strand
-	// the merge on a slot that will not be filled.
-	engineErr error
-
-	workers        int
-	workersStarted bool
-	wg             sync.WaitGroup
+	// The cooperative stop conditions: cancellation and the wall-clock
+	// budget counted from start.
+	ctx    context.Context
+	maxDur time.Duration
+	start  time.Time
 }
 
 func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, err error) {
@@ -347,19 +240,17 @@ func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, er
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	// Instrumentation: all handles are nil-safe no-ops when opts.Obs is
 	// nil, and all updates happen per level, never per state, so the hot
-	// interning loop is untouched.
-	span := opts.Obs.StartSpan("lts.explore", obs.Int("workers", int64(workers)))
+	// loop is untouched.
+	span := opts.Obs.StartSpan("lts.explore")
 	statesC := opts.Obs.Counter("lts.explore.states")
 	transC := opts.Obs.Counter("lts.explore.transitions")
 	levelsC := opts.Obs.Counter("lts.explore.levels")
-	parLevelsC := opts.Obs.Counter("lts.explore.levels.parallel")
+	hitsC := opts.Obs.Counter("lts.explore.memo.hits")
+	missesC := opts.Obs.Counter("lts.explore.memo.misses")
 	frontierG := opts.Obs.Gauge("lts.explore.frontier")
+	nodesG := opts.Obs.Gauge("lts.explore.nodes")
 	prog := opts.Obs.Progress("lts.explore")
 	defer func() {
 		explored := int64(0)
@@ -387,33 +278,25 @@ func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, er
 		visited = statestore.NewMem()
 	}
 	e := &exploration{
-		src:       src,
-		in:        csp.NewInterner(visited),
-		visited:   visited,
+		c:         newCompiler(src, csp.NewInterner(visited)),
 		l:         &LTS{Events: []csp.Event{csp.Tau(), csp.Tick()}, eventIDs: map[string]int{}},
-		eventOf:   map[csp.TermID]int{},
 		maxStates: maxStates,
-		stop:      &stopper{ctx: opts.Ctx, maxDur: opts.MaxDuration, start: time.Now()},
-		workers:   workers,
+		ctx:       opts.Ctx,
+		maxDur:    opts.MaxDuration,
+		start:     time.Now(),
 	}
-	e.cond = sync.NewCond(&e.mu)
-	// Whatever path we leave by, no worker may outlive the call.
-	defer e.shutdown()
-
 	var ck *checkpointer
 	merged := 0
 	levels := 0
-	resumed := false
 	rootKey := root.Key()
 	if opts.Checkpoint != nil && opts.Checkpoint.Dir != "" {
 		ck = newCheckpointer(opts.Checkpoint, opts.Obs)
 		if rs, ok := ck.load(rootKey, maxStates); ok {
-			// Register every snapshot state into the live interner in state
-			// order — the snapshot was validated (including duplicate-term
-			// detection) against a throwaway interner, so these adds cannot
-			// fail or collide.
+			// Register every snapshot state in state order — the snapshot
+			// was validated (including duplicate-term detection) against a
+			// throwaway interner, so these adds cannot fail or collide.
 			for _, p := range rs.procs {
-				if _, _, err := e.add(p); err != nil {
+				if _, err := e.add(e.c.intern(p)); err != nil {
 					return nil, err
 				}
 			}
@@ -423,451 +306,170 @@ func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, er
 				e.ltsBytes += int64(len(edges)) * ltsEdgeBytes
 			}
 			for _, ev := range rs.events {
-				e.eventID(ev)
+				e.eventID(e.c.event(ev))
 			}
 			merged = rs.merged
 			levels = rs.levels
-			// States below the merge position already have final edges;
-			// they are never awaited, so the claim cursor must start past
-			// them or the claim invariant (all slots below the merge
-			// position are claimed) breaks and the merge parks forever.
-			e.next.Store(int64(merged))
 			// Wall clock spent before the crash counts against the
 			// deadline budget: a crash must never extend a deadline.
-			e.stop.start = e.stop.start.Add(-rs.elapsed)
-			statesC.Add(int64(e.nStates))
-			resumed = true
+			e.start = e.start.Add(-rs.elapsed)
+			statesC.Add(int64(len(e.states)))
 		}
 	}
-	if !resumed {
-		rootID, _, err := e.add(root)
+	if len(e.states) == 0 {
+		rootID, err := e.add(e.c.intern(root))
 		if err != nil {
 			return nil, err
 		}
 		e.l.Init = rootID
 		statesC.Inc() // the root
 	}
-	e.publish()
 
-	// The sequential merge: consume result slots in state order. Level
-	// boundaries fall exactly where the old level-synchronized BFS had
-	// them (merged == levelEnd means every state of the current level has
-	// been merged), so per-level metrics, the memory watermark and
-	// checkpoint cadence are unchanged.
-	levelEnd := merged
-	levelStartStates := e.nStates
-	levelEdges := 0
+	// Level boundaries fall where merged reaches the number of states
+	// known when the level began, so per-level metrics, the memory
+	// watermark and checkpoint cadence are level-granular.
+	levelEnd, levelStart, levelEdges := merged, len(e.states), 0
+	var flushedHits, flushedMisses int64
+	endLevel := func() {
+		statesC.Add(int64(len(e.states) - levelStart))
+		transC.Add(int64(levelEdges))
+		hitsC.Add(e.c.hits - flushedHits)
+		missesC.Add(e.c.misses - flushedMisses)
+		flushedHits, flushedMisses = e.c.hits, e.c.misses
+		nodesG.Max(int64(e.c.in.Len()))
+		prog.Tick(int64(len(e.states)), obs.Int("frontier", int64(len(e.states)-merged)))
+		levels++
+		if ck != nil && levels%ck.every == 0 {
+			ck.write(e.l, merged, levels, time.Since(e.start), rootKey, maxStates)
+		}
+	}
 	first := true
-	expanded := 0
-	for merged < e.nStates {
+	for merged < len(e.states) {
 		if merged == levelEnd {
 			if !first {
-				statesC.Add(int64(e.nStates - levelStartStates))
-				transC.Add(int64(levelEdges))
-				prog.Tick(int64(e.nStates), obs.Int("frontier", int64(e.nStates-merged)))
-				levels++
-				if ck != nil && levels%ck.every == 0 {
-					ck.write(e.l, merged, levels, time.Since(e.stop.start), rootKey, maxStates)
-				}
+				endLevel()
 			}
 			first = false
 			levelsC.Inc()
-			frontierG.Max(int64(e.nStates - merged))
+			frontierG.Max(int64(len(e.states) - merged))
 			if opts.MaxMemBytes > 0 {
-				if est := visited.Bytes() + e.ltsBytes; est > opts.MaxMemBytes {
-					return nil, &MemoryError{Explored: e.nStates, EstimatedBytes: est, Limit: opts.MaxMemBytes}
+				if est := visited.Bytes() + e.ltsBytes + e.c.bytes(); est > opts.MaxMemBytes {
+					return nil, &MemoryError{Explored: len(e.states), EstimatedBytes: est, Limit: opts.MaxMemBytes}
 				}
 			}
-			if workers > 1 && e.nStates-merged >= parallelLevelThreshold {
-				parLevelsC.Inc()
-			}
-			levelEnd = e.nStates
-			levelStartStates = e.nStates
-			levelEdges = 0
+			levelEnd, levelStart, levelEdges = len(e.states), len(e.states), 0
 		}
-		slot, err := e.awaitSlot(merged)
+		// Probing the stop conditions before every expansion bounds
+		// deadline overshoot and cancellation latency to one state.
+		if err := e.check(); err != nil {
+			return nil, err
+		}
+		trs, err := e.expand(merged)
 		if err != nil {
 			return nil, err
 		}
-		if slot.err != nil {
-			if slot.err == errStopped {
-				// The worker skipped evaluation because a stop condition had
-				// fired; conditions are sticky, so check reproduces the typed
-				// error with the accurate explored count.
-				return nil, e.stop.check(e.nStates)
-			}
-			return nil, slot.err
-		}
-		trs := slot.trs
-		slot.trs = nil
-		edges := make([]Edge, 0, len(trs))
-		for _, tr := range trs {
-			to, _, err := e.add(tr.To)
+		edges := e.edges(len(trs))
+		for i, t := range trs {
+			to, err := e.add(t.to)
 			if err != nil {
 				return nil, err
 			}
-			edges = append(edges, Edge{Ev: e.eventID(tr.Ev), To: to})
+			edges[i] = Edge{Ev: e.eventID(t.ev), To: to}
 		}
 		e.l.Edges[merged] = edges
 		e.ltsBytes += int64(len(edges)) * ltsEdgeBytes
 		levelEdges += len(edges)
 		merged++
-		expanded++
-		if expanded%deadlineCheckInterval == 0 {
-			if err := e.stop.check(e.nStates); err != nil {
-				return nil, err
-			}
-		}
-		e.publish()
 	}
-	// Close out the final level's metrics.
 	if !first {
-		statesC.Add(int64(e.nStates - levelStartStates))
-		transC.Add(int64(levelEdges))
-		levels++
-		if ck != nil && levels%ck.every == 0 {
-			ck.write(e.l, merged, levels, time.Since(e.stop.start), rootKey, maxStates)
-		}
+		endLevel()
 	}
 	if ck != nil {
 		// Final snapshot with a fully-merged frontier: a crash after the
 		// exploration finished resumes instantly instead of re-exploring.
-		ck.write(e.l, merged, levels, time.Since(e.stop.start), rootKey, maxStates)
+		ck.write(e.l, merged, levels, time.Since(e.start), rootKey, maxStates)
 	}
-	prog.Flush(int64(e.nStates))
+	prog.Flush(int64(len(e.states)))
 	return e.l, nil
 }
 
-// add interns a state term, enforcing the exact bound: a state beyond
+// add makes a term a state, enforcing the exact bound: a state beyond
 // MaxStates is never materialised, so LimitError.Explored <= Limit.
-// Called only from the merge goroutine (the single interning
-// authority).
-func (e *exploration) add(p csp.Process) (int, bool, error) {
-	tid := e.in.Process(p)
-	if int(tid) < len(e.stateOf) {
-		if s := e.stateOf[tid]; s >= 0 {
-			return int(s), false, nil
-		}
+func (e *exploration) add(tid csp.TermID) (int, error) {
+	n := &e.c.nodes[tid]
+	if n.state > 0 {
+		return int(n.state - 1), nil
 	}
-	for len(e.stateOf) < e.in.Len() {
-		e.stateOf = append(e.stateOf, -1)
+	if len(e.states) >= e.maxStates {
+		return 0, &LimitError{Explored: len(e.states), Limit: e.maxStates}
 	}
-	if e.nStates >= e.maxStates {
-		return 0, false, &LimitError{Explored: e.nStates, Limit: e.maxStates}
-	}
-	id := e.nStates
-	e.nStates++
-	e.stateOf[tid] = int32(id)
-	ci, cj := id>>stateChunkShift, id&stateChunkMask
-	// Pre-worker the tables grow on demand; once workers run they are
-	// frozen at full-bound size (fixTables), so this loop is a no-op and
-	// the slice headers never change under a concurrent reader.
-	for len(e.procTab) <= ci {
-		e.procTab = append(e.procTab, nil)
-		e.slotTab = append(e.slotTab, nil)
-	}
-	if e.procTab[ci] == nil {
-		e.procTab[ci] = new(procChunk)
-		if e.workersStarted {
-			e.slotTab[ci] = new(slotChunk)
-		}
-	}
-	e.procTab[ci][cj] = p
-	e.l.Procs = append(e.l.Procs, p)
+	id := len(e.states)
+	n.state = int32(id + 1)
+	e.states = append(e.states, tid)
+	e.l.Procs = append(e.l.Procs, n.proc)
 	e.l.Edges = append(e.l.Edges, nil)
 	e.ltsBytes += ltsStateOverhead
-	return id, true, nil
+	return id, nil
 }
 
-// eventID interns an event label: one integer map hit on the hot path,
-// with the canonical string rendered only at first sight (for the
-// public EventID lookup API). The rendered table is part of the
-// resident-size estimate.
-func (e *exploration) eventID(ev csp.Event) int {
-	switch {
-	case ev.IsTau():
-		return TauID
-	case ev.IsTick():
-		return TickID
-	}
-	tid := e.in.Event(ev)
-	if id, ok := e.eventOf[tid]; ok {
-		return id
+// eventID maps a compiled event ID to its LTS event ID, assigning LTS
+// IDs in order of first appearance on an edge. The canonical string is
+// rendered once per event (for the public EventID lookup API) and is
+// part of the resident-size estimate.
+func (e *exploration) eventID(ev int32) int {
+	if id := e.c.ltsID[ev]; id != 0 {
+		return int(id - 1)
 	}
 	id := len(e.l.Events)
-	e.l.Events = append(e.l.Events, ev)
-	k := ev.String()
+	evt := e.c.events[ev]
+	e.l.Events = append(e.l.Events, evt)
+	k := evt.String()
 	e.l.eventIDs[k] = id
-	e.eventOf[tid] = id
+	e.c.ltsID[ev] = int32(id + 1)
 	e.ltsBytes += int64(len(k)) + eventEntryOverhead
 	return id
 }
 
-// proc reads a published state's term (worker-safe: the chunk pointer
-// was written before the state was published).
-func (e *exploration) proc(id int) csp.Process {
-	return e.procTab[id>>stateChunkShift][id&stateChunkMask]
-}
-
-func (e *exploration) slot(id int) *resSlot {
-	return &e.slotTab[id>>stateChunkShift][id&stateChunkMask]
-}
-
-// publish makes every state added so far claimable by workers, starting
-// the pool lazily once the backlog is worth it.
-func (e *exploration) publish() {
-	n := int64(e.nStates)
-	if n == e.published.Load() {
-		return
+// edges carves a non-nil n-edge list (nil marks an unexpanded state in
+// checkpoints) from a chunk sized to the exploration so far.
+func (e *exploration) edges(n int) []Edge {
+	if len(e.edgeBuf) < n || e.edgeBuf == nil {
+		e.edgeBuf = make([]Edge, max(n, min(maxEdgeChunk, 4*len(e.states))))
 	}
-	e.published.Store(n)
-	if !e.workersStarted && e.workers > 1 && n-e.next.Load() >= parallelLevelThreshold {
-		e.workersStarted = true
-		e.fixTables()
-		for w := 0; w < e.workers-1; w++ {
-			e.wg.Add(1)
-			go func() {
-				defer e.wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						// A panic here is an engine bug, not a semantics
-						// failure (those are recovered per evaluation);
-						// surface it instead of deadlocking the merge.
-						e.mu.Lock()
-						if e.engineErr == nil {
-							e.engineErr = fmt.Errorf("lts: internal: worker panic: %v", r)
-						}
-						e.mu.Unlock()
-						e.aborted.Store(true)
-						e.wake()
-					}
-				}()
-				e.runWorker()
-			}()
-		}
-	}
-	e.wake()
+	out := e.edgeBuf[:n:n]
+	e.edgeBuf = e.edgeBuf[n:]
+	return out
 }
 
-// fixTables freezes the chunk tables at their full-bound size before
-// the first worker launches: workers index them concurrently with the
-// merger adding states, so from here on the slice headers must never
-// change — only nil chunk-pointer cells get filled in, and each chunk
-// pointer is written before the states it holds are published. Result
-// slots are materialised for the existing chunks here too; the
-// sequential path never allocates any.
-func (e *exploration) fixTables() {
-	maxChunks := (e.maxStates + stateChunkSize - 1) / stateChunkSize
-	pt := make([]*procChunk, maxChunks)
-	copy(pt, e.procTab)
-	st := make([]*slotChunk, maxChunks)
-	for i, pc := range pt {
-		if pc != nil {
-			st[i] = new(slotChunk)
-		}
-	}
-	e.procTab, e.slotTab = pt, st
-}
-
-// wake wakes parked goroutines, but only pays for the lock when someone
-// is actually parked. The waiter increments waiters before re-checking
-// its predicate, so a state change made before this load can never be
-// missed.
-func (e *exploration) wake() {
-	if e.waiters.Load() > 0 {
-		e.mu.Lock()
-		e.cond.Broadcast()
-		e.mu.Unlock()
-	}
-}
-
-// runWorker claims contiguous chunks of unevaluated states and fills
-// their result slots until the exploration completes or aborts.
-func (e *exploration) runWorker() {
-	for {
-		lo, hi := e.claim()
-		if lo < 0 {
-			return
-		}
-		e.evalRange(lo, hi)
-		e.wake()
-	}
-}
-
-// claim grabs the next chunk of published, unclaimed states. The chunk
-// size adapts to the backlog (1/(4·workers) of it, at most 16) so a
-// deep frontier amortises cursor contention while a shallow one still
-// spreads across the pool. Returns lo=-1 when the exploration is over.
-func (e *exploration) claim() (int, int) {
-	for {
-		n := e.next.Load()
-		p := e.published.Load()
-		if n < p {
-			c := (p - n + int64(4*e.workers) - 1) / int64(4*e.workers)
-			if c < 1 {
-				c = 1
-			} else if c > 16 {
-				c = 16
-			}
-			hi := n + c
-			if hi > p {
-				hi = p
-			}
-			if e.next.CompareAndSwap(n, hi) {
-				return int(n), int(hi)
-			}
-			continue
-		}
-		if e.done.Load() || e.aborted.Load() {
-			return -1, -1
-		}
-		e.mu.Lock()
-		e.waiters.Add(1)
-		for e.next.Load() >= e.published.Load() && !e.done.Load() && !e.aborted.Load() {
-			e.cond.Wait()
-		}
-		e.waiters.Add(-1)
-		e.mu.Unlock()
-	}
-}
-
-// evalRange fills the result slots of a claimed range. A claimed slot
-// is always filled — with evaluated transitions, an evaluation error,
-// or errStopped when a stop condition has fired — never abandoned, so
-// the merge can rely on every claimed slot becoming ready and the
-// lowest-index failure stays the deterministic one a sequential run
-// would report. The range never exceeds the claim chunk cap, which
-// bounds post-abort work.
-func (e *exploration) evalRange(lo, hi int) {
-	stopEnabled := e.stop.enabled()
-	for i := lo; i < hi; i++ {
-		s := e.slot(i)
-		if stopEnabled && e.stop.fired() {
-			s.err = errStopped
-			s.ready.Store(true)
-			e.aborted.Store(true)
-			continue
-		}
-		trs, err := safeTransitions(e.src, e.proc(i))
-		if err != nil {
-			s.err = err
-			e.aborted.Store(true)
-		} else {
-			s.trs = trs
-		}
-		s.ready.Store(true)
-	}
-}
-
-// safeTransitions evaluates one state's transitions, converting a panic
-// in the operational semantics into an ordinary error — a long-lived
-// server must survive a malformed term that a batch CLI would crash on.
-// The key render on the error path is the only place exploration still
-// builds a canonical string.
-func safeTransitions(src transitionSource, p csp.Process) (trs []csp.Transition, err error) {
+// expand returns the compiled transitions of state s, converting a
+// panic in the semantics into an ordinary error naming the state — a
+// long-lived server must survive a malformed term that a batch CLI
+// would crash on. The key render on the error path is the only place
+// exploration builds a canonical string.
+func (e *exploration) expand(s int) (trs []ctrans, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			trs = nil
-			err = fmt.Errorf("state %q: panic during transition evaluation: %v", p.Key(), r)
+			err = fmt.Errorf("state %q: panic during transition evaluation: %v", e.l.Key(s), r)
 		}
 	}()
-	trs, err = src.Transitions(p)
+	trs, err = e.c.trans(e.states[s])
 	if err != nil {
-		return nil, fmt.Errorf("state %q: %w", p.Key(), err)
+		return nil, fmt.Errorf("state %q: %w", e.l.Key(s), err)
 	}
 	return trs, nil
 }
 
-// awaitSlot returns state id's result slot once it is ready, evaluating
-// the state itself when no worker has claimed it (the merger steals
-// work rather than idling — this is also the entire evaluation path of
-// a sequential exploration). All slots below id are merged and
-// therefore claimed, so the claim cursor is exactly at id when the slot
-// is unclaimed.
-func (e *exploration) awaitSlot(id int) (*resSlot, error) {
-	if !e.workersStarted {
-		// Sequential fast path: no worker exists, so no slot was or will
-		// be filled for id — evaluate in place into the reusable slot,
-		// keeping the claim cursor in step so a worker pool launched
-		// later starts claiming right after id. The stop probe and the
-		// evaluation are exactly the worker path's, so the result — and
-		// any error — is byte-identical to a parallel run's.
-		e.next.Store(int64(id + 1))
-		s := &e.seqSlot
-		s.trs, s.err = nil, nil
-		if e.stop.enabled() && e.stop.fired() {
-			s.err = errStopped
-		} else {
-			s.trs, s.err = safeTransitions(e.src, e.proc(id))
-		}
-		return s, nil
-	}
-	s := e.slot(id)
-	for !s.ready.Load() {
-		if e.next.CompareAndSwap(int64(id), int64(id+1)) {
-			e.evalRange(id, id+1)
-			break
-		}
-		e.mu.Lock()
-		e.waiters.Add(1)
-		for !s.ready.Load() && e.engineErr == nil {
-			e.cond.Wait()
-		}
-		e.waiters.Add(-1)
-		err := e.engineErr
-		e.mu.Unlock()
-		if err != nil && !s.ready.Load() {
-			return nil, err
+// check returns the typed stop error if a stop condition has fired,
+// with the states discovered so far as the partial exploration size.
+func (e *exploration) check() error {
+	if e.ctx != nil {
+		if err := e.ctx.Err(); err != nil {
+			return &CanceledError{Explored: len(e.states), Cause: err}
 		}
 	}
-	return s, nil
-}
-
-// shutdown terminates the worker pool and waits it out, so no goroutine
-// outlives the Explore call that spawned it.
-func (e *exploration) shutdown() {
-	e.done.Store(true)
-	e.aborted.Store(true)
-	e.mu.Lock()
-	e.cond.Broadcast()
-	e.mu.Unlock()
-	e.wg.Wait()
-}
-
-// stopper bundles the two cooperative stop conditions of an exploration
-// — the wall-clock budget and the cancellation context — so every loop
-// probes them identically. check is cheap relative to a transition
-// evaluation (one time.Since plus one atomic context poll), so workers
-// probe it per evaluated state: a deadline or cancel can overshoot by
-// at most one slow state, never a whole BFS level.
-type stopper struct {
-	ctx    context.Context
-	maxDur time.Duration
-	start  time.Time
-}
-
-// enabled reports whether any stop condition is configured.
-func (s *stopper) enabled() bool { return s.maxDur > 0 || s.ctx != nil }
-
-// fired reports whether a stop condition has fired. Both conditions are
-// sticky: once fired, every later probe (and check) observes them too.
-func (s *stopper) fired() bool {
-	if s.ctx != nil && s.ctx.Err() != nil {
-		return true
-	}
-	return s.maxDur > 0 && time.Since(s.start) > s.maxDur
-}
-
-// check returns the typed stop error if a condition has fired, with
-// explored recorded as the partial exploration size.
-func (s *stopper) check(explored int) error {
-	if s.ctx != nil {
-		if err := s.ctx.Err(); err != nil {
-			return &CanceledError{Explored: explored, Cause: err}
-		}
-	}
-	if s.maxDur > 0 && time.Since(s.start) > s.maxDur {
-		return &DeadlineError{Explored: explored, Limit: s.maxDur}
+	if e.maxDur > 0 && time.Since(e.start) > e.maxDur {
+		return &DeadlineError{Explored: len(e.states), Limit: e.maxDur}
 	}
 	return nil
 }

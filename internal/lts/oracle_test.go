@@ -1,0 +1,387 @@
+// Differential tests of the compiled explorer against the frozen
+// string-keyed reference engine (ExploreReference, which evaluates every
+// state's whole term with csp.Semantics). Explore must produce a
+// byte-identical LTS — same state numbering, keys, event table and edge
+// lists — because downstream verdicts, counterexamples and reports are
+// rendered from those exact indices. The corpora are the OTA case study
+// and a seeded generator of small closed CSP systems covering every
+// operator the compiled form treats specially.
+package lts_test
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/csp"
+	"repro/internal/lts"
+	"repro/internal/ota"
+)
+
+// corpusSystem names one built System of the OTA corpus.
+type corpusSystem struct {
+	name string
+	sys  *ota.System
+}
+
+func otaCorpus(t *testing.T) []corpusSystem {
+	t.Helper()
+	var out []corpusSystem
+	add := func(name string, sys *ota.System, err error) {
+		if err != nil {
+			t.Fatalf("build %s: %v", name, err)
+		}
+		out = append(out, corpusSystem{name: name, sys: sys})
+	}
+	sys, err := ota.Build()
+	add("naive", sys, err)
+	sys, err = ota.BuildFlawed()
+	add("flawed", sys, err)
+	sys, err = ota.BuildDeadlocked()
+	add("deadlocked", sys, err)
+	for budget := 0; budget <= 2; budget++ {
+		sys, err = ota.BuildLossy(ota.NaiveGateway, budget)
+		add(fmt.Sprintf("lossy-naive-b%d", budget), sys, err)
+		sys, err = ota.BuildLossy(ota.HardenedGateway, budget)
+		add(fmt.Sprintf("lossy-hardened-b%d", budget), sys, err)
+	}
+	return out
+}
+
+// requireSameLTS fails unless a and b are structurally byte-identical.
+func requireSameLTS(t *testing.T, label string, a, b *lts.LTS) {
+	t.Helper()
+	if a.Init != b.Init {
+		t.Fatalf("%s: init %d vs %d", label, a.Init, b.Init)
+	}
+	if a.NumStates() != b.NumStates() {
+		t.Fatalf("%s: %d states vs %d", label, a.NumStates(), b.NumStates())
+	}
+	for i := 0; i < a.NumStates(); i++ {
+		if a.Key(i) != b.Key(i) {
+			t.Fatalf("%s: state %d key %q vs %q", label, i, a.Key(i), b.Key(i))
+		}
+	}
+	if len(a.Events) != len(b.Events) {
+		t.Fatalf("%s: %d events vs %d", label, len(a.Events), len(b.Events))
+	}
+	for i := range a.Events {
+		if a.Events[i].String() != b.Events[i].String() {
+			t.Fatalf("%s: event %d = %s vs %s", label, i, a.Events[i], b.Events[i])
+		}
+	}
+	for s := range a.Edges {
+		ea, eb := a.Edges[s], b.Edges[s]
+		if len(ea) != len(eb) {
+			t.Fatalf("%s: state %d has %d edges vs %d", label, s, len(ea), len(eb))
+		}
+		for j := range ea {
+			if ea[j] != eb[j] {
+				t.Fatalf("%s: state %d edge %d = %+v vs %+v", label, s, j, ea[j], eb[j])
+			}
+		}
+	}
+}
+
+// TestInternedEngineMatchesStringKeyedReference is the representation
+// safety net over the case study: for every assertion term of every OTA
+// system variant, with and without the lossy-channel composition at
+// loss budgets 0–2, Explore must produce exactly the reference LTS.
+func TestInternedEngineMatchesStringKeyedReference(t *testing.T) {
+	for _, cs := range otaCorpus(t) {
+		m := cs.sys.Model
+		sem := csp.NewSemantics(m.Env, m.Ctx)
+		terms := map[string]csp.Process{}
+		for _, a := range m.Asserts {
+			if a.Spec != nil {
+				terms[a.Spec.Key()] = a.Spec
+			}
+			terms[a.Impl.Key()] = a.Impl
+		}
+		for key, p := range terms {
+			ref, err := lts.ExploreReference(sem, p, 0)
+			if err != nil {
+				t.Fatalf("%s: reference explore %s: %v", cs.name, key, err)
+			}
+			got, err := lts.Explore(sem, p, lts.Options{})
+			if err != nil {
+				t.Fatalf("%s: explore %s: %v", cs.name, key, err)
+			}
+			requireSameLTS(t, fmt.Sprintf("%s/%s", cs.name, key), ref, got)
+		}
+	}
+}
+
+// modelGen generates small closed CSP systems: a channel context, a set
+// of (possibly parameterised) recursive definitions whose recursion is
+// always guarded by a prefix, and a root term. Terms mix every operator:
+// nested [| |] with channel and event-listed sync sets, |||, hiding,
+// renaming, ;, [], |~|, conditionals, parameterised calls and restricted
+// inputs.
+type modelGen struct {
+	r      *rand.Rand
+	params []int // parameter count of each definition P<i>
+	// root is set once the definitions are generated. Parallel operators
+	// appear only in the root term: a definition recursing through
+	// [| |] spawns a component per step, and the reference engine's
+	// whole-term evaluation is exponential in such terms.
+	root bool
+}
+
+// genDomain is the value domain of every integer field and parameter.
+var genDomain = csp.IntRange{Lo: 0, Hi: 2}
+
+func genModel(seed int64) (*csp.Semantics, csp.Process) {
+	g := &modelGen{r: rand.New(rand.NewSource(seed))}
+	ctx := csp.NewContext()
+	ctx.MustChannel("a")
+	ctx.MustChannel("b")
+	ctx.MustChannel("t")
+	ctx.MustChannel("c", genDomain)
+	ctx.MustChannel("d", csp.IntRange{Lo: 0, Hi: 1}, genDomain)
+	env := csp.NewEnv()
+	n := 2 + g.r.Intn(3)
+	g.params = make([]int, n)
+	for i := range g.params {
+		g.params[i] = g.r.Intn(2)
+	}
+	for i, np := range g.params {
+		var vars []string
+		if np == 1 {
+			vars = []string{"n"}
+		}
+		env.MustDefine(fmt.Sprintf("P%d", i), vars, g.proc(2+g.r.Intn(2), false, vars))
+	}
+	g.root = true
+	return csp.NewSemantics(env, ctx), g.proc(3, true, nil)
+}
+
+func (g *modelGen) pick(n int) int { return g.r.Intn(n) }
+
+// proc generates a term. guarded reports whether a prefix (or the root
+// position) precedes it, which is what makes a call safe: calls never
+// appear unguarded inside a definition body.
+func (g *modelGen) proc(depth int, guarded bool, vars []string) csp.Process {
+	if depth <= 0 {
+		return g.leaf(guarded, vars)
+	}
+	sub := func() csp.Process { return g.proc(depth-1, guarded, vars) }
+	switch g.pick(13) {
+	case 0, 1, 2:
+		return g.prefix(depth, vars)
+	case 3:
+		return csp.ExtChoice(sub(), sub())
+	case 4:
+		return csp.IntChoice(sub(), sub())
+	case 5:
+		return csp.If(g.cond(vars), sub(), sub())
+	case 6:
+		return csp.Seq(sub(), sub())
+	case 7, 8:
+		if g.root {
+			return csp.Par(sub(), g.set(), sub())
+		}
+		return csp.ExtChoice(sub(), sub())
+	case 9:
+		if g.root {
+			return csp.Interleave(sub(), sub())
+		}
+		return g.prefix(depth, vars)
+	case 10:
+		return csp.Hide(sub(), g.set())
+	case 11:
+		maps := []map[string]string{{"a": "b"}, {"b": "t", "t": "a"}, {"c": "c"}}
+		return csp.Rename(sub(), maps[g.pick(len(maps))])
+	}
+	return g.leaf(guarded, vars)
+}
+
+func (g *modelGen) leaf(guarded bool, vars []string) csp.Process {
+	if guarded && g.pick(3) > 0 {
+		i := g.pick(len(g.params))
+		var args []csp.Expr
+		if g.params[i] == 1 {
+			args = append(args, g.expr(vars))
+		}
+		return csp.Call(fmt.Sprintf("P%d", i), args...)
+	}
+	if g.pick(3) == 0 {
+		return csp.Stop()
+	}
+	return csp.Skip()
+}
+
+// prefix generates a communication; the continuation is guarded and may
+// use any variable the communication binds.
+func (g *modelGen) prefix(depth int, vars []string) csp.Process {
+	switch g.pick(4) {
+	case 0:
+		ch := []string{"a", "b", "t"}[g.pick(3)]
+		return csp.DoEvent(ch, g.proc(depth-1, true, vars))
+	case 1:
+		return csp.Prefix("c", []csp.CommField{csp.Out(g.expr(vars))}, g.proc(depth-1, true, vars))
+	case 2:
+		x := fmt.Sprintf("x%d", len(vars))
+		f := csp.In(x)
+		if g.pick(2) == 0 {
+			f = csp.InSuchThat(x, csp.Binary{Op: csp.OpNe, L: csp.V(x), R: g.expr(vars)})
+		}
+		inner := append(append([]string(nil), vars...), x)
+		return csp.Prefix("c", []csp.CommField{f}, g.proc(depth-1, true, inner))
+	}
+	y := fmt.Sprintf("x%d", len(vars))
+	inner := append(append([]string(nil), vars...), y)
+	return csp.Prefix("d", []csp.CommField{csp.InSuchThat(y, csp.Binary{Op: csp.OpLt, L: csp.V(y), R: csp.LitInt(2)}), csp.Out(g.expr(inner))},
+		g.proc(depth-1, true, inner))
+}
+
+// expr is an integer expression in genDomain over the bound variables.
+func (g *modelGen) expr(vars []string) csp.Expr {
+	if len(vars) == 0 || g.pick(3) == 0 {
+		return csp.LitInt(g.pick(3))
+	}
+	v := csp.V(vars[g.pick(len(vars))])
+	if g.pick(2) == 0 {
+		return v
+	}
+	return csp.Binary{Op: csp.OpMod, L: csp.Binary{Op: csp.OpAdd, L: v, R: csp.LitInt(1)}, R: csp.LitInt(3)}
+}
+
+func (g *modelGen) cond(vars []string) csp.Expr {
+	ops := []csp.BinOp{csp.OpEq, csp.OpLt, csp.OpNe}
+	return csp.Binary{Op: ops[g.pick(len(ops))], L: g.expr(vars), R: g.expr(vars)}
+}
+
+func (g *modelGen) set() *csp.EventSet {
+	switch g.pick(5) {
+	case 0:
+		return csp.EventsOf("a")
+	case 1:
+		return csp.EventsOf("c", "t")
+	case 2:
+		return csp.Events(csp.Ev("c", csp.Int(g.pick(3))), csp.Ev("b"))
+	case 3:
+		return csp.EventsOf("d").AddEvent(csp.Ev("a"))
+	}
+	return csp.NewEventSet()
+}
+
+// TestGeneratedModelsMatchReference is the generated-model oracle: for
+// every seed, Explore and ExploreReference must agree on the LTS or, when
+// the bound trips or the semantics fails, on the exact error.
+func TestGeneratedModelsMatchReference(t *testing.T) {
+	const seeds, bound = 500, 250
+	var ok, limited, failed int
+	for seed := int64(0); seed < seeds; seed++ {
+		sem, root := genModel(seed)
+		ref, refErr := lts.ExploreReference(sem, root, bound)
+		got, err := lts.Explore(sem, root, lts.Options{MaxStates: bound})
+		label := fmt.Sprintf("seed %d (%s)", seed, root.Key())
+		if refErr != nil || err != nil {
+			if refErr == nil || err == nil || refErr.Error() != err.Error() {
+				t.Fatalf("%s: error %v, reference error %v", label, err, refErr)
+			}
+			if errors.Is(err, lts.ErrStateLimit) {
+				limited++
+			} else {
+				failed++
+			}
+			continue
+		}
+		requireSameLTS(t, label, ref, got)
+		ok++
+	}
+	// The generator must mostly produce explorable systems, or the
+	// oracle would be comparing error strings.
+	if ok < seeds/2 {
+		t.Fatalf("only %d of %d generated systems explored (%d over the bound, %d failed)", ok, seeds, limited, failed)
+	}
+	t.Logf("%d explored, %d over the bound, %d failed", ok, limited, failed)
+}
+
+// TestExploreLimitErrorMatchesReference pins the error-determinism
+// contract on a long chain: the state bound trips at the same
+// exploration size as the reference engine's.
+func TestExploreLimitErrorMatchesReference(t *testing.T) {
+	ctx := csp.NewContext()
+	ctx.MustChannel("count", csp.IntRange{Lo: 0, Hi: 5000})
+	env := csp.NewEnv()
+	env.MustDefine("C", []string{"n"},
+		csp.Guard(csp.Binary{Op: csp.OpLt, L: csp.V("n"), R: csp.LitInt(5000)},
+			csp.Prefix("count", []csp.CommField{csp.Out(csp.V("n"))},
+				csp.Call("C", csp.Binary{Op: csp.OpAdd, L: csp.V("n"), R: csp.LitInt(1)}))))
+	sem := csp.NewSemantics(env, ctx)
+	p := csp.Interleave(csp.Call("C", csp.LitInt(0)), csp.Call("C", csp.LitInt(4990)))
+
+	_, refErr := lts.ExploreReference(sem, p, 100)
+	_, err := lts.Explore(sem, p, lts.Options{MaxStates: 100})
+	var refLim, lim *lts.LimitError
+	if !errors.As(refErr, &refLim) || !errors.As(err, &lim) {
+		t.Fatalf("errors %v / reference %v, want *LimitError both", err, refErr)
+	}
+	if *lim != *refLim {
+		t.Errorf("limit error %+v, reference %+v", *lim, *refLim)
+	}
+}
+
+// TestExploreUnguardedRecursionFails pins that P = P, alone or as a
+// component, is still reported as unguarded recursion.
+func TestExploreUnguardedRecursionFails(t *testing.T) {
+	ctx := csp.NewContext()
+	ctx.MustChannel("a")
+	env := csp.NewEnv()
+	env.MustDefine("P", nil, csp.Call("P"))
+	env.MustDefine("Q", nil, csp.DoEvent("a", csp.Call("Q")))
+	sem := csp.NewSemantics(env, ctx)
+	for _, root := range []csp.Process{
+		csp.Call("P"),
+		csp.Par(csp.Call("Q"), csp.EventsOf("a"), csp.Hide(csp.Call("P"), csp.EventsOf("a"))),
+	} {
+		_, err := lts.Explore(sem, root, lts.Options{})
+		if !errors.Is(err, csp.ErrUnguardedRecursion) {
+			t.Errorf("%s: err = %v, want ErrUnguardedRecursion", root.Key(), err)
+		}
+	}
+}
+
+// TestExploreMaxStatesBoundIsExact is the regression test for the
+// off-by-one: a bound of N must never materialise state N+1, and the
+// reported partial size must not exceed the limit.
+func TestExploreMaxStatesBoundIsExact(t *testing.T) {
+	ctx := csp.NewContext()
+	ctx.MustChannel("count", csp.IntRange{Lo: 0, Hi: 1000})
+	env := csp.NewEnv()
+	env.MustDefine("C", []string{"n"},
+		csp.Guard(csp.Binary{Op: csp.OpLt, L: csp.V("n"), R: csp.LitInt(1000)},
+			csp.Prefix("count", []csp.CommField{csp.Out(csp.V("n"))},
+				csp.Call("C", csp.Binary{Op: csp.OpAdd, L: csp.V("n"), R: csp.LitInt(1)}))))
+	sem := csp.NewSemantics(env, ctx)
+	p := csp.Call("C", csp.LitInt(0))
+
+	_, err := lts.Explore(sem, p, lts.Options{MaxStates: 10})
+	var le *lts.LimitError
+	if !errors.As(err, &le) {
+		t.Fatalf("err = %v, want *LimitError", err)
+	}
+	if le.Explored > le.Limit {
+		t.Errorf("Explored=%d exceeds Limit=%d (off-by-one)", le.Explored, le.Limit)
+	}
+
+	// A process with exactly N states must fit in a bound of N.
+	ctx2 := csp.NewContext()
+	ctx2.MustChannel("a")
+	ctx2.MustChannel("b")
+	sem2 := csp.NewSemantics(csp.NewEnv(), ctx2)
+	three := csp.DoEvent("a", csp.DoEvent("b", csp.Stop()))
+	l, err := lts.Explore(sem2, three, lts.Options{MaxStates: 3})
+	if err != nil {
+		t.Fatalf("3-state process rejected by MaxStates=3: %v", err)
+	}
+	if l.NumStates() != 3 {
+		t.Fatalf("states = %d, want 3", l.NumStates())
+	}
+	if _, err := lts.Explore(sem2, three, lts.Options{MaxStates: 2}); err == nil {
+		t.Fatal("3-state process accepted by MaxStates=2")
+	}
+}

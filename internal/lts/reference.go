@@ -9,13 +9,13 @@ import (
 // ExploreReference builds the LTS reachable from root with the
 // original string-keyed sequential engine: states interned by their
 // recursively rendered canonical Key() strings, events by their
-// String() renders, plain level-ordered BFS. It is deliberately frozen
-// — no workers, no stores, no checkpoints — and exists for two
-// purposes: the differential safety net proving the interned
-// work-stealing engine produces byte-identical results (state
-// numbering, edges, event table), and the benchsmoke baseline that pins
-// how much the interner buys over string keys. Only maxStates is
-// honoured; 0 means DefaultMaxStates.
+// String() renders, plain level-ordered BFS, every state's whole term
+// evaluated by csp.Semantics. It is deliberately frozen — no memo, no
+// stores, no checkpoints — and exists for two purposes: the
+// differential oracle proving the compiled engine produces
+// byte-identical results (state numbering, edges, event table), and the
+// benchsmoke baseline that pins how much the engine buys over it. Only
+// maxStates is honoured; 0 means DefaultMaxStates.
 func ExploreReference(sem *csp.Semantics, root csp.Process, maxStates int) (*LTS, error) {
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates

@@ -56,7 +56,6 @@ func TestCheckerCancelMidCheck(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		c := NewChecker(env, ctx)
 		c.MaxStates = 1 << 20
-		c.Workers = 1 + trial%2
 		cctx, cancel := context.WithTimeout(context.Background(),
 			time.Duration(50+rng.Intn(3000))*time.Microsecond)
 		c.Ctx = cctx

@@ -64,7 +64,7 @@ func TestCheckpointResumeVerdictByteIdentical(t *testing.T) {
 			t.Fatalf("build %s: %v", b.name, err)
 		}
 		for ai, a := range sys.Model.Asserts {
-			ref, refErr := fdr.RunAssertBudget(sys.Model, a, fdr.Budget{Workers: 1})
+			ref, refErr := fdr.RunAssertBudget(sys.Model, a, fdr.Budget{})
 			if refErr != nil {
 				t.Fatalf("%s assert %d: reference run: %v", b.name, ai, refErr)
 			}
@@ -75,7 +75,6 @@ func TestCheckpointResumeVerdictByteIdentical(t *testing.T) {
 			for attempt := 0; attempt < 2; attempt++ {
 				trips := 1 + rng.Intn(400)
 				_, err := fdr.RunAssertBudget(sys.Model, a, fdr.Budget{
-					Workers:       1,
 					Ctx:           newTripCtx(trips),
 					CheckpointDir: dir,
 				})
@@ -94,7 +93,6 @@ func TestCheckpointResumeVerdictByteIdentical(t *testing.T) {
 			}
 			o := obs.New()
 			got, err := fdr.RunAssertBudget(sys.Model, a, fdr.Budget{
-				Workers:       1,
 				CheckpointDir: dir,
 				Obs:           o,
 			})
@@ -122,13 +120,12 @@ func TestCheckpointSpillCombined(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ai, a := range sys.Model.Asserts {
-		ref, err := fdr.RunAssertBudget(sys.Model, a, fdr.Budget{Workers: 1})
+		ref, err := fdr.RunAssertBudget(sys.Model, a, fdr.Budget{})
 		if err != nil {
 			t.Fatalf("assert %d: reference: %v", ai, err)
 		}
 		o := obs.New()
 		got, err := fdr.RunAssertBudget(sys.Model, a, fdr.Budget{
-			Workers:       1,
 			CheckpointDir: t.TempDir(),
 			SoftMemBytes:  1, // spill almost immediately
 			SpillDir:      t.TempDir(),

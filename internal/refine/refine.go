@@ -88,10 +88,6 @@ type Checker struct {
 	// pathological check degrades into a typed verdict instead of a
 	// hang.
 	MaxDuration time.Duration
-	// Workers is the exploration parallelism handed to lts.Explore; 0
-	// means GOMAXPROCS, 1 forces sequential exploration. Results are
-	// byte-identical at any worker count.
-	Workers int
 	// Cache, when non-nil, memoizes explorations and normalisations
 	// across checks. Checkers sharing one cache (and one Env/Ctx) reuse
 	// each other's spec and impl LTSs — the campaign-scale win: a spec
@@ -209,7 +205,6 @@ func (c *Checker) explore(p csp.Process) (*lts.LTS, error) {
 func (c *Checker) exploreWithin(p csp.Process, deadline time.Time, role string) (*lts.LTS, error) {
 	opts := lts.Options{
 		MaxStates:   c.MaxStates,
-		Workers:     c.Workers,
 		Obs:         c.Obs,
 		Ctx:         c.Ctx,
 		MaxMemBytes: c.MaxMemBytes,

@@ -43,10 +43,6 @@ type Config struct {
 	// MaxDuration caps the wall-clock time of one check request; 0
 	// means 30s.
 	MaxDuration time.Duration
-	// ExploreWorkers is the lts exploration parallelism per check; 0
-	// means 1 — request-level parallelism is the server's concern, so
-	// one check keeps to one core by default.
-	ExploreWorkers int
 	// CacheEntries / CacheStates bound the shared model store (see
 	// lts.Cache.MaxEntries / MaxStates); 0 CacheStates means
 	// 8 * MaxStates, so the store holds a handful of full-size models
@@ -127,9 +123,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxDuration <= 0 {
 		cfg.MaxDuration = 30 * time.Second
-	}
-	if cfg.ExploreWorkers <= 0 {
-		cfg.ExploreWorkers = 1
 	}
 	if cfg.CacheStates <= 0 {
 		cfg.CacheStates = 8 * cfg.MaxStates
@@ -429,7 +422,6 @@ func (s *Server) budgetFor(spec *BudgetSpec) fdr.Budget {
 		MaxProductStates: s.cfg.MaxProductStates,
 		MaxSteps:         s.cfg.MaxSteps,
 		MaxDuration:      s.cfg.MaxDuration,
-		Workers:          s.cfg.ExploreWorkers,
 		Cache:            s.cache,
 		Obs:              s.obs,
 
