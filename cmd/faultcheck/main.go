@@ -17,6 +17,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/campaign"
 	"repro/internal/canbus"
 	"repro/internal/faultcampaign"
 	"repro/internal/fdr"
@@ -34,8 +35,6 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("faultcheck", flag.ContinueOnError)
-	seed := fs.Int64("seed", 42, "campaign master seed")
-	format := fs.String("format", "text", "report format: text or json")
 	horizonMS := fs.Int64("horizon-ms", 3000, "per-scenario simulated horizon in milliseconds")
 	cycles := fs.Int("cycles", 3, "applied-update cycles required for convergence")
 	reps := fs.Int("reps", 2, "seed replicas per matrix cell")
@@ -43,7 +42,8 @@ func run(args []string, stdout io.Writer) error {
 	model := fs.Bool("model", false, "also run the lossy-channel refinement checks")
 	loss := fs.Int("loss", ota.DefaultLossBudget, "per-direction loss budget of the model checks")
 	maxStates := fs.Int("max-states", 1<<18, "state bound for the refinement checks")
-	workers := fs.Int("workers", 0, "concurrent scenarios (0: all cores); reports are byte-identical at any worker count")
+	var cf campaign.Flags
+	cf.AddFlags(fs, "scenarios")
 	var obsFlags obs.Flags
 	obsFlags.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -53,17 +53,14 @@ func run(args []string, stdout io.Writer) error {
 	if *horizonMS <= 0 {
 		return fmt.Errorf("horizon must be positive, got %dms", *horizonMS)
 	}
-	if *format != "text" && *format != "json" {
-		return fmt.Errorf("unknown format %q (want text or json)", *format)
+	if err := cf.Validate(); err != nil {
+		return err
 	}
 	if *reps < 1 {
 		return fmt.Errorf("reps must be at least 1, got %d", *reps)
 	}
 	if *loss < 0 {
 		return fmt.Errorf("loss budget must be >= 0, got %d", *loss)
-	}
-	if *workers < 0 {
-		return fmt.Errorf("workers must be >= 0, got %d", *workers)
 	}
 
 	// Observability goes to stderr only, so reports on stdout stay
@@ -74,11 +71,11 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	cfg := faultcampaign.Config{
-		Seed:         *seed,
+		Seed:         cf.Seed,
 		SeedsPerCase: *reps,
 		Horizon:      canbus.Time(*horizonMS) * canbus.Millisecond,
 		TargetCycles: *cycles,
-		Workers:      *workers,
+		Workers:      cf.Workers,
 		Obs:          observer,
 	}
 	switch *variant {
@@ -92,19 +89,12 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	report := faultcampaign.Run(cfg)
-	switch *format {
-	case "text":
-		if _, err := io.WriteString(stdout, report.Text()); err != nil {
-			return err
-		}
-	case "json":
-		data, err := report.JSON()
-		if err != nil {
-			return err
-		}
-		if _, err := stdout.Write(append(data, '\n')); err != nil {
-			return err
-		}
+	data, err := report.JSON()
+	if err != nil {
+		return err
+	}
+	if err := cf.Write(stdout, report.Text(), data); err != nil {
+		return err
 	}
 
 	if *model {

@@ -28,6 +28,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/learn"
 	"repro/internal/obs"
 )
@@ -41,26 +42,25 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("learncheck", flag.ContinueOnError)
-	seed := fs.Int64("seed", 42, "campaign master seed")
 	variants := fs.String("variants", "all", "comma-separated variants: naive, hardened, flawed (or all)")
 	profile := fs.String("profile", "none", "fault profile the teacher runs under: none, drop, corrupt, tamper, duplicate or delay")
 	depth := fs.Int("depth", 6, "random-walk depth of equivalence queries")
 	walks := fs.Int("walks", 64, "random equivalence words per round")
 	maxQueries := fs.Int("max-queries", 50_000, "membership-query budget per variant")
 	maxRounds := fs.Int("max-rounds", 32, "equivalence-round budget per variant")
-	workers := fs.Int("workers", 0, "concurrent equivalence queries (0: all cores); reports are byte-identical at any worker count")
 	maxStates := fs.Int("max-states", 0, "model-state bound of the refinement checks (0: checker default)")
 	deadlineMS := fs.Int64("deadline-ms", 20_000, "wall-clock bound per refinement check in milliseconds")
 	simEvents := fs.Int("sim-events", 100_000, "simulator event budget per membership query")
-	format := fs.String("format", "text", "report format: text or json")
 	replay := fs.String("replay", "", "replay a witness JSON file instead of running a campaign")
+	var cf campaign.Flags
+	cf.AddFlags(fs, "equivalence queries")
 	var obsFlags obs.Flags
 	obsFlags.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *format != "text" && *format != "json" {
-		return fmt.Errorf("unknown format %q (want text or json)", *format)
+	if err := cf.Validate(); err != nil {
+		return err
 	}
 	if *depth < 1 {
 		return fmt.Errorf("depth must be at least 1, got %d", *depth)
@@ -70,9 +70,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *deadlineMS <= 0 {
 		return fmt.Errorf("deadline must be positive, got %dms", *deadlineMS)
-	}
-	if *workers < 0 {
-		return fmt.Errorf("workers must be >= 0, got %d", *workers)
 	}
 	prof, err := learn.ParseProfile(*profile)
 	if err != nil {
@@ -91,14 +88,14 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	cfg := learn.CampaignConfig{
-		Seed:              *seed,
+		Seed:              cf.Seed,
 		Variants:          sel,
 		Profile:           prof,
 		Depth:             *depth,
 		Walks:             *walks,
 		MaxQueries:        *maxQueries,
 		MaxRounds:         *maxRounds,
-		Workers:           *workers,
+		Workers:           cf.Workers,
 		MaxStates:         *maxStates,
 		MaxDuration:       time.Duration(*deadlineMS) * time.Millisecond,
 		SimEventsPerQuery: *simEvents,
@@ -106,7 +103,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *replay != "" {
-		if err := runReplay(stdout, *replay, *format, cfg); err != nil {
+		if err := runReplay(stdout, *replay, cf, cfg); err != nil {
 			return err
 		}
 		return finishObs()
@@ -116,16 +113,11 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	switch *format {
-	case "text":
-		_, err = io.WriteString(stdout, report.Text())
-	case "json":
-		var data []byte
-		if data, err = report.JSON(); err == nil {
-			_, err = stdout.Write(data)
-		}
-	}
+	data, err := report.JSON()
 	if err != nil {
+		return err
+	}
+	if err := cf.Write(stdout, report.Text(), data); err != nil {
 		return err
 	}
 	return finishObs()
@@ -150,7 +142,7 @@ func parseVariants(s string) ([]learn.Variant, error) {
 }
 
 // runReplay re-derives a recorded witness's verdicts from scratch.
-func runReplay(stdout io.Writer, path, format string, cfg learn.CampaignConfig) error {
+func runReplay(stdout io.Writer, path string, cf campaign.Flags, cfg learn.CampaignConfig) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -163,14 +155,9 @@ func runReplay(stdout io.Writer, path, format string, cfg learn.CampaignConfig) 
 	if err != nil {
 		return err
 	}
-	if format == "json" {
-		out, err := res.JSON()
-		if err != nil {
-			return err
-		}
-		_, err = stdout.Write(out)
+	out, err := res.JSON()
+	if err != nil {
 		return err
 	}
-	_, err = io.WriteString(stdout, res.Text())
-	return err
+	return cf.Write(stdout, res.Text(), out)
 }

@@ -23,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/canbus"
 	"repro/internal/conformance"
 	"repro/internal/obs"
@@ -37,24 +38,23 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("soak", flag.ContinueOnError)
-	seed := fs.Int64("seed", 42, "campaign master seed")
 	n := fs.Int("n", 4, "schedules per variant")
 	variants := fs.String("variants", "all", "comma-separated variants: naive, hardened, flawed (or all)")
 	horizonMS := fs.Int64("horizon-ms", 50, "simulated horizon per schedule in milliseconds")
-	format := fs.String("format", "text", "report format: text or json")
 	maxStates := fs.Int("max-states", 0, "model-state bound of the trace check (0: checker default)")
 	deadlineMS := fs.Int64("deadline-ms", 20_000, "wall-clock watchdog per schedule in milliseconds")
 	simEvents := fs.Int("sim-events", 300_000, "simulator event budget per schedule")
 	noShrink := fs.Bool("no-shrink", false, "skip minimization of diverging schedules")
-	workers := fs.Int("workers", 0, "concurrent schedules (0: all cores); reports are byte-identical at any worker count")
 	replay := fs.String("replay", "", "replay a schedule JSON file instead of running a campaign")
+	var cf campaign.Flags
+	cf.AddFlags(fs, "schedules")
 	var obsFlags obs.Flags
 	obsFlags.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *format != "text" && *format != "json" {
-		return fmt.Errorf("unknown format %q (want text or json)", *format)
+	if err := cf.Validate(); err != nil {
+		return err
 	}
 	if *horizonMS <= 0 {
 		return fmt.Errorf("horizon must be positive, got %dms", *horizonMS)
@@ -65,9 +65,6 @@ func run(args []string, stdout io.Writer) error {
 	if *deadlineMS <= 0 {
 		return fmt.Errorf("deadline must be positive, got %dms", *deadlineMS)
 	}
-	if *workers < 0 {
-		return fmt.Errorf("workers must be >= 0, got %d", *workers)
-	}
 
 	// Observability goes to stderr only, so reports on stdout stay
 	// byte-identical with or without it.
@@ -77,7 +74,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *replay != "" {
-		if err := runReplay(stdout, *replay, *format, *maxStates, *deadlineMS, *simEvents, observer); err != nil {
+		if err := runReplay(stdout, *replay, cf, *maxStates, *deadlineMS, *simEvents, observer); err != nil {
 			return err
 		}
 		return finishObs()
@@ -88,7 +85,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	cfg := conformance.Config{
-		Seed:                *seed,
+		Seed:                cf.Seed,
 		SchedulesPerVariant: *n,
 		Variants:            sel,
 		Gen:                 conformance.GenConfig{Horizon: canbus.Time(*horizonMS) * canbus.Millisecond},
@@ -96,23 +93,18 @@ func run(args []string, stdout io.Writer) error {
 		MaxDuration:         time.Duration(*deadlineMS) * time.Millisecond,
 		MaxSimEvents:        *simEvents,
 		NoShrink:            *noShrink,
-		Workers:             *workers,
+		Workers:             cf.Workers,
 		Obs:                 observer,
 	}
 	report, err := conformance.Run(cfg)
 	if err != nil {
 		return err
 	}
-	switch *format {
-	case "text":
-		_, err = io.WriteString(stdout, report.Text())
-	case "json":
-		var data []byte
-		if data, err = report.JSON(); err == nil {
-			_, err = stdout.Write(append(data, '\n'))
-		}
-	}
+	data, err := report.JSON()
 	if err != nil {
+		return err
+	}
+	if err := cf.Write(stdout, report.Text(), data); err != nil {
 		return err
 	}
 	return finishObs()
@@ -138,7 +130,7 @@ func parseVariants(s string) ([]conformance.Variant, error) {
 
 // runReplay re-executes a single schedule from its JSON reproduction
 // file and prints the verdict.
-func runReplay(stdout io.Writer, path, format string, maxStates int, deadlineMS int64, simEvents int, observer *obs.Observer) error {
+func runReplay(stdout io.Writer, path string, cf campaign.Flags, maxStates int, deadlineMS int64, simEvents int, observer *obs.Observer) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -157,36 +149,24 @@ func runReplay(stdout io.Writer, path, format string, maxStates int, deadlineMS 
 	r.Obs = observer
 	v := r.RunSchedule(s)
 	v.Name = "replay"
-
-	if format == "json" {
-		out, err := jsonVerdict(v)
-		if err != nil {
-			return err
-		}
-		_, err = stdout.Write(out)
+	out, err := v.JSON()
+	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "replay %s: %s\n", s, v.Kind)
+	var b strings.Builder
+	fmt.Fprintf(&b, "replay %s: %s\n", s, v.Kind)
 	if len(v.AppliedOps) > 0 {
-		fmt.Fprintf(stdout, "applied: %s\n", strings.Join(v.AppliedOps, " "))
+		fmt.Fprintf(&b, "applied: %s\n", strings.Join(v.AppliedOps, " "))
 	}
 	if v.Detail != "" {
-		fmt.Fprintf(stdout, "detail: %s\n", v.Detail)
+		fmt.Fprintf(&b, "detail: %s\n", v.Detail)
 	}
 	if v.Divergence != nil {
-		fmt.Fprintf(stdout, "diverges at event %d: %s not in model (allowed: %s)\n",
+		fmt.Fprintf(&b, "diverges at event %d: %s not in model (allowed: %s)\n",
 			v.Divergence.FailedAt, v.Divergence.BadEvent, strings.Join(v.Divergence.Allowed, ", "))
 		if len(v.Divergence.Context) > 0 {
-			fmt.Fprintf(stdout, "context: %s\n", strings.Join(v.Divergence.Context, " "))
+			fmt.Fprintf(&b, "context: %s\n", strings.Join(v.Divergence.Context, " "))
 		}
 	}
-	return nil
-}
-
-func jsonVerdict(v conformance.Verdict) ([]byte, error) {
-	data, err := v.JSON()
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
+	return cf.Write(stdout, b.String(), out)
 }

@@ -139,3 +139,17 @@ func pick(n int) int { return rand.Intn(n) }` // rand is not math/rand here
 		t.Fatalf("non-math/rand identifier flagged: %v", diags)
 	}
 }
+
+func TestUnrecoveredGoCoversCampaignPools(t *testing.T) {
+	// The shared campaign pool and the L* equivalence pool that runs on
+	// it are worker-pool packages: a bare goroutine there is flagged.
+	src := `package campaign
+func spawn(work func()) {
+	go func() { work() }()
+}`
+	for _, dir := range []string{"internal/campaign", "internal/learn"} {
+		if diags := runOn(t, UnrecoveredGo, dir, src, false); len(diags) != 1 {
+			t.Errorf("%s: diags = %v, want one unrecovered-goroutine finding", dir, diags)
+		}
+	}
+}

@@ -21,7 +21,8 @@ var UnrecoveredGo = &Analyzer{
 	AppliesTo: func(pkgDir string) bool {
 		switch pkgDir {
 		case "internal/serve", "internal/serve/client",
-			"internal/lts", "internal/faultcampaign", "internal/conformance",
+			"internal/lts", "internal/campaign", "internal/faultcampaign",
+			"internal/conformance", "internal/learn",
 			"cmd/fdrserve", "cmd/serveload":
 			return true
 		}

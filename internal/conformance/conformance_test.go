@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/canbus"
 )
 
@@ -71,7 +72,7 @@ func TestFaultedSchedulesConformUnderBudgets(t *testing.T) {
 
 func TestFlawedDivergesAndShrinksDeterministically(t *testing.T) {
 	r := testRunner(t)
-	s := GenerateSchedule(VariantFlawed, scheduleSeed(7, 0), shortGen())
+	s := GenerateSchedule(VariantFlawed, campaign.Seed(7, 0), shortGen())
 	v := r.RunSchedule(s)
 	if v.Kind != Diverges {
 		t.Fatalf("flawed: verdict %s (detail %q), want diverges", v.Kind, v.Detail)

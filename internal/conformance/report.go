@@ -1,14 +1,11 @@
 package conformance
 
 import (
-	"encoding/json"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/obs"
 )
 
@@ -48,12 +45,6 @@ func (c Config) withDefaults() Config {
 	}
 	c.Gen = c.Gen.withDefaults()
 	return c
-}
-
-// scheduleSeed derives a per-schedule seed from the master seed (the
-// splitmix64 increment decorrelates neighbouring indices).
-func scheduleSeed(master int64, index int) int64 {
-	return master + int64(index+1)*-0x61c8864680b583eb
 }
 
 // Report is a full soak campaign result: free of wall-clock data and
@@ -103,78 +94,37 @@ func Run(cfg Config) (*Report, error) {
 	idx := 0
 	for _, variant := range cfg.Variants {
 		for repNo := 0; repNo < cfg.SchedulesPerVariant; repNo++ {
-			s := GenerateSchedule(variant, scheduleSeed(cfg.Seed, idx), cfg.Gen)
+			s := GenerateSchedule(variant, campaign.Seed(cfg.Seed, idx), cfg.Gen)
 			idx++
 			jobs = append(jobs, job{s: s, name: fmt.Sprintf("%s-r%d", variant, repNo)})
 		}
 	}
 
-	runJob := func(j job) Verdict {
-		v := r.RunSchedule(j.s)
-		v.Name = j.name
-		if v.Kind == Diverges && !cfg.NoShrink {
-			if shrunk, sv, err := r.Shrink(j.s); err == nil && v.Divergence != nil {
-				shrunkCopy := shrunk
-				v.Divergence.Shrunk = &shrunkCopy
-				if sv.Divergence != nil {
-					v.Divergence.ShrunkFailedAt = sv.Divergence.FailedAt
+	verdicts := campaign.Map(jobs, cfg.Workers, cfg.Obs.Progress("conformance.run"), "schedules",
+		func(_ int, j job) Verdict {
+			v := r.RunSchedule(j.s)
+			v.Name = j.name
+			if v.Kind == Diverges && !cfg.NoShrink {
+				if shrunk, sv, err := r.Shrink(j.s); err == nil && v.Divergence != nil {
+					shrunkCopy := shrunk
+					v.Divergence.Shrunk = &shrunkCopy
+					if sv.Divergence != nil {
+						v.Divergence.ShrunkFailedAt = sv.Divergence.FailedAt
+					}
 				}
 			}
-		}
-		return v
-	}
-
-	verdicts := make([]Verdict, len(jobs))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	prog := cfg.Obs.Progress("conformance.run")
-	var done atomic.Int64
-	if workers <= 1 {
-		for i, j := range jobs {
-			verdicts[i] = runJob(j)
-			prog.Tick(done.Add(1), obs.Int("schedules", int64(len(jobs))))
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				claimed := -1
-				defer func() {
-					// Panic isolation: a crashing schedule becomes an
-					// interpreter-error verdict for that schedule alone; the
-					// remaining jobs drain through the other workers.
-					if r := recover(); r != nil && claimed >= 0 {
-						verdicts[claimed] = Verdict{
-							Name:     jobs[claimed].name,
-							Schedule: jobs[claimed].s,
-							Kind:     InterpreterError,
-							Detail:   fmt.Sprintf("panic in schedule worker: %v", r),
-						}
-						prog.Tick(done.Add(1), obs.Int("schedules", int64(len(jobs))))
-					}
-				}()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(jobs) {
-						return
-					}
-					claimed = i
-					verdicts[i] = runJob(jobs[i])
-					prog.Tick(done.Add(1), obs.Int("schedules", int64(len(jobs))))
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	prog.Flush(done.Load())
+			return v
+		},
+		func(_ int, j job, rec any) Verdict {
+			// A crashing schedule becomes an interpreter-error verdict for
+			// that schedule alone.
+			return Verdict{
+				Name:     j.name,
+				Schedule: j.s,
+				Kind:     InterpreterError,
+				Detail:   fmt.Sprintf("panic in schedule worker: %v", rec),
+			}
+		})
 
 	rep := &Report{
 		MasterSeed: cfg.Seed,
@@ -197,9 +147,9 @@ func Run(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// JSON renders the report as indented JSON.
+// JSON renders the report as indented, newline-terminated JSON.
 func (r *Report) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+	return campaign.JSON(r)
 }
 
 // Summary is a one-line digest.

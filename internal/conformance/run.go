@@ -1,12 +1,12 @@
 package conformance
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/canbus"
 	"repro/internal/canoe"
 	"repro/internal/csp"
@@ -74,10 +74,10 @@ type Verdict struct {
 	Divergence *Divergence `json:"divergence,omitempty"`
 }
 
-// JSON renders the verdict as indented JSON (the cmd/soak replay
-// output).
+// JSON renders the verdict as indented, newline-terminated JSON (the
+// cmd/soak replay output).
 func (v Verdict) JSON() ([]byte, error) {
-	return json.MarshalIndent(v, "", "  ")
+	return campaign.JSON(v)
 }
 
 // Runner executes schedules. It caches reference models per (variant,

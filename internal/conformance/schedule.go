@@ -125,13 +125,6 @@ func (s Schedule) String() string {
 	return fmt.Sprintf("%s seed=%d horizon=%dus ops=%d", s.Variant, s.Seed, s.HorizonUs, len(s.Ops))
 }
 
-// withOps returns a copy of the schedule with the given op list.
-func (s Schedule) withOps(ops []Op) Schedule {
-	out := s
-	out.Ops = append([]Op(nil), ops...)
-	return out
-}
-
 // EncodeJSON renders the schedule as indented JSON, the replay file
 // format of cmd/soak.
 func (s Schedule) EncodeJSON() ([]byte, error) {

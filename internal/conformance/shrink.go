@@ -1,6 +1,10 @@
 package conformance
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/campaign"
+)
 
 // Shrink minimizes a diverging schedule to a small reproducing input:
 // delta-debugging over the perturbation list (greedy removal to a
@@ -20,18 +24,16 @@ func (r *Runner) Shrink(s Schedule) (Schedule, Verdict, error) {
 	}
 	cur, curV := s, v
 
-	// Phase 1: one-minimal perturbation set.
-	for changed := true; changed; {
-		changed = false
-		for i := range cur.Ops {
-			cand := cur.withOps(append(append([]Op(nil), cur.Ops[:i]...), cur.Ops[i+1:]...))
-			if cv := r.RunSchedule(cand); cv.Kind == Diverges {
-				cur, curV = cand, cv
-				changed = true
-				break
-			}
+	// Phase 1: one-minimal perturbation set (keep never fails).
+	cur.Ops, _ = campaign.Shrink(s.Ops, func(ops []Op) (bool, error) {
+		cand := s
+		cand.Ops = ops
+		cv := r.RunSchedule(cand)
+		if cv.Kind == Diverges {
+			curV = cv
 		}
-	}
+		return cv.Kind == Diverges, nil
+	})
 
 	// Phase 2: smallest horizon (in whole milliseconds) still diverging.
 	lo, hi := int64(1), cur.HorizonUs/1000

@@ -13,10 +13,8 @@ package faultcampaign
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/campaign"
 	"repro/internal/canbus"
 	"repro/internal/canoe"
 	"repro/internal/obs"
@@ -263,13 +261,6 @@ var matrixCases = []matrixCase{
 	{kind: TargetedDrop, targetID: 0x104},
 }
 
-// scenarioSeed derives a per-scenario seed from the master seed; the
-// multiplier is the splitmix64 increment, enough to decorrelate
-// neighbouring indices.
-func scenarioSeed(master int64, index int) int64 {
-	return master + int64(index+1)*-0x61c8864680b583eb
-}
-
 // Matrix expands the configuration into the full scenario list:
 // every fault case x protocol variant x seed replica.
 func Matrix(cfg Config) []Scenario {
@@ -284,7 +275,7 @@ func Matrix(cfg Config) []Scenario {
 					KindName:     mc.kind.String(),
 					Variant:      variant,
 					VariantName:  variant.String(),
-					Seed:         scenarioSeed(cfg.Seed, idx),
+					Seed:         campaign.Seed(cfg.Seed, idx),
 					Prob:         mc.prob,
 					TargetID:     mc.targetID,
 					DelayBy:      mc.delayBy,
@@ -491,7 +482,8 @@ func Run(cfg Config) *Report {
 // RunScenarios executes an explicit scenario list under the given
 // configuration header. Scenarios run on a pool of cfg.Workers
 // goroutines; outcomes are slotted by scenario index and tallied in
-// list order, so the report is identical to a sequential run.
+// list order, so the report is identical to a sequential run. A
+// panicking scenario is judged Errored on its own.
 func RunScenarios(cfg Config, scenarios []Scenario) *Report {
 	cfg = cfg.withDefaults()
 	rep := &Report{
@@ -499,7 +491,11 @@ func RunScenarios(cfg Config, scenarios []Scenario) *Report {
 		HorizonUs:    int64(cfg.Horizon),
 		TargetCycles: cfg.TargetCycles,
 	}
-	rep.Outcomes = runPool(scenarios, cfg.Workers, cfg.Obs)
+	rep.Outcomes = campaign.Map(scenarios, cfg.Workers, cfg.Obs.Progress("faultcampaign.run"), "scenarios",
+		func(_ int, sc Scenario) Outcome { return runScenario(sc, cfg.Obs) },
+		func(_ int, sc Scenario, r any) Outcome {
+			return judgeError(Outcome{Scenario: sc}, fmt.Errorf("panic in scenario worker: %v", r))
+		})
 	for _, out := range rep.Outcomes {
 		switch out.Verdict {
 		case Converged:
@@ -514,58 +510,4 @@ func RunScenarios(cfg Config, scenarios []Scenario) *Report {
 	}
 	rep.Scenarios = len(rep.Outcomes)
 	return rep
-}
-
-// runPool executes the scenarios on a worker pool and returns their
-// outcomes in input order.
-func runPool(scenarios []Scenario, workers int, o *obs.Observer) []Outcome {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(scenarios) {
-		workers = len(scenarios)
-	}
-	prog := o.Progress("faultcampaign.run")
-	var done atomic.Int64
-	outcomes := make([]Outcome, len(scenarios))
-	if workers <= 1 {
-		for i, sc := range scenarios {
-			outcomes[i] = runScenario(sc, o)
-			prog.Tick(done.Add(1), obs.Int("scenarios", int64(len(scenarios))))
-		}
-		prog.Flush(done.Load())
-		return outcomes
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			claimed := -1
-			defer func() {
-				// Panic isolation: a crashing scenario is judged Errored on
-				// its own; the rest of the campaign drains through the other
-				// workers instead of dying with the process.
-				if r := recover(); r != nil && claimed >= 0 {
-					outcomes[claimed] = judgeError(
-						Outcome{Scenario: scenarios[claimed]},
-						fmt.Errorf("panic in scenario worker: %v", r))
-					prog.Tick(done.Add(1), obs.Int("scenarios", int64(len(scenarios))))
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(scenarios) {
-					return
-				}
-				claimed = i
-				outcomes[i] = runScenario(scenarios[i], o)
-				prog.Tick(done.Add(1), obs.Int("scenarios", int64(len(scenarios))))
-			}
-		}()
-	}
-	wg.Wait()
-	prog.Flush(done.Load())
-	return outcomes
 }

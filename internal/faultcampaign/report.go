@@ -1,9 +1,10 @@
 package faultcampaign
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
+
+	"repro/internal/campaign"
 )
 
 // Report is a full campaign result. It contains no wall-clock times and
@@ -26,9 +27,9 @@ type Report struct {
 	Outcomes []Outcome `json:"outcomes"`
 }
 
-// JSON renders the report as indented JSON.
+// JSON renders the report as indented, newline-terminated JSON.
 func (r *Report) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+	return campaign.JSON(r)
 }
 
 // Text renders the report as a fixed-width table plus detail lines for

@@ -1,11 +1,11 @@
 package learn
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/csp"
 	"repro/internal/lts"
 	"repro/internal/obs"
@@ -145,11 +145,7 @@ type Report struct {
 
 // JSON renders the report deterministically.
 func (r *Report) JSON() ([]byte, error) {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
+	return campaign.JSON(r)
 }
 
 // Text renders a human summary.
@@ -422,20 +418,5 @@ func shrinkWitness(checker *refine.Checker, extracted csp.Process, dfa *DFA, w c
 		// construction; keep it unshrunk if the membership view differs.
 		return w, nil
 	}
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < len(w); i++ {
-			cand := append(append(csp.Trace{}, w[:i]...), w[i+1:]...)
-			ok, err := disagree(cand)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				w = cand
-				changed = true
-				break
-			}
-		}
-	}
-	return w, nil
+	return campaign.Shrink(w, disagree)
 }

@@ -4,16 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/campaign"
 	"repro/internal/csp"
 )
-
-// seedStride decorrelates per-round equivalence seeds from the master
-// seed (same splitmix64 odd constant the conformance scheduler uses).
-const seedStride = -0x61c8864680b583eb
 
 // equivSuite generates the bounded equivalence-query suite for one
 // round: a W-method-style sweep (every hypothesis state's access word ×
@@ -54,7 +48,7 @@ func equivSuite(hyp *DFA, suffixes []csp.Trace, seed int64, round, depth, walks 
 		}
 	}
 
-	rng := rand.New(rand.NewSource(seed + int64(round+1)*seedStride))
+	rng := rand.New(rand.NewSource(campaign.Seed(seed, round)))
 	for i := 0; i < walks; i++ {
 		n := 1 + rng.Intn(depth)
 		w := make(csp.Trace, n)
@@ -77,43 +71,14 @@ func findCounterexample(hyp *DFA, c *queryCache, words []csp.Trace, workers int)
 		disagree bool
 		err      error
 	}
-	results := make([]outcome, len(words))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(words) {
-		workers = len(words)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(words) {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							results[i] = outcome{err: fmt.Errorf("learn: equivalence query %s panicked: %v", words[i], r)}
-						}
-					}()
-					got, err := c.membership(words[i])
-					if err != nil {
-						results[i] = outcome{err: err}
-						return
-					}
-					if got != hyp.Accepts(words[i]) {
-						results[i] = outcome{disagree: true}
-					}
-				}()
-			}
-		}()
-	}
-	wg.Wait()
+	results := campaign.Map(words, workers, nil, "",
+		func(_ int, w csp.Trace) outcome {
+			got, err := c.membership(w)
+			return outcome{disagree: err == nil && got != hyp.Accepts(w), err: err}
+		},
+		func(_ int, w csp.Trace, r any) outcome {
+			return outcome{err: fmt.Errorf("learn: equivalence query %s panicked: %v", w, r)}
+		})
 
 	// A tripped query budget masks later outcomes nondeterministically
 	// (which in-flight query hit the limit depends on scheduling), so it

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/campaign"
 	"repro/internal/csp"
 )
 
@@ -55,11 +56,7 @@ type ReplayResult struct {
 
 // JSON renders the replay result.
 func (r *ReplayResult) JSON() ([]byte, error) {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
+	return campaign.JSON(r)
 }
 
 // Text renders a human summary.
