@@ -7,7 +7,9 @@ package repro_test
 
 import (
 	"fmt"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"repro/internal/attack"
@@ -287,10 +289,11 @@ func BenchmarkCSPMLoad(b *testing.B) {
 }
 
 // BenchmarkExplore measures LTS construction for the composed lossy
-// system (the largest state space of the case study), sequentially and
-// with the level-parallel worker pool. The two sub-benchmarks produce
-// byte-identical LTSs; on a multi-core host the parallel variant should
-// win, on a single core it measures the synchronization overhead.
+// system (the largest state space of the case study). The variants
+// build byte-identical LTSs: the frozen string-keyed reference engine
+// (stringkeys), the compiled sequential explorer (seq), the same with
+// the visited index on disk (spill), and with a checkpoint written
+// after every BFS level (checkpoint).
 func BenchmarkExplore(b *testing.B) {
 	sys, err := ota.BuildLossy(ota.HardenedGateway, ota.DefaultLossBudget)
 	if err != nil {
@@ -340,6 +343,23 @@ func BenchmarkExplore(b *testing.B) {
 			if err := st.Close(); err != nil {
 				b.Fatal(err)
 			}
+		}
+		b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
+	})
+	// The checkpoint variant prices crash safety: a snapshot of the
+	// partial LTS is written atomically after every level, each
+	// iteration into a fresh directory so none resumes.
+	b.Run("checkpoint", func(b *testing.B) {
+		dir := b.TempDir()
+		states := 0
+		for i := 0; i < b.N; i++ {
+			l, err := lts.Explore(sem, system, lts.Options{
+				Checkpoint: &lts.CheckpointOptions{Dir: filepath.Join(dir, strconv.Itoa(i))},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			states = l.NumStates()
 		}
 		b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
 	})

@@ -38,8 +38,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -386,6 +388,27 @@ func suite(o *obs.Observer) ([]namedBench, error) {
 		}
 		b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
 	}
+	exploreCheckpoint := func(b *testing.B) {
+		// Crash-safe mode: an atomic snapshot after every BFS level, each
+		// iteration into a fresh directory so none resumes.
+		dir, err := os.MkdirTemp("", "benchsmoke-checkpoint-*")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer os.RemoveAll(dir)
+		states := 0
+		for i := 0; i < b.N; i++ {
+			l, err := lts.Explore(sem, system, lts.Options{
+				Checkpoint: &lts.CheckpointOptions{Dir: filepath.Join(dir, strconv.Itoa(i))},
+				Obs:        o,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			states = l.NumStates()
+		}
+		b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
+	}
 	campaign := func(workers int) func(b *testing.B) {
 		return func(b *testing.B) {
 			cfg := faultcampaign.Config{
@@ -410,6 +433,7 @@ func suite(o *obs.Observer) ([]namedBench, error) {
 		{"Explore/stringkeys", exploreStringKeys},
 		{"Explore/seq", explore},
 		{"Explore/spill", exploreSpill},
+		{"Explore/checkpoint", exploreCheckpoint},
 		{"Refines/cold", refines(nil)},
 		{"Refines/cached", refines(primed)},
 		{"FaultCampaign/seq", campaign(1)},

@@ -56,6 +56,38 @@ func (t *mapTable) Insert(_ uint64, key []byte, id int) {
 func (t *mapTable) Len() int     { return len(t.m) }
 func (t *mapTable) Bytes() int64 { return t.bytes }
 
+// KeyTable is an in-memory InternTable that also records every key in
+// ID order. Keys() is then the interner's node table — the persisted
+// form of every term interned so far, which DecodeNodes reads back.
+type KeyTable struct {
+	mapTable
+	keys     [][]byte
+	keyBytes int64 // total length of keys
+}
+
+// NewKeyTable returns an empty key-recording table.
+func NewKeyTable() *KeyTable { return &KeyTable{mapTable: mapTable{m: map[string]int{}}} }
+
+// Insert records key under id and appends it to the node table.
+func (t *KeyTable) Insert(hash uint64, key []byte, id int) {
+	t.mapTable.Insert(hash, key, id)
+	t.keys = append(t.keys, append([]byte(nil), key...))
+	t.keyBytes += int64(len(key))
+}
+
+// Keys returns the recorded keys; Keys()[i] is the key of TermID i. The
+// caller must not modify them.
+func (t *KeyTable) Keys() [][]byte { return t.keys }
+
+// keyCopyOverhead is the slice header of each recorded key copy.
+const keyCopyOverhead = 24
+
+// Bytes estimates the resident size of the table: the map's entries
+// plus the recorded copy of every key.
+func (t *KeyTable) Bytes() int64 {
+	return t.mapTable.Bytes() + t.keyBytes + int64(len(t.keys))*keyCopyOverhead
+}
+
 // Node tags. Every interned node's key starts with its tag byte; the
 // remaining payload is an unambiguous (length-prefixed / counted)
 // encoding of the node's own data plus the TermIDs of its children, so
@@ -490,4 +522,284 @@ func (in *Interner) Mapping(m map[string]string) TermID {
 		in.maps[ptr] = id
 	}
 	return id
+}
+
+// The node table. The keys an Interner assigns, listed in TermID order,
+// are a complete serialization of every term interned: each key is its
+// node's tag and payload over child IDs, and children are always
+// interned before their parent, so they have smaller IDs. DecodeNodes
+// reads such a table back into terms — the format checkpoints persist.
+
+// maxTermNodes bounds the tree size of any decoded term. A table shares
+// subterms, so a few dozen keys can spell a term with billions of tree
+// nodes; every walk over terms (interning, Key, the semantics) is linear
+// in tree size, so such a table is rejected rather than walked.
+const maxTermNodes = 1 << 20
+
+// Nodes is a decoded node table: node i is the term keys[i] encodes — a
+// Process, CommField, Expr, Value, Event, *EventSet or rename mapping.
+type Nodes struct {
+	terms []any
+}
+
+// Process returns node id as a process, or ok=false if it is not one.
+func (n *Nodes) Process(id TermID) (p Process, ok bool) {
+	if int(id) < len(n.terms) {
+		p, ok = n.terms[id].(Process)
+	}
+	return p, ok
+}
+
+// Event returns node id as an event, or ok=false if it is not one.
+func (n *Nodes) Event(id TermID) (e Event, ok bool) {
+	if int(id) < len(n.terms) {
+		e, ok = n.terms[id].(Event)
+	}
+	return e, ok
+}
+
+// DecodeNodes rebuilds the terms of a node table, bottom-up in ID order.
+// The table is untrusted input (a checkpoint file), so every key is
+// checked: a known tag, well-formed minimal varints, counts and lengths
+// no larger than the bytes left, child references to earlier nodes of
+// the right kind, canonically ordered sets and mappings, no trailing
+// bytes, no duplicate keys and no term over maxTermNodes. An accepted
+// table therefore re-interns, node by node, to exactly the same keys.
+func DecodeNodes(keys [][]byte) (*Nodes, error) {
+	n := &Nodes{terms: make([]any, 0, len(keys))}
+	sizes := make([]int, 0, len(keys)) // tree size of each term, at most maxTermNodes
+	seen := make(map[string]bool, len(keys))
+	for i, key := range keys {
+		d := nodeDecoder{nodes: n, sizes: sizes, key: key, self: i, size: 1}
+		term := d.node()
+		switch {
+		case d.err != nil:
+		case d.pos != len(key):
+			d.fail("%d trailing bytes", len(key)-d.pos)
+		case d.size > maxTermNodes:
+			d.fail("term exceeds %d nodes", maxTermNodes)
+		case seen[string(key)]:
+			d.fail("duplicate key")
+		}
+		if d.err != nil {
+			return nil, d.err
+		}
+		seen[string(key)] = true
+		n.terms = append(n.terms, term)
+		sizes = append(sizes, d.size)
+	}
+	return n, nil
+}
+
+// nodeDecoder reads one key. The first error sticks; later reads return
+// zero values, so a node's decoding reads straight through.
+type nodeDecoder struct {
+	nodes *Nodes // the earlier nodes
+	sizes []int  // the earlier nodes' tree sizes
+	key   []byte
+	pos   int
+	self  int // this node's ID
+	size  int // this node's tree size, counting children read so far
+	err   error
+}
+
+func (d *nodeDecoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("csp: node %d: "+format, append([]any{d.self}, args...)...)
+	}
+}
+
+func (d *nodeDecoder) readByte() byte {
+	if d.err != nil || d.pos >= len(d.key) {
+		d.fail("truncated")
+		return 0
+	}
+	d.pos++
+	return d.key[d.pos-1]
+}
+
+// uvarint reads a minimally encoded unsigned varint — the only form
+// binary.AppendUvarint produces, so re-encoding reproduces the key.
+func (d *nodeDecoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.key[d.pos:])
+	if n <= 0 || (n > 1 && d.key[d.pos+n-1] == 0) {
+		d.fail("truncated, overlong or non-minimal varint")
+		return 0
+	}
+	d.pos += n
+	return v
+}
+
+// count reads an element count. Every element takes at least one byte,
+// so a count beyond the bytes left is rejected before anything is
+// allocated for it.
+func (d *nodeDecoder) count() int {
+	c := d.uvarint()
+	if c > uint64(len(d.key)-d.pos) {
+		d.fail("count %d exceeds the %d bytes left", c, len(d.key)-d.pos)
+		return 0
+	}
+	return int(c)
+}
+
+func (d *nodeDecoder) str() string {
+	n := d.count()
+	d.pos += n
+	return string(d.key[d.pos-n : d.pos])
+}
+
+// child reads a child reference, which must name an earlier node whose
+// term is a T.
+func child[T any](d *nodeDecoder) T {
+	var zero T
+	id := d.uvarint()
+	if d.err != nil {
+		return zero
+	}
+	if id >= uint64(d.self) {
+		d.fail("reference to node %d is not to an earlier node", id)
+		return zero
+	}
+	t, ok := d.nodes.terms[id].(T)
+	if !ok {
+		d.fail("child %d has the wrong kind", id)
+	}
+	d.size = min(d.size+d.sizes[id], maxTermNodes+1)
+	return t
+}
+
+// children reads a counted list of child references.
+func children[T any](d *nodeDecoder) []T {
+	n := d.count()
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, n)
+	for i := range out {
+		out[i] = child[T](d)
+	}
+	return out
+}
+
+// ascending fails unless s > prev (for i > 0): the strictly sorted
+// order the interner encodes sets and mappings in.
+func (d *nodeDecoder) ascending(i int, prev, s string) {
+	if i > 0 && s <= prev {
+		d.fail("members not in strictly ascending order")
+	}
+}
+
+// node decodes the key's node; the inverse of the Interner's encoding.
+func (d *nodeDecoder) node() any {
+	switch tag := d.readByte(); tag {
+	case itagStop:
+		return StopProc{}
+	case itagSkip:
+		return SkipProc{}
+	case itagOmega:
+		return OmegaProc{}
+	case itagPrefix:
+		return PrefixProc{Chan: d.str(), Fields: children[CommField](d), Cont: child[Process](d)}
+	case itagExtChoice:
+		return ExtChoiceProc{L: child[Process](d), R: child[Process](d)}
+	case itagIntChoice:
+		return IntChoiceProc{L: child[Process](d), R: child[Process](d)}
+	case itagSeq:
+		return SeqProc{L: child[Process](d), R: child[Process](d)}
+	case itagPar:
+		return ParProc{L: child[Process](d), R: child[Process](d), Sync: child[*EventSet](d)}
+	case itagHide:
+		return HideProc{P: child[Process](d), Set: child[*EventSet](d)}
+	case itagRename:
+		return RenameProc{P: child[Process](d), Mapping: child[map[string]string](d)}
+	case itagIf:
+		return IfProc{Cond: child[Expr](d), Then: child[Process](d), Else: child[Process](d)}
+	case itagCall:
+		return CallProc{Name: d.str(), Args: children[Expr](d)}
+	case itagFieldOut:
+		return CommField{Expr: child[Expr](d)}
+	case itagFieldIn:
+		return CommField{IsInput: true, Var: d.str()}
+	case itagFieldInRestrict:
+		return CommField{IsInput: true, Var: d.str(), Restrict: child[Expr](d)}
+	case itagExprLit:
+		return Lit{Val: child[Value](d)}
+	case itagExprVar:
+		return Var{Name: d.str()}
+	case itagExprBinary:
+		op := BinOp(d.readByte())
+		if op < OpAdd || op > OpOr {
+			d.fail("unknown binary operator %d", op)
+		}
+		return Binary{Op: op, L: child[Expr](d), R: child[Expr](d)}
+	case itagExprUnary:
+		op := UnOp(d.readByte())
+		if op != OpNeg && op != OpNot {
+			d.fail("unknown unary operator %d", op)
+		}
+		return Unary{Op: op, X: child[Expr](d)}
+	case itagExprDot:
+		return DotExpr{Head: Sym(d.str()), Args: children[Expr](d)}
+	case itagExprSetAdd:
+		return SetAddExpr{Base: child[Expr](d), Elem: child[Expr](d)}
+	case itagExprMember:
+		return MemberExpr{Elem: child[Expr](d), Set: child[Expr](d)}
+	case itagValInt:
+		// Zigzag, as binary.AppendVarint writes it.
+		u := d.uvarint()
+		return Int(int64(u>>1) ^ -int64(u&1))
+	case itagValBool:
+		b := d.readByte()
+		if b > 1 {
+			d.fail("bool byte %d", b)
+		}
+		return Bool(b == 1)
+	case itagValSym:
+		return Sym(d.str())
+	case itagValDotted:
+		return Dotted{Head: Sym(d.str()), Args: children[Value](d)}
+	case itagValSet:
+		// The encoding lists Elems() in canonical order; values that
+		// render alike (Sym("5"), Int(5)) have no canonical order between
+		// them, so such a set is rejected.
+		elems := children[Value](d)
+		for i := 1; i < len(elems) && d.err == nil; i++ {
+			d.ascending(i, elems[i-1].String(), elems[i].String())
+		}
+		return SetValue{elems: elems}
+	case itagEvent:
+		return Event{Chan: d.str(), Args: children[Value](d)}
+	case itagEventSet:
+		s := NewEventSet()
+		prev := ""
+		for i, n := 0, d.count(); i < n && d.err == nil; i++ {
+			c := d.str()
+			d.ascending(i, prev, c)
+			s.AddChannel(c)
+			prev = c
+		}
+		for i, n := 0, d.count(); i < n && d.err == nil; i++ {
+			e := child[Event](d)
+			d.ascending(i, prev, e.String())
+			s.AddEvent(e)
+			prev = e.String()
+		}
+		return s
+	case itagMapping:
+		m := map[string]string{}
+		prev := ""
+		for i, n := 0, d.count(); i < n && d.err == nil; i++ {
+			from := d.str()
+			d.ascending(i, prev, from)
+			m[from] = d.str()
+			prev = from
+		}
+		return m
+	default:
+		d.fail("unknown tag %d", tag)
+		return nil
+	}
 }

@@ -343,6 +343,11 @@ func runScenario(sc Scenario, o *obs.Observer) (out Outcome) {
 			obs.Int("deliveredFrames", int64(out.DeliveredFrames)))
 	}()
 	out = Outcome{Scenario: sc}
+	if sc.Kind == BabblingIdiot && sc.Period <= 0 {
+		// The flood reschedules itself Period later; at Period <= 0 it
+		// would fire at the same instant forever.
+		return judgeError(out, fmt.Errorf("babbling-idiot scenario needs Period > 0, got %dus", int64(sc.Period)))
+	}
 	rng := rand.New(rand.NewSource(sc.Seed))
 	inj := &canbus.Injector{}
 	sim := canoe.NewSimulation(canbus.Config{

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/canbus"
 )
 
 func TestMatrixShape(t *testing.T) {
@@ -234,5 +236,32 @@ func TestReportTallies(t *testing.T) {
 	}
 	if !strings.Contains(r.Summary(), "scenarios") {
 		t.Errorf("summary %q missing scenario count", r.Summary())
+	}
+}
+
+// TestBabblingIdiotNonPositivePeriodErrors pins that a babble scenario
+// with Period <= 0, which would reschedule itself at the same instant
+// forever, is judged Errored without running.
+func TestBabblingIdiotNonPositivePeriodErrors(t *testing.T) {
+	var scenarios []Scenario
+	for _, period := range []int64{0, -1} {
+		scenarios = append(scenarios, Scenario{
+			Name:     "babble-bad-period",
+			Kind:     BabblingIdiot,
+			KindName: BabblingIdiot.String(),
+			TargetID: 0x001,
+			Period:   canbus.Time(period),
+			Width:    200 * canbus.Millisecond,
+			Horizon:  500 * canbus.Millisecond,
+		})
+	}
+	r := RunScenarios(Config{Seed: 1, Workers: 1}, scenarios)
+	if r.Errored != len(scenarios) {
+		t.Fatalf("errored = %d, want %d", r.Errored, len(scenarios))
+	}
+	for _, o := range r.Outcomes {
+		if !strings.Contains(o.Error, "Period") {
+			t.Errorf("error %q does not name the Period field", o.Error)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package lts
 
 import (
+	"bytes"
 	"encoding/json"
 	"hash/fnv"
 	"os"
@@ -35,20 +36,21 @@ const checkpointFile = "checkpoint.json"
 
 // snapshotVersion guards the snapshot schema; a version bump makes old
 // snapshots invalid (ignored, re-explored) instead of misread. Version
-// 2 replaced the canonical-key-string state table of version 1 with
-// codec-encoded terms for every state (the interned engine re-derives
-// identity from the terms themselves) and the explicit frontier list
-// with the merge position: states [Merged, N) are exactly the
-// unexpanded tail of the BFS order.
-const snapshotVersion = 2
+// 3 persists the interner's node table (csp.DecodeNodes reads it back)
+// with states and events as node IDs into it, replacing version 2's
+// separately encoded JSON term tree per state and event. The node
+// encoding is pinned by a golden test in internal/csp: changing it must
+// bump this version.
+const snapshotVersion = 3
 
 // snapshot is the on-disk checkpoint document. The digest covers the
 // JSON encoding of every other field, so a torn or hand-edited file is
-// detected and ignored rather than resumed into a corrupt LTS.
+// detected and ignored rather than resumed into a corrupt LTS. There is
+// no root field: a snapshot belongs to the exploration whose root term
+// interns to the same node as its Init state.
 type snapshot struct {
-	Version   int    `json:"version"`
-	RootKey   string `json:"rootKey"`
-	MaxStates int    `json:"maxStates"`
+	Version   int `json:"version"`
+	MaxStates int `json:"maxStates"`
 	// Levels is the number of completed BFS levels.
 	Levels int `json:"levels"`
 	// ElapsedNs is exploration wall-clock already spent, restored into
@@ -57,15 +59,17 @@ type snapshot struct {
 
 	Init int `json:"init"`
 	// Merged is the number of leading states whose edges are final;
-	// states [Merged, len(Terms)) are the unexpanded frontier.
+	// states [Merged, len(States)) are the unexpanded frontier.
 	Merged int `json:"merged"`
-	// Terms holds the codec-encoded process term of every state, in
-	// state-ID order.
-	Terms []json.RawMessage `json:"terms"`
-	// Events holds codec-encoded visible events (IDs >= 2; tau and tick
-	// are implicit).
-	Events []json.RawMessage `json:"events"`
-	Edges  [][]Edge          `json:"edges"`
+	// Nodes is the node table: Nodes[i] is the interner key of node i,
+	// covering every term and subterm of the states and events below.
+	Nodes [][]byte `json:"nodes"`
+	// States holds the node ID of every state's term, in state-ID order.
+	States []csp.TermID `json:"states"`
+	// Events holds the node IDs of the visible events (LTS event IDs
+	// >= 2; tau and tick are implicit).
+	Events []csp.TermID `json:"events"`
+	Edges  [][]Edge     `json:"edges"`
 
 	Digest uint64 `json:"digest"`
 }
@@ -104,8 +108,18 @@ type resumeState struct {
 // modes are soft: a checkpoint that cannot be written or parsed costs
 // re-exploration, never a wrong result.
 type checkpointer struct {
-	dir   string
-	every int
+	dir       string
+	every     int
+	maxStates int
+
+	// in interns states and events into keys, the node table snapshots
+	// persist. It lives as long as the exploration, so each write interns
+	// only the states and events added since the previous one; states
+	// and events hold their node IDs so far.
+	keys   *csp.KeyTable
+	in     *csp.Interner
+	states []csp.TermID
+	events []csp.TermID
 
 	writesC  *obs.Counter
 	resumesC *obs.Counter
@@ -113,51 +127,45 @@ type checkpointer struct {
 	errorsC  *obs.Counter
 }
 
-func newCheckpointer(opts *CheckpointOptions, o *obs.Observer) *checkpointer {
+func newCheckpointer(opts *CheckpointOptions, maxStates int, o *obs.Observer) *checkpointer {
 	every := opts.EveryLevels
 	if every <= 0 {
 		every = 1
 	}
+	keys := csp.NewKeyTable()
 	return &checkpointer{
-		dir:      opts.Dir,
-		every:    every,
-		writesC:  o.Counter("lts.checkpoint.writes"),
-		resumesC: o.Counter("lts.checkpoint.resumes"),
-		ignoredC: o.Counter("lts.checkpoint.ignored"),
-		errorsC:  o.Counter("lts.checkpoint.errors"),
+		dir:       opts.Dir,
+		every:     every,
+		maxStates: maxStates,
+		keys:      keys,
+		in:        csp.NewInterner(keys),
+		writesC:   o.Counter("lts.checkpoint.writes"),
+		resumesC:  o.Counter("lts.checkpoint.resumes"),
+		ignoredC:  o.Counter("lts.checkpoint.ignored"),
+		errorsC:   o.Counter("lts.checkpoint.errors"),
 	}
 }
 
 // write snapshots the partial LTS after a completed level. Errors are
 // counted and swallowed: a failed checkpoint must not fail the check.
-func (c *checkpointer) write(l *LTS, merged, levels int, elapsed time.Duration, rootKey string, maxStates int) {
+func (c *checkpointer) write(l *LTS, merged, levels int, elapsed time.Duration) {
+	for _, p := range l.Procs[len(c.states):] {
+		c.states = append(c.states, c.in.Process(p))
+	}
+	for _, e := range l.Events[2+len(c.events):] {
+		c.events = append(c.events, c.in.Event(e))
+	}
 	snap := snapshot{
 		Version:   snapshotVersion,
-		RootKey:   rootKey,
-		MaxStates: maxStates,
+		MaxStates: c.maxStates,
 		Levels:    levels,
 		ElapsedNs: int64(elapsed),
 		Init:      l.Init,
 		Merged:    merged,
+		Nodes:     c.keys.Keys(),
+		States:    c.states,
+		Events:    c.events,
 		Edges:     l.Edges,
-	}
-	snap.Terms = make([]json.RawMessage, 0, len(l.Procs))
-	for _, p := range l.Procs {
-		data, err := csp.EncodeProcess(p)
-		if err != nil {
-			c.errorsC.Inc()
-			return
-		}
-		snap.Terms = append(snap.Terms, data)
-	}
-	snap.Events = make([]json.RawMessage, 0, len(l.Events)-2)
-	for _, e := range l.Events[2:] {
-		data, err := csp.EncodeEvent(e)
-		if err != nil {
-			c.errorsC.Inc()
-			return
-		}
-		snap.Events = append(snap.Events, data)
 	}
 	d, err := snap.digest()
 	if err != nil {
@@ -181,14 +189,14 @@ func (c *checkpointer) write(l *LTS, merged, levels int, elapsed time.Duration, 
 	c.writesC.Inc()
 }
 
-// load restores and fully validates a snapshot matching the
-// exploration's root and bound, or returns ok=false when no valid
+// load restores and fully validates a snapshot of the exploration of
+// root under the checkpointer's bound, or returns ok=false when no valid
 // matching snapshot exists (missing, torn, wrong version, different
 // root or bound — all of which simply mean "explore from scratch").
-// Terms are decoded and checked for duplicates against a throwaway
-// interner, so the engine can register the result into its own interner
-// without re-validating.
-func (c *checkpointer) load(rootKey string, maxStates int) (*resumeState, bool) {
+// States are decoded from the node table and checked for duplicates
+// against a throwaway interner, so the engine can register the result
+// into its own interner without re-validating.
+func (c *checkpointer) load(root csp.Process) (*resumeState, bool) {
 	data, err := os.ReadFile(filepath.Join(c.dir, checkpointFile))
 	if err != nil {
 		if !os.IsNotExist(err) {
@@ -196,25 +204,41 @@ func (c *checkpointer) load(rootKey string, maxStates int) (*resumeState, bool) 
 		}
 		return nil, false
 	}
+	rs, ok := c.decode(data, root)
+	if !ok {
+		c.ignoredC.Inc()
+		return nil, false
+	}
+	c.resumesC.Inc()
+	return rs, true
+}
+
+// decode validates a snapshot document against root and the bound.
+func (c *checkpointer) decode(data []byte, root csp.Process) (*resumeState, bool) {
 	var snap snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
-		c.ignoredC.Inc()
 		return nil, false
 	}
-	if snap.Version != snapshotVersion || snap.RootKey != rootKey || snap.MaxStates != maxStates {
-		c.ignoredC.Inc()
+	if snap.Version != snapshotVersion || snap.MaxStates != c.maxStates {
 		return nil, false
 	}
-	d, err := snap.digest()
-	if err != nil || d != snap.Digest {
-		c.ignoredC.Inc()
+	if d, err := snap.digest(); err != nil || d != snap.Digest {
 		return nil, false
 	}
-	n := len(snap.Terms)
-	if n == 0 || n > maxStates || len(snap.Edges) != n ||
+	// The digest covers the decoded content, and base64 decoding
+	// ignores a key's unused low bits, so also require the file to be
+	// exactly the encoding write produces: any changed byte is caught.
+	if canon, err := json.Marshal(&snap); err != nil || !bytes.Equal(canon, data) {
+		return nil, false
+	}
+	n := len(snap.States)
+	if n == 0 || n > c.maxStates || len(snap.Edges) != n ||
 		snap.Init < 0 || snap.Init >= n ||
 		snap.Merged < 0 || snap.Merged > n {
-		c.ignoredC.Inc()
+		return nil, false
+	}
+	nodes, err := csp.DecodeNodes(snap.Nodes)
+	if err != nil {
 		return nil, false
 	}
 	rs := &resumeState{
@@ -225,48 +249,48 @@ func (c *checkpointer) load(rootKey string, maxStates int) (*resumeState, bool) 
 		levels:  snap.Levels,
 		elapsed: time.Duration(snap.ElapsedNs),
 	}
+	// Two states (or events) with one term would corrupt interned
+	// identity and the event numbering.
 	check := csp.NewInterner(nil)
-	seen := make(map[csp.TermID]bool, n)
-	for _, raw := range snap.Terms {
-		p, err := csp.DecodeProcess(raw)
-		if err != nil {
-			c.ignoredC.Inc()
+	seen := make(map[csp.TermID]bool, n+len(snap.Events))
+	for _, id := range snap.States {
+		p, ok := nodes.Process(id)
+		if !ok {
 			return nil, false
 		}
 		tid := check.Process(p)
 		if seen[tid] {
-			// Two states with one term would corrupt interned identity.
-			c.ignoredC.Inc()
 			return nil, false
 		}
 		seen[tid] = true
 		rs.procs = append(rs.procs, p)
 	}
-	if rs.procs[snap.Init].Key() != rootKey {
-		c.ignoredC.Inc()
+	// Structural identity, not Key(): terms that render alike may differ.
+	if check.Process(root) != check.Process(rs.procs[snap.Init]) {
 		return nil, false
 	}
-	for _, raw := range snap.Events {
-		e, err := csp.DecodeEvent(raw)
-		if err != nil {
-			c.ignoredC.Inc()
+	for _, id := range snap.Events {
+		e, ok := nodes.Event(id)
+		if !ok || !e.IsVisible() {
 			return nil, false
 		}
+		tid := check.Event(e)
+		if seen[tid] {
+			return nil, false
+		}
+		seen[tid] = true
 		rs.events = append(rs.events, e)
 	}
 	maxEv := 2 + len(rs.events)
 	for id, edges := range snap.Edges {
 		if id >= snap.Merged && len(edges) > 0 {
-			c.ignoredC.Inc()
 			return nil, false
 		}
 		for _, e := range edges {
 			if e.Ev < 0 || e.Ev >= maxEv || e.To < 0 || e.To >= n {
-				c.ignoredC.Inc()
 				return nil, false
 			}
 		}
 	}
-	c.resumesC.Inc()
 	return rs, true
 }

@@ -7,7 +7,9 @@ package lts_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -223,6 +225,93 @@ func TestCheckpointIgnoresCorruptAndMismatched(t *testing.T) {
 		}
 	})
 
+	t.Run("v2-codec-document", func(t *testing.T) {
+		// A version-2 snapshot held each state as a JSON term tree. Even
+		// with a matching root and a valid digest it must be ignored.
+		type v2 struct {
+			Version   int               `json:"version"`
+			RootKey   string            `json:"rootKey"`
+			MaxStates int               `json:"maxStates"`
+			Levels    int               `json:"levels"`
+			ElapsedNs int64             `json:"elapsedNs"`
+			Init      int               `json:"init"`
+			Merged    int               `json:"merged"`
+			Terms     []json.RawMessage `json:"terms"`
+			Events    []json.RawMessage `json:"events"`
+			Edges     [][]lts.Edge      `json:"edges"`
+			Digest    uint64            `json:"digest"`
+		}
+		doc := v2{
+			Version: 2, RootKey: "STOP", MaxStates: lts.DefaultMaxStates, Levels: 1,
+			Terms: []json.RawMessage{json.RawMessage(`{"t":"stop"}`)}, Edges: [][]lts.Edge{{}}, Merged: 1,
+		}
+		body, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(body)
+		doc.Digest = h.Sum64()
+		if body, err = json.Marshal(doc); err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "checkpoint.json"), body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		o := obs.New()
+		got, err := lts.Explore(sem, csp.Stop(), lts.Options{
+			Checkpoint: &lts.CheckpointOptions{Dir: dir},
+			Obs:        o,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.NumStates() != 1 || o.Counter("lts.checkpoint.ignored").Value() != 1 ||
+			o.Counter("lts.checkpoint.resumes").Value() != 0 {
+			t.Fatal("v2 snapshot was not ignored")
+		}
+	})
+
+	t.Run("same-key-different-root", func(t *testing.T) {
+		// P(5) with a symbol argument and P(5) with an integer argument
+		// render the same Key() but are different terms: a snapshot of
+		// one must not resume the other.
+		ctx := csp.NewContext()
+		ctx.MustChannel("done", csp.IntRange{Lo: 0, Hi: 1})
+		env := csp.NewEnv()
+		env.MustDefine("P", []string{"x"},
+			csp.Prefix("done", []csp.CommField{csp.Out(csp.LitInt(0))}, csp.Stop()))
+		psem := csp.NewSemantics(env, ctx)
+		sym := csp.Call("P", csp.Lit{Val: csp.Sym("5")})
+		num := csp.Call("P", csp.Lit{Val: csp.Int(5)})
+		if sym.Key() != num.Key() {
+			t.Fatalf("roots render differently: %s vs %s", sym.Key(), num.Key())
+		}
+		dir := t.TempDir()
+		if _, err := lts.Explore(psem, sym, lts.Options{
+			Checkpoint: &lts.CheckpointOptions{Dir: dir},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		want, err := lts.Explore(psem, num, lts.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := obs.New()
+		got, err := lts.Explore(psem, num, lts.Options{
+			Checkpoint: &lts.CheckpointOptions{Dir: dir},
+			Obs:        o,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameLTS(t, "same-key-root", want, got)
+		if o.Counter("lts.checkpoint.resumes").Value() != 0 || o.Counter("lts.checkpoint.ignored").Value() != 1 {
+			t.Fatal("snapshot of a same-Key() root with a different term was resumed")
+		}
+	})
+
 	t.Run("different-root", func(t *testing.T) {
 		dir := t.TempDir()
 		if _, err := lts.Explore(sem, roots[1], lts.Options{
@@ -296,5 +385,71 @@ func TestMemoryWatermarkReturnsStructuredError(t *testing.T) {
 	}
 	if me.Explored <= 0 || me.EstimatedBytes <= me.Limit-1 {
 		t.Fatalf("MemoryError fields implausible: %+v", me)
+	}
+}
+
+// TestMaxMemBytesCountsCheckpointTable pins that the checkpointer's node
+// table counts toward the memory watermark at its full size: the
+// estimate of a checkpointing exploration that trips exceeds what the
+// same exploration estimates without checkpointing by at least the
+// KeyTable size of the node table it has written so far.
+func TestMaxMemBytesCountsCheckpointTable(t *testing.T) {
+	sys, err := ota.BuildLossy(ota.HardenedGateway, ota.DefaultLossBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sem := csp.NewSemantics(sys.Model.Env, sys.Model.Ctx)
+	root := csp.Call("SYSTEML")
+	store := statestore.NewMem()
+	if _, err := lts.Explore(sem, root, lts.Options{Store: store}); err != nil {
+		t.Fatal(err)
+	}
+	limit := store.Bytes() / 2
+	dir := t.TempDir()
+	_, err = lts.Explore(sem, root, lts.Options{MaxMemBytes: limit, Checkpoint: &lts.CheckpointOptions{Dir: dir}})
+	var ck *lts.MemoryError
+	if !errors.As(err, &ck) {
+		t.Fatalf("explore under %d-byte watermark: %v, want *MemoryError", limit, err)
+	}
+	// The last snapshot holds exactly the checkpointer's node table at
+	// the trip; re-interning its states and events rebuilds that table.
+	data, err := os.ReadFile(filepath.Join(dir, "checkpoint.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Nodes  [][]byte
+		States []csp.TermID
+		Events []csp.TermID
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := csp.DecodeNodes(snap.Nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := csp.NewKeyTable()
+	in := csp.NewInterner(table)
+	for _, id := range snap.States {
+		p, _ := nodes.Process(id)
+		in.Process(p)
+	}
+	for _, id := range snap.Events {
+		e, _ := nodes.Event(id)
+		in.Event(e)
+	}
+	if table.Len() != len(snap.Nodes) {
+		t.Fatalf("rebuilt table has %d nodes, snapshot %d", table.Len(), len(snap.Nodes))
+	}
+	// Without checkpointing, the estimate at ck.Explored states is at
+	// most ck's minus the table, so under that limit the exploration
+	// must get past ck.Explored states.
+	plainLimit := ck.EstimatedBytes - table.Bytes()
+	_, err = lts.Explore(sem, root, lts.Options{MaxMemBytes: plainLimit})
+	var plain *lts.MemoryError
+	if errors.As(err, &plain) && plain.Explored <= ck.Explored {
+		t.Fatalf("checkpoint table undercounted: without it the estimate at %d states exceeds %d (= %d - table %d)",
+			plain.Explored, plainLimit, ck.EstimatedBytes, table.Bytes())
 	}
 }

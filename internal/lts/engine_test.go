@@ -140,7 +140,7 @@ func TestMaxMemBytesCountsEventTable(t *testing.T) {
 	// event table on load, so the same limit must trip immediately on
 	// resume, too.
 	dir := t.TempDir()
-	ck := newCheckpointer(&CheckpointOptions{Dir: dir}, nil)
+	ck := newCheckpointer(&CheckpointOptions{Dir: dir}, DefaultMaxStates, nil)
 	partial := &LTS{
 		Init:     ref.Init,
 		Procs:    ref.Procs,
@@ -149,7 +149,7 @@ func TestMaxMemBytesCountsEventTable(t *testing.T) {
 		Edges:    make([][]Edge, ref.NumStates()),
 	}
 	partial.Edges[0] = ref.Edges[0]
-	ck.write(partial, 1, 1, 0, root.Key(), DefaultMaxStates)
+	ck.write(partial, 1, 1, 0)
 	_, err = Explore(sem, root, Options{
 		MaxMemBytes: limit,
 		Checkpoint:  &CheckpointOptions{Dir: dir},

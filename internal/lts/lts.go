@@ -107,8 +107,8 @@ type Options struct {
 	Store statestore.Store
 	// MaxMemBytes is a hard watermark on the estimated resident size of
 	// the exploration (interned-term index, compiled memo and node table,
-	// and the LTS under construction including the event-intern table),
-	// checked once per BFS level.
+	// the LTS under construction including the event-intern table, and
+	// the checkpointer's node table), checked once per BFS level.
 	// Exceeding it returns a *MemoryError — a structured budget verdict
 	// instead of an OOM kill. 0 means unbounded.
 	MaxMemBytes int64
@@ -288,10 +288,9 @@ func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, er
 	var ck *checkpointer
 	merged := 0
 	levels := 0
-	rootKey := root.Key()
 	if opts.Checkpoint != nil && opts.Checkpoint.Dir != "" {
-		ck = newCheckpointer(opts.Checkpoint, opts.Obs)
-		if rs, ok := ck.load(rootKey, maxStates); ok {
+		ck = newCheckpointer(opts.Checkpoint, maxStates, opts.Obs)
+		if rs, ok := ck.load(root); ok {
 			// Register every snapshot state in state order — the snapshot
 			// was validated (including duplicate-term detection) against a
 			// throwaway interner, so these adds cannot fail or collide.
@@ -340,7 +339,7 @@ func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, er
 		prog.Tick(int64(len(e.states)), obs.Int("frontier", int64(len(e.states)-merged)))
 		levels++
 		if ck != nil && levels%ck.every == 0 {
-			ck.write(e.l, merged, levels, time.Since(e.start), rootKey, maxStates)
+			ck.write(e.l, merged, levels, time.Since(e.start))
 		}
 	}
 	first := true
@@ -353,7 +352,11 @@ func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, er
 			levelsC.Inc()
 			frontierG.Max(int64(len(e.states) - merged))
 			if opts.MaxMemBytes > 0 {
-				if est := visited.Bytes() + e.ltsBytes + e.c.bytes(); est > opts.MaxMemBytes {
+				est := visited.Bytes() + e.ltsBytes + e.c.bytes()
+				if ck != nil {
+					est += ck.keys.Bytes()
+				}
+				if est > opts.MaxMemBytes {
 					return nil, &MemoryError{Explored: len(e.states), EstimatedBytes: est, Limit: opts.MaxMemBytes}
 				}
 			}
@@ -387,7 +390,7 @@ func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, er
 	if ck != nil {
 		// Final snapshot with a fully-merged frontier: a crash after the
 		// exploration finished resumes instantly instead of re-exploring.
-		ck.write(e.l, merged, levels, time.Since(e.start), rootKey, maxStates)
+		ck.write(e.l, merged, levels, time.Since(e.start))
 	}
 	prog.Flush(int64(len(e.states)))
 	return e.l, nil
