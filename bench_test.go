@@ -17,6 +17,7 @@ import (
 	"repro/internal/candb"
 	"repro/internal/canoe"
 	"repro/internal/capl"
+	"repro/internal/conformance"
 	"repro/internal/csp"
 	"repro/internal/cspm"
 	"repro/internal/experiments"
@@ -404,6 +405,41 @@ func BenchmarkRefines(b *testing.B) {
 				b.Fatal("check failed")
 			}
 		}
+	})
+}
+
+// BenchmarkAcceptsTrace measures on-the-fly trace membership, the
+// conformance soak's check, on the projected trace of one hardened
+// schedule that duplicates a VMG frame, against the observed model under
+// the fault budget the duplicate earns. Each iteration uses a fresh
+// checker, as each soak schedule does.
+func BenchmarkAcceptsTrace(b *testing.B) {
+	r, err := conformance.NewRunner()
+	if err != nil {
+		b.Fatal(err)
+	}
+	trace, sys, err := r.Observe(conformance.Schedule{
+		Variant:   conformance.VariantHardened,
+		HorizonUs: int64(12 * canbus.Millisecond),
+		Ops:       []conformance.Op{{Kind: conformance.OpDupFrame, Nth: 4, DelayUs: 350}},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("soak", func(b *testing.B) {
+		states := 0
+		for i := 0; i < b.N; i++ {
+			c := refine.NewChecker(sys.Model.Env, sys.Model.Ctx)
+			res, err := c.AcceptsTrace(csp.Call(ota.ObservedProcess), trace)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.Accepted {
+				b.Fatalf("trace rejected at event %d", res.FailedAt)
+			}
+			states = res.States
+		}
+		b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
 	})
 }
 

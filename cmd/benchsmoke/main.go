@@ -3,7 +3,7 @@
 // JSON (BENCH_refine.json) — the artefact CI publishes so performance
 // regressions in exploration, refinement checking and campaign
 // throughput are visible per commit. Every row records ns/op and
-// allocs/op, and exploration rows add states/s. The paired entries
+// allocs/op, and exploration and trace rows add states/s. The paired entries
 // measure the same work cold versus cached (Refines) or sequentially
 // and in parallel (FaultCampaign); on a single-core host the parallel
 // campaign measures synchronization overhead, not speedup, so readers
@@ -46,6 +46,7 @@ import (
 	"testing"
 
 	"repro/internal/canbus"
+	"repro/internal/conformance"
 	"repro/internal/csp"
 	"repro/internal/faultcampaign"
 	"repro/internal/lts"
@@ -297,10 +298,11 @@ type namedBench struct {
 
 // suite builds the benchmark list: exploration of the largest
 // case-study state space (against the string-keyed reference engine
-// and with a disk-backed visited index), a full refinement
-// check (cold vs cached), and the fault-injection campaign (sequential
-// vs parallel scenarios). The observer (nil when disabled) is threaded
-// through every layer so -metrics aggregates the whole suite.
+// and with a disk-backed visited index), a full refinement check (cold
+// vs cached), the soak's trace-membership check, and the
+// fault-injection campaign (sequential vs parallel scenarios). The
+// observer (nil when disabled) is threaded through every layer so
+// -metrics aggregates the whole suite.
 func suite(o *obs.Observer) ([]namedBench, error) {
 	lossy, err := ota.BuildLossy(ota.HardenedGateway, ota.DefaultLossBudget)
 	if err != nil {
@@ -427,6 +429,37 @@ func suite(o *obs.Observer) ([]namedBench, error) {
 		}
 	}
 
+	// The soak's trace check: the projected trace of a hardened schedule
+	// duplicating a VMG frame, a fresh checker per iteration.
+	runner, err := conformance.NewRunner()
+	if err != nil {
+		return nil, err
+	}
+	trace, observed, err := runner.Observe(conformance.Schedule{
+		Variant:   conformance.VariantHardened,
+		HorizonUs: int64(12 * canbus.Millisecond),
+		Ops:       []conformance.Op{{Kind: conformance.OpDupFrame, Nth: 4, DelayUs: 350}},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("observe soak schedule: %w", err)
+	}
+	acceptsTrace := func(b *testing.B) {
+		states := 0
+		for i := 0; i < b.N; i++ {
+			c := refine.NewChecker(observed.Model.Env, observed.Model.Ctx)
+			c.Obs = o
+			res, err := c.AcceptsTrace(csp.Call(ota.ObservedProcess), trace)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.Accepted {
+				b.Fatalf("soak trace rejected at event %d", res.FailedAt)
+			}
+			states = res.States
+		}
+		b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
+	}
+
 	primed := lts.NewCache()
 	primed.Obs = o
 	return []namedBench{
@@ -436,6 +469,7 @@ func suite(o *obs.Observer) ([]namedBench, error) {
 		{"Explore/checkpoint", exploreCheckpoint},
 		{"Refines/cold", refines(nil)},
 		{"Refines/cached", refines(primed)},
+		{"AcceptsTrace/soak", acceptsTrace},
 		{"FaultCampaign/seq", campaign(1)},
 		{"FaultCampaign/par", campaign(0)},
 	}, nil

@@ -82,7 +82,6 @@ func Run(cfg Config) (*Report, error) {
 		r.MaxSimEvents = cfg.MaxSimEvents
 	}
 	r.Obs = cfg.Obs
-	r.ltsCache.Obs = cfg.Obs
 
 	// The schedule list is fully determined by the seed before any run
 	// starts; workers only fill verdict slots.

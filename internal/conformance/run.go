@@ -10,7 +10,6 @@ import (
 	"repro/internal/canbus"
 	"repro/internal/canoe"
 	"repro/internal/csp"
-	"repro/internal/lts"
 	"repro/internal/obs"
 	"repro/internal/ota"
 	"repro/internal/refine"
@@ -81,10 +80,10 @@ func (v Verdict) JSON() ([]byte, error) {
 }
 
 // Runner executes schedules. It caches reference models per (variant,
-// budgets) pair and explored model LTSs in a shared lts.Cache. A Runner
-// is safe for concurrent use: campaign workers running RunSchedule in
-// parallel share both caches, so each reference model is built and
-// explored exactly once per campaign.
+// budgets) pair. A Runner is safe for concurrent use: campaign workers
+// running RunSchedule in parallel share the cache, so each reference
+// model is built once per campaign. Each trace check compiles the terms
+// its trace reaches into a memo of its own (refine.AcceptsTrace).
 type Runner struct {
 	// MaxStates bounds the trace-membership frontier (0: checker
 	// default).
@@ -101,7 +100,6 @@ type Runner struct {
 	Obs *obs.Observer
 
 	projector *Projector
-	ltsCache  *lts.Cache
 
 	mu     sync.Mutex
 	models map[modelKey]*modelEntry
@@ -130,7 +128,6 @@ func NewRunner() (*Runner, error) {
 		MaxDuration:  20 * time.Second,
 		MaxSimEvents: 300_000,
 		projector:    p,
-		ltsCache:     lts.NewCache(),
 		models:       make(map[modelKey]*modelEntry),
 	}, nil
 }
@@ -336,6 +333,29 @@ func deriveBudgets(applied []appliedOp) ota.ChannelBudgets {
 	return b
 }
 
+// deadline is the watchdog expiry of a schedule starting now.
+func (r *Runner) deadline() time.Time {
+	if r.MaxDuration <= 0 {
+		return time.Now().Add(20 * time.Second)
+	}
+	return time.Now().Add(r.MaxDuration)
+}
+
+// Observe simulates a schedule and returns what RunSchedule checks: the
+// projected trace and the reference model under the budgets it earns.
+func (r *Runner) Observe(s Schedule) (csp.Trace, *ota.System, error) {
+	sres, err := r.simulate(s, r.deadline())
+	if err != nil {
+		return nil, nil, err
+	}
+	trace, err := r.projector.Trace(sres.trace)
+	if err != nil {
+		return nil, nil, err
+	}
+	sys, err := r.model(s.Variant, deriveBudgets(sres.applied))
+	return trace, sys, err
+}
+
 // divergenceContextLen bounds the observed-event window kept with a
 // divergence diagnosis.
 const divergenceContextLen = 8
@@ -361,12 +381,7 @@ func (r *Runner) RunSchedule(s Schedule) (v Verdict) {
 			obs.Int("deliveredFrames", int64(v.DeliveredFrames)),
 			obs.Int("modelStates", int64(v.ModelStates)))
 	}()
-	maxDur := r.MaxDuration
-	if maxDur <= 0 {
-		maxDur = 20 * time.Second
-	}
-	deadline := time.Now().Add(maxDur)
-
+	deadline := r.deadline()
 	sres, err := r.simulate(s, deadline)
 	for _, a := range sres.applied {
 		v.AppliedOps = append(v.AppliedOps, a.op.String())
@@ -389,12 +404,10 @@ func (r *Runner) RunSchedule(s Schedule) (v Verdict) {
 	v.Budgets = deriveBudgets(sres.applied)
 
 	trace, err := r.projector.Trace(sres.trace)
-	if err != nil {
-		v.Kind = InterpreterError
-		v.Detail = err.Error()
-		return v
+	var sys *ota.System
+	if err == nil {
+		sys, err = r.model(s.Variant, v.Budgets)
 	}
-	sys, err := r.model(s.Variant, v.Budgets)
 	if err != nil {
 		v.Kind = InterpreterError
 		v.Detail = err.Error()
@@ -404,9 +417,6 @@ func (r *Runner) RunSchedule(s Schedule) (v Verdict) {
 	checker := refine.NewChecker(sys.Model.Env, sys.Model.Ctx)
 	checker.MaxStates = r.MaxStates
 	checker.Obs = r.Obs
-	// The shared cache persists each model term's transition list across
-	// schedules, so a campaign expands the reference model once.
-	checker.Cache = r.ltsCache
 	remaining := time.Until(deadline)
 	if remaining <= 0 {
 		v.Kind = BudgetExceeded

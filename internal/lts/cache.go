@@ -54,9 +54,6 @@ type Cache struct {
 	lru       *list.List // of cacheKey; front = most recently used
 	curStates int64      // sum of states over LRU-tracked entries
 
-	tmu   sync.RWMutex
-	trans map[transKey][]csp.Transition
-
 	hits          atomic.Int64
 	misses        atomic.Int64
 	coalesces     atomic.Int64
@@ -95,19 +92,11 @@ type normEntry struct {
 	norm *Normalized
 }
 
-// transKey identifies one term's transition list within a semantics.
-type transKey struct {
-	env  *csp.Env
-	ctx  *csp.Context
-	proc string
-}
-
 // NewCache returns an empty cache.
 func NewCache() *Cache {
 	return &Cache{
 		entries: make(map[cacheKey]*cacheEntry),
 		norms:   make(map[*LTS]*normEntry),
-		trans:   make(map[transKey][]csp.Transition),
 	}
 }
 
@@ -223,32 +212,6 @@ func (c *Cache) Normalize(l *LTS) *Normalized {
 	c.mu.Unlock()
 	e.once.Do(func() { e.norm = Normalize(l) })
 	return e.norm
-}
-
-// Transitions memoizes one term's transition list across checks — the
-// on-the-fly trace checker's analogue of a cached exploration: a
-// campaign re-checking traces against the same model re-expands the
-// same terms once per schedule otherwise. key must be p.Key() (callers
-// always have it already, so it is taken as an argument rather than
-// recomputed). The returned slice is shared and must not be mutated.
-// Errors are not cached; the semantics is deterministic, so a failing
-// term simply fails again on retry.
-func (c *Cache) Transitions(sem *csp.Semantics, key string, p csp.Process) ([]csp.Transition, error) {
-	tk := transKey{env: sem.Env, ctx: sem.Ctx, proc: key}
-	c.tmu.RLock()
-	ts, ok := c.trans[tk]
-	c.tmu.RUnlock()
-	if ok {
-		return ts, nil
-	}
-	ts, err := sem.Transitions(p)
-	if err != nil {
-		return nil, err
-	}
-	c.tmu.Lock()
-	c.trans[tk] = ts
-	c.tmu.Unlock()
-	return ts, nil
 }
 
 // Stats reports cache effectiveness: hits is the number of Explore

@@ -112,26 +112,6 @@ func TestCacheNormalizeMemoized(t *testing.T) {
 	}
 }
 
-func TestCacheTransitionsMemoized(t *testing.T) {
-	sem := testSem(t)
-	p := csp.ExtChoice(csp.DoEvent("a", csp.Stop()), csp.DoEvent("b", csp.Stop()))
-	c := NewCache()
-	ts1, err := c.Transitions(sem, p.Key(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2, err := c.Transitions(sem, p.Key(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ts1) != 2 || len(ts2) != 2 {
-		t.Fatalf("transition counts %d/%d, want 2/2", len(ts1), len(ts2))
-	}
-	if &ts1[0] != &ts2[0] {
-		t.Error("Transitions recomputed for the same term")
-	}
-}
-
 // TestCacheConcurrentExploreSingleFlight hammers one key from many
 // goroutines: exactly one exploration must run, and every caller must
 // see the same result. Run under -race this also validates the locking.

@@ -1,7 +1,10 @@
 package lts
 
 import (
+	"fmt"
+
 	"repro/internal/csp"
+	"repro/internal/statestore"
 )
 
 // Compiled semantics. Exploration does not re-derive a product state's
@@ -18,7 +21,42 @@ import (
 // Each combinator emits exactly the transitions, in exactly the order,
 // that csp.Semantics computes for the whole term, so the LTS is
 // byte-identical to the reference engine's. The memo lives and dies
-// with one Explore call and is single-threaded.
+// with one Explore call, or with one Compiled, and is single-threaded.
+
+// Compiled is the compiled semantics as a standalone memo, for checkers
+// that walk process terms on the fly instead of building an LTS
+// (refine.AcceptsTrace). It has its own interner, so its TermIDs and
+// event IDs mean nothing to any other memo.
+type Compiled struct{ c *compiler }
+
+// Compile returns an empty memo over sem.
+func Compile(sem *csp.Semantics) *Compiled {
+	return &Compiled{newCompiler(sem, csp.NewInterner(statestore.NewMem()))}
+}
+
+// Intern returns the TermID of a process term.
+func (m *Compiled) Intern(p csp.Process) csp.TermID { return m.c.intern(p) }
+
+// Event returns the compiled ID of an event: the ID of every Step that
+// performs it. Interned identity matches csp.Event.Equal.
+func (m *Compiled) Event(ev csp.Event) int32 { return m.c.event(ev) }
+
+// EventOf returns the event with compiled ID id.
+func (m *Compiled) EventOf(id int32) csp.Event { return m.c.events[id] }
+
+// Steps returns the transitions of a TermID from Intern or a Step, in
+// csp.Semantics order, computing them on first use; the slice is shared
+// and must not be modified. An evaluation error names the term by Key().
+func (m *Compiled) Steps(id csp.TermID) ([]Step, error) {
+	steps, err := m.c.trans(id)
+	if err != nil {
+		return nil, fmt.Errorf("transitions of %s: %w", m.c.nodes[id].proc.Key(), err)
+	}
+	return steps, nil
+}
+
+// Memo reports how many transition lookups hit the memo and missed it.
+func (m *Compiled) Memo() (hits, misses int64) { return m.c.hits, m.c.misses }
 
 // transitionSource evaluates leaf terms. *csp.Semantics is the
 // production implementation; tests substitute failing or panicking fakes.
@@ -37,11 +75,11 @@ const (
 	opSeq
 )
 
-// ctrans is one memoized transition: a compiled event ID (TauID, TickID,
+// Step is one memoized transition: a compiled event ID (TauID, TickID,
 // or a dense visible-event ID) and the successor's TermID.
-type ctrans struct {
-	ev int32
-	to csp.TermID
+type Step struct {
+	Ev int32
+	To csp.TermID
 }
 
 // cnode is the compiled form of one interned process node, indexed by
@@ -71,7 +109,7 @@ type compiler struct {
 	leaf  transitionSource
 	in    *csp.Interner
 	nodes []cnode
-	arena []ctrans
+	arena []Step
 
 	events  []csp.Event // compiled event ID -> event
 	ltsID   []int32     // compiled event ID -> LTS event ID + 1, 0 until on an edge
@@ -99,7 +137,7 @@ func newCompiler(leaf transitionSource, in *csp.Interner) *compiler {
 		ltsID:   []int32{TauID + 1, TickID + 1},
 		eventOf: map[csp.TermID]int32{},
 		memoOf:  map[csp.TermID]int32{},
-		arena:   make([]ctrans, 1),
+		arena:   make([]Step, 1),
 	}
 	c.omega = c.intern(csp.OmegaProc{})
 	return c
@@ -248,7 +286,7 @@ func (c *compiler) renamed(m, ev int32) int32 {
 // trans returns the memoized transitions of process node id, computing
 // them on first use. The returned slice is shared and must not be
 // modified.
-func (c *compiler) trans(id csp.TermID) ([]ctrans, error) {
+func (c *compiler) trans(id csp.TermID) ([]Step, error) {
 	if n := &c.nodes[id]; n.off != 0 {
 		c.hits++
 		return c.arena[n.off : n.off+n.n : n.off+n.n], nil
@@ -257,7 +295,7 @@ func (c *compiler) trans(id csp.TermID) ([]ctrans, error) {
 	n := c.nodes[id]
 	// Children are computed before this node's run starts, so the run is
 	// contiguous; their runs stay valid when the arena grows.
-	var lt, rt []ctrans
+	var lt, rt []Step
 	var err error
 	if n.op != opLeaf {
 		if lt, err = c.trans(n.a); err != nil {
@@ -276,44 +314,44 @@ func (c *compiler) trans(id csp.TermID) ([]ctrans, error) {
 	case opHide:
 		for _, t := range lt {
 			switch {
-			case t.ev == TickID:
+			case t.Ev == TickID:
 				c.emit(TickID, c.omega)
-			case c.inSet(n.aux, t.ev):
-				c.emit(TauID, c.node(opHide, t.to, 0, n.aux, nil))
+			case c.inSet(n.aux, t.Ev):
+				c.emit(TauID, c.node(opHide, t.To, 0, n.aux, nil))
 			default:
-				c.emit(t.ev, c.node(opHide, t.to, 0, n.aux, nil))
+				c.emit(t.Ev, c.node(opHide, t.To, 0, n.aux, nil))
 			}
 		}
 	case opRename:
 		for _, t := range lt {
-			if t.ev == TickID {
+			if t.Ev == TickID {
 				c.emit(TickID, c.omega)
 			} else {
-				c.emit(c.renamed(n.aux, t.ev), c.node(opRename, t.to, 0, n.aux, nil))
+				c.emit(c.renamed(n.aux, t.Ev), c.node(opRename, t.To, 0, n.aux, nil))
 			}
 		}
 	case opExt:
 		// Tau does not resolve external choice; every other move keeps
 		// the chosen branch's successor.
 		for _, t := range lt {
-			if t.ev == TauID {
-				t.to = c.node(opExt, t.to, n.b, 0, nil)
+			if t.Ev == TauID {
+				t.To = c.node(opExt, t.To, n.b, 0, nil)
 			}
 			c.arena = append(c.arena, t)
 		}
 		for _, t := range rt {
-			if t.ev == TauID {
-				t.to = c.node(opExt, n.a, t.to, 0, nil)
+			if t.Ev == TauID {
+				t.To = c.node(opExt, n.a, t.To, 0, nil)
 			}
 			c.arena = append(c.arena, t)
 		}
 	case opSeq:
 		// Termination of the first component is internal to P;Q.
 		for _, t := range lt {
-			if t.ev == TickID {
+			if t.Ev == TickID {
 				c.emit(TauID, n.b)
 			} else {
-				c.emit(t.ev, c.node(opSeq, t.to, n.b, 0, nil))
+				c.emit(t.Ev, c.node(opSeq, t.To, n.b, 0, nil))
 			}
 		}
 	default:
@@ -332,32 +370,32 @@ func (c *compiler) trans(id csp.TermID) ([]ctrans, error) {
 }
 
 func (c *compiler) emit(ev int32, to csp.TermID) {
-	c.arena = append(c.arena, ctrans{ev: ev, to: to})
+	c.arena = append(c.arena, Step{Ev: ev, To: to})
 }
 
 // parTrans mirrors csp's parTransitions: unsynchronised moves of the
 // left then the right component, then synchronised pairs in left-major
 // order — matched through an event-ID index over the right component —
 // then distributed termination.
-func (c *compiler) parTrans(n cnode, lt, rt []ctrans) {
+func (c *compiler) parTrans(n cnode, lt, rt []Step) {
 	s := n.aux
 	leftTick, rightTick, sync := false, false, false
 	for _, t := range lt {
 		switch {
-		case t.ev == TickID:
+		case t.Ev == TickID:
 			leftTick = true
-		case t.ev == TauID || !c.inSet(s, t.ev):
-			c.emit(t.ev, c.node(opPar, t.to, n.b, s, nil))
+		case t.Ev == TauID || !c.inSet(s, t.Ev):
+			c.emit(t.Ev, c.node(opPar, t.To, n.b, s, nil))
 		default:
 			sync = true
 		}
 	}
 	for _, t := range rt {
 		switch {
-		case t.ev == TickID:
+		case t.Ev == TickID:
 			rightTick = true
-		case t.ev == TauID || !c.inSet(s, t.ev):
-			c.emit(t.ev, c.node(opPar, n.a, t.to, s, nil))
+		case t.Ev == TauID || !c.inSet(s, t.Ev):
+			c.emit(t.Ev, c.node(opPar, n.a, t.To, s, nil))
 		}
 	}
 	if sync {
@@ -369,20 +407,20 @@ func (c *compiler) parTrans(n cnode, lt, rt []ctrans) {
 		}
 		head, next := c.syncHead, c.syncNext[:len(rt)]
 		for j := len(rt) - 1; j >= 0; j-- {
-			if ev := rt[j].ev; ev > TickID && c.inSet(s, ev) {
+			if ev := rt[j].Ev; ev > TickID && c.inSet(s, ev) {
 				next[j], head[ev] = head[ev], int32(j)
 			}
 		}
 		for _, t := range lt {
-			if t.ev > TickID && c.inSet(s, t.ev) {
-				for j := head[t.ev]; j >= 0; j = next[j] {
-					c.emit(t.ev, c.node(opPar, t.to, rt[j].to, s, nil))
+			if t.Ev > TickID && c.inSet(s, t.Ev) {
+				for j := head[t.Ev]; j >= 0; j = next[j] {
+					c.emit(t.Ev, c.node(opPar, t.To, rt[j].To, s, nil))
 				}
 			}
 		}
 		for _, t := range rt {
-			if t.ev > TickID {
-				head[t.ev] = -1
+			if t.Ev > TickID {
+				head[t.Ev] = -1
 			}
 		}
 	}

@@ -373,11 +373,11 @@ func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, er
 		}
 		edges := e.edges(len(trs))
 		for i, t := range trs {
-			to, err := e.add(t.to)
+			to, err := e.add(t.To)
 			if err != nil {
 				return nil, err
 			}
-			edges[i] = Edge{Ev: e.eventID(t.ev), To: to}
+			edges[i] = Edge{Ev: e.eventID(t.Ev), To: to}
 		}
 		e.l.Edges[merged] = edges
 		e.ltsBytes += int64(len(edges)) * ltsEdgeBytes
@@ -449,7 +449,7 @@ func (e *exploration) edges(n int) []Edge {
 // long-lived server must survive a malformed term that a batch CLI
 // would crash on. The key render on the error path is the only place
 // exploration builds a canonical string.
-func (e *exploration) expand(s int) (trs []ctrans, err error) {
+func (e *exploration) expand(s int) (trs []Step, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			trs = nil

@@ -19,6 +19,38 @@ func testSem(t *testing.T) *csp.Semantics {
 	return csp.NewSemantics(csp.NewEnv(), ctx)
 }
 
+// TestCompiledStepsMemoized pins the standalone memo the on-the-fly
+// trace checker walks: a term's transitions are computed once, carry
+// compiled event IDs that map back to the semantics' events, and lead
+// to TermIDs whose terms are the semantics' successors.
+func TestCompiledStepsMemoized(t *testing.T) {
+	sem := testSem(t)
+	p := csp.ExtChoice(csp.DoEvent("a", csp.Stop()), csp.DoEvent("b", csp.Skip()))
+	m := Compile(sem)
+	id := m.Intern(p)
+	s1, err := m.Steps(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, misses := m.Memo()
+	s2, err := m.Steps(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s1) != 2 || len(s2) != 2 || &s1[0] != &s2[0] {
+		t.Fatalf("steps %v then %v, want one memoized pair", s1, s2)
+	}
+	if hits, again := m.Memo(); again != misses || hits == 0 {
+		t.Errorf("second lookup: %d hits, %d misses (was %d), want a hit", hits, again, misses)
+	}
+	if ev := m.EventOf(s1[1].Ev); ev.String() != "b" || m.Event(csp.Ev("b")) != s1[1].Ev {
+		t.Errorf("event %d is %s, want b", s1[1].Ev, ev)
+	}
+	if k := m.c.nodes[s1[1].To].proc.Key(); k != csp.Skip().Key() {
+		t.Errorf("successor %s, want SKIP", k)
+	}
+}
+
 func TestExploreSimplePrefixChain(t *testing.T) {
 	sem := testSem(t)
 	p := csp.DoEvent("a", csp.DoEvent("b", csp.Stop()))

@@ -93,7 +93,8 @@ type Checker struct {
 	// each other's spec and impl LTSs — the campaign-scale win: a spec
 	// explored for one assertion is free for every later assertion. The
 	// cache is safe for concurrent use, so checkers running in parallel
-	// may share it.
+	// may share it. AcceptsTrace does not use it: each trace check
+	// compiles the terms its trace reaches into a memo of its own.
 	Cache *lts.Cache
 	// Obs receives per-check spans (one per assertion, with phase child
 	// spans) and metrics, and is threaded into the underlying

@@ -1,11 +1,12 @@
 package refine
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
 	"repro/internal/csp"
+	"repro/internal/lts"
+	"repro/internal/obs"
 )
 
 // TraceCheck is the outcome of an on-the-fly trace-membership check: is
@@ -34,167 +35,155 @@ type TraceCheck struct {
 // extracted model have produced this observed event sequence?". The
 // checker's MaxStates and MaxDuration budgets apply; exhausting either
 // returns a *BudgetError ("trace" / "trace-deadline" phase).
-func (c *Checker) AcceptsTrace(p csp.Process, t csp.Trace) (TraceCheck, error) {
+//
+// The check walks the compiled semantics (lts.Compile): terms are
+// TermIDs with transitions memoized per call, events match by compiled
+// ID, and strings are rendered only for Allowed and error messages.
+func (c *Checker) AcceptsTrace(p csp.Process, t csp.Trace) (res TraceCheck, err error) {
 	maxStates := c.MaxStates
 	if maxStates <= 0 {
 		maxStates = 1 << 20
 	}
 	deadline := c.deadline()
+	m := lts.Compile(c.Sem)
 
-	// visited interns process terms across the whole check so a tau-rich
-	// model cannot re-expand the same term once per trace event, and
-	// trans memoizes each term's transition list — cyclic protocols
-	// revisit the same states once per protocol round, and recomputing
-	// operational semantics per round dominates the check otherwise.
-	// With a shared Cache the memo additionally persists across checks,
-	// so a campaign expands each model term once, not once per schedule;
-	// the local map stays as a lock-free first level.
-	visited := map[string]bool{}
-	trans := map[string][]csp.Transition{}
-	transitions := func(key string, p csp.Process) ([]csp.Transition, error) {
-		if ts, ok := trans[key]; ok {
-			return ts, nil
-		}
-		var ts []csp.Transition
-		var err error
-		if c.Cache != nil {
-			ts, err = c.Cache.Transitions(c.Sem, key, p)
-		} else {
-			ts, err = c.Sem.Transitions(p)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("transitions of %s: %w", key, err)
-		}
-		trans[key] = ts
-		return ts, nil
+	// mark holds, per TermID, the last pass (frontier construction) that
+	// reached the term, 0 if none. A term is charged against MaxStates
+	// when a pass first reaches it: a visible step's successors as they
+	// are interned, so one wide step cannot overshoot the budget.
+	var mark []uint32
+	var pass uint32
+	states, probes := 0, 0
+	if c.Obs != nil {
+		span := c.Obs.StartSpan("refine.trace", obs.Int("events", int64(len(t))))
+		defer func() {
+			hits, misses := m.Memo()
+			span.End(obs.String("verdict", verdictOf(Result{Holds: res.Accepted}, err)),
+				obs.Int("states", int64(states)), obs.Int("memo.hits", hits), obs.Int("memo.misses", misses))
+			c.Obs.Counter("refine.trace.states").Add(int64(states))
+		}()
 	}
-	probes := 0
 	budgetErr := func(phase string, limit int) *BudgetError {
-		return &BudgetError{Phase: phase, Explored: len(visited), Limit: limit}
+		return &BudgetError{Phase: phase, Explored: states, Limit: limit}
+	}
+	// reach reports whether the current pass reaches id for the first time.
+	reach := func(id csp.TermID) (bool, error) {
+		if int(id) >= len(mark) {
+			mark = append(mark, make([]uint32, int(id)+1-len(mark))...)
+		}
+		switch mark[id] {
+		case pass:
+			return false, nil
+		case 0:
+			if states++; states > maxStates {
+				return false, budgetErr("trace", maxStates)
+			}
+		}
+		mark[id] = pass
+		return true, nil
+	}
+	// expand returns the transitions of a frontier term, probing the
+	// wall clock first: the closure and the visible step both probe, so
+	// neither a tau-rich nor a wide tau-free model ignores MaxDuration.
+	expand := func(id csp.TermID) ([]lts.Step, error) {
+		probes++
+		if !deadline.IsZero() && probes%deadlineCheckInterval == 0 &&
+			time.Now().After(deadline) {
+			return nil, budgetErr("trace-deadline", int(c.MaxDuration/time.Millisecond))
+		}
+		return m.Steps(id)
 	}
 
-	// closure expands a set of terms to its tau-closure, returning the
+	// closure expands seed to its tau-closure in out, returning the
 	// stable frontier (every term, whether or not it has tau moves, can
 	// also offer visible events).
-	type frontierEntry struct {
-		key  string
-		proc csp.Process
-	}
-	closure := func(seed []frontierEntry) ([]frontierEntry, error) {
-		out := make([]frontierEntry, 0, len(seed))
-		seen := map[string]bool{}
-		stack := append([]frontierEntry(nil), seed...)
+	var stack []csp.TermID
+	closure := func(seed, out []csp.TermID) ([]csp.TermID, error) {
+		pass++
+		stack = append(stack[:0], seed...)
 		for len(stack) > 0 {
 			cur := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if seen[cur.key] {
+			if fresh, err := reach(cur); !fresh {
+				if err != nil {
+					return nil, err
+				}
 				continue
 			}
-			seen[cur.key] = true
 			out = append(out, cur)
-			if !visited[cur.key] {
-				visited[cur.key] = true
-				if len(visited) > maxStates {
-					return nil, budgetErr("trace", maxStates)
-				}
-			}
-			probes++
-			if !deadline.IsZero() && probes%deadlineCheckInterval == 0 &&
-				time.Now().After(deadline) {
-				return nil, budgetErr("trace-deadline", int(c.MaxDuration/time.Millisecond))
-			}
-			trs, err := transitions(cur.key, cur.proc)
+			steps, err := expand(cur)
 			if err != nil {
 				return nil, err
 			}
-			for _, tr := range trs {
-				if tr.Ev.IsTau() {
-					k := tr.To.Key()
-					if !seen[k] {
-						stack = append(stack, frontierEntry{key: k, proc: tr.To})
-					}
+			for _, s := range steps {
+				if s.Ev == lts.TauID {
+					stack = append(stack, s.To)
 				}
 			}
 		}
 		return out, nil
 	}
 
-	frontier, err := closure([]frontierEntry{{key: p.Key(), proc: p}})
+	frontier, err := closure([]csp.TermID{m.Intern(p)}, nil)
 	if err != nil {
 		return TraceCheck{}, err
 	}
-
+	var next []csp.TermID
 	for i, ev := range t {
-		var next []frontierEntry
-		nextSeen := map[string]bool{}
-		allowed := map[string]csp.Event{}
-		for _, fe := range frontier {
-			// Probe the wall clock here too: a wide tau-free model does
-			// all of its work in this loop, and without a probe it would
-			// ignore MaxDuration entirely (the closure probe only fires
-			// once per frontier entry it pops).
-			probes++
-			if !deadline.IsZero() && probes%deadlineCheckInterval == 0 &&
-				time.Now().After(deadline) {
-				return TraceCheck{}, budgetErr("trace-deadline", int(c.MaxDuration/time.Millisecond))
-			}
-			trs, err := transitions(fe.key, fe.proc)
+		want := m.Event(ev)
+		pass++
+		next = next[:0]
+		for _, id := range frontier {
+			steps, err := expand(id)
 			if err != nil {
 				return TraceCheck{}, err
 			}
-			for _, tr := range trs {
-				if tr.Ev.IsTau() {
-					continue
-				}
-				allowed[tr.Ev.String()] = tr.Ev
-				if !tr.Ev.Equal(ev) {
-					continue
-				}
-				k := tr.To.Key()
-				if !nextSeen[k] {
-					nextSeen[k] = true
-					// Charge the state budget at first intern, not at the
-					// next closure call: MaxStates then bounds the next
-					// frontier as it is built (a huge branching step can
-					// no longer materialize unbounded terms before the
-					// closure charges them) and Explored stays exact.
-					if !visited[k] {
-						visited[k] = true
-						if len(visited) > maxStates {
-							return TraceCheck{}, budgetErr("trace", maxStates)
-						}
+			for _, s := range steps {
+				if s.Ev == want && want != lts.TauID {
+					fresh, err := reach(s.To)
+					if err != nil {
+						return TraceCheck{}, err
 					}
-					next = append(next, frontierEntry{key: k, proc: tr.To})
+					if fresh {
+						next = append(next, s.To)
+					}
 				}
 			}
 		}
 		if len(next) == 0 {
 			bad := ev
-			return TraceCheck{
-				FailedAt: i,
-				BadEvent: &bad,
-				Allowed:  sortedEvents(allowed),
-				States:   len(visited),
-			}, nil
+			return TraceCheck{FailedAt: i, BadEvent: &bad, Allowed: offered(m, frontier), States: states}, nil
 		}
-		frontier, err = closure(next)
-		if err != nil {
+		if frontier, err = closure(next, frontier[:0]); err != nil {
 			return TraceCheck{}, err
 		}
 	}
-	return TraceCheck{Accepted: true, FailedAt: -1, States: len(visited)}, nil
+	return TraceCheck{Accepted: true, FailedAt: -1, States: states}, nil
 }
 
+// offered is the failure diagnosis: the visible events a frontier
+// offers, by rendering. Every frontier term's steps are memoized.
+func offered(m *lts.Compiled, frontier []csp.TermID) []csp.Event {
+	byName := map[string]csp.Event{}
+	for _, id := range frontier {
+		steps, _ := m.Steps(id)
+		for _, s := range steps {
+			if s.Ev != lts.TauID {
+				ev := m.EventOf(s.Ev)
+				byName[ev.String()] = ev
+			}
+		}
+	}
+	return sortedEvents(byName)
+}
+
+// sortedEvents lists a diagnosis in rendering order, which keeps
+// conformance reports byte-identical.
 func sortedEvents(m map[string]csp.Event) []csp.Event {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	out := make([]csp.Event, 0, len(m))
+	for _, ev := range m {
+		out = append(out, ev)
 	}
-	// Deterministic order keeps conformance reports byte-identical.
-	sort.Strings(keys)
-	out := make([]csp.Event, len(keys))
-	for i, k := range keys {
-		out[i] = m[k]
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	return out
 }
