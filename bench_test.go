@@ -25,7 +25,6 @@ import (
 	"repro/internal/lts"
 	"repro/internal/ota"
 	"repro/internal/refine"
-	"repro/internal/statestore"
 	"repro/internal/translate"
 )
 
@@ -291,10 +290,9 @@ func BenchmarkCSPMLoad(b *testing.B) {
 
 // BenchmarkExplore measures LTS construction for the composed lossy
 // system (the largest state space of the case study). The variants
-// build byte-identical LTSs: the frozen string-keyed reference engine
-// (stringkeys), the compiled sequential explorer (seq), the same with
-// the visited index on disk (spill), and with a checkpoint written
-// after every BFS level (checkpoint).
+// build byte-identical LTSs: the compiled sequential explorer (seq),
+// and the same with a checkpoint written after every BFS level
+// (checkpoint).
 func BenchmarkExplore(b *testing.B) {
 	sys, err := ota.BuildLossy(ota.HardenedGateway, ota.DefaultLossBudget)
 	if err != nil {
@@ -302,20 +300,6 @@ func BenchmarkExplore(b *testing.B) {
 	}
 	sem := csp.NewSemantics(sys.Model.Env, sys.Model.Ctx)
 	system := csp.Call("SYSTEML")
-	// The frozen string-keyed reference engine prices what term
-	// interning replaced: every visited-set probe rendered the state's
-	// full canonical key string.
-	b.Run("stringkeys", func(b *testing.B) {
-		states := 0
-		for i := 0; i < b.N; i++ {
-			l, err := lts.ExploreReference(sem, system, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			states = l.NumStates()
-		}
-		b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
-	})
 	b.Run("seq", func(b *testing.B) {
 		states := 0
 		for i := 0; i < b.N; i++ {
@@ -324,26 +308,6 @@ func BenchmarkExplore(b *testing.B) {
 				b.Fatal(err)
 			}
 			states = l.NumStates()
-		}
-		b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
-	})
-	// The spill variant prices memory-pressure mode: the visited index
-	// lives in hash-sharded disk files from the first state (watermark
-	// 0), the worst case of the disk store. The LTS is byte-identical to
-	// the in-memory run.
-	b.Run("spill", func(b *testing.B) {
-		dir := b.TempDir()
-		states := 0
-		for i := 0; i < b.N; i++ {
-			st := statestore.NewSpill(statestore.SpillConfig{Dir: dir, SoftMemBytes: 0})
-			l, err := lts.Explore(sem, system, lts.Options{Store: st})
-			if err != nil {
-				b.Fatal(err)
-			}
-			states = l.NumStates()
-			if err := st.Close(); err != nil {
-				b.Fatal(err)
-			}
 		}
 		b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
 	})

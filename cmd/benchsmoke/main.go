@@ -18,17 +18,11 @@
 // default) or skips the comparison with a logged reason
 // (-gate-procs-mismatch skip) — it is never compared silently.
 //
-// A further gate compares measurements within the fresh run, so it
-// holds on any host without a committed reference: -gate-intern F
-// requires Explore/seq to beat Explore/stringkeys (the frozen
-// string-keyed reference engine) by at least F in states/s.
-//
 // Usage:
 //
 //	benchsmoke [-o BENCH_refine.json] [-bench regexp] [-benchtime 2s|10x]
 //	           [-gate BENCH_refine.json] [-gate-factor 2]
 //	           [-gate-procs-mismatch fail|skip]
-//	           [-gate-intern F]
 //	           [-metrics] [-tracefile trace.jsonl] [-progress]
 package main
 
@@ -53,7 +47,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/ota"
 	"repro/internal/refine"
-	"repro/internal/statestore"
 )
 
 // Measurement is one benchmark result.
@@ -86,7 +79,6 @@ type runConfig struct {
 	gatePath      string    // reference BENCH_refine.json; empty disables the gate
 	gateFactor    float64   // max allowed fresh/reference ns/op ratio
 	procsMismatch string    // "fail" or "skip" when reference goMaxProcs differs
-	internFloor   float64   // min Explore/seq vs Explore/stringkeys states/s ratio; 0 disables
 	obs           obs.Flags // -metrics / -tracefile / -progress
 }
 
@@ -98,7 +90,6 @@ func main() {
 	flag.StringVar(&cfg.gatePath, "gate", "", "reference BENCH_refine.json to gate against (empty: no gate)")
 	flag.Float64Var(&cfg.gateFactor, "gate-factor", 2, "fail when fresh ns/op exceeds the reference by more than this factor")
 	flag.StringVar(&cfg.procsMismatch, "gate-procs-mismatch", "fail", `"fail" or "skip" the -gate comparison when the reference was captured at a different GOMAXPROCS`)
-	flag.Float64Var(&cfg.internFloor, "gate-intern", 0, "fail unless Explore/seq beats Explore/stringkeys by this states/s factor (0: no gate)")
 	cfg.obs.AddFlags(flag.CommandLine)
 	flag.Parse()
 	if err := run(cfg, os.Stdout); err != nil {
@@ -187,48 +178,6 @@ func run(cfg runConfig, stdout io.Writer) error {
 			return err
 		}
 	}
-	if cfg.internFloor > 0 {
-		if err := checkInternGate(ms, cfg.internFloor, stdout); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// statesPerSec returns the states/s metric of the named measurement.
-func statesPerSec(ms []Measurement, name string) (float64, error) {
-	for _, m := range ms {
-		if m.Name == name {
-			if m.StatesPerSec <= 0 {
-				return 0, fmt.Errorf("%s has no states/s metric", name)
-			}
-			return m.StatesPerSec, nil
-		}
-	}
-	return 0, fmt.Errorf("%s was not measured (check -bench)", name)
-}
-
-// checkInternGate pins the interned-representation win within a single
-// run: the production sequential engine must beat the frozen
-// string-keyed reference engine by at least floor in states/s. Both
-// sides run in the same process on the same host, so this gate needs no
-// committed reference and holds on single-core runners.
-func checkInternGate(ms []Measurement, floor float64, stdout io.Writer) error {
-	strk, err := statesPerSec(ms, "Explore/stringkeys")
-	if err != nil {
-		return fmt.Errorf("intern gate: %w", err)
-	}
-	seq, err := statesPerSec(ms, "Explore/seq")
-	if err != nil {
-		return fmt.Errorf("intern gate: %w", err)
-	}
-	ratio := seq / strk
-	fmt.Fprintf(stdout, "gate: intern %.0f vs %.0f states/s (%.2fx, floor %.2fx)\n",
-		seq, strk, ratio, floor)
-	if ratio < floor {
-		return fmt.Errorf("intern gate failed: Explore/seq %.0f states/s is only %.2fx of Explore/stringkeys %.0f (floor %.2fx)",
-			seq, ratio, strk, floor)
-	}
 	return nil
 }
 
@@ -297,11 +246,10 @@ type namedBench struct {
 }
 
 // suite builds the benchmark list: exploration of the largest
-// case-study state space (against the string-keyed reference engine
-// and with a disk-backed visited index), a full refinement check (cold
-// vs cached), the soak's trace-membership check, and the
-// fault-injection campaign (sequential vs parallel scenarios). The
-// observer (nil when disabled) is threaded through every layer so
+// case-study state space (plain and checkpointing every level), a full
+// refinement check (cold vs cached), the soak's trace-membership check,
+// and the fault-injection campaign (sequential vs parallel scenarios).
+// The observer (nil when disabled) is threaded through every layer so
 // -metrics aggregates the whole suite.
 func suite(o *obs.Observer) ([]namedBench, error) {
 	lossy, err := ota.BuildLossy(ota.HardenedGateway, ota.DefaultLossBudget)
@@ -318,20 +266,6 @@ func suite(o *obs.Observer) ([]namedBench, error) {
 	spec := plain.Model.Asserts[ota.AssertR02].Spec
 	impl := plain.Model.Asserts[ota.AssertR02].Impl
 
-	exploreStringKeys := func(b *testing.B) {
-		// The frozen string-keyed engine prices what term interning
-		// replaced: every visited-set probe rendered the state's full
-		// canonical key string. Within-run baseline for -gate-intern.
-		states := 0
-		for i := 0; i < b.N; i++ {
-			l, err := lts.ExploreReference(sem, system, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			states = l.NumStates()
-		}
-		b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
-	}
 	explore := func(b *testing.B) {
 		states := 0
 		for i := 0; i < b.N; i++ {
@@ -366,29 +300,6 @@ func suite(o *obs.Observer) ([]namedBench, error) {
 				}
 			}
 		}
-	}
-	exploreSpill := func(b *testing.B) {
-		// Memory-pressure mode, worst case: the visited index is
-		// hash-sharded onto disk from the first state (watermark 0). The
-		// LTS must come out byte-identical to the in-memory runs above.
-		dir, err := os.MkdirTemp("", "benchsmoke-spill-*")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		states := 0
-		for i := 0; i < b.N; i++ {
-			st := statestore.NewSpill(statestore.SpillConfig{Dir: dir, SoftMemBytes: 0, Obs: o})
-			l, err := lts.Explore(sem, system, lts.Options{Store: st, Obs: o})
-			if err != nil {
-				b.Fatal(err)
-			}
-			states = l.NumStates()
-			if err := st.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
 	}
 	exploreCheckpoint := func(b *testing.B) {
 		// Crash-safe mode: an atomic snapshot after every BFS level, each
@@ -463,9 +374,7 @@ func suite(o *obs.Observer) ([]namedBench, error) {
 	primed := lts.NewCache()
 	primed.Obs = o
 	return []namedBench{
-		{"Explore/stringkeys", exploreStringKeys},
 		{"Explore/seq", explore},
-		{"Explore/spill", exploreSpill},
 		{"Explore/checkpoint", exploreCheckpoint},
 		{"Refines/cold", refines(nil)},
 		{"Refines/cached", refines(primed)},

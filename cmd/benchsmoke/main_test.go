@@ -168,22 +168,3 @@ func TestGateProcsMismatch(t *testing.T) {
 		t.Errorf("skip not logged with a reason:\n%s", stdout.String())
 	}
 }
-
-// TestInternGate covers the within-run interning gate: the production
-// engine must beat the string-keyed reference engine.
-func TestInternGate(t *testing.T) {
-	ms := []Measurement{
-		{Name: "Explore/stringkeys", NsPerOp: 300, StatesPerSec: 1000},
-		{Name: "Explore/seq", NsPerOp: 100, StatesPerSec: 3000},
-	}
-	var stdout bytes.Buffer
-	if err := checkInternGate(ms, 2, &stdout); err != nil {
-		t.Errorf("3x interning win failed a 2x floor: %v", err)
-	}
-	if err := checkInternGate(ms, 4, &stdout); err == nil {
-		t.Error("3x interning win passed a 4x floor")
-	}
-	if err := checkInternGate(ms[1:], 2, &stdout); err == nil {
-		t.Error("missing Explore/stringkeys measurement accepted")
-	}
-}

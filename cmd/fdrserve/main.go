@@ -26,9 +26,8 @@
 // writes, explorations checkpoint per BFS level, and a daemon killed
 // outright (SIGKILL, OOM) re-enqueues its unfinished jobs at the next
 // boot and resumes them from their checkpoints — the eventual verdicts
-// are byte-identical to an uninterrupted run. -soft-mem bounds resident
-// exploration memory by spilling visited state to disk; -max-mem turns
-// runaway checks into structured budget:memory verdicts.
+// are byte-identical to an uninterrupted run. -max-mem turns runaway
+// checks into structured budget:memory verdicts.
 package main
 
 import (
@@ -69,8 +68,7 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	cacheStates := fs.Int("cache-states", 0, "model-store state watermark (0 = 8x max-states)")
 	cacheEntries := fs.Int("cache-entries", 0, "model-store entry watermark (0 = unbounded entries)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight checks on shutdown")
-	dataDir := fs.String("data-dir", "", "durable state directory: job records, checkpoints and spill shards (empty = jobs are memory-only)")
-	softMem := fs.Int64("soft-mem", 0, "per-exploration soft memory watermark in bytes; past it visited state spills to disk (0 = never spill)")
+	dataDir := fs.String("data-dir", "", "durable state directory: job records and checkpoints (empty = jobs are memory-only)")
 	maxMem := fs.Int64("max-mem", 0, "per-exploration hard memory watermark in bytes; past it the check degrades to a budget:memory verdict (0 = unbounded)")
 	checkpointLevels := fs.Int("checkpoint-levels", 0, "exploration snapshot cadence in BFS levels for durable jobs (0 = every level)")
 	chaos := fs.Bool("chaos", false, "honour X-Chaos-Panic fault-injection headers (testing only)")
@@ -107,7 +105,6 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		EnableChaos:  *chaos,
 
 		DataDir:               *dataDir,
-		SoftMemBytes:          *softMem,
 		MaxMemBytes:           *maxMem,
 		CheckpointEveryLevels: *checkpointLevels,
 	})

@@ -25,7 +25,7 @@ func pick(n int) int { return rand.Intn(n) }
 import "math/rand"
 func pick(n int) int { return rand.Intn(n) } // out of seededrand's scope
 `,
-		"internal/statestore/spill.go": `package statestore
+		"internal/statestore/dump.go": `package statestore
 import "os"
 func dump(path string) {
 	f, _ := os.Create(path)

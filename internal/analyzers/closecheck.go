@@ -8,9 +8,9 @@ import (
 // CloseCheck enforces durable-write hygiene in the persistence paths:
 // for a writable *os.File (os.Create / os.OpenFile / os.CreateTemp),
 // the error from Close or Sync is the only notification the kernel
-// gives that buffered bytes did not reach the disk. Checkpoints, spill
-// shards and durable job records are exactly the files the resume paths
-// trust after a SIGKILL, so silently discarding that error turns a
+// gives that buffered bytes did not reach the disk. Checkpoints and
+// durable job records are exactly the files the resume paths trust
+// after a SIGKILL, so silently discarding that error turns a
 // failed write into a corrupt recovery. A bare `f.Close()` statement or
 // `defer f.Close()` drops the error; `_ = f.Close()` is the explicit
 // opt-out for cleanup paths where the write error has already been
@@ -18,8 +18,8 @@ import (
 var CloseCheck = &Analyzer{
 	Name: "closecheck",
 	Doc: "Close/Sync errors on writable *os.File values must be checked in " +
-		"persistence packages: they are the only signal that a checkpoint, " +
-		"spill shard or job record did not reach the disk. Discard " +
+		"persistence packages: they are the only signal that a checkpoint " +
+		"or job record did not reach the disk. Discard " +
 		"explicitly with `_ = f.Close()` only on cleanup paths whose write " +
 		"error is already reported.",
 	AppliesTo: func(pkgDir string) bool {

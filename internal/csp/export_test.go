@@ -4,8 +4,7 @@ package csp
 // interner and returns that interner's node table. For a table
 // DecodeNodes accepted it must equal the input keys.
 func ReinternKeys(n *Nodes) [][]byte {
-	keys := NewKeyTable()
-	in := NewInterner(keys)
+	in := NewRecordingInterner()
 	for _, t := range n.terms {
 		switch x := t.(type) {
 		case Process:
@@ -24,5 +23,5 @@ func ReinternKeys(n *Nodes) [][]byte {
 			in.Mapping(x)
 		}
 	}
-	return keys.Keys()
+	return in.Keys()
 }

@@ -13,81 +13,6 @@ import (
 // canonical-string comparison.
 type TermID uint32
 
-// InternTable is the index backing an Interner: a map from a node's
-// canonical key bytes to the dense ID the interner assigned at first
-// sight. The hash argument is always the FNV-64a of key, precomputed by
-// the interner so disk-backed tables (statestore.SpillStore) never
-// rehash. statestore.Store satisfies this interface, which is how
-// exploration's visited index and the interner share one spillable
-// table without csp importing statestore.
-type InternTable interface {
-	// Lookup returns the ID recorded for key, or ok=false if the key has
-	// never been inserted.
-	Lookup(hash uint64, key []byte) (id int, ok bool)
-	// Insert records key with the given ID. The caller guarantees the
-	// key is not already present (it looked it up first).
-	Insert(hash uint64, key []byte, id int)
-	// Len returns the number of entries.
-	Len() int
-	// Bytes estimates the resident size of the table.
-	Bytes() int64
-}
-
-// mapTable is the built-in in-memory InternTable used when NewInterner
-// is given nil.
-type mapTable struct {
-	m     map[string]int
-	bytes int64
-}
-
-// mapEntryOverhead mirrors statestore's per-entry map cost estimate.
-const mapEntryOverhead = 48
-
-func (t *mapTable) Lookup(_ uint64, key []byte) (int, bool) {
-	id, ok := t.m[string(key)] // no allocation: the compiler optimises this lookup
-	return id, ok
-}
-
-func (t *mapTable) Insert(_ uint64, key []byte, id int) {
-	t.m[string(key)] = id
-	t.bytes += int64(len(key)) + mapEntryOverhead
-}
-
-func (t *mapTable) Len() int     { return len(t.m) }
-func (t *mapTable) Bytes() int64 { return t.bytes }
-
-// KeyTable is an in-memory InternTable that also records every key in
-// ID order. Keys() is then the interner's node table — the persisted
-// form of every term interned so far, which DecodeNodes reads back.
-type KeyTable struct {
-	mapTable
-	keys     [][]byte
-	keyBytes int64 // total length of keys
-}
-
-// NewKeyTable returns an empty key-recording table.
-func NewKeyTable() *KeyTable { return &KeyTable{mapTable: mapTable{m: map[string]int{}}} }
-
-// Insert records key under id and appends it to the node table.
-func (t *KeyTable) Insert(hash uint64, key []byte, id int) {
-	t.mapTable.Insert(hash, key, id)
-	t.keys = append(t.keys, append([]byte(nil), key...))
-	t.keyBytes += int64(len(key))
-}
-
-// Keys returns the recorded keys; Keys()[i] is the key of TermID i. The
-// caller must not modify them.
-func (t *KeyTable) Keys() [][]byte { return t.keys }
-
-// keyCopyOverhead is the slice header of each recorded key copy.
-const keyCopyOverhead = 24
-
-// Bytes estimates the resident size of the table: the map's entries
-// plus the recorded copy of every key.
-func (t *KeyTable) Bytes() int64 {
-	return t.mapTable.Bytes() + t.keyBytes + int64(len(t.keys))*keyCopyOverhead
-}
-
 // Node tags. Every interned node's key starts with its tag byte; the
 // remaining payload is an unambiguous (length-prefixed / counted)
 // encoding of the node's own data plus the TermIDs of its children, so
@@ -125,21 +50,6 @@ const (
 	itagMapping
 )
 
-// FNV-64a, inlined so hashing the scratch key allocates nothing.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnv64a(b []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime64
-	}
-	return h
-}
-
 // Interner hash-conses CSP terms bottom-up: every distinct subterm
 // (process, communication field, expression, value, event, event set)
 // is assigned a stable dense TermID, and structurally equal terms — the
@@ -161,45 +71,76 @@ func fnv64a(b []byte) uint64 {
 // interning has begun — the same immutability exploration already
 // requires of them.
 type Interner struct {
-	table   InternTable
-	n       int
+	ids     map[string]int
+	bytes   int64
+	record  bool
+	keys    [][]byte // keys[id], when recording
 	scratch []byte
 	sets    map[*EventSet]TermID
 	maps    map[uintptr]TermID
 }
 
-// NewInterner returns an interner over the given table; nil means a
-// fresh built-in in-memory table. The table must be empty (or belong to
-// a previous interner whose ID sequence this one continues).
-func NewInterner(t InternTable) *Interner {
-	if t == nil {
-		t = &mapTable{m: map[string]int{}}
-	}
+// NewInterner returns an empty interner.
+func NewInterner() *Interner {
 	return &Interner{
-		table:   t,
-		n:       t.Len(),
+		ids:     map[string]int{},
 		scratch: make([]byte, 0, 128),
 		sets:    map[*EventSet]TermID{},
 		maps:    map[uintptr]TermID{},
 	}
 }
 
+// NewRecordingInterner returns an empty interner that also records
+// every key in ID order. Keys() is then the node table — the persisted
+// form of every term interned so far, which DecodeNodes reads back.
+func NewRecordingInterner() *Interner {
+	in := NewInterner()
+	in.record = true
+	return in
+}
+
+// Reset empties the interner for reuse, keeping its capacity.
+func (in *Interner) Reset() {
+	clear(in.ids)
+	clear(in.sets)
+	clear(in.maps)
+	in.bytes = 0
+	in.keys = in.keys[:0]
+}
+
 // Len returns the number of interned nodes (the next TermID to be
 // assigned).
-func (in *Interner) Len() int { return in.n }
+func (in *Interner) Len() int { return len(in.ids) }
 
-// Table exposes the backing table (for memory accounting).
-func (in *Interner) Table() InternTable { return in.table }
+// Keys returns the recorded keys of a recording interner (nil
+// otherwise); Keys()[i] is the key of TermID i. The caller must not
+// modify them.
+func (in *Interner) Keys() [][]byte { return in.keys }
+
+// Per-entry resident cost beyond the key bytes: a map[string]int entry
+// (string header, int, amortised bucket overhead), and the slice header
+// of each recorded key copy.
+const (
+	mapEntryOverhead = 48
+	keyCopyOverhead  = 24
+)
+
+// Bytes estimates the resident size of the interner's index: the map's
+// entries plus, when recording, the copy of every key.
+func (in *Interner) Bytes() int64 { return in.bytes }
 
 // finish interns the node encoded in scratch and returns its ID.
 func (in *Interner) finish() TermID {
-	h := fnv64a(in.scratch)
-	if id, ok := in.table.Lookup(h, in.scratch); ok {
+	if id, ok := in.ids[string(in.scratch)]; ok { // no allocation: the compiler optimises this lookup
 		return TermID(id)
 	}
-	id := in.n
-	in.n++
-	in.table.Insert(h, in.scratch, id)
+	id := len(in.ids)
+	in.ids[string(in.scratch)] = id
+	in.bytes += int64(len(in.scratch)) + mapEntryOverhead
+	if in.record {
+		in.keys = append(in.keys, append([]byte(nil), in.scratch...))
+		in.bytes += int64(len(in.scratch)) + keyCopyOverhead
+	}
 	return TermID(id)
 }
 

@@ -33,7 +33,7 @@ func TestInternerKeyEquivalence(t *testing.T) {
 	// Structural interning must agree with canonical Key strings on the
 	// terms this library builds: same Key ⇒ same TermID and different
 	// Key ⇒ different TermID.
-	in := NewInterner(nil)
+	in := NewInterner()
 	byKey := map[string]TermID{}
 	for n := 0; n < 50; n++ {
 		for rep := 0; rep < 2; rep++ { // second build: fresh structurally-equal term
@@ -57,7 +57,7 @@ func TestInternerKeyEquivalence(t *testing.T) {
 }
 
 func TestInternerEventIdentity(t *testing.T) {
-	in := NewInterner(nil)
+	in := NewInterner()
 	a := in.Event(Event{Chan: "can", Args: []Value{Sym("tx"), Int(5)}})
 	b := in.Event(Event{Chan: "can", Args: []Value{Sym("tx"), Int(5)}})
 	c := in.Event(Event{Chan: "can", Args: []Value{Sym("tx"), Int(6)}})
@@ -76,7 +76,7 @@ func TestInternerNilSetEqualsEmptySet(t *testing.T) {
 	// A nil sync set and an empty one have the same canonical Key
 	// ("{}"), so they must intern identically or state identity would
 	// diverge from the reference engine.
-	in := NewInterner(nil)
+	in := NewInterner()
 	withNil := in.Process(ParProc{L: Stop(), R: Skip(), Sync: nil})
 	withEmpty := in.Process(ParProc{L: Stop(), R: Skip(), Sync: NewEventSet()})
 	if withNil != withEmpty {
@@ -87,7 +87,7 @@ func TestInternerNilSetEqualsEmptySet(t *testing.T) {
 func TestInternerSharedSetByContent(t *testing.T) {
 	// Distinct *EventSet pointers with equal content must intern to the
 	// same ID (the pointer memo is only a cache).
-	in := NewInterner(nil)
+	in := NewInterner()
 	s1, s2 := NewEventSet(), NewEventSet()
 	s1.AddChannel("update")
 	s2.AddChannel("update")
@@ -99,7 +99,7 @@ func TestInternerSharedSetByContent(t *testing.T) {
 }
 
 func TestInternerDenseIDs(t *testing.T) {
-	in := NewInterner(nil)
+	in := NewInterner()
 	if in.Len() != 0 {
 		t.Fatalf("fresh interner has %d nodes", in.Len())
 	}
@@ -113,7 +113,7 @@ func TestInternerDenseIDs(t *testing.T) {
 
 func TestInternerRestrictedInputDistinct(t *testing.T) {
 	// "?x" and "?x:pred" must not collide, nor "?x" with "!x".
-	in := NewInterner(nil)
+	in := NewInterner()
 	plain := in.Process(Prefix("c", []CommField{In("x")}, Stop()))
 	restricted := in.Process(Prefix("c", []CommField{InSuchThat("x", Binary{Op: OpLt, L: Var{Name: "x"}, R: Lit{Val: Int(3)}})}, Stop()))
 	out := in.Process(Prefix("c", []CommField{Out(Var{Name: "x"})}, Stop()))
@@ -127,7 +127,7 @@ func BenchmarkInternProcess(b *testing.B) {
 	for i := range terms {
 		terms[i] = buildTerm(i)
 	}
-	in := NewInterner(nil)
+	in := NewInterner()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		in.Process(terms[i%len(terms)])
@@ -150,7 +150,7 @@ func BenchmarkKeyString(b *testing.B) {
 }
 
 func ExampleInterner() {
-	in := NewInterner(nil)
+	in := NewInterner()
 	a := in.Process(Prefix("update", []CommField{In("x")}, Stop()))
 	b := in.Process(Prefix("update", []CommField{In("x")}, Stop()))
 	fmt.Println(a == b)

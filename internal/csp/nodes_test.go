@@ -8,6 +8,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -99,13 +100,12 @@ func requireSameKeys(t testing.TB, want, got [][]byte) {
 // Int(5).
 func roundTrip(t *testing.T, ps ...csp.Process) {
 	t.Helper()
-	keys := csp.NewKeyTable()
-	in := csp.NewInterner(keys)
+	in := csp.NewRecordingInterner()
 	ids := make([]csp.TermID, len(ps))
 	for i, p := range ps {
 		ids[i] = in.Process(p)
 	}
-	nodes := decode(t, keys.Keys())
+	nodes := decode(t, in.Keys())
 	for i, id := range ids {
 		got, ok := nodes.Process(id)
 		if !ok {
@@ -139,13 +139,12 @@ func TestCodecRoundTripEvents(t *testing.T) {
 		csp.Tau(),
 		csp.Tick(),
 	}
-	keys := csp.NewKeyTable()
-	in := csp.NewInterner(keys)
+	in := csp.NewRecordingInterner()
 	ids := make([]csp.TermID, len(events))
 	for i, e := range events {
 		ids[i] = in.Event(e)
 	}
-	nodes := decode(t, keys.Keys())
+	nodes := decode(t, in.Keys())
 	for i, id := range ids {
 		got, ok := nodes.Event(id)
 		if !ok {
@@ -165,8 +164,8 @@ func TestCodecRoundTripEvents(t *testing.T) {
 // payload changed, bump lts.snapshotVersion, then regenerate with
 // go test ./internal/csp -run TestNodeTableGolden -update.
 func TestNodeTableGolden(t *testing.T) {
-	keys := csp.NewKeyTable()
-	csp.NewInterner(keys).Process(exerciseAll())
+	keys := csp.NewRecordingInterner()
+	keys.Process(exerciseAll())
 	var sb strings.Builder
 	for _, k := range keys.Keys() {
 		sb.WriteString(hex.EncodeToString(k))
@@ -187,20 +186,39 @@ func TestNodeTableGolden(t *testing.T) {
 	}
 }
 
-// TestKeyTableBytesCountsRecordedKeys pins that a KeyTable's size
-// estimate covers the recorded key copies on top of its map entries.
+// TestInternerResetMatchesFresh pins that a reset interner assigns
+// exactly the keys a fresh one does.
+func TestInternerResetMatchesFresh(t *testing.T) {
+	fresh := csp.NewRecordingInterner()
+	fresh.Process(exerciseAll())
+	reused := csp.NewRecordingInterner()
+	reused.Process(csp.Call("OTHER", csp.LitInt(7)))
+	reused.Reset()
+	reused.Process(exerciseAll())
+	if !reflect.DeepEqual(fresh.Keys(), reused.Keys()) || fresh.Bytes() != reused.Bytes() || fresh.Len() != reused.Len() {
+		t.Fatalf("reset interner diverges from a fresh one: %d vs %d keys, %d vs %d bytes",
+			reused.Len(), fresh.Len(), reused.Bytes(), fresh.Bytes())
+	}
+}
+
+// TestKeyTableBytesCountsRecordedKeys pins that a recording
+// interner's size estimate covers its key table — the recorded key
+// copies — on top of its map entries.
 func TestKeyTableBytesCountsRecordedKeys(t *testing.T) {
-	plain := csp.NewInterner(nil)
+	plain := csp.NewInterner()
 	plain.Process(exerciseAll())
-	keys := csp.NewKeyTable()
-	csp.NewInterner(keys).Process(exerciseAll())
+	keys := csp.NewRecordingInterner()
+	keys.Process(exerciseAll())
 	var total int64
 	for _, k := range keys.Keys() {
 		total += int64(len(k))
 	}
-	if got, min := keys.Bytes(), plain.Table().Bytes()+total; got < min {
-		t.Fatalf("KeyTable.Bytes() = %d, want at least %d (map entries %d + key copies %d)",
-			got, min, plain.Table().Bytes(), total)
+	if got, min := keys.Bytes(), plain.Bytes()+total; got < min {
+		t.Fatalf("recording Bytes() = %d, want at least %d (map entries %d + key copies %d)",
+			got, min, plain.Bytes(), total)
+	}
+	if plain.Keys() != nil {
+		t.Fatalf("plain interner recorded %d keys", len(plain.Keys()))
 	}
 }
 
@@ -224,8 +242,7 @@ func TestCodecOverOTACorpus(t *testing.T) {
 			t.Fatalf("%s: build: %v", name, err)
 		}
 		sem := csp.NewSemantics(sys.Model.Env, sys.Model.Ctx)
-		keys := csp.NewKeyTable()
-		in := csp.NewInterner(keys)
+		in := csp.NewRecordingInterner()
 		var states []csp.Process
 		var ids []csp.TermID
 		recorded := map[csp.TermID]bool{}
@@ -262,7 +279,7 @@ func TestCodecOverOTACorpus(t *testing.T) {
 				}
 			}
 		}
-		nodes := decode(t, keys.Keys())
+		nodes := decode(t, in.Keys())
 		for i, id := range ids {
 			got, ok := nodes.Process(id)
 			if !ok || in.Process(got) != id {
@@ -349,8 +366,8 @@ func otaSnapshotNodes(f *testing.F) [][]byte {
 // than to any count or length the input claims, and every table it
 // accepts must re-intern to the same keys.
 func FuzzDecodeNodes(f *testing.F) {
-	keys := csp.NewKeyTable()
-	csp.NewInterner(keys).Process(exerciseAll())
+	keys := csp.NewRecordingInterner()
+	keys.Process(exerciseAll())
 	f.Add(joinKeys(keys.Keys()))
 	f.Add(joinKeys(otaSnapshotNodes(f)))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -70,11 +70,6 @@ type Budget struct {
 	// CheckpointEveryLevels is the snapshot cadence in completed BFS
 	// levels; <= 0 means every level.
 	CheckpointEveryLevels int
-	// SoftMemBytes, when > 0, spills each exploration's visited index to
-	// disk past the watermark instead of holding it in RAM.
-	SoftMemBytes int64
-	// SpillDir is where spill shards live; empty means os.TempDir().
-	SpillDir string
 	// MaxMemBytes is a hard per-exploration resident-memory watermark;
 	// exceeding it yields a *refine.BudgetError with phase "memory". 0
 	// means unbounded.
@@ -112,8 +107,6 @@ func RunAssertBudget(m *cspm.Model, a cspm.ResolvedAssert, bgt Budget) (res refi
 	c.Ctx = bgt.Ctx
 	c.CheckpointDir = bgt.CheckpointDir
 	c.CheckpointEveryLevels = bgt.CheckpointEveryLevels
-	c.SoftMemBytes = bgt.SoftMemBytes
-	c.SpillDir = bgt.SpillDir
 	c.MaxMemBytes = bgt.MaxMemBytes
 	switch a.Kind {
 	case cspm.AssertTraceRef:

@@ -33,6 +33,48 @@ func TestCacheExploreSharesOneExploration(t *testing.T) {
 	}
 }
 
+// TestCacheKeysStructurally pins that two roots whose Key() strings
+// coincide but whose terms differ get separate entries: pun!Int(5) and
+// pun!Sym("5") both render as pun.5, yet their LTSs perform events that
+// csp.Event.Equal tells apart.
+func TestCacheKeysStructurally(t *testing.T) {
+	ctx := csp.NewContext()
+	ctx.MustChannel("pun", csp.ExplicitType{TypeName: "Pun", Elems: []csp.Value{csp.Int(5), csp.Sym("5")}})
+	sem := csp.NewSemantics(csp.NewEnv(), ctx)
+	num := csp.Prefix("pun", []csp.CommField{csp.OutVal(csp.Int(5))}, csp.Stop())
+	sym := csp.Prefix("pun", []csp.CommField{csp.OutVal(csp.Sym("5"))}, csp.Stop())
+	if num.Key() != sym.Key() {
+		t.Fatalf("roots no longer pun: %q vs %q", num.Key(), sym.Key())
+	}
+	c := NewCache()
+	for _, tc := range []struct {
+		p    csp.Process
+		want csp.Event
+	}{
+		{num, csp.Ev("pun", csp.Int(5))},
+		{sym, csp.Ev("pun", csp.Sym("5"))},
+	} {
+		l, err := c.Explore(sem, tc.p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(l.Events) != 3 || !l.Events[2].Equal(tc.want) {
+			t.Errorf("Explore(%s) events = %v, want one visible event Equal to %v", tc.p.Key(), l.Events, tc.want)
+		}
+	}
+	if hits, misses := c.Stats(); hits != 0 || misses != 2 {
+		t.Errorf("stats = %d hits / %d misses, want 0/2", hits, misses)
+	}
+	// Structurally equal roots still share one entry.
+	again := csp.Prefix("pun", []csp.CommField{csp.OutVal(csp.Sym("5"))}, csp.Stop())
+	if _, err := c.Explore(sem, again, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if hits, _ := c.Stats(); hits != 1 {
+		t.Errorf("structurally equal root missed the cache: %d hits, want 1", hits)
+	}
+}
+
 func TestCacheKeysOnEffectiveBound(t *testing.T) {
 	sem := testSem(t)
 	p := csp.DoEvent("a", csp.Stop())

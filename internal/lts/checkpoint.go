@@ -112,11 +112,10 @@ type checkpointer struct {
 	every     int
 	maxStates int
 
-	// in interns states and events into keys, the node table snapshots
-	// persist. It lives as long as the exploration, so each write interns
-	// only the states and events added since the previous one; states
-	// and events hold their node IDs so far.
-	keys   *csp.KeyTable
+	// in interns states and events into the node table snapshots
+	// persist (its recorded keys). It lives as long as the exploration,
+	// so each write interns only the states and events added since the
+	// previous one; states and events hold their node IDs so far.
 	in     *csp.Interner
 	states []csp.TermID
 	events []csp.TermID
@@ -132,13 +131,11 @@ func newCheckpointer(opts *CheckpointOptions, maxStates int, o *obs.Observer) *c
 	if every <= 0 {
 		every = 1
 	}
-	keys := csp.NewKeyTable()
 	return &checkpointer{
 		dir:       opts.Dir,
 		every:     every,
 		maxStates: maxStates,
-		keys:      keys,
-		in:        csp.NewInterner(keys),
+		in:        csp.NewRecordingInterner(),
 		writesC:   o.Counter("lts.checkpoint.writes"),
 		resumesC:  o.Counter("lts.checkpoint.resumes"),
 		ignoredC:  o.Counter("lts.checkpoint.ignored"),
@@ -162,7 +159,7 @@ func (c *checkpointer) write(l *LTS, merged, levels int, elapsed time.Duration) 
 		ElapsedNs: int64(elapsed),
 		Init:      l.Init,
 		Merged:    merged,
-		Nodes:     c.keys.Keys(),
+		Nodes:     c.in.Keys(),
 		States:    c.states,
 		Events:    c.events,
 		Edges:     l.Edges,
@@ -251,7 +248,7 @@ func (c *checkpointer) decode(data []byte, root csp.Process) (*resumeState, bool
 	}
 	// Two states (or events) with one term would corrupt interned
 	// identity and the event numbering.
-	check := csp.NewInterner(nil)
+	check := csp.NewInterner()
 	seen := make(map[csp.TermID]bool, n+len(snap.Events))
 	for _, id := range snap.States {
 		p, ok := nodes.Process(id)

@@ -1,8 +1,6 @@
-// Checkpoint/resume and spill-store acceptance tests. The invariant
-// under test is the PR's headline guarantee: an exploration interrupted
-// at an arbitrary point and resumed from its checkpoint produces a
-// byte-identical LTS to an uninterrupted run, and a disk-spilling
-// visited store never changes the result, only where it lives.
+// Checkpoint/resume acceptance tests. The invariant under test: an
+// exploration interrupted at an arbitrary point and resumed from its
+// checkpoint produces a byte-identical LTS to an uninterrupted run.
 package lts_test
 
 import (
@@ -19,27 +17,7 @@ import (
 	"repro/internal/lts"
 	"repro/internal/obs"
 	"repro/internal/ota"
-	"repro/internal/statestore"
 )
-
-// cancelStore wraps a Store and cancels a context after the Nth insert,
-// simulating a crash at a deterministic point mid-exploration. Inserts
-// now count interned term nodes (states and their subterms), so a given
-// budget cuts even earlier in the exploration than the same number of
-// states would.
-type cancelStore struct {
-	statestore.Store
-	remaining int
-	cancel    context.CancelFunc
-}
-
-func (s *cancelStore) Insert(hash uint64, key []byte, id int) {
-	s.Store.Insert(hash, key, id)
-	s.remaining--
-	if s.remaining == 0 {
-		s.cancel()
-	}
-}
 
 // corpusRoots returns every assertion process term of the system.
 func corpusRoots(sys *ota.System) []csp.Process {
@@ -62,19 +40,21 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s root %d: reference explore: %v", cs.name, ri, err)
 			}
-			// Interrupt at a randomized number of interner inserts, at
-			// least 1 (immediately) and at most the state count — node
-			// inserts outnumber states, so this always cancels somewhere
-			// inside the run.
-			cut := 1 + rng.Intn(ref.NumStates())
+			_, evals, err := lts.ExploreCancelAfter(sem, root, lts.Options{}, 0, nil)
+			if err != nil {
+				t.Fatalf("%s root %d: counting explore: %v", cs.name, ri, err)
+			}
+			// Interrupt at a randomized leaf evaluation, from the first
+			// (immediately) to the second-last: a cut at the last one
+			// often lands after the last stop probe and interrupts
+			// nothing.
+			cut := 1 + rng.Intn(max(evals-1, 1))
 			dir := t.TempDir()
 			ctx, cancel := context.WithCancel(context.Background())
-			st := &cancelStore{Store: statestore.NewMem(), remaining: cut, cancel: cancel}
-			part, err := lts.Explore(sem, root, lts.Options{
+			part, _, err := lts.ExploreCancelAfter(sem, root, lts.Options{
 				Ctx:        ctx,
-				Store:      st,
 				Checkpoint: &lts.CheckpointOptions{Dir: dir},
-			})
+			}, cut, cancel)
 			cancel()
 			if err == nil {
 				// The cut landed after the last stop probe; the completed
@@ -334,40 +314,6 @@ func TestCheckpointIgnoresCorruptAndMismatched(t *testing.T) {
 	})
 }
 
-// TestSpillStoreExploreIdentical pins the spill acceptance criterion: an
-// Explore whose visited set exceeds the soft watermark (forced to 0 here
-// so even small corpus models spill) completes on the disk store with a
-// byte-identical LTS and visible spill counters.
-func TestSpillStoreExploreIdentical(t *testing.T) {
-	for _, cs := range otaCorpus(t) {
-		sem := csp.NewSemantics(cs.sys.Model.Env, cs.sys.Model.Ctx)
-		root := corpusRoots(cs.sys)[0]
-		ref, err := lts.Explore(sem, root, lts.Options{})
-		if err != nil {
-			t.Fatalf("%s: reference explore: %v", cs.name, err)
-		}
-		o := obs.New()
-		st := statestore.NewSpill(statestore.SpillConfig{Dir: t.TempDir(), SoftMemBytes: 0, Obs: o})
-		got, err := lts.Explore(sem, root, lts.Options{Store: st})
-		if err != nil {
-			t.Fatalf("%s: spill explore: %v", cs.name, err)
-		}
-		requireSameLTS(t, cs.name+"-spill", ref, got)
-		if !st.Spilled() {
-			t.Fatalf("%s: store never spilled at watermark 0", cs.name)
-		}
-		// The store interns every term node, not just states, so the
-		// spilled-key count is at least the state count.
-		if o.Counter("statestore.spill.keys").Value() < int64(ref.NumStates()) {
-			t.Fatalf("%s: spilled %d keys, want >= %d", cs.name,
-				o.Counter("statestore.spill.keys").Value(), ref.NumStates())
-		}
-		if err := st.Close(); err != nil {
-			t.Fatalf("%s: close spill store: %v", cs.name, err)
-		}
-	}
-}
-
 func TestMemoryWatermarkReturnsStructuredError(t *testing.T) {
 	sys, err := ota.Build()
 	if err != nil {
@@ -392,7 +338,7 @@ func TestMemoryWatermarkReturnsStructuredError(t *testing.T) {
 // table counts toward the memory watermark at its full size: the
 // estimate of a checkpointing exploration that trips exceeds what the
 // same exploration estimates without checkpointing by at least the
-// KeyTable size of the node table it has written so far.
+// recording-interner size of the node table it has written so far.
 func TestMaxMemBytesCountsCheckpointTable(t *testing.T) {
 	sys, err := ota.BuildLossy(ota.HardenedGateway, ota.DefaultLossBudget)
 	if err != nil {
@@ -400,11 +346,11 @@ func TestMaxMemBytesCountsCheckpointTable(t *testing.T) {
 	}
 	sem := csp.NewSemantics(sys.Model.Env, sys.Model.Ctx)
 	root := csp.Call("SYSTEML")
-	store := statestore.NewMem()
-	if _, err := lts.Explore(sem, root, lts.Options{Store: store}); err != nil {
+	internBytes, err := lts.InternBytes(sem, root)
+	if err != nil {
 		t.Fatal(err)
 	}
-	limit := store.Bytes() / 2
+	limit := internBytes / 2
 	dir := t.TempDir()
 	_, err = lts.Explore(sem, root, lts.Options{MaxMemBytes: limit, Checkpoint: &lts.CheckpointOptions{Dir: dir}})
 	var ck *lts.MemoryError
@@ -429,15 +375,14 @@ func TestMaxMemBytesCountsCheckpointTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := csp.NewKeyTable()
-	in := csp.NewInterner(table)
+	table := csp.NewRecordingInterner()
 	for _, id := range snap.States {
 		p, _ := nodes.Process(id)
-		in.Process(p)
+		table.Process(p)
 	}
 	for _, id := range snap.Events {
 		e, _ := nodes.Event(id)
-		in.Event(e)
+		table.Event(e)
 	}
 	if table.Len() != len(snap.Nodes) {
 		t.Fatalf("rebuilt table has %d nodes, snapshot %d", table.Len(), len(snap.Nodes))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/csp"
-	"repro/internal/statestore"
 )
 
 // Compiled semantics. Exploration does not re-derive a product state's
@@ -31,7 +30,7 @@ type Compiled struct{ c *compiler }
 
 // Compile returns an empty memo over sem.
 func Compile(sem *csp.Semantics) *Compiled {
-	return &Compiled{newCompiler(sem, csp.NewInterner(statestore.NewMem()))}
+	return &Compiled{newCompiler(sem)}
 }
 
 // Intern returns the TermID of a process term.
@@ -129,10 +128,10 @@ type compiler struct {
 	hits, misses int64
 }
 
-func newCompiler(leaf transitionSource, in *csp.Interner) *compiler {
+func newCompiler(leaf transitionSource) *compiler {
 	c := &compiler{
 		leaf:    leaf,
-		in:      in,
+		in:      csp.NewInterner(),
 		events:  []csp.Event{csp.Tau(), csp.Tick()},
 		ltsID:   []int32{TauID + 1, TickID + 1},
 		eventOf: map[csp.TermID]int32{},

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/csp"
 	"repro/internal/obs"
-	"repro/internal/statestore"
 )
 
 // panicSource is a fake operational semantics over a binary tree of
@@ -102,10 +101,13 @@ func TestMaxMemBytesCountsEventTable(t *testing.T) {
 	const n = 64
 	sem, root := eventHeavySem(t, n)
 
-	// Reference run: capture the store's resident size and the exact
-	// LTS shape.
-	store := statestore.NewMem()
-	ref, err := Explore(sem, root, Options{Store: store})
+	// Reference run: capture the interner's resident size and the
+	// exact LTS shape.
+	ref, err := Explore(sem, root, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	internBytes, err := InternBytes(sem, root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func TestMaxMemBytesCountsEventTable(t *testing.T) {
 	// checked at each level boundary, and all events are interned while
 	// merging the root, so the trip lands at the level-1 boundary with
 	// Explored == number of states merged so far.
-	limit := store.Bytes() + int64(ref.NumStates())*ltsStateOverhead + int64(edges)*ltsEdgeBytes
+	limit := internBytes + int64(ref.NumStates())*ltsStateOverhead + int64(edges)*ltsEdgeBytes
 	_, err = Explore(sem, root, Options{MaxMemBytes: limit})
 	var me *MemoryError
 	if !errors.As(err, &me) {
@@ -167,12 +169,15 @@ func TestMaxMemBytesCountsEventTable(t *testing.T) {
 func TestMaxMemBytesCountsMemo(t *testing.T) {
 	const n = 16
 	sem, root := eventHeavySem(t, n)
-	store := statestore.NewMem()
-	ref, err := Explore(sem, root, Options{Store: store})
+	ref, err := Explore(sem, root, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	limit := store.Bytes() + int64(ref.NumStates())*ltsStateOverhead
+	internBytes, err := InternBytes(sem, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := internBytes + int64(ref.NumStates())*ltsStateOverhead
 	for i := 0; i < ref.NumStates(); i++ {
 		limit += int64(len(ref.Edges[i])) * ltsEdgeBytes
 	}

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/csp"
 	"repro/internal/obs"
-	"repro/internal/statestore"
 )
 
 // Event label identifiers. Tau and Tick have fixed IDs; visible events
@@ -98,13 +97,6 @@ type Options struct {
 	// the cost of a nil check; measurements never influence the
 	// exploration itself.
 	Obs *obs.Observer
-	// Store, when non-nil, backs the term-interning index — e.g. a
-	// statestore.SpillStore that migrates to disk past a soft memory
-	// watermark. nil means a plain in-memory map (the historical
-	// behaviour, byte-identical). The store never influences state
-	// numbering, so the LTS is identical whichever store backs it. The
-	// caller owns the store's lifetime (Close).
-	Store statestore.Store
 	// MaxMemBytes is a hard watermark on the estimated resident size of
 	// the exploration (interned-term index, compiled memo and node table,
 	// the LTS under construction including the event-intern table, and
@@ -214,8 +206,7 @@ const maxEdgeChunk = 4096 // cap on the Edge chunks edge lists come from
 // compile.go): states are interned TermIDs, and each state's
 // transitions are combined from its components' memoized transition
 // lists. States are numbered in discovery order and event IDs assigned
-// in order of first appearance on an edge, so the LTS is byte-identical
-// to ExploreReference's.
+// in order of first appearance on an edge.
 func Explore(sem *csp.Semantics, root csp.Process, opts Options) (*LTS, error) {
 	return explore(sem, root, opts)
 }
@@ -273,12 +264,8 @@ func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, er
 		}
 		span.End(obs.Int("states", explored), obs.String("outcome", outcome))
 	}()
-	visited := opts.Store
-	if visited == nil {
-		visited = statestore.NewMem()
-	}
 	e := &exploration{
-		c:         newCompiler(src, csp.NewInterner(visited)),
+		c:         newCompiler(src),
 		l:         &LTS{Events: []csp.Event{csp.Tau(), csp.Tick()}, eventIDs: map[string]int{}},
 		maxStates: maxStates,
 		ctx:       opts.Ctx,
@@ -352,9 +339,9 @@ func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, er
 			levelsC.Inc()
 			frontierG.Max(int64(len(e.states) - merged))
 			if opts.MaxMemBytes > 0 {
-				est := visited.Bytes() + e.ltsBytes + e.c.bytes()
+				est := e.c.in.Bytes() + e.ltsBytes + e.c.bytes()
 				if ck != nil {
-					est += ck.keys.Bytes()
+					est += ck.in.Bytes()
 				}
 				if est > opts.MaxMemBytes {
 					return nil, &MemoryError{Explored: len(e.states), EstimatedBytes: est, Limit: opts.MaxMemBytes}
@@ -475,23 +462,6 @@ func (e *exploration) check() error {
 		return &DeadlineError{Explored: len(e.states), Limit: e.maxDur}
 	}
 	return nil
-}
-
-func (l *LTS) eventID(e csp.Event) int {
-	switch {
-	case e.IsTau():
-		return TauID
-	case e.IsTick():
-		return TickID
-	}
-	k := e.String()
-	if id, ok := l.eventIDs[k]; ok {
-		return id
-	}
-	id := len(l.Events)
-	l.Events = append(l.Events, e)
-	l.eventIDs[k] = id
-	return id
 }
 
 // EventByID returns the event with the given label ID.

@@ -111,10 +111,12 @@ func TestCheckpointResumeVerdictByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCheckpointSpillCombined runs a full check with both the spill
-// store and checkpointing active — the configuration a memory-pressured
-// server job runs under — and requires the reference verdict.
-func TestCheckpointSpillCombined(t *testing.T) {
+// TestCheckpointWithMemoryWatermark runs a full check with both a hard
+// memory watermark and checkpointing active — the configuration a
+// memory-bounded server job runs under — and requires the reference
+// verdict: the watermark, which also charges the checkpointer's node
+// table, must not trip on a model that fits.
+func TestCheckpointWithMemoryWatermark(t *testing.T) {
 	sys, err := ota.BuildLossy(ota.HardenedGateway, ota.DefaultLossBudget)
 	if err != nil {
 		t.Fatal(err)
@@ -127,18 +129,17 @@ func TestCheckpointSpillCombined(t *testing.T) {
 		o := obs.New()
 		got, err := fdr.RunAssertBudget(sys.Model, a, fdr.Budget{
 			CheckpointDir: t.TempDir(),
-			SoftMemBytes:  1, // spill almost immediately
-			SpillDir:      t.TempDir(),
+			MaxMemBytes:   64 << 20,
 			Obs:           o,
 		})
 		if err != nil {
-			t.Fatalf("assert %d: spill run: %v", ai, err)
+			t.Fatalf("assert %d: checkpointed run: %v", ai, err)
 		}
 		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("assert %d (%s): spill verdict differs:\nref: %+v\ngot: %+v", ai, a.Text, ref, got)
+			t.Fatalf("assert %d (%s): checkpointed verdict differs:\nref: %+v\ngot: %+v", ai, a.Text, ref, got)
 		}
-		if o.Counter("statestore.spill.activations").Value() == 0 {
-			t.Fatalf("assert %d: spill store never activated", ai)
+		if o.Counter("lts.checkpoint.writes").Value() == 0 {
+			t.Fatalf("assert %d: no checkpoint written", ai)
 		}
 	}
 }

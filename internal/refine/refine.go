@@ -16,7 +16,6 @@ import (
 	"repro/internal/csp"
 	"repro/internal/lts"
 	"repro/internal/obs"
-	"repro/internal/statestore"
 )
 
 // Model selects the semantic model a refinement check runs in.
@@ -120,14 +119,6 @@ type Checker struct {
 	// CheckpointEveryLevels is the snapshot cadence in completed BFS
 	// levels; <= 0 means every level.
 	CheckpointEveryLevels int
-	// SoftMemBytes, when > 0, backs each exploration's visited index
-	// with a disk-spilling store that migrates past the watermark, so a
-	// check can exceed RAM instead of dying. The store never changes the
-	// result, only where the visited set lives.
-	SoftMemBytes int64
-	// SpillDir is where spill shards are created (a unique subdirectory
-	// per exploration, removed afterwards); empty means os.TempDir().
-	SpillDir string
 	// MaxMemBytes is a hard per-exploration watermark on estimated
 	// resident bytes; exceeding it yields a *BudgetError with phase
 	// "memory" — a structured budget-exhausted verdict instead of an
@@ -222,15 +213,6 @@ func (c *Checker) exploreWithin(p csp.Process, deadline time.Time, role string) 
 			Dir:         filepath.Join(c.CheckpointDir, role),
 			EveryLevels: c.CheckpointEveryLevels,
 		}
-	}
-	if c.SoftMemBytes > 0 {
-		sp := statestore.NewSpill(statestore.SpillConfig{
-			Dir:          c.SpillDir,
-			SoftMemBytes: c.SoftMemBytes,
-			Obs:          c.Obs,
-		})
-		defer sp.Close()
-		opts.Store = sp
 	}
 	var l *lts.LTS
 	var err error

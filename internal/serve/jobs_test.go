@@ -160,28 +160,29 @@ func TestJobsSurviveKill(t *testing.T) {
 	}
 }
 
-// TestJobsSpillAndMemoryWatermarks runs a job under an immediate spill
-// watermark (verdict must not change) and a sync check under a 1-byte
-// hard watermark (must degrade to a structured budget:memory verdict).
-func TestJobsSpillAndMemoryWatermarks(t *testing.T) {
+// TestJobsCheckpointAndMemoryWatermarks runs a durable job, whose
+// explorations checkpoint, under a roomy hard watermark (verdict must
+// not change) and a sync check under a 1-byte hard watermark (must
+// degrade to a structured budget:memory verdict).
+func TestJobsCheckpointAndMemoryWatermarks(t *testing.T) {
 	leakcheck.Check(t)
 
 	_, plainTS := newTestServer(t, Config{Workers: 1})
 	req := CheckRequest{CSPM: tinyModel}
 	_, want := postCheck(t, context.Background(), plainTS.URL, req, nil)
 
-	_, spillTS := newTestServer(t, Config{
-		Workers:      1,
-		DataDir:      t.TempDir(),
-		SoftMemBytes: 1,
+	_, durableTS := newTestServer(t, Config{
+		Workers:     1,
+		DataDir:     t.TempDir(),
+		MaxMemBytes: 64 << 20,
 	})
-	code, st := postJob(t, spillTS.URL, req)
+	code, st := postJob(t, durableTS.URL, req)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
-	done := waitJobDone(t, spillTS.URL, st.ID, 10*time.Second)
+	done := waitJobDone(t, durableTS.URL, st.ID, 10*time.Second)
 	if !reflect.DeepEqual(done.Response.Results, want.Results) {
-		t.Fatalf("spill-mode verdicts differ:\ngot:  %+v\nwant: %+v",
+		t.Fatalf("checkpointed job verdicts differ:\ngot:  %+v\nwant: %+v",
 			done.Response.Results, want.Results)
 	}
 

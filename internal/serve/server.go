@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -56,10 +55,6 @@ type Config struct {
 	// DataDir after a crash re-enqueues unfinished jobs and resumes them.
 	// Empty means jobs live in memory only and die with the process.
 	DataDir string
-	// SoftMemBytes, when > 0, spills each exploration's visited index to
-	// disk once it crosses the watermark (see statestore.SpillConfig);
-	// 0 keeps everything in RAM.
-	SoftMemBytes int64
 	// MaxMemBytes is a hard per-exploration resident-memory watermark;
 	// past it a check degrades to a structured "budget:memory" verdict
 	// instead of growing without bound. 0 means unbounded.
@@ -141,11 +136,6 @@ func New(cfg Config) *Server {
 		jobQueue: make(chan *job, 4*(cfg.Workers+cfg.MaxQueue)),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	if cfg.DataDir != "" {
-		// Best-effort: a spill dir that cannot be created degrades each
-		// exploration to its in-memory store, it does not fail checks.
-		_ = os.MkdirAll(filepath.Join(cfg.DataDir, "spill"), 0o755)
-	}
 	s.cache.Obs = s.obs
 	s.cache.MaxEntries = cfg.CacheEntries
 	s.cache.MaxStates = cfg.CacheStates
@@ -425,12 +415,8 @@ func (s *Server) budgetFor(spec *BudgetSpec) fdr.Budget {
 		Cache:            s.cache,
 		Obs:              s.obs,
 
-		SoftMemBytes:          s.cfg.SoftMemBytes,
 		MaxMemBytes:           s.cfg.MaxMemBytes,
 		CheckpointEveryLevels: s.cfg.CheckpointEveryLevels,
-	}
-	if s.cfg.DataDir != "" {
-		bgt.SpillDir = filepath.Join(s.cfg.DataDir, "spill")
 	}
 	if spec == nil {
 		return bgt

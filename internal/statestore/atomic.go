@@ -1,3 +1,6 @@
+// Package statestore holds the one write primitive that the resume
+// paths trust after a crash: WriteFileAtomic, used for exploration
+// checkpoints and durable job records.
 package statestore
 
 import (
