@@ -10,13 +10,14 @@
 // must interpret the table together with goMaxProcs.
 //
 // With -gate, a previously committed BENCH_refine.json acts as the
-// reference: any benchmark whose fresh ns/op exceeds the reference by
-// more than -gate-factor fails the run, which is how CI turns the
-// artefact into a regression gate. ns/op ratios are only meaningful
-// between runs on comparable hosts, so a reference captured at a
-// different GOMAXPROCS fails the run (-gate-procs-mismatch fail, the
-// default) or skips the comparison with a logged reason
-// (-gate-procs-mismatch skip) — it is never compared silently.
+// reference: any benchmark whose fresh ns/op or allocs/op exceeds the
+// reference by more than -gate-factor fails the run, which is how CI
+// turns the artefact into a regression gate. ns/op ratios are only
+// meaningful between runs on comparable hosts, so a reference captured
+// at a different GOMAXPROCS fails the run (-gate-procs-mismatch fail,
+// the default) or skips the ns/op comparison with a logged reason
+// (-gate-procs-mismatch skip) — it is never compared silently. allocs/op
+// do not depend on the host, so they are gated in both cases.
 //
 // Usage:
 //
@@ -77,7 +78,7 @@ type runConfig struct {
 	pattern       string
 	benchtime     string
 	gatePath      string    // reference BENCH_refine.json; empty disables the gate
-	gateFactor    float64   // max allowed fresh/reference ns/op ratio
+	gateFactor    float64   // max allowed fresh/reference ns/op and allocs/op ratio
 	procsMismatch string    // "fail" or "skip" when reference goMaxProcs differs
 	obs           obs.Flags // -metrics / -tracefile / -progress
 }
@@ -88,8 +89,8 @@ func main() {
 	flag.StringVar(&cfg.pattern, "bench", ".", "regexp selecting benchmarks by name")
 	flag.StringVar(&cfg.benchtime, "benchtime", "", `per-benchmark budget, a duration ("2s") or count ("10x"); empty uses the testing default`)
 	flag.StringVar(&cfg.gatePath, "gate", "", "reference BENCH_refine.json to gate against (empty: no gate)")
-	flag.Float64Var(&cfg.gateFactor, "gate-factor", 2, "fail when fresh ns/op exceeds the reference by more than this factor")
-	flag.StringVar(&cfg.procsMismatch, "gate-procs-mismatch", "fail", `"fail" or "skip" the -gate comparison when the reference was captured at a different GOMAXPROCS`)
+	flag.Float64Var(&cfg.gateFactor, "gate-factor", 2, "fail when fresh ns/op or allocs/op exceeds the reference by more than this factor")
+	flag.StringVar(&cfg.procsMismatch, "gate-procs-mismatch", "fail", `"fail" the -gate run, or "skip" its ns/op comparison, when the reference was captured at a different GOMAXPROCS`)
 	cfg.obs.AddFlags(flag.CommandLine)
 	flag.Parse()
 	if err := run(cfg, os.Stdout); err != nil {
@@ -182,16 +183,19 @@ func run(cfg runConfig, stdout io.Writer) error {
 }
 
 // checkGate compares fresh measurements against a committed reference
-// document and fails when any shared benchmark slowed down by more than
-// factor. Benchmarks present on only one side are reported but never
-// fail the gate, so adding or renaming a benchmark does not require a
-// lockstep reference update.
+// document and fails when any shared benchmark slowed down, or
+// allocates, by more than factor. Benchmarks present on only one side
+// are reported but never fail the gate, so adding or renaming a
+// benchmark does not require a lockstep reference update; nor does a
+// reference row without allocs/op fail the allocs/op gate.
 // A reference captured at a different GOMAXPROCS is a different
 // machine shape: its ns/op carry a different parallelism, so comparing
 // against it yields false regressions (or worse, false passes). Such a
 // reference fails the gate under onMismatch "fail" (the default for CI,
-// where runner shape is pinned) and skips it with a logged reason under
-// "skip" (for local runs on arbitrary hardware).
+// where runner shape is pinned) and skips the ns/op comparison with a
+// logged reason under "skip" (for local runs on arbitrary hardware).
+// allocs/op do not depend on machine shape, so they are compared either
+// way.
 func checkGate(fresh []Measurement, refPath string, factor float64, onMismatch string, stdout io.Writer) error {
 	data, err := os.ReadFile(refPath)
 	if err != nil {
@@ -201,33 +205,40 @@ func checkGate(fresh []Measurement, refPath string, factor float64, onMismatch s
 	if err := json.Unmarshal(data, &ref); err != nil {
 		return fmt.Errorf("gate reference %s: %w", refPath, err)
 	}
+	compareNs := true
 	if procs := runtime.GOMAXPROCS(0); ref.GoMaxProcs != procs {
-		if onMismatch == "skip" {
-			fmt.Fprintf(stdout, "gate: skipped: reference %s was captured at GOMAXPROCS=%d, this host runs %d — ns/op ratios across machine shapes are not comparable\n",
+		if onMismatch != "skip" {
+			return fmt.Errorf("gate reference %s was captured at GOMAXPROCS=%d but this host runs %d; ns/op ratios across machine shapes are not comparable (re-capture the reference or pass -gate-procs-mismatch skip)",
 				refPath, ref.GoMaxProcs, procs)
-			return nil
 		}
-		return fmt.Errorf("gate reference %s was captured at GOMAXPROCS=%d but this host runs %d; ns/op ratios across machine shapes are not comparable (re-capture the reference or pass -gate-procs-mismatch skip)",
+		fmt.Fprintf(stdout, "gate: ns/op skipped: reference %s was captured at GOMAXPROCS=%d, this host runs %d — ns/op ratios across machine shapes are not comparable; allocs/op are still gated\n",
 			refPath, ref.GoMaxProcs, procs)
+		compareNs = false
 	}
-	refNs := make(map[string]int64, len(ref.Benchmarks))
+	refs := make(map[string]Measurement, len(ref.Benchmarks))
 	for _, m := range ref.Benchmarks {
-		refNs[m.Name] = m.NsPerOp
+		refs[m.Name] = m
 	}
 	var regressions []string
+	check := func(name, unit string, got, base int64) {
+		ratio := float64(got) / float64(base)
+		fmt.Fprintf(stdout, "gate: %-24s %12d %s vs %12d reference (%.2fx)\n", name, got, unit, base, ratio)
+		if ratio > factor {
+			regressions = append(regressions,
+				fmt.Sprintf("%s: %d %s vs %d reference (%.2fx > %.2fx)", name, got, unit, base, ratio, factor))
+		}
+	}
 	for _, m := range fresh {
-		base, ok := refNs[m.Name]
+		base, ok := refs[m.Name]
 		if !ok {
 			fmt.Fprintf(stdout, "gate: %-24s no reference entry, skipped\n", m.Name)
 			continue
 		}
-		ratio := float64(m.NsPerOp) / float64(base)
-		fmt.Fprintf(stdout, "gate: %-24s %12d ns/op vs %12d reference (%.2fx)\n",
-			m.Name, m.NsPerOp, base, ratio)
-		if ratio > factor {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: %d ns/op vs %d reference (%.2fx > %.2fx)",
-					m.Name, m.NsPerOp, base, ratio, factor))
+		if compareNs {
+			check(m.Name, "ns/op", m.NsPerOp, base.NsPerOp)
+		}
+		if base.AllocsPerOp > 0 {
+			check(m.Name, "allocs/op", m.AllocsPerOp, base.AllocsPerOp)
 		}
 	}
 	if len(regressions) > 0 {

@@ -168,3 +168,48 @@ func TestGateProcsMismatch(t *testing.T) {
 		t.Errorf("skip not logged with a reason:\n%s", stdout.String())
 	}
 }
+
+// TestGateAllocs pins the allocs/op gate: an allocation blow-up beyond
+// the factor fails the run even when a GOMAXPROCS mismatch skips the
+// ns/op comparison, since allocs/op do not depend on machine shape. A
+// reference row without allocs/op is not allocs-gated.
+func TestGateAllocs(t *testing.T) {
+	write := func(procs int, allocs int64) string {
+		ref := Output{GoMaxProcs: procs,
+			Benchmarks: []Measurement{{Name: "Explore/seq", NsPerOp: 1, AllocsPerOp: allocs}}}
+		data, err := json.Marshal(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(t.TempDir(), "ref.json")
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	fresh := []Measurement{{Name: "Explore/seq", NsPerOp: 1000, AllocsPerOp: 2500}}
+	other := runtime.GOMAXPROCS(0) + 1
+
+	var stdout bytes.Buffer
+	if err := checkGate(fresh, write(other, 1000), 2, "skip", &stdout); err == nil {
+		t.Error("2.5x allocs/op passed a 2x gate under a skipped ns/op comparison")
+	} else if !strings.Contains(err.Error(), "allocs/op") || !strings.Contains(err.Error(), "Explore/seq") {
+		t.Errorf("gate error does not name the allocs/op regression: %v", err)
+	}
+	if !strings.Contains(stdout.String(), "ns/op skipped") {
+		t.Errorf("ns/op skip not logged:\n%s", stdout.String())
+	}
+
+	stdout.Reset()
+	if err := checkGate(fresh, write(other, 1500), 2, "skip", &stdout); err != nil {
+		t.Errorf("1.67x allocs/op failed a 2x gate: %v", err)
+	}
+	if !strings.Contains(stdout.String(), "allocs/op") {
+		t.Errorf("allocs/op comparison not logged:\n%s", stdout.String())
+	}
+
+	stdout.Reset()
+	if err := checkGate(fresh, write(other, 0), 2, "skip", &stdout); err != nil {
+		t.Errorf("reference row without allocs/op failed the gate: %v", err)
+	}
+}

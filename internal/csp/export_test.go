@@ -4,7 +4,7 @@ package csp
 // interner and returns that interner's node table. For a table
 // DecodeNodes accepted it must equal the input keys.
 func ReinternKeys(n *Nodes) [][]byte {
-	in := NewRecordingInterner()
+	in := NewInterner()
 	for _, t := range n.terms {
 		switch x := t.(type) {
 		case Process:

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"unsafe"
 )
 
 // TermID is the dense identifier of a hash-consed term node. Two terms
@@ -73,8 +74,8 @@ const (
 type Interner struct {
 	ids     map[string]int
 	bytes   int64
-	record  bool
-	keys    [][]byte // keys[id], when recording
+	keys    [][]byte // keys[id]: the node table, the same bytes as the index's keys
+	chunk   []byte   // the key arena's current chunk; see finish
 	scratch []byte
 	sets    map[*EventSet]TermID
 	maps    map[uintptr]TermID
@@ -90,15 +91,6 @@ func NewInterner() *Interner {
 	}
 }
 
-// NewRecordingInterner returns an empty interner that also records
-// every key in ID order. Keys() is then the node table — the persisted
-// form of every term interned so far, which DecodeNodes reads back.
-func NewRecordingInterner() *Interner {
-	in := NewInterner()
-	in.record = true
-	return in
-}
-
 // Reset empties the interner for reuse, keeping its capacity.
 func (in *Interner) Reset() {
 	clear(in.ids)
@@ -112,21 +104,21 @@ func (in *Interner) Reset() {
 // assigned).
 func (in *Interner) Len() int { return len(in.ids) }
 
-// Keys returns the recorded keys of a recording interner (nil
-// otherwise); Keys()[i] is the key of TermID i. The caller must not
-// modify them.
+// Keys returns the node table: Keys()[i] is the key of TermID i, the
+// persisted form of every term interned so far, which DecodeNodes reads
+// back. They are the index's own bytes: the caller must not modify them.
 func (in *Interner) Keys() [][]byte { return in.keys }
 
-// Per-entry resident cost beyond the key bytes: a map[string]int entry
-// (string header, int, amortised bucket overhead), and the slice header
-// of each recorded key copy.
+// Per-node resident cost beyond the key bytes: a map[string]int entry
+// (string header, int, amortised bucket overhead) and the key's slice
+// header in the node table.
 const (
 	mapEntryOverhead = 48
-	keyCopyOverhead  = 24
+	keySlotOverhead  = 24
 )
 
-// Bytes estimates the resident size of the interner's index: the map's
-// entries plus, when recording, the copy of every key.
+// Bytes estimates the resident size of the interner: the index's
+// entries and the node table, which share each key's bytes.
 func (in *Interner) Bytes() int64 { return in.bytes }
 
 // finish interns the node encoded in scratch and returns its ID.
@@ -135,12 +127,19 @@ func (in *Interner) finish() TermID {
 		return TermID(id)
 	}
 	id := len(in.ids)
-	in.ids[string(in.scratch)] = id
-	in.bytes += int64(len(in.scratch)) + mapEntryOverhead
-	if in.record {
-		in.keys = append(in.keys, append([]byte(nil), in.scratch...))
-		in.bytes += int64(len(in.scratch)) + keyCopyOverhead
+	// The key is copied into the key arena, whose chunks grow
+	// geometrically up to 64 KiB: one allocation per chunk, not per node.
+	// Bytes below a chunk's length are never written again, not even
+	// after Reset, so the index's map key is a string over the same bytes.
+	if n := len(in.scratch); cap(in.chunk)-len(in.chunk) < n {
+		in.chunk = make([]byte, 0, max(n, 256, min(2*cap(in.chunk), 64<<10)))
 	}
+	start := len(in.chunk)
+	in.chunk = append(in.chunk, in.scratch...)
+	key := in.chunk[start:len(in.chunk):len(in.chunk)]
+	in.ids[unsafe.String(&key[0], len(key))] = id
+	in.keys = append(in.keys, key)
+	in.bytes += int64(len(key)) + mapEntryOverhead + keySlotOverhead
 	return TermID(id)
 }
 

@@ -100,7 +100,7 @@ func requireSameKeys(t testing.TB, want, got [][]byte) {
 // Int(5).
 func roundTrip(t *testing.T, ps ...csp.Process) {
 	t.Helper()
-	in := csp.NewRecordingInterner()
+	in := csp.NewInterner()
 	ids := make([]csp.TermID, len(ps))
 	for i, p := range ps {
 		ids[i] = in.Process(p)
@@ -139,7 +139,7 @@ func TestCodecRoundTripEvents(t *testing.T) {
 		csp.Tau(),
 		csp.Tick(),
 	}
-	in := csp.NewRecordingInterner()
+	in := csp.NewInterner()
 	ids := make([]csp.TermID, len(events))
 	for i, e := range events {
 		ids[i] = in.Event(e)
@@ -164,7 +164,7 @@ func TestCodecRoundTripEvents(t *testing.T) {
 // payload changed, bump lts.snapshotVersion, then regenerate with
 // go test ./internal/csp -run TestNodeTableGolden -update.
 func TestNodeTableGolden(t *testing.T) {
-	keys := csp.NewRecordingInterner()
+	keys := csp.NewInterner()
 	keys.Process(exerciseAll())
 	var sb strings.Builder
 	for _, k := range keys.Keys() {
@@ -189,9 +189,9 @@ func TestNodeTableGolden(t *testing.T) {
 // TestInternerResetMatchesFresh pins that a reset interner assigns
 // exactly the keys a fresh one does.
 func TestInternerResetMatchesFresh(t *testing.T) {
-	fresh := csp.NewRecordingInterner()
+	fresh := csp.NewInterner()
 	fresh.Process(exerciseAll())
-	reused := csp.NewRecordingInterner()
+	reused := csp.NewInterner()
 	reused.Process(csp.Call("OTHER", csp.LitInt(7)))
 	reused.Reset()
 	reused.Process(exerciseAll())
@@ -201,24 +201,22 @@ func TestInternerResetMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestKeyTableBytesCountsRecordedKeys pins that a recording
-// interner's size estimate covers its key table — the recorded key
-// copies — on top of its map entries.
+// TestKeyTableBytesCountsRecordedKeys pins that the interner's size
+// estimate covers its node table: every key's bytes, once, plus its
+// index entry and its slot in the table.
 func TestKeyTableBytesCountsRecordedKeys(t *testing.T) {
-	plain := csp.NewInterner()
-	plain.Process(exerciseAll())
-	keys := csp.NewRecordingInterner()
-	keys.Process(exerciseAll())
+	in := csp.NewInterner()
+	in.Process(exerciseAll())
+	if len(in.Keys()) != in.Len() {
+		t.Fatalf("node table has %d keys for %d nodes", len(in.Keys()), in.Len())
+	}
 	var total int64
-	for _, k := range keys.Keys() {
+	for _, k := range in.Keys() {
 		total += int64(len(k))
 	}
-	if got, min := keys.Bytes(), plain.Bytes()+total; got < min {
-		t.Fatalf("recording Bytes() = %d, want at least %d (map entries %d + key copies %d)",
-			got, min, plain.Bytes(), total)
-	}
-	if plain.Keys() != nil {
-		t.Fatalf("plain interner recorded %d keys", len(plain.Keys()))
+	if got, min := in.Bytes(), total+int64(in.Len())*(48+24); got < min {
+		t.Fatalf("Bytes() = %d, want at least %d (keys %d + %d index entries and table slots)",
+			got, min, total, in.Len())
 	}
 }
 
@@ -242,7 +240,7 @@ func TestCodecOverOTACorpus(t *testing.T) {
 			t.Fatalf("%s: build: %v", name, err)
 		}
 		sem := csp.NewSemantics(sys.Model.Env, sys.Model.Ctx)
-		in := csp.NewRecordingInterner()
+		in := csp.NewInterner()
 		var states []csp.Process
 		var ids []csp.TermID
 		recorded := map[csp.TermID]bool{}
@@ -366,7 +364,7 @@ func otaSnapshotNodes(f *testing.F) [][]byte {
 // than to any count or length the input claims, and every table it
 // accepts must re-intern to the same keys.
 func FuzzDecodeNodes(f *testing.F) {
-	keys := csp.NewRecordingInterner()
+	keys := csp.NewInterner()
 	keys.Process(exerciseAll())
 	f.Add(joinKeys(keys.Keys()))
 	f.Add(joinKeys(otaSnapshotNodes(f)))

@@ -72,10 +72,10 @@ type cacheKey struct {
 	maxStates int
 }
 
-// structuralKey is p's node encoding: the keys a fresh recording
-// interner assigns while interning p, each length-prefixed. It is
-// deterministic and equal for two terms iff they are structurally equal
-// — unlike Key(), which renders Int(5) and Sym("5") alike. Reset
+// structuralKey is p's node encoding: the keys a fresh interner
+// assigns while interning p, each length-prefixed. It is deterministic
+// and equal for two terms iff they are structurally equal — unlike
+// Key(), which renders Int(5) and Sym("5") alike. Reset
 // interners from a pool keep a cache hit's cost near a Key() render.
 func structuralKey(p csp.Process) string {
 	in := keyInterners.Get().(*csp.Interner)
@@ -91,7 +91,7 @@ func structuralKey(p csp.Process) string {
 	return string(b)
 }
 
-var keyInterners = sync.Pool{New: func() any { return csp.NewRecordingInterner() }}
+var keyInterners = sync.Pool{New: func() any { return csp.NewInterner() }}
 
 type cacheEntry struct {
 	once sync.Once

@@ -16,8 +16,8 @@ import (
 // CheckpointOptions configures level-granular checkpointing of an
 // exploration. After every EveryLevels completed BFS levels (and once
 // more on completion), Explore writes an atomic snapshot of the partial
-// LTS — state terms, edges, event table, merge position, elapsed budget
-// — to Dir. A later Explore with the same root and bound finds the
+// LTS — the exploration's node table, the node IDs of its states and
+// events, edges, merge position, elapsed budget — to Dir. A later Explore with the same root and bound finds the
 // snapshot, restores it and continues from the saved position; the
 // sequential interning merge makes the resumed result byte-identical to
 // an uninterrupted run.
@@ -61,8 +61,9 @@ type snapshot struct {
 	// Merged is the number of leading states whose edges are final;
 	// states [Merged, len(States)) are the unexpanded frontier.
 	Merged int `json:"merged"`
-	// Nodes is the node table: Nodes[i] is the interner key of node i,
-	// covering every term and subterm of the states and events below.
+	// Nodes is the exploration's node table: Nodes[i] is the interner
+	// key of node i, covering every term and subterm of the states and
+	// events below.
 	Nodes [][]byte `json:"nodes"`
 	// States holds the node ID of every state's term, in state-ID order.
 	States []csp.TermID `json:"states"`
@@ -90,18 +91,15 @@ func (s *snapshot) digest() (uint64, error) {
 	return h.Sum64(), nil
 }
 
-// resumeState is a validated snapshot, decoded and ready for the engine
-// to register into its live interner. Validation happens entirely
-// against a throwaway interner inside load, so a snapshot rejected
-// halfway leaves no residue in the exploration.
+// resumeState is a validated snapshot with its states' terms and its
+// events decoded, ready for the engine to register into its live
+// interner. Validation happens entirely against a throwaway interner
+// inside load, so a snapshot rejected halfway leaves no residue in the
+// exploration.
 type resumeState struct {
-	init    int
-	procs   []csp.Process
-	events  []csp.Event
-	edges   [][]Edge
-	merged  int
-	levels  int
-	elapsed time.Duration
+	*snapshot
+	procs  []csp.Process
+	events []csp.Event
 }
 
 // checkpointer writes and restores exploration snapshots. All failure
@@ -111,14 +109,6 @@ type checkpointer struct {
 	dir       string
 	every     int
 	maxStates int
-
-	// in interns states and events into the node table snapshots
-	// persist (its recorded keys). It lives as long as the exploration,
-	// so each write interns only the states and events added since the
-	// previous one; states and events hold their node IDs so far.
-	in     *csp.Interner
-	states []csp.TermID
-	events []csp.TermID
 
 	writesC  *obs.Counter
 	resumesC *obs.Counter
@@ -135,7 +125,6 @@ func newCheckpointer(opts *CheckpointOptions, maxStates int, o *obs.Observer) *c
 		dir:       opts.Dir,
 		every:     every,
 		maxStates: maxStates,
-		in:        csp.NewRecordingInterner(),
 		writesC:   o.Counter("lts.checkpoint.writes"),
 		resumesC:  o.Counter("lts.checkpoint.resumes"),
 		ignoredC:  o.Counter("lts.checkpoint.ignored"),
@@ -143,14 +132,15 @@ func newCheckpointer(opts *CheckpointOptions, maxStates int, o *obs.Observer) *c
 	}
 }
 
-// write snapshots the partial LTS after a completed level. Errors are
-// counted and swallowed: a failed checkpoint must not fail the check.
+// write snapshots the partial LTS of a running exploration after a
+// completed level: its node table is the exploration's own interner's,
+// and its states and events are node IDs into it. Errors are counted
+// and swallowed: a failed checkpoint must not fail the check.
 func (c *checkpointer) write(l *LTS, merged, levels int, elapsed time.Duration) {
-	for _, p := range l.Procs[len(c.states):] {
-		c.states = append(c.states, c.in.Process(p))
-	}
-	for _, e := range l.Events[2+len(c.events):] {
-		c.events = append(c.events, c.in.Event(e))
+	in := l.c.in
+	events := make([]csp.TermID, len(l.Events)-2)
+	for i, e := range l.Events[2:] {
+		events[i] = in.Event(e) // already interned: a lookup
 	}
 	snap := snapshot{
 		Version:   snapshotVersion,
@@ -159,9 +149,9 @@ func (c *checkpointer) write(l *LTS, merged, levels int, elapsed time.Duration) 
 		ElapsedNs: int64(elapsed),
 		Init:      l.Init,
 		Merged:    merged,
-		Nodes:     c.in.Keys(),
-		States:    c.states,
-		Events:    c.events,
+		Nodes:     in.Keys(),
+		States:    l.states,
+		Events:    events,
 		Edges:     l.Edges,
 	}
 	d, err := snap.digest()
@@ -238,14 +228,7 @@ func (c *checkpointer) decode(data []byte, root csp.Process) (*resumeState, bool
 	if err != nil {
 		return nil, false
 	}
-	rs := &resumeState{
-		init:    snap.Init,
-		procs:   make([]csp.Process, 0, n),
-		edges:   snap.Edges,
-		merged:  snap.Merged,
-		levels:  snap.Levels,
-		elapsed: time.Duration(snap.ElapsedNs),
-	}
+	rs := &resumeState{snapshot: &snap, procs: make([]csp.Process, 0, n)}
 	// Two states (or events) with one term would corrupt interned
 	// identity and the event numbering.
 	check := csp.NewInterner()

@@ -7,6 +7,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/csp"
+	"repro/internal/csp/cspgen"
 	"repro/internal/lts"
 	"repro/internal/obs"
 	"repro/internal/ota"
@@ -84,6 +86,137 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// stopBefore is a context whose Err reports cancellation from its
+// (k+1)th call on. Explore checks its context before every state
+// expansion, so stopBefore interrupts it just before expanding state k.
+type stopBefore struct {
+	context.Context
+	k, calls int
+}
+
+func (c *stopBefore) Err() error {
+	c.calls++
+	if c.calls > c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// levelStarts returns the ID of the first state of every BFS level of l
+// after the first: states are numbered in discovery order, so level i+1
+// is the states first reached from level i.
+func levelStarts(l *lts.LTS) []int {
+	var starts []int
+	for start, end := 0, 1; end < l.NumStates(); {
+		next := end
+		for s := start; s < end; s++ {
+			for _, e := range l.Edges[s] {
+				next = max(next, e.To+1)
+			}
+		}
+		starts = append(starts, end)
+		start, end = end, next
+	}
+	return starts
+}
+
+// TestCheckpointResumeGeneratedEveryLevel is the generated
+// checkpoint→resume oracle. For each of 100 explorable cspgen systems at
+// the differential oracle's bound, an exploration is interrupted at
+// every level boundary, and resuming from its snapshot must give exactly
+// the uninterrupted LTS, expanding only the levels left. Generated
+// systems put hiding, renaming and sequential successors — composite
+// nodes that are no state's term — in the persisted node table, which
+// the OTA corpus barely does. The interruption is a context, not a
+// leaf-evaluation cut (lts.ExploreCancelAfter): a level whose states'
+// leaves were all evaluated earlier makes no leaf evaluation, so a cut
+// cannot land on the boundary before it.
+func TestCheckpointResumeGeneratedEveryLevel(t *testing.T) {
+	const systems, bound = 100, 250
+	explored, resumed := 0, 0
+	seed := int64(0)
+	for ; explored < systems; seed++ {
+		sem, root := cspgen.Model(seed)
+		full := obs.New()
+		ref, err := lts.Explore(sem, root, lts.Options{MaxStates: bound, Obs: full})
+		if err != nil {
+			continue // over the bound, or a semantic error: nothing to resume
+		}
+		explored++
+		levels := full.Counter("lts.explore.levels").Value()
+		starts := levelStarts(ref)
+		if int64(len(starts)) != levels-1 {
+			t.Fatalf("seed %d: %d level boundaries, explore reports %d levels", seed, len(starts), levels)
+		}
+		for done, start := range starts {
+			label := fmt.Sprintf("seed %d, interrupted after level %d of %d", seed, done+1, levels)
+			dir := t.TempDir()
+			_, err := lts.Explore(sem, root, lts.Options{
+				MaxStates:  bound,
+				Ctx:        &stopBefore{Context: context.Background(), k: start},
+				Checkpoint: &lts.CheckpointOptions{Dir: dir},
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: interrupted explore: %v", label, err)
+			}
+			o := obs.New()
+			got, err := lts.Explore(sem, root, lts.Options{
+				MaxStates: bound, Checkpoint: &lts.CheckpointOptions{Dir: dir}, Obs: o,
+			})
+			if err != nil {
+				t.Fatalf("%s: resumed explore: %v", label, err)
+			}
+			requireSameLTS(t, label, ref, got)
+			if r := o.Counter("lts.checkpoint.resumes").Value(); r != 1 {
+				t.Fatalf("%s: resumes = %d, want 1", label, r)
+			}
+			if left := o.Counter("lts.explore.levels").Value(); left != levels-int64(done+1) {
+				t.Fatalf("%s: resume expanded %d levels, want %d", label, left, levels-int64(done+1))
+			}
+			resumed++
+		}
+	}
+	t.Logf("%d level boundaries resumed over %d systems (seeds 0-%d)", resumed, explored, seed-1)
+}
+
+// TestCheckpointResumesPreviousFormat resumes testdata/checkpoint.json,
+// a version-3 snapshot written by the implementation that built its
+// node table with a separate key-recording interner: cspgen seed 194
+// at bound 250, interrupted after 4 of its 8 levels. It must resume to
+// the uninterrupted LTS, pinning that the snapshot format and
+// snapshotVersion are unchanged.
+func TestCheckpointResumesPreviousFormat(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "checkpoint.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "checkpoint.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sem, root := cspgen.Model(194)
+	opts := lts.Options{MaxStates: 250}
+	want, err := lts.Explore(sem, root, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New()
+	opts.Obs = o
+	opts.Checkpoint = &lts.CheckpointOptions{Dir: dir}
+	got, err := lts.Explore(sem, root, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameLTS(t, "previous-format snapshot", want, got)
+	if r := o.Counter("lts.checkpoint.resumes").Value(); r != 1 {
+		t.Fatalf("resumes = %d, want 1", r)
+	}
+	// The snapshot stopped mid-exploration: the resume expands the rest.
+	if levels := o.Counter("lts.explore.levels").Value(); levels != 4 {
+		t.Fatalf("resume expanded %d levels, want the 4 left", levels)
 	}
 }
 
@@ -334,12 +467,11 @@ func TestMemoryWatermarkReturnsStructuredError(t *testing.T) {
 	}
 }
 
-// TestMaxMemBytesCountsCheckpointTable pins that the checkpointer's node
-// table counts toward the memory watermark at its full size: the
-// estimate of a checkpointing exploration that trips exceeds what the
-// same exploration estimates without checkpointing by at least the
-// recording-interner size of the node table it has written so far.
-func TestMaxMemBytesCountsCheckpointTable(t *testing.T) {
+// TestMaxMemBytesSameWithCheckpointing pins that checkpointing holds no
+// table of its own: snapshots persist the exploration's node table, so
+// a checkpointing exploration trips the watermark at exactly the state
+// count and estimate a plain one does.
+func TestMaxMemBytesSameWithCheckpointing(t *testing.T) {
 	sys, err := ota.BuildLossy(ota.HardenedGateway, ota.DefaultLossBudget)
 	if err != nil {
 		t.Fatal(err)
@@ -351,50 +483,21 @@ func TestMaxMemBytesCountsCheckpointTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	limit := internBytes / 2
+	_, err = lts.Explore(sem, root, lts.Options{MaxMemBytes: limit})
+	var plain *lts.MemoryError
+	if !errors.As(err, &plain) {
+		t.Fatalf("explore under %d-byte watermark: %v, want *MemoryError", limit, err)
+	}
 	dir := t.TempDir()
 	_, err = lts.Explore(sem, root, lts.Options{MaxMemBytes: limit, Checkpoint: &lts.CheckpointOptions{Dir: dir}})
 	var ck *lts.MemoryError
 	if !errors.As(err, &ck) {
-		t.Fatalf("explore under %d-byte watermark: %v, want *MemoryError", limit, err)
+		t.Fatalf("checkpointing explore under %d-byte watermark: %v, want *MemoryError", limit, err)
 	}
-	// The last snapshot holds exactly the checkpointer's node table at
-	// the trip; re-interning its states and events rebuilds that table.
-	data, err := os.ReadFile(filepath.Join(dir, "checkpoint.json"))
-	if err != nil {
-		t.Fatal(err)
+	if *ck != *plain {
+		t.Fatalf("checkpointing changed the watermark trip: %+v, plain %+v", *ck, *plain)
 	}
-	var snap struct {
-		Nodes  [][]byte
-		States []csp.TermID
-		Events []csp.TermID
-	}
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatal(err)
-	}
-	nodes, err := csp.DecodeNodes(snap.Nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := csp.NewRecordingInterner()
-	for _, id := range snap.States {
-		p, _ := nodes.Process(id)
-		table.Process(p)
-	}
-	for _, id := range snap.Events {
-		e, _ := nodes.Event(id)
-		table.Event(e)
-	}
-	if table.Len() != len(snap.Nodes) {
-		t.Fatalf("rebuilt table has %d nodes, snapshot %d", table.Len(), len(snap.Nodes))
-	}
-	// Without checkpointing, the estimate at ck.Explored states is at
-	// most ck's minus the table, so under that limit the exploration
-	// must get past ck.Explored states.
-	plainLimit := ck.EstimatedBytes - table.Bytes()
-	_, err = lts.Explore(sem, root, lts.Options{MaxMemBytes: plainLimit})
-	var plain *lts.MemoryError
-	if errors.As(err, &plain) && plain.Explored <= ck.Explored {
-		t.Fatalf("checkpoint table undercounted: without it the estimate at %d states exceeds %d (= %d - table %d)",
-			plain.Explored, plainLimit, ck.EstimatedBytes, table.Bytes())
+	if _, err := os.Stat(filepath.Join(dir, "checkpoint.json")); err != nil {
+		t.Fatalf("no snapshot written before the trip: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package lts
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/csp"
 )
@@ -49,7 +50,7 @@ func (m *Compiled) EventOf(id int32) csp.Event { return m.c.events[id] }
 func (m *Compiled) Steps(id csp.TermID) ([]Step, error) {
 	steps, err := m.c.trans(id)
 	if err != nil {
-		return nil, fmt.Errorf("transitions of %s: %w", m.c.nodes[id].proc.Key(), err)
+		return nil, fmt.Errorf("transitions of %s: %w", m.c.proc(id).Key(), err)
 	}
 	return steps, nil
 }
@@ -82,14 +83,15 @@ type Step struct {
 }
 
 // cnode is the compiled form of one interned process node, indexed by
-// its TermID. Its memoized transitions are arena[off : off+n] once
+// its TermID. A composite node is its (op, a, b, aux) record alone; a
+// leaf's aux indexes its term, which the operational semantics
+// evaluates. Its memoized transitions are arena[off : off+n] once
 // computed; arena[0] is reserved, so off == 0 means not yet.
 type cnode struct {
-	proc  csp.Process
 	off   uint32
 	n     uint32
 	a, b  csp.TermID // children: [| |], [] and ; use both; \ and [[ ]] use a
-	aux   int32      // index of the node's event-set or renaming memo
+	aux   int32      // the node's event-set or renaming memo, or a leaf's term
 	state int32      // state ID + 1; 0 when the node is not a state
 	op    uint8
 }
@@ -105,10 +107,11 @@ type evMemo struct {
 
 // compiler holds the memo of one exploration.
 type compiler struct {
-	leaf  transitionSource
-	in    *csp.Interner
-	nodes []cnode
-	arena []Step
+	leaf   transitionSource
+	in     *csp.Interner
+	nodes  []cnode
+	leaves []csp.Process // leaf terms, by cnode.aux
+	arena  []Step
 
 	events  []csp.Event // compiled event ID -> event
 	ltsID   []int32     // compiled event ID -> LTS event ID + 1, 0 until on an edge
@@ -142,10 +145,11 @@ func newCompiler(leaf transitionSource) *compiler {
 	return c
 }
 
-// bytes estimates the memo's resident size: ~96 bytes per node-table
-// slot with its boxed term, 8 per arena transition, and the set caches.
+// bytes estimates the memo's resident size: 28 bytes per node-table
+// slot (a cnode), ~64 per leaf term (its slot and boxed term), 8 per
+// arena transition, and the set caches.
 func (c *compiler) bytes() int64 {
-	b := int64(len(c.nodes))*96 + int64(cap(c.arena))*8
+	b := int64(len(c.nodes))*28 + int64(len(c.leaves))*64 + int64(cap(c.arena))*8
 	for i := range c.memos {
 		b += int64(len(c.memos[i].in))
 	}
@@ -159,27 +163,27 @@ func (c *compiler) bytes() int64 {
 func (c *compiler) intern(p csp.Process) csp.TermID {
 	switch x := p.(type) {
 	case csp.ParProc:
-		return c.node(opPar, c.intern(x.L), c.intern(x.R), c.memo(c.in.EventSet(x.Sync), x.Sync, nil), p)
+		return c.node(opPar, c.intern(x.L), c.intern(x.R), c.memo(c.in.EventSet(x.Sync), x.Sync, nil))
 	case csp.HideProc:
-		return c.node(opHide, c.intern(x.P), 0, c.memo(c.in.EventSet(x.Set), x.Set, nil), p)
+		return c.node(opHide, c.intern(x.P), 0, c.memo(c.in.EventSet(x.Set), x.Set, nil))
 	case csp.RenameProc:
-		return c.node(opRename, c.intern(x.P), 0, c.memo(c.in.Mapping(x.Mapping), nil, x.Mapping), p)
+		return c.node(opRename, c.intern(x.P), 0, c.memo(c.in.Mapping(x.Mapping), nil, x.Mapping))
 	case csp.ExtChoiceProc:
-		return c.node(opExt, c.intern(x.L), c.intern(x.R), 0, p)
+		return c.node(opExt, c.intern(x.L), c.intern(x.R), 0)
 	case csp.SeqProc:
-		return c.node(opSeq, c.intern(x.L), c.intern(x.R), 0, p)
+		return c.node(opSeq, c.intern(x.L), c.intern(x.R), 0)
 	}
 	id := c.in.Process(p)
 	if c.fresh(id) {
-		c.nodes[id] = cnode{proc: p, op: opLeaf}
+		c.nodes[id] = cnode{op: opLeaf, aux: int32(len(c.leaves))}
+		c.leaves = append(c.leaves, p)
 	}
 	return id
 }
 
 // node interns the composite node op(a, b) straight from child IDs, with
-// the interner's own encoding, and registers it when new. p is its term,
-// or nil to build the term from the children's only when the node is new.
-func (c *compiler) node(op uint8, a, b csp.TermID, aux int32, p csp.Process) csp.TermID {
+// the interner's own encoding, and registers its record when new.
+func (c *compiler) node(op uint8, a, b csp.TermID, aux int32) csp.TermID {
 	var id csp.TermID
 	switch op {
 	case opPar:
@@ -193,26 +197,66 @@ func (c *compiler) node(op uint8, a, b csp.TermID, aux int32, p csp.Process) csp
 	default:
 		id = c.in.Seq(a, b)
 	}
-	if !c.fresh(id) {
-		return id
+	if c.fresh(id) {
+		c.nodes[id] = cnode{op: op, a: a, b: b, aux: aux}
 	}
-	if p == nil {
-		l, r := c.nodes[a].proc, c.nodes[b].proc
-		switch op {
-		case opPar:
-			p = csp.ParProc{L: l, R: r, Sync: c.memos[aux].set}
-		case opHide:
-			p = csp.HideProc{P: l, Set: c.memos[aux].set}
-		case opRename:
-			p = csp.RenameProc{P: l, Mapping: c.memos[aux].m}
-		case opExt:
-			p = csp.ExtChoiceProc{L: l, R: r}
-		default:
-			p = csp.SeqProc{L: l, R: r}
-		}
-	}
-	c.nodes[id] = cnode{proc: p, op: op, a: a, b: b, aux: aux}
 	return id
+}
+
+// proc rebuilds the term of process node id from the node records: a
+// leaf's term is kept in leaves, and a composite's is assembled from its
+// children's. It only reads the records, so a finished LTS may render
+// keys from many goroutines.
+func (c *compiler) proc(id csp.TermID) csp.Process {
+	n := &c.nodes[id]
+	switch n.op {
+	case opPar:
+		return csp.ParProc{L: c.proc(n.a), R: c.proc(n.b), Sync: c.memos[n.aux].set}
+	case opHide:
+		return csp.HideProc{P: c.proc(n.a), Set: c.memos[n.aux].set}
+	case opRename:
+		return csp.RenameProc{P: c.proc(n.a), Mapping: c.memos[n.aux].m}
+	case opExt:
+		return csp.ExtChoiceProc{L: c.proc(n.a), R: c.proc(n.b)}
+	case opSeq:
+		return csp.SeqProc{L: c.proc(n.a), R: c.proc(n.b)}
+	}
+	return c.leaves[n.aux]
+}
+
+// records returns what a finished LTS keeps of the compiler, and
+// renumbers the states into it: the records of the nodes the states
+// reach, with their leaf terms, and the set and mapping memos — what
+// proc rebuilds terms from — and the Ω node. The interner's index, the
+// transition arena, the event tables and every node no state reaches
+// are left behind.
+func (c *compiler) records(states []csp.TermID) *compiler {
+	kept := &compiler{memos: c.memos}
+	newID := make([]csp.TermID, len(c.nodes)) // kept ID + 1; 0 until kept
+	var keep func(id csp.TermID) csp.TermID
+	keep = func(id csp.TermID) csp.TermID {
+		if newID[id] == 0 {
+			n := c.nodes[id]
+			switch n.op {
+			case opPar, opExt, opSeq:
+				n.a, n.b = keep(n.a), keep(n.b)
+			case opHide, opRename:
+				n.a = keep(n.a)
+			case opLeaf:
+				kept.leaves = append(kept.leaves, c.leaves[n.aux])
+				n.aux = int32(len(kept.leaves) - 1)
+			}
+			kept.nodes = append(kept.nodes, n)
+			newID[id] = csp.TermID(len(kept.nodes))
+		}
+		return newID[id] - 1
+	}
+	for i, s := range states {
+		states[i] = keep(s)
+	}
+	kept.omega = keep(c.omega)
+	kept.nodes, kept.leaves = slices.Clone(kept.nodes), slices.Clone(kept.leaves)
+	return kept
 }
 
 // fresh grows the node table to cover id and reports whether id is not
@@ -316,9 +360,9 @@ func (c *compiler) trans(id csp.TermID) ([]Step, error) {
 			case t.Ev == TickID:
 				c.emit(TickID, c.omega)
 			case c.inSet(n.aux, t.Ev):
-				c.emit(TauID, c.node(opHide, t.To, 0, n.aux, nil))
+				c.emit(TauID, c.node(opHide, t.To, 0, n.aux))
 			default:
-				c.emit(t.Ev, c.node(opHide, t.To, 0, n.aux, nil))
+				c.emit(t.Ev, c.node(opHide, t.To, 0, n.aux))
 			}
 		}
 	case opRename:
@@ -326,7 +370,7 @@ func (c *compiler) trans(id csp.TermID) ([]Step, error) {
 			if t.Ev == TickID {
 				c.emit(TickID, c.omega)
 			} else {
-				c.emit(c.renamed(n.aux, t.Ev), c.node(opRename, t.To, 0, n.aux, nil))
+				c.emit(c.renamed(n.aux, t.Ev), c.node(opRename, t.To, 0, n.aux))
 			}
 		}
 	case opExt:
@@ -334,13 +378,13 @@ func (c *compiler) trans(id csp.TermID) ([]Step, error) {
 		// the chosen branch's successor.
 		for _, t := range lt {
 			if t.Ev == TauID {
-				t.To = c.node(opExt, t.To, n.b, 0, nil)
+				t.To = c.node(opExt, t.To, n.b, 0)
 			}
 			c.arena = append(c.arena, t)
 		}
 		for _, t := range rt {
 			if t.Ev == TauID {
-				t.To = c.node(opExt, n.a, t.To, 0, nil)
+				t.To = c.node(opExt, n.a, t.To, 0)
 			}
 			c.arena = append(c.arena, t)
 		}
@@ -350,11 +394,11 @@ func (c *compiler) trans(id csp.TermID) ([]Step, error) {
 			if t.Ev == TickID {
 				c.emit(TauID, n.b)
 			} else {
-				c.emit(t.Ev, c.node(opSeq, t.To, n.b, 0, nil))
+				c.emit(t.Ev, c.node(opSeq, t.To, n.b, 0))
 			}
 		}
 	default:
-		trs, err := c.leaf.Transitions(n.proc)
+		trs, err := c.leaf.Transitions(c.leaves[n.aux])
 		if err != nil {
 			return nil, err
 		}
@@ -384,7 +428,7 @@ func (c *compiler) parTrans(n cnode, lt, rt []Step) {
 		case t.Ev == TickID:
 			leftTick = true
 		case t.Ev == TauID || !c.inSet(s, t.Ev):
-			c.emit(t.Ev, c.node(opPar, t.To, n.b, s, nil))
+			c.emit(t.Ev, c.node(opPar, t.To, n.b, s))
 		default:
 			sync = true
 		}
@@ -394,7 +438,7 @@ func (c *compiler) parTrans(n cnode, lt, rt []Step) {
 		case t.Ev == TickID:
 			rightTick = true
 		case t.Ev == TauID || !c.inSet(s, t.Ev):
-			c.emit(t.Ev, c.node(opPar, n.a, t.To, s, nil))
+			c.emit(t.Ev, c.node(opPar, n.a, t.To, s))
 		}
 	}
 	if sync {
@@ -413,7 +457,7 @@ func (c *compiler) parTrans(n cnode, lt, rt []Step) {
 		for _, t := range lt {
 			if t.Ev > TickID && c.inSet(s, t.Ev) {
 				for j := head[t.Ev]; j >= 0; j = next[j] {
-					c.emit(t.Ev, c.node(opPar, t.To, rt[j].To, s, nil))
+					c.emit(t.Ev, c.node(opPar, t.To, rt[j].To, s))
 				}
 			}
 		}

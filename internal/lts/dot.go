@@ -3,8 +3,6 @@ package lts
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/csp"
 )
 
 // DOTOptions configures graph export.
@@ -63,7 +61,7 @@ func (l *LTS) ToDOT(opts DOTOptions) string {
 	fmt.Fprintf(&sb, "  init [shape=point];\n  init -> s%d;\n", l.Init)
 	for id := 0; id < limit; id++ {
 		attrs := fmt.Sprintf("label=\"%d\"", id)
-		if _, omega := l.Procs[id].(csp.OmegaProc); omega {
+		if l.IsOmega(id) {
 			attrs += ", shape=doublecircle"
 		}
 		if highlight[id] {

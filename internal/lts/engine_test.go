@@ -5,6 +5,7 @@
 package lts
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -138,26 +139,27 @@ func TestMaxMemBytesCountsEventTable(t *testing.T) {
 		t.Fatalf("MemoryError with estimate %d <= limit %d", me.EstimatedBytes, limit)
 	}
 
-	// Resume path: a snapshot with only the root merged re-registers the
-	// event table on load, so the same limit must trip immediately on
-	// resume, too.
+	// Resume path: a snapshot with only the root merged — written at the
+	// level-1 boundary of a run cancelled while expanding D, the n+1st
+	// leaf evaluation — re-registers the event table on load, so the
+	// same limit must trip immediately on resume, too.
 	dir := t.TempDir()
-	ck := newCheckpointer(&CheckpointOptions{Dir: dir}, DefaultMaxStates, nil)
-	partial := &LTS{
-		Init:     ref.Init,
-		Procs:    ref.Procs,
-		Events:   ref.Events,
-		eventIDs: ref.eventIDs,
-		Edges:    make([][]Edge, ref.NumStates()),
+	ctx, cancel := context.WithCancel(context.Background())
+	opts := Options{Ctx: ctx, Checkpoint: &CheckpointOptions{Dir: dir}}
+	if _, _, err := ExploreCancelAfter(sem, root, opts, n+1, cancel); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 	}
-	partial.Edges[0] = ref.Edges[0]
-	ck.write(partial, 1, 1, 0)
-	_, err = Explore(sem, root, Options{
-		MaxMemBytes: limit,
-		Checkpoint:  &CheckpointOptions{Dir: dir},
-	})
+	cancel()
+	o := obs.New()
+	_, err = Explore(sem, root, Options{MaxMemBytes: limit, Checkpoint: &CheckpointOptions{Dir: dir}, Obs: o})
 	if !errors.As(err, &me) {
 		t.Fatalf("resume path: event-table bytes not counted: err = %v, want *MemoryError", err)
+	}
+	if resumes := o.Counter("lts.checkpoint.resumes").Value(); resumes != 1 {
+		t.Fatalf("resume path: %d resumes, want 1", resumes)
+	}
+	if levels := o.Counter("lts.explore.levels").Value(); levels != 1 {
+		t.Fatalf("resume path: %d levels before the trip, want 1", levels)
 	}
 }
 

@@ -6,19 +6,50 @@ import (
 	"repro/internal/csp"
 )
 
+// Reference is the reference engine's result: the LTS graph, with every
+// state's term held as built. It shares the methods requireSameLTS
+// compares through with LTS.
+type Reference struct {
+	Init   int
+	Procs  []csp.Process
+	Edges  [][]Edge
+	Events []csp.Event
+
+	eventIDs map[string]int
+}
+
+// NumStates returns the number of explored states.
+func (r *Reference) NumStates() int { return len(r.Procs) }
+
+// Key renders the term of a state.
+func (r *Reference) Key(id int) string { return r.Procs[id].Key() }
+
+// IsOmega reports whether a state's term is Ω.
+func (r *Reference) IsOmega(id int) bool {
+	_, omega := r.Procs[id].(csp.OmegaProc)
+	return omega
+}
+
+// Graph returns the initial state, edge lists and event table.
+func (r *Reference) Graph() (int, [][]Edge, []csp.Event) { return r.Init, r.Edges, r.Events }
+
+// Graph returns the initial state, edge lists and event table.
+func (l *LTS) Graph() (int, [][]Edge, []csp.Event) { return l.Init, l.Edges, l.Events }
+
 // ExploreReference builds the LTS reachable from root with the
 // original string-keyed sequential engine: states interned by their
 // recursively rendered canonical Key() strings, events by their
 // String() renders, plain level-ordered BFS, every state's whole term
 // evaluated by csp.Semantics. It is deliberately frozen — no memo, no
-// checkpoints — and is the differential oracle proving the compiled
-// engine produces byte-identical results (state numbering, edges,
-// event table). Only maxStates is honoured; 0 means DefaultMaxStates.
-func ExploreReference(sem *csp.Semantics, root csp.Process, maxStates int) (*LTS, error) {
+// interner, no checkpoints — and is the differential oracle proving the
+// compiled engine produces byte-identical results (state numbering,
+// edges, event table). Only maxStates is honoured; 0 means
+// DefaultMaxStates.
+func ExploreReference(sem *csp.Semantics, root csp.Process, maxStates int) (*Reference, error) {
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates
 	}
-	l := &LTS{
+	l := &Reference{
 		Events:   []csp.Event{csp.Tau(), csp.Tick()},
 		eventIDs: map[string]int{},
 	}
@@ -62,7 +93,7 @@ func ExploreReference(sem *csp.Semantics, root csp.Process, maxStates int) (*LTS
 
 // eventID is the reference engine's event interning: by String()
 // render, in order of first appearance.
-func (l *LTS) eventID(e csp.Event) int {
+func (l *Reference) eventID(e csp.Event) int {
 	switch {
 	case e.IsTau():
 		return TauID

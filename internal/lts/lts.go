@@ -9,7 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/csp"
@@ -47,27 +47,32 @@ func (e *LimitError) Error() string {
 func (e *LimitError) Is(target error) bool { return target == ErrStateLimit }
 
 // LTS is an explicit-state labelled transition system. States are
-// identified by dense integer IDs in discovery (BFS) order; the terms
-// themselves are held as interned csp.Process values, and canonical key
-// strings are only rendered on demand (Key) for reports and
-// counterexamples — the exploration hot path never builds them.
+// identified by dense integer IDs in discovery (BFS) order, and each
+// state is a node ID: into the exploration's interned node table while
+// it runs, and into the node records the finished LTS keeps. No state
+// carries a process term: Key rebuilds one from the node records on
+// demand, for reports and counterexamples.
 type LTS struct {
 	// Init is the index of the initial state.
 	Init int
-	// Procs holds the process term of each state.
-	Procs []csp.Process
 	// Edges holds the outgoing transitions of each state.
 	Edges [][]Edge
 	// Events maps event IDs (>= 2) to events; index 0 and 1 are
 	// placeholders for tau and tick.
 	Events []csp.Event
 
+	states   []csp.TermID // state ID -> node ID
+	c        *compiler    // the node records; after Explore, only those Key needs
 	eventIDs map[string]int
 }
 
-// Key renders the canonical process term of a state. It is rendered on
-// demand: states no longer carry their key strings.
-func (l *LTS) Key(id int) string { return l.Procs[id].Key() }
+// Key renders the canonical process term of a state, rebuilt from the
+// node records.
+func (l *LTS) Key(id int) string { return l.c.proc(l.states[id]).Key() }
+
+// IsOmega reports whether a state is Ω, the terminated process a tick
+// leads to.
+func (l *LTS) IsOmega(id int) bool { return l.states[id] == l.c.omega }
 
 // Edge is a transition to state To labelled with event ID Ev.
 type Edge struct {
@@ -98,9 +103,10 @@ type Options struct {
 	// exploration itself.
 	Obs *obs.Observer
 	// MaxMemBytes is a hard watermark on the estimated resident size of
-	// the exploration (interned-term index, compiled memo and node table,
-	// the LTS under construction including the event-intern table, and
-	// the checkpointer's node table), checked once per BFS level.
+	// the exploration (the interner's index and node table, the compiled
+	// memo and node records, and the LTS under construction including the
+	// event-intern table), checked once per BFS level. Checkpointing adds
+	// nothing: snapshots persist the exploration's own node table.
 	// Exceeding it returns a *MemoryError — a structured budget verdict
 	// instead of an OOM kill. 0 means unbounded.
 	MaxMemBytes int64
@@ -187,8 +193,8 @@ func (e *CanceledError) Unwrap() error { return e.Cause }
 const DefaultMaxStates = 1 << 20
 
 // ltsStateOverhead approximates the per-state resident cost of the LTS
-// under construction: the Procs/Edges slice slots and the term pointer.
-const ltsStateOverhead = 64
+// under construction: the state's node ID and its Edges slice header.
+const ltsStateOverhead = 32
 
 // ltsEdgeBytes is the resident cost of one Edge.
 const ltsEdgeBytes = 16
@@ -214,7 +220,6 @@ func Explore(sem *csp.Semantics, root csp.Process, opts Options) (*LTS, error) {
 type exploration struct {
 	c         *compiler
 	l         *LTS
-	states    []csp.TermID // state ID -> term
 	edgeBuf   []Edge
 	maxStates int
 	ltsBytes  int64
@@ -264,9 +269,10 @@ func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, er
 		}
 		span.End(obs.Int("states", explored), obs.String("outcome", outcome))
 	}()
+	c := newCompiler(src)
 	e := &exploration{
-		c:         newCompiler(src),
-		l:         &LTS{Events: []csp.Event{csp.Tau(), csp.Tick()}, eventIDs: map[string]int{}},
+		c:         c,
+		l:         &LTS{Events: []csp.Event{csp.Tau(), csp.Tick()}, c: c, eventIDs: map[string]int{}},
 		maxStates: maxStates,
 		ctx:       opts.Ctx,
 		maxDur:    opts.MaxDuration,
@@ -286,23 +292,23 @@ func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, er
 					return nil, err
 				}
 			}
-			e.l.Init = rs.init
-			for i, edges := range rs.edges[:rs.merged] {
+			e.l.Init = rs.Init
+			for i, edges := range rs.Edges[:rs.Merged] {
 				e.l.Edges[i] = edges
 				e.ltsBytes += int64(len(edges)) * ltsEdgeBytes
 			}
 			for _, ev := range rs.events {
 				e.eventID(e.c.event(ev))
 			}
-			merged = rs.merged
-			levels = rs.levels
+			merged = rs.Merged
+			levels = rs.Levels
 			// Wall clock spent before the crash counts against the
 			// deadline budget: a crash must never extend a deadline.
-			e.start = e.start.Add(-rs.elapsed)
-			statesC.Add(int64(len(e.states)))
+			e.start = e.start.Add(-time.Duration(rs.ElapsedNs))
+			statesC.Add(int64(len(e.l.states)))
 		}
 	}
-	if len(e.states) == 0 {
+	if len(e.l.states) == 0 {
 		rootID, err := e.add(e.c.intern(root))
 		if err != nil {
 			return nil, err
@@ -314,40 +320,37 @@ func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, er
 	// Level boundaries fall where merged reaches the number of states
 	// known when the level began, so per-level metrics, the memory
 	// watermark and checkpoint cadence are level-granular.
-	levelEnd, levelStart, levelEdges := merged, len(e.states), 0
+	levelEnd, levelStart, levelEdges := merged, len(e.l.states), 0
 	var flushedHits, flushedMisses int64
 	endLevel := func() {
-		statesC.Add(int64(len(e.states) - levelStart))
+		statesC.Add(int64(len(e.l.states) - levelStart))
 		transC.Add(int64(levelEdges))
 		hitsC.Add(e.c.hits - flushedHits)
 		missesC.Add(e.c.misses - flushedMisses)
 		flushedHits, flushedMisses = e.c.hits, e.c.misses
 		nodesG.Max(int64(e.c.in.Len()))
-		prog.Tick(int64(len(e.states)), obs.Int("frontier", int64(len(e.states)-merged)))
+		prog.Tick(int64(len(e.l.states)), obs.Int("frontier", int64(len(e.l.states)-merged)))
 		levels++
 		if ck != nil && levels%ck.every == 0 {
 			ck.write(e.l, merged, levels, time.Since(e.start))
 		}
 	}
 	first := true
-	for merged < len(e.states) {
+	for merged < len(e.l.states) {
 		if merged == levelEnd {
 			if !first {
 				endLevel()
 			}
 			first = false
 			levelsC.Inc()
-			frontierG.Max(int64(len(e.states) - merged))
+			frontierG.Max(int64(len(e.l.states) - merged))
 			if opts.MaxMemBytes > 0 {
 				est := e.c.in.Bytes() + e.ltsBytes + e.c.bytes()
-				if ck != nil {
-					est += ck.in.Bytes()
-				}
 				if est > opts.MaxMemBytes {
-					return nil, &MemoryError{Explored: len(e.states), EstimatedBytes: est, Limit: opts.MaxMemBytes}
+					return nil, &MemoryError{Explored: len(e.l.states), EstimatedBytes: est, Limit: opts.MaxMemBytes}
 				}
 			}
-			levelEnd, levelStart, levelEdges = len(e.states), len(e.states), 0
+			levelEnd, levelStart, levelEdges = len(e.l.states), len(e.l.states), 0
 		}
 		// Probing the stop conditions before every expansion bounds
 		// deadline overshoot and cancellation latency to one state.
@@ -379,7 +382,8 @@ func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, er
 		// exploration finished resumes instantly instead of re-exploring.
 		ck.write(e.l, merged, levels, time.Since(e.start))
 	}
-	prog.Flush(int64(len(e.states)))
+	prog.Flush(int64(len(e.l.states)))
+	e.l.c = c.records(e.l.states)
 	return e.l, nil
 }
 
@@ -390,13 +394,12 @@ func (e *exploration) add(tid csp.TermID) (int, error) {
 	if n.state > 0 {
 		return int(n.state - 1), nil
 	}
-	if len(e.states) >= e.maxStates {
-		return 0, &LimitError{Explored: len(e.states), Limit: e.maxStates}
+	if len(e.l.states) >= e.maxStates {
+		return 0, &LimitError{Explored: len(e.l.states), Limit: e.maxStates}
 	}
-	id := len(e.states)
+	id := len(e.l.states)
 	n.state = int32(id + 1)
-	e.states = append(e.states, tid)
-	e.l.Procs = append(e.l.Procs, n.proc)
+	e.l.states = append(e.l.states, tid)
 	e.l.Edges = append(e.l.Edges, nil)
 	e.ltsBytes += ltsStateOverhead
 	return id, nil
@@ -424,7 +427,7 @@ func (e *exploration) eventID(ev int32) int {
 // checkpoints) from a chunk sized to the exploration so far.
 func (e *exploration) edges(n int) []Edge {
 	if len(e.edgeBuf) < n || e.edgeBuf == nil {
-		e.edgeBuf = make([]Edge, max(n, min(maxEdgeChunk, 4*len(e.states))))
+		e.edgeBuf = make([]Edge, max(n, min(maxEdgeChunk, 4*len(e.l.states))))
 	}
 	out := e.edgeBuf[:n:n]
 	e.edgeBuf = e.edgeBuf[n:]
@@ -443,7 +446,7 @@ func (e *exploration) expand(s int) (trs []Step, err error) {
 			err = fmt.Errorf("state %q: panic during transition evaluation: %v", e.l.Key(s), r)
 		}
 	}()
-	trs, err = e.c.trans(e.states[s])
+	trs, err = e.c.trans(e.l.states[s])
 	if err != nil {
 		return nil, fmt.Errorf("state %q: %w", e.l.Key(s), err)
 	}
@@ -455,11 +458,11 @@ func (e *exploration) expand(s int) (trs []Step, err error) {
 func (e *exploration) check() error {
 	if e.ctx != nil {
 		if err := e.ctx.Err(); err != nil {
-			return &CanceledError{Explored: len(e.states), Cause: err}
+			return &CanceledError{Explored: len(e.l.states), Cause: err}
 		}
 	}
 	if e.maxDur > 0 && time.Since(e.start) > e.maxDur {
-		return &DeadlineError{Explored: len(e.states), Limit: e.maxDur}
+		return &DeadlineError{Explored: len(e.l.states), Limit: e.maxDur}
 	}
 	return nil
 }
@@ -481,7 +484,7 @@ func (l *LTS) EventID(e csp.Event) (int, bool) {
 }
 
 // NumStates returns the number of explored states.
-func (l *LTS) NumStates() int { return len(l.Procs) }
+func (l *LTS) NumStates() int { return len(l.states) }
 
 // NumTransitions returns the total number of edges.
 func (l *LTS) NumTransitions() int {
@@ -505,22 +508,21 @@ func (l *LTS) IsStable(id int) bool {
 // Initials returns the sorted set of non-tau label IDs offered by the
 // state (tick included).
 func (l *LTS) Initials(id int) []int {
-	seen := map[int]bool{}
 	var out []int
 	for _, e := range l.Edges[id] {
-		if e.Ev != TauID && !seen[e.Ev] {
-			seen[e.Ev] = true
+		if e.Ev != TauID {
 			out = append(out, e.Ev)
 		}
 	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // TauClosure returns the sorted set of states reachable from the given
 // states via tau transitions only (including the states themselves).
 func (l *LTS) TauClosure(states []int) []int {
 	seen := make(map[int]bool, len(states))
+	out := make([]int, 0, len(states))
 	stack := append([]int(nil), states...)
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
@@ -529,17 +531,14 @@ func (l *LTS) TauClosure(states []int) []int {
 			continue
 		}
 		seen[s] = true
+		out = append(out, s)
 		for _, e := range l.Edges[s] {
 			if e.Ev == TauID && !seen[e.To] {
 				stack = append(stack, e.To)
 			}
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -547,47 +546,34 @@ func (l *LTS) TauClosure(states []int) []int {
 // transitions is reachable, i.e. the process can diverge. The witness is
 // the index of a state on the cycle, or -1.
 func (l *LTS) HasTauCycle() (bool, int) {
-	// Iterative DFS with colour marking over tau edges only.
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	colour := make([]byte, len(l.Procs))
-	type frame struct {
-		state int
-		next  int
-	}
-	for start := range l.Procs {
-		if colour[start] != white {
+	// Iterative DFS over tau edges, one edge per step; colour 1 marks
+	// the states on the current path, 2 the finished ones.
+	colour := make([]byte, len(l.states))
+	type frame struct{ state, next int }
+	for start := range colour {
+		if colour[start] != 0 {
 			continue
 		}
+		colour[start] = 1
 		stack := []frame{{state: start}}
-		colour[start] = grey
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			advanced := false
-			for f.next < len(l.Edges[f.state]) {
-				e := l.Edges[f.state][f.next]
-				f.next++
-				if e.Ev != TauID {
-					continue
-				}
-				switch colour[e.To] {
-				case grey:
-					return true, e.To
-				case white:
-					colour[e.To] = grey
-					stack = append(stack, frame{state: e.To})
-					advanced = true
-				}
-				if advanced {
-					break
-				}
-			}
-			if !advanced {
-				colour[f.state] = black
+			if f.next == len(l.Edges[f.state]) {
+				colour[f.state] = 2
 				stack = stack[:len(stack)-1]
+				continue
+			}
+			e := l.Edges[f.state][f.next]
+			f.next++
+			if e.Ev != TauID {
+				continue
+			}
+			switch colour[e.To] {
+			case 1:
+				return true, e.To
+			case 0:
+				colour[e.To] = 1
+				stack = append(stack, frame{state: e.To})
 			}
 		}
 	}

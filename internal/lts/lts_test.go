@@ -46,7 +46,7 @@ func TestCompiledStepsMemoized(t *testing.T) {
 	if ev := m.EventOf(s1[1].Ev); ev.String() != "b" || m.Event(csp.Ev("b")) != s1[1].Ev {
 		t.Errorf("event %d is %s, want b", s1[1].Ev, ev)
 	}
-	if k := m.c.nodes[s1[1].To].proc.Key(); k != csp.Skip().Key() {
+	if k := m.c.proc(s1[1].To).Key(); k != csp.Skip().Key() {
 		t.Errorf("successor %s, want SKIP", k)
 	}
 }

@@ -1,6 +1,7 @@
 package lts
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -46,18 +47,6 @@ func subsetDigest(states []int) uint64 {
 	return h
 }
 
-func sameSubset(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, x := range a {
-		if x != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Normalize performs tau-closure plus subset construction on the LTS,
 // producing the deterministic structure refinement checking runs
 // against.
@@ -67,7 +56,7 @@ func Normalize(l *LTS) *Normalized {
 	intern := func(states []int) int {
 		d := subsetDigest(states)
 		for _, id := range index[d] {
-			if sameSubset(n.Nodes[id].States, states) {
+			if slices.Equal(n.Nodes[id].States, states) {
 				return id
 			}
 		}

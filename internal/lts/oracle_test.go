@@ -49,11 +49,23 @@ func otaCorpus(t *testing.T) []corpusSystem {
 	return out
 }
 
-// requireSameLTS fails unless a and b are structurally byte-identical.
-func requireSameLTS(t *testing.T, label string, a, b *lts.LTS) {
+// explored is what both an explored LTS and the reference engine's
+// result answer, so requireSameLTS can compare either with either.
+type explored interface {
+	Graph() (init int, edges [][]lts.Edge, events []csp.Event)
+	NumStates() int
+	Key(id int) string
+	IsOmega(id int) bool
+}
+
+// requireSameLTS fails unless a and b are structurally byte-identical:
+// the same initial state, state keys, Ω states, event table and edges.
+func requireSameLTS(t *testing.T, label string, a, b explored) {
 	t.Helper()
-	if a.Init != b.Init {
-		t.Fatalf("%s: init %d vs %d", label, a.Init, b.Init)
+	aInit, aEdges, aEvents := a.Graph()
+	bInit, bEdges, bEvents := b.Graph()
+	if aInit != bInit {
+		t.Fatalf("%s: init %d vs %d", label, aInit, bInit)
 	}
 	if a.NumStates() != b.NumStates() {
 		t.Fatalf("%s: %d states vs %d", label, a.NumStates(), b.NumStates())
@@ -62,17 +74,23 @@ func requireSameLTS(t *testing.T, label string, a, b *lts.LTS) {
 		if a.Key(i) != b.Key(i) {
 			t.Fatalf("%s: state %d key %q vs %q", label, i, a.Key(i), b.Key(i))
 		}
-	}
-	if len(a.Events) != len(b.Events) {
-		t.Fatalf("%s: %d events vs %d", label, len(a.Events), len(b.Events))
-	}
-	for i := range a.Events {
-		if a.Events[i].String() != b.Events[i].String() {
-			t.Fatalf("%s: event %d = %s vs %s", label, i, a.Events[i], b.Events[i])
+		if a.IsOmega(i) != b.IsOmega(i) {
+			t.Fatalf("%s: state %d (%s) is Ω: %v vs %v", label, i, a.Key(i), a.IsOmega(i), b.IsOmega(i))
 		}
 	}
-	for s := range a.Edges {
-		ea, eb := a.Edges[s], b.Edges[s]
+	if len(aEvents) != len(bEvents) {
+		t.Fatalf("%s: %d events vs %d", label, len(aEvents), len(bEvents))
+	}
+	for i := range aEvents {
+		if aEvents[i].String() != bEvents[i].String() {
+			t.Fatalf("%s: event %d = %s vs %s", label, i, aEvents[i], bEvents[i])
+		}
+	}
+	if len(aEdges) != len(bEdges) {
+		t.Fatalf("%s: %d edge lists vs %d", label, len(aEdges), len(bEdges))
+	}
+	for s := range aEdges {
+		ea, eb := aEdges[s], bEdges[s]
 		if len(ea) != len(eb) {
 			t.Fatalf("%s: state %d has %d edges vs %d", label, s, len(ea), len(eb))
 		}

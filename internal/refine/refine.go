@@ -520,7 +520,7 @@ func (c *Checker) DeadlockFree(p csp.Process) (res Result, err error) {
 	for len(queue) > 0 {
 		s := queue[0]
 		queue = queue[1:]
-		if _, omega := l.Procs[s].(csp.OmegaProc); len(l.Edges[s]) == 0 && !omega {
+		if len(l.Edges[s]) == 0 && !l.IsOmega(s) {
 			return Result{
 				Holds:          false,
 				Counterexample: rebuildLinear(l, parents, s),
