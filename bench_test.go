@@ -6,7 +6,12 @@
 package repro_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -25,6 +30,7 @@ import (
 	"repro/internal/lts"
 	"repro/internal/ota"
 	"repro/internal/refine"
+	"repro/internal/serve"
 	"repro/internal/translate"
 )
 
@@ -284,6 +290,43 @@ func BenchmarkCSPMLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := cspm.Load(sys.Source); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkServeCheck measures one fdrserve request end to end: a POST
+// /v1/check of testdata/ota.csp through httptest against a server with
+// the default Config, JSON both ways and every assertion's check
+// included.
+func BenchmarkServeCheck(b *testing.B) {
+	src, err := os.ReadFile(filepath.Join("testdata", "ota.csp"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	body, err := json.Marshal(serve.CheckRequest{CSPM: string(src)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := serve.New(serve.Config{})
+	defer srv.Kill()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := ts.Client().Post(ts.URL+"/v1/check", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var out serve.CheckResponse
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || len(out.Results) != 4 {
+			b.Fatalf("status %d, %d verdicts, err %v", resp.StatusCode, len(out.Results), err)
+		}
+		for _, v := range out.Results {
+			if !v.Holds {
+				b.Fatalf("%s: %+v", v.Assert, v)
+			}
 		}
 	}
 }

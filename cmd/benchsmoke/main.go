@@ -28,10 +28,13 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -48,6 +51,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/ota"
 	"repro/internal/refine"
+	"repro/internal/serve"
 )
 
 // Measurement is one benchmark result.
@@ -259,7 +263,9 @@ type namedBench struct {
 // suite builds the benchmark list: exploration of the largest
 // case-study state space (plain and checkpointing every level), a full
 // refinement check (cold vs cached), the soak's trace-membership check,
-// and the fault-injection campaign (sequential vs parallel scenarios).
+// the fault-injection campaign (sequential vs parallel scenarios), and
+// one fdrserve request (a POST /v1/check of testdata/ota.csp, read
+// relative to the working directory: run from the repository root).
 // The observer (nil when disabled) is threaded through every layer so
 // -metrics aggregates the whole suite.
 func suite(o *obs.Observer) ([]namedBench, error) {
@@ -382,6 +388,39 @@ func suite(o *obs.Observer) ([]namedBench, error) {
 		b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
 	}
 
+	serveCheck := func(b *testing.B) {
+		src, err := os.ReadFile(filepath.Join("testdata", "ota.csp"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		body, err := json.Marshal(serve.CheckRequest{CSPM: string(src)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv := serve.New(serve.Config{Obs: o})
+		defer srv.Kill()
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			resp, err := ts.Client().Post(ts.URL+"/v1/check", "application/json", bytes.NewReader(body))
+			if err != nil {
+				b.Fatal(err)
+			}
+			var out serve.CheckResponse
+			err = json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || len(out.Results) != 4 {
+				b.Fatalf("status %d, %d verdicts, err %v", resp.StatusCode, len(out.Results), err)
+			}
+			for _, v := range out.Results {
+				if !v.Holds {
+					b.Fatalf("%s: %+v", v.Assert, v)
+				}
+			}
+		}
+	}
+
 	primed := lts.NewCache()
 	primed.Obs = o
 	return []namedBench{
@@ -392,5 +431,6 @@ func suite(o *obs.Observer) ([]namedBench, error) {
 		{"AcceptsTrace/soak", acceptsTrace},
 		{"FaultCampaign/seq", campaign(1)},
 		{"FaultCampaign/par", campaign(0)},
+		{"Serve/check", serveCheck},
 	}, nil
 }

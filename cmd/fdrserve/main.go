@@ -7,7 +7,6 @@
 //
 //	fdrserve [-addr :8080] [-check-workers N] [-queue N] [-max-states N]
 //	         [-max-duration 30s] [-max-body 1048576]
-//	         [-cache-states N] [-cache-entries N]
 //
 // Endpoints:
 //
@@ -21,6 +20,11 @@
 // Overload is rejected with 429 + Retry-After instead of queue
 // collapse; a SIGTERM/SIGINT drains in-flight checks, rejects new
 // work, flushes the observability sinks and exits 0.
+//
+// The daemon keeps no model store: each request's assertions share one
+// exploration cache that is dropped with the request, so resident
+// memory is bounded by -check-workers times the per-request -max-states
+// and -max-mem budgets.
 //
 // With -data-dir set, jobs are durable: records persist with atomic
 // writes, explorations checkpoint per BFS level, and a daemon killed
@@ -65,8 +69,6 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	maxStates := fs.Int("max-states", 0, "per-request state cap per exploration (0 = lts default)")
 	maxDuration := fs.Duration("max-duration", 30*time.Second, "per-request wall-clock cap")
 	maxBody := fs.Int64("max-body", 1<<20, "request body cap in bytes")
-	cacheStates := fs.Int("cache-states", 0, "model-store state watermark (0 = 8x max-states)")
-	cacheEntries := fs.Int("cache-entries", 0, "model-store entry watermark (0 = unbounded entries)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight checks on shutdown")
 	dataDir := fs.String("data-dir", "", "durable state directory: job records and checkpoints (empty = jobs are memory-only)")
 	maxMem := fs.Int64("max-mem", 0, "per-exploration hard memory watermark in bytes; past it the check degrades to a budget:memory verdict (0 = unbounded)")
@@ -99,8 +101,6 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		MaxBodyBytes: *maxBody,
 		MaxStates:    *maxStates,
 		MaxDuration:  *maxDuration,
-		CacheEntries: *cacheEntries,
-		CacheStates:  *cacheStates,
 		Obs:          observer,
 		EnableChaos:  *chaos,
 

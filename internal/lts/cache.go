@@ -1,7 +1,6 @@
 package lts
 
 import (
-	"container/list"
 	"encoding/binary"
 	"sync"
 	"sync/atomic"
@@ -25,41 +24,26 @@ import (
 // that computation and then forgotten, so a later call with a larger
 // wall-clock budget can retry.
 //
+// Nothing is ever evicted for size: a Cache holds every successful
+// result for as long as it lives, so give it the lifetime of one batch
+// of related checks (a CLI run, one daemon request), not of a process.
+//
 // The zero value is not usable; construct with NewCache. All methods
 // are safe for concurrent use.
 type Cache struct {
 	// Obs, when set, mirrors the cache statistics to obs counters
-	// (lts.cache.hits / misses / coalesces / evictions /
-	// evictions.size). It may be assigned once, before the cache is
-	// shared across goroutines.
+	// (lts.cache.hits / misses / coalesces / evictions). It may be
+	// assigned once, before the cache is shared across goroutines.
 	Obs *obs.Observer
 
-	// MaxEntries, when positive, bounds the number of cached
-	// explorations; the least-recently-used entries are evicted past the
-	// watermark. Zero (the default) is unbounded — the batch-CLI
-	// behaviour, byte-identical to an unbounded cache.
-	MaxEntries int
-	// MaxStates, when positive, bounds the total number of LTS states
-	// held by the cache (the sum of NumStates over cached entries) — the
-	// watermark a long-lived server sets so the model store degrades via
-	// LRU eviction instead of growing until the process OOMs. A single
-	// entry larger than the watermark is itself evicted immediately:
-	// staying under the bound wins over keeping an oversized result.
-	// Zero (the default) is unbounded. Like Obs, both limits must be
-	// assigned before the cache is shared across goroutines.
-	MaxStates int
+	mu      sync.Mutex
+	entries map[cacheKey]*cacheEntry
+	norms   map[*LTS]*normEntry
 
-	mu        sync.Mutex
-	entries   map[cacheKey]*cacheEntry
-	norms     map[*LTS]*normEntry
-	lru       *list.List // of cacheKey; front = most recently used
-	curStates int64      // sum of states over LRU-tracked entries
-
-	hits          atomic.Int64
-	misses        atomic.Int64
-	coalesces     atomic.Int64
-	evictions     atomic.Int64
-	sizeEvictions atomic.Int64
+	hits      atomic.Int64
+	misses    atomic.Int64
+	coalesces atomic.Int64
+	evictions atomic.Int64
 }
 
 // cacheKey identifies one exploration: the semantic identity (both the
@@ -101,12 +85,6 @@ type cacheEntry struct {
 	done atomic.Bool
 	lts  *LTS
 	err  error
-	// elem is the entry's LRU node, set under Cache.mu once the entry
-	// holds a successful result; nil while in flight, after an error, or
-	// on an unbounded cache (which keeps no LRU at all).
-	elem *list.Element
-	// states is the entry's NumStates, cached for O(1) size accounting.
-	states int
 }
 
 type normEntry struct {
@@ -170,54 +148,7 @@ func (c *Cache) Explore(sem *csp.Semantics, p csp.Process, opts Options) (*LTS, 
 		c.mu.Unlock()
 		return nil, e.err
 	}
-	if c.bounded() {
-		c.touch(key, e)
-	}
 	return e.lts, nil
-}
-
-// bounded reports whether a size watermark is configured. The unbounded
-// default skips all LRU bookkeeping, so batch CLIs pay nothing.
-func (c *Cache) bounded() bool { return c.MaxEntries > 0 || c.MaxStates > 0 }
-
-// touch records a successful entry as most-recently used and enforces
-// the size watermarks. The entry may have been evicted concurrently —
-// then there is nothing to account; the caller still holds its result.
-func (c *Cache) touch(key cacheKey, e *cacheEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.entries[key] != e {
-		return
-	}
-	if e.elem != nil {
-		c.lru.MoveToFront(e.elem)
-		return
-	}
-	if c.lru == nil {
-		c.lru = list.New()
-	}
-	e.states = e.lts.NumStates()
-	e.elem = c.lru.PushFront(key)
-	c.curStates += int64(e.states)
-	for c.lru.Len() > 0 &&
-		((c.MaxEntries > 0 && c.lru.Len() > c.MaxEntries) ||
-			(c.MaxStates > 0 && c.curStates > int64(c.MaxStates))) {
-		back := c.lru.Back()
-		victimKey := back.Value.(cacheKey)
-		victim := c.entries[victimKey]
-		c.lru.Remove(back)
-		delete(c.entries, victimKey)
-		if victim != nil {
-			c.curStates -= int64(victim.states)
-			victim.elem = nil
-			// The normalisation of an evicted LTS is unreachable through
-			// the cache; drop it too, or the norms map would keep the
-			// evicted state space alive and defeat the watermark.
-			delete(c.norms, victim.lts)
-		}
-		c.sizeEvictions.Add(1)
-		c.Obs.Counter("lts.cache.evictions.size").Inc()
-	}
 }
 
 // Normalize memoizes the subset construction per explored LTS. The
@@ -255,30 +186,18 @@ type CacheStats struct {
 	Coalesces int64
 	// Evictions counts failed flights dropped so a retry can recompute.
 	Evictions int64
-	// SizeEvictions counts entries LRU-evicted past the MaxEntries /
-	// MaxStates watermarks.
-	SizeEvictions int64
 	// Entries is the number of explorations currently cached.
 	Entries int
-	// States is the total number of LTS states held by size-tracked
-	// entries (0 on an unbounded cache, which keeps no size accounting).
-	States int64
 }
 
 // StatsAll reports the full cache statistics in one snapshot.
 func (c *Cache) StatsAll() CacheStats {
-	c.mu.Lock()
-	entries := len(c.entries)
-	states := c.curStates
-	c.mu.Unlock()
 	return CacheStats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		Coalesces:     c.coalesces.Load(),
-		Evictions:     c.evictions.Load(),
-		SizeEvictions: c.sizeEvictions.Load(),
-		Entries:       entries,
-		States:        states,
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Coalesces: c.coalesces.Load(),
+		Evictions: c.evictions.Load(),
+		Entries:   c.Len(),
 	}
 }
 

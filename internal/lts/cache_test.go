@@ -2,11 +2,33 @@ package lts
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/csp"
 )
+
+// boundSem builds a semantics with n distinct chain processes P0..Pn-1,
+// each exploring exactly `states` states, so tests can fill a cache
+// with entries of known size.
+func boundSem(t *testing.T, n, states int) (*csp.Semantics, []csp.Process) {
+	t.Helper()
+	ctx := csp.NewContext()
+	env := csp.NewEnv()
+	procs := make([]csp.Process, n)
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("ch%d", i)
+		ctx.MustChannel(name, csp.IntRange{Lo: 0, Hi: states})
+		def := fmt.Sprintf("B%d", i)
+		env.MustDefine(def, []string{"n"},
+			csp.Guard(csp.Binary{Op: csp.OpLt, L: csp.V("n"), R: csp.LitInt(states - 1)},
+				csp.Prefix(name, []csp.CommField{csp.Out(csp.V("n"))},
+					csp.Call(def, csp.Binary{Op: csp.OpAdd, L: csp.V("n"), R: csp.LitInt(1)}))))
+		procs[i] = csp.Call(def, csp.LitInt(0))
+	}
+	return csp.NewSemantics(env, ctx), procs
+}
 
 func TestCacheExploreSharesOneExploration(t *testing.T) {
 	sem := testSem(t)
@@ -185,5 +207,30 @@ func TestCacheConcurrentExploreSingleFlight(t *testing.T) {
 		if results[g] != results[0] {
 			t.Fatalf("goroutine %d saw a different LTS", g)
 		}
+	}
+}
+
+// TestCacheUnboundedDefaultKeepsEverything pins that a cache never
+// evicts a successful result: every entry explored once hits on every
+// later lookup.
+func TestCacheUnboundedDefaultKeepsEverything(t *testing.T) {
+	sem, procs := boundSem(t, 6, 8)
+	c := NewCache()
+	for _, p := range procs {
+		if _, err := c.Explore(sem, p, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.Len() != 6 {
+		t.Errorf("unbounded cache holds %d entries, want 6", c.Len())
+	}
+	_, missesBefore := c.Stats()
+	for _, p := range procs {
+		if _, err := c.Explore(sem, p, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, misses := c.Stats(); misses != missesBefore {
+		t.Error("unbounded cache re-explored a cached entry")
 	}
 }

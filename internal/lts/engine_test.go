@@ -116,12 +116,8 @@ func TestMaxMemBytesCountsEventTable(t *testing.T) {
 		t.Fatalf("model shape drifted: %d states, %d events", ref.NumStates(), len(ref.Events))
 	}
 	edges := 0
-	eventBytes := int64(0)
 	for i := 0; i < ref.NumStates(); i++ {
 		edges += len(ref.Edges[i])
-	}
-	for _, ev := range ref.Events[2:] {
-		eventBytes += int64(len(ev.String())) + eventEntryOverhead
 	}
 
 	// Everything except the event table fits under this limit; the
@@ -183,9 +179,7 @@ func TestMaxMemBytesCountsMemo(t *testing.T) {
 	for i := 0; i < ref.NumStates(); i++ {
 		limit += int64(len(ref.Edges[i])) * ltsEdgeBytes
 	}
-	for _, ev := range ref.Events[2:] {
-		limit += int64(len(ev.String())) + eventEntryOverhead
-	}
+	limit += int64(len(ref.Events)-2) * eventEntryOverhead
 	_, err = Explore(sem, root, Options{MaxMemBytes: limit})
 	var me *MemoryError
 	if !errors.As(err, &me) {

@@ -61,9 +61,8 @@ type LTS struct {
 	// placeholders for tau and tick.
 	Events []csp.Event
 
-	states   []csp.TermID // state ID -> node ID
-	c        *compiler    // the node records; after Explore, only those Key needs
-	eventIDs map[string]int
+	states []csp.TermID // state ID -> node ID
+	c      *compiler    // the node records; after Explore, only those Key needs
 }
 
 // Key renders the canonical process term of a state, rebuilt from the
@@ -199,10 +198,10 @@ const ltsStateOverhead = 32
 // ltsEdgeBytes is the resident cost of one Edge.
 const ltsEdgeBytes = 16
 
-// eventEntryOverhead approximates the per-entry resident cost of the
-// event-intern table beyond the rendered key bytes: the Events slice
-// slot, the eventIDs map entry and the compiled-event index entry.
-const eventEntryOverhead = 104
+// eventEntryOverhead approximates the per-event resident cost of the
+// event tables: the Events slot (40 B) and the compiler's event slot
+// (40 B), ltsID entry (4 B) and eventOf map entry (~16 B).
+const eventEntryOverhead = 100
 
 const maxEdgeChunk = 4096 // cap on the Edge chunks edge lists come from
 
@@ -272,7 +271,7 @@ func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, er
 	c := newCompiler(src)
 	e := &exploration{
 		c:         c,
-		l:         &LTS{Events: []csp.Event{csp.Tau(), csp.Tick()}, c: c, eventIDs: map[string]int{}},
+		l:         &LTS{Events: []csp.Event{csp.Tau(), csp.Tick()}, c: c},
 		maxStates: maxStates,
 		ctx:       opts.Ctx,
 		maxDur:    opts.MaxDuration,
@@ -406,20 +405,15 @@ func (e *exploration) add(tid csp.TermID) (int, error) {
 }
 
 // eventID maps a compiled event ID to its LTS event ID, assigning LTS
-// IDs in order of first appearance on an edge. The canonical string is
-// rendered once per event (for the public EventID lookup API) and is
-// part of the resident-size estimate.
+// IDs in order of first appearance on an edge.
 func (e *exploration) eventID(ev int32) int {
 	if id := e.c.ltsID[ev]; id != 0 {
 		return int(id - 1)
 	}
 	id := len(e.l.Events)
-	evt := e.c.events[ev]
-	e.l.Events = append(e.l.Events, evt)
-	k := evt.String()
-	e.l.eventIDs[k] = id
+	e.l.Events = append(e.l.Events, e.c.events[ev])
 	e.c.ltsID[ev] = int32(id + 1)
-	e.ltsBytes += int64(len(k)) + eventEntryOverhead
+	e.ltsBytes += eventEntryOverhead
 	return id
 }
 
@@ -470,17 +464,16 @@ func (e *exploration) check() error {
 // EventByID returns the event with the given label ID.
 func (l *LTS) EventByID(id int) csp.Event { return l.Events[id] }
 
-// EventID looks up the label ID for a visible event; ok is false if the
-// event never occurs in the LTS.
+// EventID looks up the label ID of an event by csp.Event.Equal, with a
+// linear scan of Events; ok is false if the event never occurs in the
+// LTS.
 func (l *LTS) EventID(e csp.Event) (int, bool) {
-	switch {
-	case e.IsTau():
-		return TauID, true
-	case e.IsTick():
-		return TickID, true
+	for id, ev := range l.Events {
+		if ev.Equal(e) {
+			return id, true
+		}
 	}
-	id, ok := l.eventIDs[e.String()]
-	return id, ok
+	return 0, false
 }
 
 // NumStates returns the number of explored states.

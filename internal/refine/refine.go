@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"repro/internal/csp"
@@ -359,25 +360,43 @@ type parentEdge struct {
 	ev   int // implementation label ID; -1 for the root
 }
 
-func (c *Checker) productCheck(specLTS *lts.LTS, norm *lts.Normalized, implLTS *lts.LTS, model Model, deadline time.Time) (Result, error) {
-	// Map implementation label IDs to specification label IDs. Labels the
-	// spec has never heard of map to -1 and immediately fail refinement
-	// when performed.
-	implToSpec := make([]int, len(implLTS.Events))
-	for i, ev := range implLTS.Events {
-		switch i {
-		case lts.TauID:
-			implToSpec[i] = lts.TauID
-		case lts.TickID:
-			implToSpec[i] = lts.TickID
-		default:
-			if id, ok := specLTS.EventID(ev); ok {
-				implToSpec[i] = id
-			} else {
-				implToSpec[i] = -1
-			}
+// eventInterners holds reset interners for mapEvents, so a check over
+// cached LTSs builds no interner of its own.
+var eventInterners = sync.Pool{New: func() any { return csp.NewInterner() }}
+
+// mapEvents maps each impl label ID to the spec label ID of the same
+// event, or -1. Identity is csp.Event.Equal: both tables, tau and tick
+// placeholders included, are interned through one interner, so events
+// that merely render alike (pun.Int(5), pun.Sym("5")) stay apart.
+func mapEvents(spec, impl []csp.Event) []int {
+	in := eventInterners.Get().(*csp.Interner)
+	defer eventInterners.Put(in)
+	in.Reset()
+	specTIDs := make([]csp.TermID, len(spec))
+	for id, ev := range spec {
+		specTIDs[id] = in.Event(ev)
+	}
+	// specOf[tid] is the spec label ID + 1 of the event interned as tid,
+	// 0 for any other node. An impl event no spec event equals interns
+	// to a new TermID, past the end.
+	specOf := make([]int, in.Len())
+	for id, tid := range specTIDs {
+		specOf[tid] = id + 1
+	}
+	out := make([]int, len(impl))
+	for i, ev := range impl {
+		out[i] = -1
+		if tid := int(in.Event(ev)); tid < len(specOf) {
+			out[i] = specOf[tid] - 1
 		}
 	}
+	return out
+}
+
+func (c *Checker) productCheck(specLTS *lts.LTS, norm *lts.Normalized, implLTS *lts.LTS, model Model, deadline time.Time) (Result, error) {
+	// Labels the spec has never heard of map to -1 and immediately fail
+	// refinement when performed.
+	implToSpec := mapEvents(specLTS.Events, implLTS.Events)
 
 	start := productState{impl: implLTS.Init, spec: norm.Init}
 	visited := map[productState]parentEdge{start: {ev: -1}}

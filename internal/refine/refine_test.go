@@ -330,3 +330,42 @@ func TestFailuresRefinementRejectsDivergentSpec(t *testing.T) {
 		t.Errorf("trace refinement rejected divergent spec: %v", err)
 	}
 }
+
+// TestRefinesPunnedEventsFail pins event identity in the product
+// search: Int(5) and Sym("5") both render as pun.5, but csp.Event.Equal
+// tells them apart, so an implementation performing the Sym refines no
+// specification that offers only the Int, under [T= and [F= alike.
+// Against a specification that may also refuse everything (|~| STOP),
+// the first failure under both models is the event itself, and the
+// verdict names the Sym as the bad event.
+func TestRefinesPunnedEventsFail(t *testing.T) {
+	ctx := csp.NewContext()
+	ctx.MustChannel("pun", csp.ExplicitType{TypeName: "Pun", Elems: []csp.Value{csp.Int(5), csp.Sym("5")}})
+	intOnly := csp.Prefix("pun", []csp.CommField{csp.OutVal(csp.Int(5))}, csp.Stop())
+	impl := csp.Prefix("pun", []csp.CommField{csp.OutVal(csp.Sym("5"))}, csp.Stop())
+	sym := csp.Ev("pun", csp.Sym("5"))
+	c := NewChecker(csp.NewEnv(), ctx)
+	for _, m := range []Model{Traces, Failures} {
+		res, err := c.Refines(intOnly, impl, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Holds {
+			t.Errorf("%s: pun!Sym(\"5\") -> STOP refines pun!Int(5) -> STOP", m)
+		}
+		res, err = c.Refines(csp.IntChoice(intOnly, csp.Stop()), impl, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Holds || res.BadEvent == nil || !res.BadEvent.Equal(sym) {
+			t.Errorf("%s: holds=%v BadEvent=%#v, want a failure on %#v", m, res.Holds, res.BadEvent, sym)
+		}
+		if len(res.Counterexample) != 1 || !res.Counterexample[0].Equal(sym) {
+			t.Errorf("%s: counterexample = %#v, want <%#v>", m, res.Counterexample, sym)
+		}
+		// The same event on both sides still matches.
+		if res, err := c.Refines(impl, impl, m); err != nil || !res.Holds {
+			t.Errorf("%s: impl does not refine itself: %+v, %v", m, res, err)
+		}
+	}
+}

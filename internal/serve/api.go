@@ -12,9 +12,11 @@
 //     Retry-After hint instead of collapsing under load.
 //   - Panic isolation: a panic anywhere in a check is recovered into a
 //     structured error verdict; the process survives.
-//   - Graceful degradation: the shared model store is a size-bounded
-//     lts.Cache with LRU eviction, so the daemon trades hit-rate for
-//     memory instead of OOMing.
+//   - Graceful degradation: the server keeps no model store. Each
+//     request checks over its own lts.Cache, so its assertions share
+//     explorations and the memory goes with the request; resident
+//     size is bounded by the worker slots times the per-request
+//     MaxStates / MaxMemBytes budgets.
 //   - Graceful shutdown: Drain stops admitting work, lets in-flight
 //     checks finish, and leaves observability sinks flushable.
 package serve

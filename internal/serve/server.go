@@ -42,13 +42,6 @@ type Config struct {
 	// MaxDuration caps the wall-clock time of one check request; 0
 	// means 30s.
 	MaxDuration time.Duration
-	// CacheEntries / CacheStates bound the shared model store (see
-	// lts.Cache.MaxEntries / MaxStates); 0 CacheStates means
-	// 8 * MaxStates, so the store holds a handful of full-size models
-	// and degrades by LRU eviction instead of OOMing. CacheEntries 0
-	// means entry count is bounded by CacheStates alone.
-	CacheEntries int
-	CacheStates  int
 	// DataDir, when non-empty, makes jobs durable: job records persist
 	// under DataDir/jobs with atomic writes, job explorations checkpoint
 	// under per-assertion directories, and a server rebuilt over the same
@@ -74,10 +67,9 @@ type Config struct {
 // Server is the checking service. Construct with New, mount Handler on
 // an http.Server, and call Drain on shutdown.
 type Server struct {
-	cfg   Config
-	obs   *obs.Observer
-	cache *lts.Cache
-	mux   *http.ServeMux
+	cfg Config
+	obs *obs.Observer
+	mux *http.ServeMux
 
 	sem      chan struct{}
 	waiting  atomic.Int64
@@ -119,16 +111,12 @@ func New(cfg Config) *Server {
 	if cfg.MaxDuration <= 0 {
 		cfg.MaxDuration = 30 * time.Second
 	}
-	if cfg.CacheStates <= 0 {
-		cfg.CacheStates = 8 * cfg.MaxStates
-	}
 	if cfg.Obs == nil {
 		cfg.Obs = obs.New()
 	}
 	s := &Server{
 		cfg:      cfg,
 		obs:      cfg.Obs,
-		cache:    lts.NewCache(),
 		mux:      http.NewServeMux(),
 		sem:      make(chan struct{}, cfg.Workers),
 		drainCh:  make(chan struct{}),
@@ -136,9 +124,6 @@ func New(cfg Config) *Server {
 		jobQueue: make(chan *job, 4*(cfg.Workers+cfg.MaxQueue)),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	s.cache.Obs = s.obs
-	s.cache.MaxEntries = cfg.CacheEntries
-	s.cache.MaxStates = cfg.CacheStates
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -157,9 +142,6 @@ func New(cfg Config) *Server {
 
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Cache exposes the shared model store (for tests and stats).
-func (s *Server) Cache() *lts.Cache { return s.cache }
 
 // Workers reports the resolved worker-slot count.
 func (s *Server) Workers() int { return s.cfg.Workers }
@@ -211,11 +193,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	// Mirror the cache and admission state into gauges so one snapshot
-	// carries the whole picture.
-	cs := s.cache.StatsAll()
-	s.obs.Gauge("serve.cache.entries").Set(int64(cs.Entries))
-	s.obs.Gauge("serve.cache.states").Set(cs.States)
+	// Mirror the admission state into gauges so one snapshot carries the
+	// whole picture.
 	s.obs.Gauge("serve.inflight").Set(s.inflight.Load())
 	s.obs.Gauge("serve.queue").Set(s.waiting.Load())
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -350,8 +329,10 @@ func (s *Server) runRequest(r *http.Request, req *CheckRequest) (CheckResponse, 
 }
 
 // runCheck loads the model and checks every assertion under the
-// request budget, with panic isolation: a panic anywhere inside —
-// parser, evaluator, exploration, product search — is recovered into a
+// request budget, over an lts.Cache of the run's own: its assertions
+// share explorations and normalisations, and nothing outlives the run.
+// Checks run with panic isolation: a panic anywhere inside — parser,
+// evaluator, exploration, product search — is recovered into a
 // structured 500 response and the process survives. A non-empty
 // ckptRoot makes each assertion's explorations checkpoint under its own
 // subdirectory, so a re-run (a recovered job) resumes instead of
@@ -378,6 +359,8 @@ func (s *Server) runCheck(ctx context.Context, req *CheckRequest, chaosPanic boo
 	}
 
 	bgt := s.budgetFor(req.Budget)
+	bgt.Cache = lts.NewCache()
+	bgt.Cache.Obs = s.obs
 	cctx, cancel := context.WithTimeout(ctx, bgt.MaxDuration)
 	defer cancel()
 	bgt.Ctx = cctx
@@ -412,7 +395,6 @@ func (s *Server) budgetFor(spec *BudgetSpec) fdr.Budget {
 		MaxProductStates: s.cfg.MaxProductStates,
 		MaxSteps:         s.cfg.MaxSteps,
 		MaxDuration:      s.cfg.MaxDuration,
-		Cache:            s.cache,
 		Obs:              s.obs,
 
 		MaxMemBytes:           s.cfg.MaxMemBytes,

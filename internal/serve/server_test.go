@@ -23,8 +23,8 @@ assert SPEC [T= GOOD
 assert GOOD :[deadlock free]
 `
 
-// heavySource builds a fresh 2^k-state interleave model; unique names
-// keep it out of the shared cache across tests.
+// heavySource builds a 2^k-state interleave model whose channel and
+// process names carry id, so each test's model is its own.
 func heavySource(id, k int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "channel h%d, t%d\n", id, id)
@@ -231,8 +231,8 @@ func TestOverloadResponseCarriesRetryAfter(t *testing.T) {
 // TestCancelFreesWorkerAndEvictsFlight is the pinned acceptance test:
 // cancelling a request mid-check must (a) free its worker slot promptly
 // — within one BFS level of cooperative checking, not after the full
-// exploration — and (b) evict the in-flight cache entry, so a retry
-// recomputes instead of replaying a cancellation error.
+// exploration — and (b) leave nothing behind: a retry recomputes
+// instead of replaying a cancellation error.
 func TestCancelFreesWorkerAndEvictsFlight(t *testing.T) {
 	leakcheck.Check(t)
 	srv, ts := newTestServer(t, Config{Workers: 1})
@@ -281,10 +281,11 @@ func TestCancelFreesWorkerAndEvictsFlight(t *testing.T) {
 		t.Fatal("worker not freed within 15s of cancellation")
 	}
 
-	// (b) The in-flight entry is evicted, not poisoned: the store holds
-	// only the follow-up model's explorations, and re-checking the heavy
-	// model recomputes (misses grow) rather than replaying the abort.
-	_, missesBefore := srv.Cache().Stats()
+	// (b) Nothing was poisoned: re-checking the heavy model recomputes
+	// (the lts.cache.misses counter grows) rather than replaying the
+	// abort.
+	misses := srv.obs.Counter("lts.cache.misses")
+	missesBefore := misses.Value()
 	cctx, ccancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer ccancel()
 	body, _ := json.Marshal(CheckRequest{CSPM: src})
@@ -293,9 +294,8 @@ func TestCancelFreesWorkerAndEvictsFlight(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
-	waitFor(t, "retry recomputes the evicted flight", 10*time.Second, func() bool {
-		_, misses := srv.Cache().Stats()
-		return misses > missesBefore
+	waitFor(t, "retry recomputes the cancelled flight", 10*time.Second, func() bool {
+		return misses.Value() > missesBefore
 	})
 	waitFor(t, "in-flight entry evicted", 10*time.Second, func() bool {
 		return srv.inflight.Load() == 0
@@ -442,9 +442,47 @@ func TestMetricsEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics = %d", resp.StatusCode)
 	}
-	for _, want := range []string{"serve.accepted", "serve.completed", "serve.cache.entries", "fdr.asserts"} {
+	for _, want := range []string{"serve.accepted", "serve.completed", "lts.cache.misses", "fdr.asserts"} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics output missing %q", want)
 		}
+	}
+}
+
+// TestRequestCacheLifetime pins the cache's lifetime: the assertions of
+// one request share explorations (the second check of SYSTEM is a
+// hit), and nothing outlives the request (the same script posted again
+// explores exactly as much as the first time).
+func TestRequestCacheLifetime(t *testing.T) {
+	leakcheck.Check(t)
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	const src = `
+channel a, b
+SPEC = a -> b -> SPEC
+SYSTEM = a -> b -> SYSTEM
+assert SPEC [T= SYSTEM
+assert SPEC [F= SYSTEM
+`
+	hits := srv.obs.Counter("lts.cache.hits")
+	misses := srv.obs.Counter("lts.cache.misses")
+	var missDeltas []int64
+	for i := 0; i < 2; i++ {
+		h0, m0 := hits.Value(), misses.Value()
+		status, resp := postCheck(t, context.Background(), ts.URL, CheckRequest{CSPM: src}, nil)
+		if status != http.StatusOK || len(resp.Results) != 2 {
+			t.Fatalf("request %d: status %d, %+v", i, status, resp)
+		}
+		for _, v := range resp.Results {
+			if !v.Holds || v.Error != "" {
+				t.Fatalf("request %d: %q = %+v, want holds", i, v.Assert, v)
+			}
+		}
+		if h := hits.Value() - h0; h < 1 {
+			t.Errorf("request %d: %d lts.cache.hits, want >= 1 (assertions share explorations)", i, h)
+		}
+		missDeltas = append(missDeltas, misses.Value()-m0)
+	}
+	if missDeltas[0] == 0 || missDeltas[1] != missDeltas[0] {
+		t.Errorf("lts.cache.misses per request = %v, want equal and non-zero (nothing reused across requests)", missDeltas)
 	}
 }

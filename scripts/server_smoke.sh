@@ -1,7 +1,10 @@
 #!/usr/bin/env sh
 # Server smoke: boot the fdrserve daemon, check the OTA corpus through
 # the HTTP API (verdicts diffed against the in-process library oracle by
-# serveload -smoke), then SIGTERM it and require a clean drain (exit 0).
+# serveload -smoke), require the assertions of a request to have shared
+# explorations (a non-zero lts.cache.hits counter), then SIGTERM it and
+# require a clean drain (exit 0). The removed model-store flags must be
+# rejected.
 # Then the crash leg: boot a durable daemon, submit the corpus as jobs,
 # SIGKILL it mid-run, restart over the same data dir and require every
 # resumed job to finish with oracle-identical verdicts.
@@ -14,6 +17,15 @@ ADDR="127.0.0.1:18462"
 
 go build -o /tmp/fdrserve ./cmd/fdrserve
 go build -o /tmp/serveload ./cmd/serveload
+
+echo "==> removed model-store flags are rejected"
+FLAG_STATUS=0
+/tmp/fdrserve -cache-states 1 > /tmp/fdrserve-flag.log 2>&1 || FLAG_STATUS=$?
+if [ "$FLAG_STATUS" -eq 0 ] || ! grep -q "flag provided but not defined" /tmp/fdrserve-flag.log; then
+    echo "fdrserve -cache-states 1 exited $FLAG_STATUS, want a non-zero undefined-flag error" >&2
+    cat /tmp/fdrserve-flag.log >&2
+    exit 1
+fi
 
 /tmp/fdrserve -addr "$ADDR" -drain-timeout 30s > /tmp/fdrserve.log 2>&1 &
 SRV_PID=$!
@@ -35,7 +47,15 @@ echo "==> serveload -smoke (OTA corpus verdicts vs in-process oracle)"
 /tmp/serveload -smoke -addr "http://$ADDR"
 
 echo "==> metrics endpoint"
-curl -fsS "http://$ADDR/metrics" | grep -q "serve.accepted"
+curl -fsS "http://$ADDR/metrics" > /tmp/fdrserve-metrics.txt
+grep -q "serve.accepted" /tmp/fdrserve-metrics.txt
+# Within-request sharing, end to end: the corpus scripts check one
+# SYSTEM under several assertions, so some exploration must have hit.
+grep -Eq '^counter +lts\.cache\.hits +[1-9][0-9]*$' /tmp/fdrserve-metrics.txt || {
+    echo "no lts.cache.hits after the OTA corpus" >&2
+    cat /tmp/fdrserve-metrics.txt >&2
+    exit 1
+}
 
 echo "==> SIGTERM drain"
 kill -TERM "$SRV_PID"
