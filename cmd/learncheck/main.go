@@ -25,12 +25,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/learn"
 	"repro/internal/obs"
+	"repro/internal/ota"
 )
 
 func main() {
@@ -75,7 +75,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sel, err := parseVariants(*variants)
+	sel, err := ota.ParseVariants(*variants)
 	if err != nil {
 		return err
 	}
@@ -121,24 +121,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	return finishObs()
-}
-
-// parseVariants resolves the -variants flag.
-func parseVariants(s string) ([]learn.Variant, error) {
-	if s == "" || s == "all" {
-		return nil, nil // Run's default: every variant
-	}
-	var out []learn.Variant
-	for _, part := range strings.Split(s, ",") {
-		v := learn.Variant(strings.TrimSpace(part))
-		switch v {
-		case learn.VariantNaive, learn.VariantHardened, learn.VariantFlawed:
-			out = append(out, v)
-		default:
-			return nil, fmt.Errorf("unknown variant %q (want naive, hardened or flawed)", part)
-		}
-	}
-	return out, nil
 }
 
 // runReplay re-derives a recorded witness's verdicts from scratch.

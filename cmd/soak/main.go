@@ -27,6 +27,7 @@ import (
 	"repro/internal/canbus"
 	"repro/internal/conformance"
 	"repro/internal/obs"
+	"repro/internal/ota"
 )
 
 func main() {
@@ -80,7 +81,7 @@ func run(args []string, stdout io.Writer) error {
 		return finishObs()
 	}
 
-	sel, err := parseVariants(*variants)
+	sel, err := ota.ParseVariants(*variants)
 	if err != nil {
 		return err
 	}
@@ -108,24 +109,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	return finishObs()
-}
-
-// parseVariants resolves the -variants flag.
-func parseVariants(s string) ([]conformance.Variant, error) {
-	if s == "" || s == "all" {
-		return nil, nil // Run's default: every variant
-	}
-	var out []conformance.Variant
-	for _, part := range strings.Split(s, ",") {
-		v := conformance.Variant(strings.TrimSpace(part))
-		switch v {
-		case conformance.VariantNaive, conformance.VariantHardened, conformance.VariantFlawed:
-			out = append(out, v)
-		default:
-			return nil, fmt.Errorf("unknown variant %q (want naive, hardened or flawed)", part)
-		}
-	}
-	return out, nil
 }
 
 // runReplay re-executes a single schedule from its JSON reproduction

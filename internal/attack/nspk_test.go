@@ -13,17 +13,16 @@ func TestNSPKGenuineRunPossible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sem := csp.NewSemantics(m.Env, m.Ctx)
 	// The honest run must exist: A initiates with B and B commits to A.
 	want := csp.Trace{
 		csp.Ev("initiate", csp.Sym("a"), csp.Sym("b")),
 		csp.Ev("commit", csp.Sym("b"), csp.Sym("a")),
 	}
-	ok, err := csp.HasTrace(sem, m.System, want)
+	got, err := refine.NewChecker(m.Env, m.Ctx).AcceptsTrace(m.System, want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
+	if !got.Accepted {
 		t.Error("the genuine protocol run is not a trace of the system")
 	}
 }
@@ -66,16 +65,15 @@ func TestNSLFixVerified(t *testing.T) {
 		t.Errorf("NSL wrongly rejected; counterexample %s (%s)", res.Counterexample, res.Reason)
 	}
 	// And the genuine run still works under the fix.
-	sem := csp.NewSemantics(m.Env, m.Ctx)
 	want := csp.Trace{
 		csp.Ev("initiate", csp.Sym("a"), csp.Sym("b")),
 		csp.Ev("commit", csp.Sym("b"), csp.Sym("a")),
 	}
-	ok, err := csp.HasTrace(sem, m.System, want)
+	got, err := refine.NewChecker(m.Env, m.Ctx).AcceptsTrace(m.System, want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
+	if !got.Accepted {
 		t.Error("NSL broke the genuine protocol run")
 	}
 }

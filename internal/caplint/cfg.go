@@ -117,7 +117,7 @@ func (b *cfgBuilder) stmt(s capl.Stmt, in []*cfgNode) []*cfgNode {
 		// Constant conditions prune an arm (the translator folds them
 		// too); the pruned arm is still built so its statements exist
 		// as unreachable nodes.
-		v, isConst := constEvalLint(x.Cond)
+		v, isConst := capl.ConstEval(x.Cond)
 		thenIn, elseIn := []*cfgNode{c}, []*cfgNode{c}
 		if isConst {
 			if v != 0 {
@@ -138,7 +138,7 @@ func (b *cfgBuilder) stmt(s capl.Stmt, in []*cfgNode) []*cfgNode {
 		c := b.newNode(nil, x.Cond, pos{x.Line, x.Col})
 		connect(in, c)
 		b.pushLoop()
-		v, isConst := constEvalLint(x.Cond)
+		v, isConst := capl.ConstEval(x.Cond)
 		bodyIn := []*cfgNode{c}
 		if isConst && v == 0 {
 			bodyIn = nil
@@ -160,7 +160,7 @@ func (b *cfgBuilder) stmt(s capl.Stmt, in []*cfgNode) []*cfgNode {
 		breaks, continues := b.popLoop()
 		connect(bodyOut, c)
 		connect(continues, c)
-		v, isConst := constEvalLint(x.Cond)
+		v, isConst := capl.ConstEval(x.Cond)
 		out := breaks
 		if !(isConst && v != 0) {
 			out = append(out, c)
@@ -188,7 +188,7 @@ func (b *cfgBuilder) stmt(s capl.Stmt, in []*cfgNode) []*cfgNode {
 		connect(back, head)
 		out := breaks
 		if x.Cond != nil {
-			if v, isConst := constEvalLint(x.Cond); !(isConst && v != 0) {
+			if v, isConst := capl.ConstEval(x.Cond); !(isConst && v != 0) {
 				out = append(out, head)
 			}
 		}
@@ -246,95 +246,4 @@ func (g *cfg) reachable() []bool {
 		}
 	}
 	return seen
-}
-
-// constEvalLint mirrors the translator's compile-time constant folding
-// so reachability decisions agree with what translate would generate.
-func constEvalLint(e capl.Expr) (int64, bool) {
-	switch x := e.(type) {
-	case *capl.IntLit:
-		return x.Val, true
-	case *capl.UnaryExpr:
-		v, ok := constEvalLint(x.X)
-		if !ok {
-			return 0, false
-		}
-		switch x.Op {
-		case capl.MINUS:
-			return -v, true
-		case capl.BANG:
-			if v == 0 {
-				return 1, true
-			}
-			return 0, true
-		case capl.TILDE:
-			return ^v, true
-		}
-		return 0, false
-	case *capl.BinaryExpr:
-		l, ok := constEvalLint(x.L)
-		if !ok {
-			return 0, false
-		}
-		r, ok := constEvalLint(x.R)
-		if !ok {
-			return 0, false
-		}
-		return constBinaryLint(x.Op, l, r)
-	}
-	return 0, false
-}
-
-func constBinaryLint(op capl.Kind, l, r int64) (int64, bool) {
-	b2i := func(b bool) int64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	switch op {
-	case capl.PLUS:
-		return l + r, true
-	case capl.MINUS:
-		return l - r, true
-	case capl.STAR:
-		return l * r, true
-	case capl.SLASH:
-		if r == 0 {
-			return 0, false
-		}
-		return l / r, true
-	case capl.PERCENT:
-		if r == 0 {
-			return 0, false
-		}
-		return l % r, true
-	case capl.EQ:
-		return b2i(l == r), true
-	case capl.NE:
-		return b2i(l != r), true
-	case capl.LT:
-		return b2i(l < r), true
-	case capl.LE:
-		return b2i(l <= r), true
-	case capl.GT:
-		return b2i(l > r), true
-	case capl.GE:
-		return b2i(l >= r), true
-	case capl.ANDAND:
-		return b2i(l != 0 && r != 0), true
-	case capl.OROR:
-		return b2i(l != 0 || r != 0), true
-	case capl.AMP:
-		return l & r, true
-	case capl.PIPE:
-		return l | r, true
-	case capl.CARET:
-		return l ^ r, true
-	case capl.SHL:
-		return l << uint(r&63), true
-	case capl.SHR:
-		return l >> uint(r&63), true
-	}
-	return 0, false
 }

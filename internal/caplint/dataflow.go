@@ -80,7 +80,7 @@ func collectLocals(body *capl.BlockStmt, params []*capl.VarDecl) map[string]*loc
 					continue
 				}
 				zero := false
-				if v, isConst := constEvalLint(d.Init); isConst && v == 0 {
+				if v, isConst := capl.ConstEval(d.Init); isConst && v == 0 {
 					zero = true
 				}
 				locals[d.Name] = &localInfo{

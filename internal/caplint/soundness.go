@@ -77,7 +77,7 @@ func (a *analysis) checkDB() {
 				"message %s has no signal %q in the CAN database", msg.Name, w.field)
 			continue
 		}
-		v, isConst := constEvalLint(w.value)
+		v, isConst := capl.ConstEval(w.value)
 		if !isConst {
 			continue
 		}
@@ -240,7 +240,7 @@ func (a *analysis) soundStmt(s capl.Stmt, inlining []string) {
 			return
 		case "setTimer":
 			if len(call.Args) >= 2 {
-				if _, isConst := constEvalLint(call.Args[1]); !isConst {
+				if _, isConst := capl.ConstEval(call.Args[1]); !isConst {
 					a.report(CodeInexactDuration, SevInfo, x.Line, x.Col,
 						"non-constant timer duration is approximated as one tock under the timed abstraction")
 				}
@@ -263,8 +263,8 @@ func (a *analysis) soundStmt(s capl.Stmt, inlining []string) {
 		a.soundStmts(fn.Body.Stmts, append(inlining, call.Fun))
 
 	case *capl.IfStmt:
-		if _, isConst := constEvalLint(x.Cond); !isConst {
-			if a.stmtHasEvents(x.Then, inlining) || (x.Else != nil && a.stmtHasEvents(x.Else, inlining)) {
+		if _, isConst := capl.ConstEval(x.Cond); !isConst {
+			if a.prog.HasEvents(x.Then, true, inlining) || (x.Else != nil && a.prog.HasEvents(x.Else, true, inlining)) {
 				a.report(CodeAbstractedCond, SevInfo, x.Line, x.Col,
 					"data-dependent condition is abstracted to internal choice")
 			}
@@ -282,11 +282,11 @@ func (a *analysis) soundStmt(s capl.Stmt, inlining []string) {
 		a.soundLoop(x.Body, x.Line, x.Col, inlining)
 
 	case *capl.SwitchStmt:
-		if _, isConst := constEvalLint(x.Tag); !isConst {
+		if _, isConst := capl.ConstEval(x.Tag); !isConst {
 			hasEvents := false
 			for _, c := range x.Cases {
 				for _, st := range c.Stmts {
-					if a.stmtHasEvents(st, inlining) {
+					if a.prog.HasEvents(st, true, inlining) {
 						hasEvents = true
 						break
 					}
@@ -304,63 +304,9 @@ func (a *analysis) soundStmt(s capl.Stmt, inlining []string) {
 }
 
 func (a *analysis) soundLoop(body capl.Stmt, line, col int, inlining []string) {
-	if a.stmtHasEvents(body, inlining) {
+	if a.prog.HasEvents(body, true, inlining) {
 		a.report(CodeAbstractedLoop, SevInfo, line, col,
 			"loop with communicating body is over-approximated as zero-or-more iterations")
 	}
 	a.soundStmt(body, inlining)
-}
-
-// stmtHasEvents mirrors the translator's hasEvents: whether executing
-// the statement can produce an event in the extracted model.
-func (a *analysis) stmtHasEvents(s capl.Stmt, inlining []string) bool {
-	switch x := s.(type) {
-	case *capl.BlockStmt:
-		for _, st := range x.Stmts {
-			if a.stmtHasEvents(st, inlining) {
-				return true
-			}
-		}
-	case *capl.ExprStmt:
-		call, ok := x.X.(*capl.CallExpr)
-		if !ok {
-			return false
-		}
-		switch call.Fun {
-		case "output", "setTimer", "cancelTimer":
-			return true
-		case "write", "writeEx", "writeLineEx":
-			return false
-		}
-		if fn, ok := a.prog.Function(call.Fun); ok {
-			for _, active := range inlining {
-				if active == call.Fun {
-					return false
-				}
-			}
-			return a.stmtHasEvents(fn.Body, append(inlining, call.Fun))
-		}
-	case *capl.IfStmt:
-		if a.stmtHasEvents(x.Then, inlining) {
-			return true
-		}
-		if x.Else != nil {
-			return a.stmtHasEvents(x.Else, inlining)
-		}
-	case *capl.WhileStmt:
-		return a.stmtHasEvents(x.Body, inlining)
-	case *capl.DoWhileStmt:
-		return a.stmtHasEvents(x.Body, inlining)
-	case *capl.ForStmt:
-		return a.stmtHasEvents(x.Body, inlining)
-	case *capl.SwitchStmt:
-		for _, c := range x.Cases {
-			for _, st := range c.Stmts {
-				if a.stmtHasEvents(st, inlining) {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }

@@ -318,7 +318,7 @@ func (tc *tchecker) cond(e capl.Expr, sc *scope, ctx string) {
 	t := tc.expr(e, sc)
 	if t.definite() && t.class != tyNumeric {
 		at := exprPos(e)
-			line, col := at[0], at[1]
+		line, col := at[0], at[1]
 		tc.report(CodeBadCondition, SevError, line, col,
 			"%s is %s, not a numeric value", ctx, t)
 	}
@@ -417,7 +417,7 @@ func (tc *tchecker) checkAssign(lt, rt ty, rhs capl.Expr, declInit bool, line, c
 // and a non-constant store into a CANdb signal lvalue that can exceed
 // the raw range is the signal-width warning (CAPL0108).
 func (tc *tchecker) checkNarrowing(lt, rt ty, rhs capl.Expr, line, col int) {
-	if v, isConst := constEvalLint(rhs); isConst {
+	if v, isConst := capl.ConstEval(rhs); isConst {
 		if lt.isSignal {
 			return // constant signal writes are CAPL0014's range check
 		}
@@ -669,7 +669,7 @@ func (tc *tchecker) index(x *capl.IndexExpr, sc *scope) ty {
 	it := tc.expr(x.Index, sc)
 	if it.definite() && it.class != tyNumeric {
 		at := exprPos(x.Index)
-			line, col := at[0], at[1]
+		line, col := at[0], at[1]
 		tc.report(CodeArrayMisuse, SevError, line, col,
 			"array index is %s, not a numeric value", it)
 	}
@@ -682,7 +682,7 @@ func (tc *tchecker) index(x *capl.IndexExpr, sc *scope) ty {
 		return ty{}
 	}
 	if dim := at.spec.ArrayDims[0]; dim > 0 {
-		if v, isConst := constEvalLint(x.Index); isConst && (v < 0 || v >= int64(dim)) {
+		if v, isConst := capl.ConstEval(x.Index); isConst && (v < 0 || v >= int64(dim)) {
 			tc.report(CodeArrayMisuse, SevError, x.Line, x.Col,
 				"constant index %d is out of bounds for %s (valid: 0..%d)", v, at, dim-1)
 		}

@@ -60,7 +60,7 @@ func GenerateSchedule(variant Variant, seed int64, cfg GenConfig) Schedule {
 	for i := 0; i < nOps; i++ {
 		var op Op
 		switch pick := rng.Intn(4); {
-		case pick == 0 && variant.hasTimers():
+		case pick == 0 && variant.HasTimers():
 			op = Op{
 				Kind: OpJitterTimer,
 				Node: "VMG",

@@ -145,7 +145,7 @@ func (r *Runner) model(variant Variant, b ota.ChannelBudgets) (*ota.System, erro
 	}
 	r.mu.Unlock()
 	e.once.Do(func() {
-		cfg, err := variant.referenceConfig()
+		cfg, err := variant.ReferenceConfig()
 		if err != nil {
 			e.err = err
 			return
@@ -183,7 +183,7 @@ var errDeadline = errors.New("wall-clock deadline exceeded")
 // monitor trace plus the perturbations that fired.
 func (r *Runner) simulate(s Schedule, deadline time.Time) (simResult, error) {
 	var res simResult
-	ecuSrc, vmgSrc, err := s.Variant.simSources()
+	ecuSrc, vmgSrc, err := s.Variant.Sources()
 	if err != nil {
 		return res, err
 	}

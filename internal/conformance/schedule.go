@@ -14,57 +14,24 @@ package conformance
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"repro/internal/ota"
 )
 
 // Variant selects the gateway pair riding the simulated bus and the
-// reference model the trace is checked against.
-type Variant string
+// reference model the trace is checked against (see ota.Variant).
+type Variant = ota.Variant
 
-// Soak variants. Naive and hardened check an implementation against the
-// model extracted from its own sources — the pipeline-faithfulness
-// question. Flawed simulates the broken ECU (wrong reply message type)
-// while checking against the model of the correct one: the
-// model/implementation mismatch the harness exists to catch.
+// Soak variants.
 const (
-	VariantNaive    Variant = "naive"
-	VariantHardened Variant = "hardened"
-	VariantFlawed   Variant = "flawed"
+	VariantNaive    = ota.VariantNaive
+	VariantHardened = ota.VariantHardened
+	VariantFlawed   = ota.VariantFlawed
 )
 
 // Variants lists every soak variant in report order.
-var Variants = []Variant{VariantNaive, VariantHardened, VariantFlawed}
-
-// simSources returns the CAPL programs run in the simulation.
-func (v Variant) simSources() (ecu, vmg string, err error) {
-	switch v {
-	case VariantNaive:
-		return ota.ECUSource, ota.VMGSource, nil
-	case VariantHardened:
-		return ota.HardenedECUSource, ota.HardenedVMGSource, nil
-	case VariantFlawed:
-		return ota.FlawedECUSource, ota.VMGSource, nil
-	}
-	return "", "", fmt.Errorf("conformance: unknown variant %q", v)
-}
-
-// referenceConfig returns the observed-model configuration the trace is
-// checked against (budgets are filled in per run).
-func (v Variant) referenceConfig() (ota.ObservedConfig, error) {
-	switch v {
-	case VariantNaive, VariantFlawed:
-		// The flawed ECU is checked against the correct reference model.
-		return ota.ObservedConfigFor(ota.NaiveGateway, ota.ChannelBudgets{}), nil
-	case VariantHardened:
-		return ota.ObservedConfigFor(ota.HardenedGateway, ota.ChannelBudgets{}), nil
-	}
-	return ota.ObservedConfig{}, fmt.Errorf("conformance: unknown variant %q", v)
-}
-
-// hasTimers reports whether the simulated gateway uses CANoe timers
-// (and therefore whether timer-jitter perturbations can fire).
-func (v Variant) hasTimers() bool { return v == VariantHardened }
+var Variants = ota.Variants
 
 // OpKind is a perturbation class.
 type OpKind string
@@ -137,9 +104,7 @@ func DecodeSchedule(data []byte) (Schedule, error) {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return Schedule{}, fmt.Errorf("conformance: decode schedule: %w", err)
 	}
-	switch s.Variant {
-	case VariantNaive, VariantHardened, VariantFlawed:
-	default:
+	if !slices.Contains(Variants, s.Variant) {
 		return Schedule{}, fmt.Errorf("conformance: unknown variant %q in schedule", s.Variant)
 	}
 	if s.HorizonUs <= 0 {

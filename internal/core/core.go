@@ -21,6 +21,7 @@ import (
 	"repro/internal/csp"
 	"repro/internal/cspm"
 	"repro/internal/fdr"
+	"repro/internal/refine"
 	"repro/internal/translate"
 )
 
@@ -35,6 +36,9 @@ type NodeSpec struct {
 	In, Out string
 	// Rename maps CAPL message variable names to CSPm constructors.
 	Rename map[string]string
+	// TimerProcess also emits the TIMER(t) lifecycle process the node's
+	// timer events compose with.
+	TimerProcess bool
 }
 
 // Pipeline is a configured end-to-end verification run.
@@ -85,8 +89,23 @@ func (r *Report) Failed() []fdr.AssertResult {
 	return out
 }
 
-// Run executes the pipeline: parse, extract, compose, evaluate, check.
+// Run executes the pipeline: Build, then check every assertion.
 func (p *Pipeline) Run() (*Report, error) {
+	report, err := p.Build()
+	if err != nil {
+		return nil, err
+	}
+	results, err := fdr.RunAll(report.Model, p.MaxStates)
+	if err != nil {
+		return nil, fmt.Errorf("core: run assertions: %w", err)
+	}
+	report.Results = results
+	return report, nil
+}
+
+// Build parses every node, extracts its model, composes the models
+// with Spec and evaluates the combined script. It runs no checks.
+func (p *Pipeline) Build() (*Report, error) {
 	if len(p.Nodes) == 0 {
 		return nil, fmt.Errorf("core: pipeline needs at least one node")
 	}
@@ -130,15 +149,16 @@ func (p *Pipeline) Run() (*Report, error) {
 	var parts []string
 	for i, spec := range p.Nodes {
 		opts := translate.Options{
-			NodeName:      spec.Name,
-			InChannel:     spec.In,
-			OutChannel:    spec.Out,
-			MsgDatatype:   "Msgs",
-			MessageRename: spec.Rename,
-			ExtraMessages: allMsgs,
-			ExtraTimers:   allTimers,
-			IncludeTimers: true,
-			OmitDecls:     i > 0,
+			NodeName:             spec.Name,
+			InChannel:            spec.In,
+			OutChannel:           spec.Out,
+			MsgDatatype:          "Msgs",
+			MessageRename:        spec.Rename,
+			ExtraMessages:        allMsgs,
+			ExtraTimers:          allTimers,
+			IncludeTimers:        true,
+			OmitDecls:            i > 0,
+			GenerateTimerProcess: spec.TimerProcess,
 		}
 		res, err := translate.Translate(progs[i], opts)
 		if err != nil {
@@ -156,12 +176,6 @@ func (p *Pipeline) Run() (*Report, error) {
 		return nil, fmt.Errorf("core: evaluate combined model: %w", err)
 	}
 	report.Model = model
-
-	results, err := fdr.RunAll(model, p.MaxStates)
-	if err != nil {
-		return nil, fmt.Errorf("core: run assertions: %w", err)
-	}
-	report.Results = results
 	return report, nil
 }
 
@@ -197,12 +211,11 @@ func (p *Pipeline) CrossValidate(model *cspm.Model, system csp.Process,
 		}
 		observed = append(observed, ev)
 	}
-	sem := csp.NewSemantics(model.Env, model.Ctx)
-	ok, err := csp.HasTrace(sem, system, observed)
+	res, err := refine.NewChecker(model.Env, model.Ctx).AcceptsTrace(system, observed)
 	if err != nil {
 		return nil, fmt.Errorf("core: trace membership: %w", err)
 	}
-	if !ok {
+	if !res.Accepted {
 		return observed, fmt.Errorf("core: simulated trace %s is not a trace of the extracted model", observed)
 	}
 	return observed, nil

@@ -1,17 +1,18 @@
-package core
+package core_test
 
 import (
 	"strings"
 	"testing"
 
 	"repro/internal/canbus"
+	"repro/internal/core"
 	"repro/internal/csp"
 	"repro/internal/ota"
 )
 
-func caseStudyPipeline() *Pipeline {
-	return &Pipeline{
-		Nodes: []NodeSpec{
+func caseStudyPipeline() *core.Pipeline {
+	return &core.Pipeline{
+		Nodes: []core.NodeSpec{
 			{Name: "ECU", Source: ota.ECUSource, In: "send", Out: "rec", Rename: ota.MessageRename},
 			{Name: "VMG", Source: ota.VMGSource, In: "rec", Out: "send", Rename: ota.MessageRename},
 		},
@@ -63,7 +64,7 @@ func TestPipelineDetectsFlaw(t *testing.T) {
 }
 
 func TestPipelineValidation(t *testing.T) {
-	p := &Pipeline{}
+	p := &core.Pipeline{}
 	if _, err := p.Run(); err == nil {
 		t.Error("empty pipeline accepted")
 	}
@@ -76,8 +77,8 @@ func TestPipelineValidation(t *testing.T) {
 
 // otaMapping maps the simulated CAN identifiers (Table II) to the
 // extracted model's events.
-func otaMapping() FrameMapping {
-	return FrameMapping{
+func otaMapping() core.FrameMapping {
+	return core.FrameMapping{
 		0x101: csp.Ev("send", csp.Sym("reqSw")),
 		0x102: csp.Ev("rec", csp.Sym("rptSw")),
 		0x103: csp.Ev("send", csp.Sym("reqApp")),

@@ -248,13 +248,3 @@ func (g *traceGraph) tauClosure(s int) []int {
 	sort.Ints(out)
 	return out
 }
-
-// HasTrace reports whether p can perform exactly the given trace (with
-// arbitrary taus interleaved).
-func HasTrace(sem *Semantics, p Process, t Trace) (bool, error) {
-	ts, err := Traces(sem, p, len(t))
-	if err != nil {
-		return false, err
-	}
-	return ts.Contains(t), nil
-}

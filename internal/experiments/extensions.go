@@ -8,6 +8,7 @@ import (
 	"repro/internal/cspm"
 	"repro/internal/fdr"
 	"repro/internal/ota"
+	"repro/internal/refine"
 	"repro/internal/translate"
 )
 
@@ -97,7 +98,7 @@ SYS = NODE [| {| setTimer, cancelTimer, timeout, tock |} |] TIMER(cycle)
 	if err != nil {
 		return ExtensionRow{}, err
 	}
-	sem := csp.NewSemantics(model.Env, model.Ctx)
+	checker := refine.NewChecker(model.Env, model.Ctx)
 	set2 := csp.Ev("setTimer", csp.Sym("cycle"), csp.Int(2))
 	tock := csp.Ev("tock")
 	fire := csp.Ev("timeout", csp.Sym("cycle"))
@@ -107,18 +108,18 @@ SYS = NODE [| {| setTimer, cancelTimer, timeout, tock |} |] TIMER(cycle)
 		Detail:  "200 ms timer fires after exactly two 100 ms tocks",
 		Asserts: 2,
 	}
-	early, err := csp.HasTrace(sem, csp.Call("SYS"), csp.Trace{set2, tock, fire})
+	early, err := checker.AcceptsTrace(csp.Call("SYS"), csp.Trace{set2, tock, fire})
 	if err != nil {
 		return ExtensionRow{}, err
 	}
-	if !early {
+	if !early.Accepted {
 		row.Passed++
 	}
-	onTime, err := csp.HasTrace(sem, csp.Call("SYS"), csp.Trace{set2, tock, tock, fire})
+	onTime, err := checker.AcceptsTrace(csp.Call("SYS"), csp.Trace{set2, tock, tock, fire})
 	if err != nil {
 		return ExtensionRow{}, err
 	}
-	if onTime {
+	if onTime.Accepted {
 		row.Passed++
 	}
 	return row, nil

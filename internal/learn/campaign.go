@@ -13,48 +13,22 @@ import (
 	"repro/internal/refine"
 )
 
-// Variant selects a gateway variant of the OTA corpus, mirroring the
-// conformance harness: the flawed ECU is simulated but checked against
-// the reference model extracted from the *correct* sources, so a
+// Variant selects a gateway variant of the OTA corpus (see
+// ota.Variant): the flawed ECU is simulated but checked against the
+// reference model extracted from the *correct* sources, so a
 // learned/extracted divergence on it is the expected finding, not an
 // error.
-type Variant string
+type Variant = ota.Variant
 
 // The OTA corpus variants.
 const (
-	VariantNaive    Variant = "naive"
-	VariantHardened Variant = "hardened"
-	VariantFlawed   Variant = "flawed"
+	VariantNaive    = ota.VariantNaive
+	VariantHardened = ota.VariantHardened
+	VariantFlawed   = ota.VariantFlawed
 )
 
 // Variants lists the whole corpus in campaign order.
-var Variants = []Variant{VariantNaive, VariantHardened, VariantFlawed}
-
-// ecuSource returns the CAPL program the simulated teacher runs.
-func (v Variant) ecuSource() (string, error) {
-	switch v {
-	case VariantNaive:
-		return ota.ECUSource, nil
-	case VariantHardened:
-		return ota.HardenedECUSource, nil
-	case VariantFlawed:
-		return ota.FlawedECUSource, nil
-	}
-	return "", fmt.Errorf("learn: unknown variant %q", v)
-}
-
-// referenceConfig returns the observed-model build whose extracted ECU
-// the learned automaton is checked against.
-func (v Variant) referenceConfig() (ota.ObservedConfig, error) {
-	switch v {
-	case VariantNaive, VariantFlawed:
-		// The flawed ECU is checked against the correct reference model.
-		return ota.ObservedConfigFor(ota.NaiveGateway, ota.ChannelBudgets{}), nil
-	case VariantHardened:
-		return ota.ObservedConfigFor(ota.HardenedGateway, ota.ChannelBudgets{}), nil
-	}
-	return ota.ObservedConfig{}, fmt.Errorf("learn: unknown variant %q", v)
-}
+var Variants = ota.Variants
 
 // CampaignConfig drives a Learn–Check–Test campaign over the OTA
 // corpus.
@@ -204,7 +178,7 @@ func Run(cfg CampaignConfig) (*Report, error) {
 // NewVariantTeacher builds the simulated-bus teacher for a variant —
 // shared by the campaign and learncheck -replay.
 func NewVariantTeacher(cfg CampaignConfig, v Variant) (*SimTeacher, error) {
-	src, err := v.ecuSource()
+	src, _, err := v.Sources()
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +203,7 @@ func NewVariantTeacher(cfg CampaignConfig, v Variant) (*SimTeacher, error) {
 // BuildReference builds the variant's reference system and a checker
 // over its environment; the extracted ECU process is csp.Call("ECU").
 func BuildReference(cfg CampaignConfig, v Variant) (*ota.System, *refine.Checker, error) {
-	ocfg, err := v.referenceConfig()
+	ocfg, err := v.ReferenceConfig()
 	if err != nil {
 		return nil, nil, err
 	}

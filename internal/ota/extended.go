@@ -1,13 +1,5 @@
 package ota
 
-import (
-	"fmt"
-
-	"repro/internal/capl"
-	"repro/internal/cspm"
-	"repro/internal/translate"
-)
-
 // This file implements the paper's section VIII-A future-work items on
 // top of the base case study:
 //
@@ -48,63 +40,9 @@ const (
 // VMG of VMGTimerSource drives the update cycle from a CANoe msTimer;
 // the extracted model composes with the generated TIMER(t) process.
 func BuildWithTimers() (*System, error) {
-	ecuProg, err := capl.Parse(ECUSource)
-	if err != nil {
-		return nil, fmt.Errorf("parse ECU CAPL: %w", err)
-	}
-	vmgProg, err := capl.Parse(VMGTimerSource)
-	if err != nil {
-		return nil, fmt.Errorf("parse VMG CAPL: %w", err)
-	}
-	ecuOpts := translate.Options{
-		NodeName:      "ECU",
-		InChannel:     "send",
-		OutChannel:    "rec",
-		MsgDatatype:   "Msgs",
-		MessageRename: MessageRename,
-		ExtraMessages: allMessages,
-		// The ECU translation carries the declarations, so it must also
-		// declare the VMG's timer.
-		ExtraTimers:   []string{"updateCycle"},
-		IncludeTimers: true,
-	}
-	ecuRes, err := translate.Translate(ecuProg, ecuOpts)
-	if err != nil {
-		return nil, fmt.Errorf("extract ECU model: %w", err)
-	}
-	vmgOpts := translate.Options{
-		NodeName:             "VMG",
-		InChannel:            "rec",
-		OutChannel:           "send",
-		MsgDatatype:          "Msgs",
-		MessageRename:        MessageRename,
-		ExtraMessages:        allMessages,
-		IncludeTimers:        true,
-		GenerateTimerProcess: true,
-		OmitDecls:            true,
-	}
-	vmgRes, err := translate.Translate(vmgProg, vmgOpts)
-	if err != nil {
-		return nil, fmt.Errorf("extract VMG model: %w", err)
-	}
-	combined := ecuRes.Text + "\n" + vmgRes.Text + timerSpecSection
-	model, err := cspm.Load(combined)
-	if err != nil {
-		return nil, fmt.Errorf("evaluate timer-variant model: %w\n%s", err, combined)
-	}
-	if len(model.Asserts) != numTimerAsserts {
-		return nil, fmt.Errorf("timer variant has %d assertions, want %d",
-			len(model.Asserts), numTimerAsserts)
-	}
-	sys := &System{
-		Model:   model,
-		Source:  combined,
-		ECUText: ecuRes.Text,
-		VMGText: vmgRes.Text,
-	}
-	sys.Warnings = append(sys.Warnings, ecuRes.Warnings...)
-	sys.Warnings = append(sys.Warnings, vmgRes.Warnings...)
-	return sys, nil
+	vmg := vmgNode(VMGTimerSource)
+	vmg.TimerProcess = true
+	return assemble(timerSpecSection, numTimerAsserts, ecuNode(ECUSource), vmg)
 }
 
 // fullX1373Section models the update server and the cellular link,
@@ -156,42 +94,5 @@ const (
 // specification-level model), gateway VMG, and the ECU model extracted
 // from CAPL.
 func BuildFullX1373() (*System, error) {
-	ecuProg, err := capl.Parse(ECUSource)
-	if err != nil {
-		return nil, fmt.Errorf("parse ECU CAPL: %w", err)
-	}
-	ecuOpts := translate.Options{
-		NodeName:      "ECU",
-		InChannel:     "send",
-		OutChannel:    "rec",
-		MsgDatatype:   "Msgs",
-		MessageRename: MessageRename,
-		ExtraMessages: allMessages,
-		IncludeTimers: true,
-	}
-	ecuRes, err := translate.Translate(ecuProg, ecuOpts)
-	if err != nil {
-		return nil, fmt.Errorf("extract ECU model: %w", err)
-	}
-	combined := ecuRes.Text + fullX1373Section
-	model, err := cspm.Load(combined)
-	if err != nil {
-		return nil, fmt.Errorf("evaluate full X.1373 model: %w\n%s", err, combined)
-	}
-	if len(model.Asserts) != numFullAsserts {
-		return nil, fmt.Errorf("full model has %d assertions, want %d",
-			len(model.Asserts), numFullAsserts)
-	}
-	return &System{
-		Model:    model,
-		Source:   combined,
-		ECUText:  ecuRes.Text,
-		Warnings: ecuRes.Warnings,
-	}, nil
-}
-
-// loadVariant evaluates a modified copy of a generated script, used by
-// tests and experiments that mutate the model text.
-func loadVariant(source string) (*cspm.Model, error) {
-	return cspm.Load(source)
+	return assemble(fullX1373Section, numFullAsserts, ecuNode(ECUSource))
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cspm"
 	"repro/internal/fdr"
 )
 
@@ -53,7 +54,7 @@ TALT = setTimer.updateCycle -> timeout.updateCycle -> TALT
 TVIEW = SYSTEMT \ {| send, rec |}
 assert TALT [T= TVIEW
 `
-	withTimer, err := loadVariant(sys.Source + alternation)
+	withTimer, err := cspm.Load(sys.Source + alternation)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ assert TALT [T= TVIEW
 	freeRunning := strings.Replace(sys.Source+alternation,
 		"VMGT = VMG [| {| setTimer, cancelTimer, timeout |} |] TIMER(updateCycle)",
 		"VMGT = VMG", 1)
-	noTimer, err := loadVariant(freeRunning)
+	noTimer, err := cspm.Load(freeRunning)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestFullX1373FlawedECUBreaksEndToEnd(t *testing.T) {
 	if flawedModel == sys.Source {
 		t.Fatal("flaw substitution did not apply; generated model changed?")
 	}
-	model, err := loadVariant(flawedModel)
+	model, err := cspm.Load(flawedModel)
 	if err != nil {
 		t.Fatal(err)
 	}

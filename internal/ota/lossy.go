@@ -1,12 +1,6 @@
 package ota
 
-import (
-	"fmt"
-
-	"repro/internal/capl"
-	"repro/internal/cspm"
-	"repro/internal/translate"
-)
+import "fmt"
 
 // This file hardens the case study against the faults the paper's
 // channel model abstracts away: frame loss, duplication and delay. It
@@ -228,69 +222,9 @@ func BuildLossy(variant LossyVariant, lossBudget int) (*System, error) {
 		return nil, fmt.Errorf("ota: loss budget must be >= 0, got %d", lossBudget)
 	}
 	ecuSrc, vmgSrc := ECUSource, VMGSource
-	withTimers := false
-	var extraTimers []string
 	if variant == HardenedGateway {
 		ecuSrc, vmgSrc = HardenedECUSource, HardenedVMGSource
-		withTimers = true
-		// The ECU translation carries the shared declarations, so it
-		// must declare the gateway's retry timers.
-		extraTimers = []string{"retryDiag", "retryUpd"}
 	}
-
-	ecuProg, err := capl.Parse(ecuSrc)
-	if err != nil {
-		return nil, fmt.Errorf("parse ECU CAPL: %w", err)
-	}
-	vmgProg, err := capl.Parse(vmgSrc)
-	if err != nil {
-		return nil, fmt.Errorf("parse VMG CAPL: %w", err)
-	}
-
-	ecuOpts := translate.Options{
-		NodeName:      "ECU",
-		InChannel:     "send",
-		OutChannel:    "rec",
-		MsgDatatype:   "Msgs",
-		MessageRename: MessageRename,
-		ExtraMessages: allMessages,
-		ExtraTimers:   extraTimers,
-		IncludeTimers: true,
-	}
-	ecuRes, err := translate.Translate(ecuProg, ecuOpts)
-	if err != nil {
-		return nil, fmt.Errorf("extract ECU model: %w", err)
-	}
-	vmgOpts := translate.Options{
-		NodeName:      "VMG",
-		InChannel:     "rec",
-		OutChannel:    "send",
-		MsgDatatype:   "Msgs",
-		MessageRename: MessageRename,
-		ExtraMessages: allMessages,
-		IncludeTimers: true,
-		OmitDecls:     true,
-	}
-	vmgRes, err := translate.Translate(vmgProg, vmgOpts)
-	if err != nil {
-		return nil, fmt.Errorf("extract VMG model: %w", err)
-	}
-
-	combined := ecuRes.Text + "\n" + vmgRes.Text + lossySpecSection(lossBudget, withTimers)
-	model, err := cspm.Load(combined)
-	if err != nil {
-		return nil, fmt.Errorf("evaluate lossy model (%s): %w\n%s", variant, err, combined)
-	}
-	if len(model.Asserts) != numLossyAsserts {
-		return nil, fmt.Errorf("lossy model has %d assertions, want %d", len(model.Asserts), numLossyAsserts)
-	}
-	sys := &System{
-		Model:   model,
-		Source:  combined,
-		ECUText: ecuRes.Text,
-		VMGText: vmgRes.Text,
-	}
-	sys.Warnings = append(sys.Warnings, ecuRes.Warnings...)
-	sys.Warnings = append(sys.Warnings, vmgRes.Warnings...)
-	return sys, nil
+	return assemble(lossySpecSection(lossBudget, variant == HardenedGateway), numLossyAsserts,
+		ecuNode(ecuSrc), vmgNode(vmgSrc))
 }

@@ -2,10 +2,8 @@ package ota
 
 import (
 	"fmt"
-
-	"repro/internal/capl"
-	"repro/internal/cspm"
-	"repro/internal/translate"
+	"slices"
+	"strings"
 )
 
 // This file builds the observed-bus conformance composition used by the
@@ -65,9 +63,6 @@ type ObservedConfig struct {
 	// whenever a source uses CANoe timers — they are invisible on the
 	// bus).
 	WithTimers bool
-	// ExtraTimers lists gateway timers the ECU-side declarations must
-	// carry (see BuildLossy).
-	ExtraTimers []string
 	// Budgets bounds the fault channel.
 	Budgets ChannelBudgets
 }
@@ -84,9 +79,73 @@ func ObservedConfigFor(variant LossyVariant, b ChannelBudgets) ObservedConfig {
 		cfg.ECUSource = HardenedECUSource
 		cfg.VMGSource = HardenedVMGSource
 		cfg.WithTimers = true
-		cfg.ExtraTimers = []string{"retryDiag", "retryUpd"}
 	}
 	return cfg
+}
+
+// Variant selects a gateway pair of the OTA corpus for the soak and
+// learning campaigns. Naive and hardened check an implementation against
+// the model extracted from its own sources — the pipeline-faithfulness
+// question. Flawed simulates the broken ECU (wrong reply message type)
+// while checking against the model of the correct one: the
+// model/implementation mismatch those campaigns exist to catch.
+type Variant string
+
+// The corpus variants.
+const (
+	VariantNaive    Variant = "naive"
+	VariantHardened Variant = "hardened"
+	VariantFlawed   Variant = "flawed"
+)
+
+// Variants lists the whole corpus in report order.
+var Variants = []Variant{VariantNaive, VariantHardened, VariantFlawed}
+
+// Sources returns the CAPL programs the simulation runs.
+func (v Variant) Sources() (ecu, vmg string, err error) {
+	switch v {
+	case VariantNaive:
+		return ECUSource, VMGSource, nil
+	case VariantHardened:
+		return HardenedECUSource, HardenedVMGSource, nil
+	case VariantFlawed:
+		return FlawedECUSource, VMGSource, nil
+	}
+	return "", "", fmt.Errorf("ota: unknown variant %q", v)
+}
+
+// ReferenceConfig returns the observed-model configuration the
+// variant's traces are checked against (budgets are filled in per run).
+// The flawed ECU is checked against the correct reference model.
+func (v Variant) ReferenceConfig() (ObservedConfig, error) {
+	switch v {
+	case VariantNaive, VariantFlawed:
+		return ObservedConfigFor(NaiveGateway, ChannelBudgets{}), nil
+	case VariantHardened:
+		return ObservedConfigFor(HardenedGateway, ChannelBudgets{}), nil
+	}
+	return ObservedConfig{}, fmt.Errorf("ota: unknown variant %q", v)
+}
+
+// HasTimers reports whether the simulated gateway uses CANoe timers
+// (and therefore whether timer-jitter perturbations can fire).
+func (v Variant) HasTimers() bool { return v == VariantHardened }
+
+// ParseVariants resolves a comma-separated -variants flag; "" and "all"
+// select every variant (nil).
+func ParseVariants(s string) ([]Variant, error) {
+	if s == "" || s == "all" {
+		return nil, nil
+	}
+	var out []Variant
+	for _, part := range strings.Split(s, ",") {
+		v := Variant(strings.TrimSpace(part))
+		if !slices.Contains(Variants, v) {
+			return nil, fmt.Errorf("unknown variant %q (want naive, hardened or flawed)", part)
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 // observedSpecSection renders the bounded-fault channel and the
@@ -147,56 +206,6 @@ func BuildObserved(cfg ObservedConfig) (*System, error) {
 		cfg.Budgets.DropToVMG < 0 || cfg.Budgets.SpurToVMG < 0 {
 		return nil, fmt.Errorf("ota: channel budgets must be >= 0, got %+v", cfg.Budgets)
 	}
-	ecuProg, err := capl.Parse(cfg.ECUSource)
-	if err != nil {
-		return nil, fmt.Errorf("parse ECU CAPL: %w", err)
-	}
-	vmgProg, err := capl.Parse(cfg.VMGSource)
-	if err != nil {
-		return nil, fmt.Errorf("parse VMG CAPL: %w", err)
-	}
-
-	ecuOpts := translate.Options{
-		NodeName:      "ECU",
-		InChannel:     "send",
-		OutChannel:    "rec",
-		MsgDatatype:   "Msgs",
-		MessageRename: MessageRename,
-		ExtraMessages: allMessages,
-		ExtraTimers:   cfg.ExtraTimers,
-		IncludeTimers: true,
-	}
-	ecuRes, err := translate.Translate(ecuProg, ecuOpts)
-	if err != nil {
-		return nil, fmt.Errorf("extract ECU model: %w", err)
-	}
-	vmgOpts := translate.Options{
-		NodeName:      "VMG",
-		InChannel:     "rec",
-		OutChannel:    "send",
-		MsgDatatype:   "Msgs",
-		MessageRename: MessageRename,
-		ExtraMessages: allMessages,
-		IncludeTimers: true,
-		OmitDecls:     true,
-	}
-	vmgRes, err := translate.Translate(vmgProg, vmgOpts)
-	if err != nil {
-		return nil, fmt.Errorf("extract VMG model: %w", err)
-	}
-
-	combined := ecuRes.Text + "\n" + vmgRes.Text + observedSpecSection(cfg.Budgets, cfg.WithTimers)
-	model, err := cspm.Load(combined)
-	if err != nil {
-		return nil, fmt.Errorf("evaluate observed model: %w\n%s", err, combined)
-	}
-	sys := &System{
-		Model:   model,
-		Source:  combined,
-		ECUText: ecuRes.Text,
-		VMGText: vmgRes.Text,
-	}
-	sys.Warnings = append(sys.Warnings, ecuRes.Warnings...)
-	sys.Warnings = append(sys.Warnings, vmgRes.Warnings...)
-	return sys, nil
+	return assemble(observedSpecSection(cfg.Budgets, cfg.WithTimers), 0,
+		ecuNode(cfg.ECUSource), vmgNode(cfg.VMGSource))
 }

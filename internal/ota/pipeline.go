@@ -2,10 +2,10 @@ package ota
 
 import (
 	"fmt"
+	"strings"
 
-	"repro/internal/capl"
+	"repro/internal/core"
 	"repro/internal/cspm"
-	"repro/internal/translate"
 )
 
 // System is the fully assembled case-study model: the extracted ECU and
@@ -23,9 +23,6 @@ type System struct {
 	// Warnings aggregates translator abstraction warnings.
 	Warnings []string
 }
-
-// allMessages lists the constructors every node's datatype must carry.
-var allMessages = []string{"reqSw", "rptSw", "reqApp", "rptUpd"}
 
 // specSection holds the specification models and assertions appended to
 // the extracted implementation models. Assertion order is significant:
@@ -81,59 +78,37 @@ func BuildDeadlocked() (*System, error) {
 // programs, extract their CSPm implementation models, compose them with
 // the specification models, and evaluate the result.
 func BuildFromCAPL(ecuSrc, vmgSrc string) (*System, error) {
-	ecuProg, err := capl.Parse(ecuSrc)
-	if err != nil {
-		return nil, fmt.Errorf("parse ECU CAPL: %w", err)
-	}
-	vmgProg, err := capl.Parse(vmgSrc)
-	if err != nil {
-		return nil, fmt.Errorf("parse VMG CAPL: %w", err)
-	}
+	return assemble(specSection, numAsserts, ecuNode(ecuSrc), vmgNode(vmgSrc))
+}
 
-	ecuOpts := translate.Options{
-		NodeName:      "ECU",
-		InChannel:     "send",
-		OutChannel:    "rec",
-		MsgDatatype:   "Msgs",
-		MessageRename: MessageRename,
-		ExtraMessages: allMessages,
-		IncludeTimers: true,
-	}
-	ecuRes, err := translate.Translate(ecuProg, ecuOpts)
-	if err != nil {
-		return nil, fmt.Errorf("extract ECU model: %w", err)
-	}
+// ecuNode and vmgNode place a CAPL program on the case study's ECU or
+// VMG side of the send/rec exchange.
+func ecuNode(src string) core.NodeSpec {
+	return core.NodeSpec{Name: "ECU", Source: src, In: "send", Out: "rec", Rename: MessageRename}
+}
 
-	vmgOpts := translate.Options{
-		NodeName:      "VMG",
-		InChannel:     "rec",
-		OutChannel:    "send",
-		MsgDatatype:   "Msgs",
-		MessageRename: MessageRename,
-		ExtraMessages: allMessages,
-		IncludeTimers: true,
-		OmitDecls:     true,
-	}
-	vmgRes, err := translate.Translate(vmgProg, vmgOpts)
-	if err != nil {
-		return nil, fmt.Errorf("extract VMG model: %w", err)
-	}
+func vmgNode(src string) core.NodeSpec {
+	return core.NodeSpec{Name: "VMG", Source: src, In: "rec", Out: "send", Rename: MessageRename}
+}
 
-	combined := ecuRes.Text + "\n" + vmgRes.Text + specSection
-	model, err := cspm.Load(combined)
+// assemble is every builder's Figure 1 path: core.Pipeline extracts
+// the nodes and composes them with the spec section, whose leading
+// newline core's part separator already supplies. The evaluated script
+// must carry exactly asserts assertions.
+func assemble(spec string, asserts int, nodes ...core.NodeSpec) (*System, error) {
+	p := core.Pipeline{Nodes: nodes, Spec: strings.TrimPrefix(spec, "\n")}
+	report, err := p.Build()
 	if err != nil {
-		return nil, fmt.Errorf("evaluate combined model: %w\n%s", err, combined)
+		return nil, err
 	}
-	if len(model.Asserts) != numAsserts {
-		return nil, fmt.Errorf("combined model has %d assertions, want %d", len(model.Asserts), numAsserts)
+	if n := len(report.Model.Asserts); n != asserts {
+		return nil, fmt.Errorf("ota: combined model has %d assertions, want %d", n, asserts)
 	}
-	sys := &System{
-		Model:   model,
-		Source:  combined,
-		ECUText: ecuRes.Text,
-		VMGText: vmgRes.Text,
-	}
-	sys.Warnings = append(sys.Warnings, ecuRes.Warnings...)
-	sys.Warnings = append(sys.Warnings, vmgRes.Warnings...)
-	return sys, nil
+	return &System{
+		Model:    report.Model,
+		Source:   report.CombinedSource,
+		ECUText:  report.NodeModels["ECU"],
+		VMGText:  report.NodeModels["VMG"],
+		Warnings: report.Warnings,
+	}, nil
 }

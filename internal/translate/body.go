@@ -103,7 +103,7 @@ func (t *translator) exprStmt(s *capl.ExprStmt, cont cspm.ProcExpr, inlining []s
 		if t.opts.TockTime && call.Fun == "setTimer" {
 			ms := int64(t.opts.TockMs) // default: one tock
 			if len(call.Args) >= 2 {
-				if v, ok := constEval(call.Args[1]); ok {
+				if v, ok := capl.ConstEval(call.Args[1]); ok {
 					ms = v
 				} else {
 					t.diag(caplint.CodeInexactDuration, s.Line, "non-constant timer duration approximated as one tock")
@@ -156,7 +156,7 @@ func (t *translator) ifStmt(s *capl.IfStmt, cont cspm.ProcExpr, inlining []strin
 	// represented in the extracted model; translate to a literal
 	// conditional when the condition is compile-time constant, otherwise
 	// over-approximate by internal choice.
-	if v, ok := constEval(s.Cond); ok {
+	if v, ok := capl.ConstEval(s.Cond); ok {
 		if v != 0 {
 			return thenP, nil
 		}
@@ -173,7 +173,7 @@ func (t *translator) ifStmt(s *capl.IfStmt, cont cspm.ProcExpr, inlining []strin
 // zero or more times (at least once for do-while). Event-free loops are
 // dropped entirely.
 func (t *translator) loop(body capl.Stmt, cont cspm.ProcExpr, inlining []string, atLeastOnce bool, line int) (cspm.ProcExpr, error) {
-	if !t.hasEvents(body, inlining) {
+	if !t.prog.HasEvents(body, t.opts.IncludeTimers, inlining) {
 		return cont, nil
 	}
 	t.auxCount++
@@ -198,12 +198,12 @@ func (t *translator) switchStmt(s *capl.SwitchStmt, cont cspm.ProcExpr, inlining
 		return cont, nil
 	}
 	// A compile-time constant tag selects a single arm.
-	if tag, ok := constEval(s.Tag); ok {
+	if tag, ok := capl.ConstEval(s.Tag); ok {
 		for _, c := range s.Cases {
 			if c.Value == nil {
 				continue
 			}
-			if v, ok := constEval(c.Value); ok && v == tag {
+			if v, ok := capl.ConstEval(c.Value); ok && v == tag {
 				return t.stmts(stripBreak(c.Stmts), cont, inlining)
 			}
 		}
@@ -248,151 +248,6 @@ func stripBreak(list []capl.Stmt) []capl.Stmt {
 		}
 	}
 	return list
-}
-
-// hasEvents reports whether executing the statement can produce any
-// event in the extracted model.
-func (t *translator) hasEvents(s capl.Stmt, inlining []string) bool {
-	switch x := s.(type) {
-	case *capl.BlockStmt:
-		for _, st := range x.Stmts {
-			if t.hasEvents(st, inlining) {
-				return true
-			}
-		}
-	case *capl.ExprStmt:
-		call, ok := x.X.(*capl.CallExpr)
-		if !ok {
-			return false
-		}
-		switch call.Fun {
-		case "output":
-			return true
-		case "setTimer", "cancelTimer":
-			return t.opts.IncludeTimers
-		case "write", "writeEx", "writeLineEx":
-			return false
-		}
-		if fn, ok := t.prog.Function(call.Fun); ok {
-			for _, active := range inlining {
-				if active == call.Fun {
-					return false
-				}
-			}
-			return t.hasEvents(fn.Body, append(inlining, call.Fun))
-		}
-	case *capl.IfStmt:
-		if t.hasEvents(x.Then, inlining) {
-			return true
-		}
-		if x.Else != nil {
-			return t.hasEvents(x.Else, inlining)
-		}
-	case *capl.WhileStmt:
-		return t.hasEvents(x.Body, inlining)
-	case *capl.DoWhileStmt:
-		return t.hasEvents(x.Body, inlining)
-	case *capl.ForStmt:
-		return t.hasEvents(x.Body, inlining)
-	case *capl.SwitchStmt:
-		for _, c := range x.Cases {
-			for _, st := range c.Stmts {
-				if t.hasEvents(st, inlining) {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// constEval evaluates compile-time constant integer expressions.
-func constEval(e capl.Expr) (int64, bool) {
-	switch x := e.(type) {
-	case *capl.IntLit:
-		return x.Val, true
-	case *capl.UnaryExpr:
-		v, ok := constEval(x.X)
-		if !ok {
-			return 0, false
-		}
-		switch x.Op {
-		case capl.MINUS:
-			return -v, true
-		case capl.BANG:
-			if v == 0 {
-				return 1, true
-			}
-			return 0, true
-		case capl.TILDE:
-			return ^v, true
-		}
-	case *capl.BinaryExpr:
-		l, ok := constEval(x.L)
-		if !ok {
-			return 0, false
-		}
-		r, ok := constEval(x.R)
-		if !ok {
-			return 0, false
-		}
-		return constBinary(x.Op, l, r)
-	}
-	return 0, false
-}
-
-func constBinary(op capl.Kind, l, r int64) (int64, bool) {
-	b2i := func(b bool) int64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	switch op {
-	case capl.PLUS:
-		return l + r, true
-	case capl.MINUS:
-		return l - r, true
-	case capl.STAR:
-		return l * r, true
-	case capl.SLASH:
-		if r == 0 {
-			return 0, false
-		}
-		return l / r, true
-	case capl.PERCENT:
-		if r == 0 {
-			return 0, false
-		}
-		return l % r, true
-	case capl.EQ:
-		return b2i(l == r), true
-	case capl.NE:
-		return b2i(l != r), true
-	case capl.LT:
-		return b2i(l < r), true
-	case capl.LE:
-		return b2i(l <= r), true
-	case capl.GT:
-		return b2i(l > r), true
-	case capl.GE:
-		return b2i(l >= r), true
-	case capl.ANDAND:
-		return b2i(l != 0 && r != 0), true
-	case capl.OROR:
-		return b2i(l != 0 || r != 0), true
-	case capl.AMP:
-		return l & r, true
-	case capl.PIPE:
-		return l | r, true
-	case capl.CARET:
-		return l ^ r, true
-	case capl.SHL:
-		return l << uint(r&63), true
-	case capl.SHR:
-		return l >> uint(r&63), true
-	}
-	return 0, false
 }
 
 // sameProc reports whether two translated processes are syntactically

@@ -53,7 +53,7 @@ func (t *translator) maxTockDuration() int {
 		if !ok || call.Fun != "setTimer" || len(call.Args) < 2 {
 			return
 		}
-		if ms, ok := constEval(call.Args[1]); ok {
+		if ms, ok := capl.ConstEval(call.Args[1]); ok {
 			if d := t.tockDuration(ms); d > maxDur {
 				maxDur = d
 			}

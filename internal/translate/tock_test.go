@@ -7,6 +7,7 @@ import (
 	"repro/internal/capl"
 	"repro/internal/csp"
 	"repro/internal/cspm"
+	"repro/internal/refine"
 )
 
 const tockSource = `
@@ -70,33 +71,33 @@ SYS = NODE [| {| setTimer, cancelTimer, timeout, tock |} |] TIMER(cycle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sem := csp.NewSemantics(m.Env, m.Ctx)
+	checker := refine.NewChecker(m.Env, m.Ctx)
 	set2 := csp.Ev("setTimer", csp.Sym("cycle"), csp.Int(2))
 	tock := csp.Ev("tock")
 	fire := csp.Ev("timeout", csp.Sym("cycle"))
 
 	early := csp.Trace{set2, tock, fire}
-	ok, err := csp.HasTrace(sem, csp.Call("SYS"), early)
+	tr, err := checker.AcceptsTrace(csp.Call("SYS"), early)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
+	if tr.Accepted {
 		t.Error("200 ms timer fired after a single tock")
 	}
 	onTime := csp.Trace{set2, tock, tock, fire}
-	ok, err = csp.HasTrace(sem, csp.Call("SYS"), onTime)
+	tr, err = checker.AcceptsTrace(csp.Call("SYS"), onTime)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
+	if !tr.Accepted {
 		t.Error("200 ms timer cannot fire after two tocks")
 	}
 	immediately := csp.Trace{set2, fire}
-	ok, err = csp.HasTrace(sem, csp.Call("SYS"), immediately)
+	tr, err = checker.AcceptsTrace(csp.Call("SYS"), immediately)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
+	if tr.Accepted {
 		t.Error("timer fired with no time passing at all")
 	}
 }
@@ -112,7 +113,7 @@ SYS = NODE [| {| setTimer, cancelTimer, timeout, tock |} |] TIMER(cycle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sem := csp.NewSemantics(m.Env, m.Ctx)
+	checker := refine.NewChecker(m.Env, m.Ctx)
 	set2 := csp.Ev("setTimer", csp.Sym("cycle"), csp.Int(2))
 	set1 := csp.Ev("setTimer", csp.Sym("cycle"), csp.Int(1))
 	tock := csp.Ev("tock")
@@ -120,11 +121,11 @@ SYS = NODE [| {| setTimer, cancelTimer, timeout, tock |} |] TIMER(cycle)
 	ping := csp.Ev("rec", csp.Sym("ping"))
 
 	cycle := csp.Trace{set2, tock, tock, fire, ping, set1, tock, fire, ping, set1}
-	ok, err := csp.HasTrace(sem, csp.Call("SYS"), cycle)
+	tr, err := checker.AcceptsTrace(csp.Call("SYS"), cycle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
+	if !tr.Accepted {
 		t.Errorf("periodic behaviour missing: %s", cycle)
 	}
 }
