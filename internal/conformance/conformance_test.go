@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/canbus"
@@ -236,6 +237,20 @@ func TestRunScheduleSimEventBudget(t *testing.T) {
 	v := r.RunSchedule(Schedule{Variant: VariantNaive, HorizonUs: int64(20 * canbus.Second)})
 	if v.Kind != BudgetExceeded || v.Detail != "sim-events" {
 		t.Fatalf("verdict %s (detail %q), want budget-exceeded/sim-events", v.Kind, v.Detail)
+	}
+}
+
+// TestRunScheduleWatchdog pins that an expired watchdog stops the
+// simulation with the "sim-deadline" detail, not an interpreter error.
+func TestRunScheduleWatchdog(t *testing.T) {
+	r, err := NewRunner()
+	if err != nil {
+		t.Fatalf("NewRunner: %v", err)
+	}
+	r.MaxDuration = time.Nanosecond
+	v := r.RunSchedule(Schedule{Variant: VariantNaive, HorizonUs: int64(20 * canbus.Second)})
+	if v.Kind != BudgetExceeded || v.Detail != "sim-deadline" {
+		t.Fatalf("verdict %s (detail %q), want budget-exceeded/sim-deadline", v.Kind, v.Detail)
 	}
 }
 

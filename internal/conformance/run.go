@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/canbus"
 	"repro/internal/canoe"
 	"repro/internal/csp"
+	"repro/internal/lts"
 	"repro/internal/obs"
 	"repro/internal/ota"
 	"repro/internal/refine"
@@ -89,7 +91,8 @@ type Runner struct {
 	// default).
 	MaxStates int
 	// MaxDuration is the per-schedule wall-clock watchdog covering
-	// simulation, model build and trace check (default 20s).
+	// simulation, model build and trace check (default
+	// defaultMaxDuration).
 	MaxDuration time.Duration
 	// MaxSimEvents bounds simulator events per run, containing runaway
 	// measurements such as zero-period timer loops (default 300000).
@@ -125,7 +128,7 @@ func NewRunner() (*Runner, error) {
 		return nil, err
 	}
 	return &Runner{
-		MaxDuration:  20 * time.Second,
+		MaxDuration:  defaultMaxDuration,
 		MaxSimEvents: 300_000,
 		projector:    p,
 		models:       make(map[modelKey]*modelEntry),
@@ -176,12 +179,9 @@ const maxInjectedReplays = 64
 // errSimEvents marks simulation event-budget exhaustion.
 var errSimEvents = errors.New("simulation event budget exhausted")
 
-// errDeadline marks watchdog expiry during simulation.
-var errDeadline = errors.New("wall-clock deadline exceeded")
-
 // simulate runs the schedule on the simulated bus and collects the
 // monitor trace plus the perturbations that fired.
-func (r *Runner) simulate(s Schedule, deadline time.Time) (simResult, error) {
+func (r *Runner) simulate(ctx context.Context, s Schedule) (simResult, error) {
 	var res simResult
 	ecuSrc, vmgSrc, err := s.Variant.Sources()
 	if err != nil {
@@ -277,8 +277,8 @@ func (r *Runner) simulate(s Schedule, deadline time.Time) (simResult, error) {
 		maxEvents = 300_000
 	}
 	for events := 0; ; {
-		if time.Now().After(deadline) {
-			return res, errDeadline
+		if ctx.Err() != nil {
+			return res, context.Cause(ctx)
 		}
 		done, err := sim.RunLimited(canbus.Time(s.HorizonUs), chunk)
 		if err != nil {
@@ -333,18 +333,27 @@ func deriveBudgets(applied []appliedOp) ota.ChannelBudgets {
 	return b
 }
 
-// deadline is the watchdog expiry of a schedule starting now.
-func (r *Runner) deadline() time.Time {
-	if r.MaxDuration <= 0 {
-		return time.Now().Add(20 * time.Second)
+// defaultMaxDuration is the per-schedule watchdog of a Runner whose
+// MaxDuration is unset.
+const defaultMaxDuration = 20 * time.Second
+
+// watchdog is the stop signal of a schedule starting now: a deadline
+// with cause lts.ErrDeadline, so the trace check reports it as the
+// "trace-deadline" budget phase.
+func (r *Runner) watchdog() (context.Context, context.CancelFunc) {
+	d := r.MaxDuration
+	if d <= 0 {
+		d = defaultMaxDuration
 	}
-	return time.Now().Add(r.MaxDuration)
+	return context.WithTimeoutCause(context.Background(), d, lts.ErrDeadline)
 }
 
 // Observe simulates a schedule and returns what RunSchedule checks: the
 // projected trace and the reference model under the budgets it earns.
 func (r *Runner) Observe(s Schedule) (csp.Trace, *ota.System, error) {
-	sres, err := r.simulate(s, r.deadline())
+	ctx, cancel := r.watchdog()
+	defer cancel()
+	sres, err := r.simulate(ctx, s)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -381,8 +390,9 @@ func (r *Runner) RunSchedule(s Schedule) (v Verdict) {
 			obs.Int("deliveredFrames", int64(v.DeliveredFrames)),
 			obs.Int("modelStates", int64(v.ModelStates)))
 	}()
-	deadline := r.deadline()
-	sres, err := r.simulate(s, deadline)
+	ctx, cancel := r.watchdog()
+	defer cancel()
+	sres, err := r.simulate(ctx, s)
 	for _, a := range sres.applied {
 		v.AppliedOps = append(v.AppliedOps, a.op.String())
 	}
@@ -391,7 +401,7 @@ func (r *Runner) RunSchedule(s Schedule) (v Verdict) {
 		case errors.Is(err, errSimEvents):
 			v.Kind = BudgetExceeded
 			v.Detail = "sim-events"
-		case errors.Is(err, errDeadline):
+		case errors.Is(err, lts.ErrDeadline):
 			v.Kind = BudgetExceeded
 			v.Detail = "sim-deadline"
 		default:
@@ -414,16 +424,15 @@ func (r *Runner) RunSchedule(s Schedule) (v Verdict) {
 		return v
 	}
 
-	checker := refine.NewChecker(sys.Model.Env, sys.Model.Ctx)
-	checker.MaxStates = r.MaxStates
-	checker.Obs = r.Obs
-	remaining := time.Until(deadline)
-	if remaining <= 0 {
+	if ctx.Err() != nil {
 		v.Kind = BudgetExceeded
 		v.Detail = "check-deadline"
 		return v
 	}
-	checker.MaxDuration = remaining
+	checker := refine.NewChecker(sys.Model.Env, sys.Model.Ctx)
+	checker.MaxStates = r.MaxStates
+	checker.Obs = r.Obs
+	checker.Ctx = ctx
 	res, err := checker.AcceptsTrace(csp.Call(ota.ObservedProcess), trace)
 	if err != nil {
 		var be *refine.BudgetError

@@ -4,10 +4,9 @@
 package fdr
 
 import (
-	"context"
 	"fmt"
-	"time"
 
+	"repro/internal/csp"
 	"repro/internal/cspm"
 	"repro/internal/lts"
 	"repro/internal/obs"
@@ -32,49 +31,12 @@ func (r AssertResult) String() string {
 	return fmt.Sprintf("%s: %s", r.Assert.Text, status)
 }
 
-// Budget carries the checker resource limits for campaign-scale runs;
-// zero fields mean the package defaults (MaxStates) or unbounded
-// (MaxProductStates, MaxSteps).
-type Budget struct {
-	// MaxStates bounds each LTS exploration.
-	MaxStates int
-	// MaxProductStates bounds the (impl, spec) pairs a refinement visits.
-	MaxProductStates int
-	// MaxSteps bounds the transitions examined during the product search.
-	MaxSteps int
-	// MaxDuration bounds the wall-clock time of one assertion check;
-	// zero means unbounded. Exceeding it yields a *refine.BudgetError
-	// with a "-deadline" phase.
-	MaxDuration time.Duration
-	// Cache, when non-nil, shares explored LTSs and normalisations
-	// across assertions and across checkers — campaign runs should pass
-	// one cache for the whole campaign so each distinct spec/impl term
-	// is explored exactly once.
-	Cache *lts.Cache
-	// Obs receives a span per assertion (fdr.assert, carrying the
-	// assertion text and verdict) plus the checker's and explorer's own
-	// instrumentation. nil disables it.
-	Obs *obs.Observer
-	// Ctx, when non-nil, cooperatively cancels the checks: a cancelled
-	// context aborts the in-flight exploration or product search
-	// mid-BFS-level with an error matching context.Canceled /
-	// context.DeadlineExceeded under errors.Is. nil (the default) means
-	// no cancellation.
-	Ctx context.Context
-	// CheckpointDir, when non-empty, makes the check crash-safe: the
-	// explorations write atomic level-granular snapshots under it and a
-	// re-run over the same directory resumes from them with a
-	// byte-identical verdict. Callers checking several assertions should
-	// pass a distinct directory per assertion.
-	CheckpointDir string
-	// CheckpointEveryLevels is the snapshot cadence in completed BFS
-	// levels; <= 0 means every level.
-	CheckpointEveryLevels int
-	// MaxMemBytes is a hard per-exploration resident-memory watermark;
-	// exceeding it yields a *refine.BudgetError with phase "memory". 0
-	// means unbounded.
-	MaxMemBytes int64
-}
+// Budget is refine.Budget, the one definition of a check's limits. Zero
+// fields mean the package defaults (MaxStates) or unbounded. Its Obs
+// also receives a span per assertion (fdr.assert, carrying the
+// assertion text and verdict), and RunAllBudget gives a budget with no
+// Cache a fresh one for the run.
+type Budget = refine.Budget
 
 // RunAssert checks a single resolved assertion.
 func RunAssert(m *cspm.Model, a cspm.ResolvedAssert, maxStates int) (refine.Result, error) {
@@ -97,17 +59,7 @@ func RunAssertBudget(m *cspm.Model, a cspm.ResolvedAssert, bgt Budget) (res refi
 		}
 		span.End(obs.String("verdict", verdict))
 	}()
-	c := refine.NewChecker(m.Env, m.Ctx)
-	c.MaxStates = bgt.MaxStates
-	c.MaxProductStates = bgt.MaxProductStates
-	c.MaxSteps = bgt.MaxSteps
-	c.MaxDuration = bgt.MaxDuration
-	c.Cache = bgt.Cache
-	c.Obs = bgt.Obs
-	c.Ctx = bgt.Ctx
-	c.CheckpointDir = bgt.CheckpointDir
-	c.CheckpointEveryLevels = bgt.CheckpointEveryLevels
-	c.MaxMemBytes = bgt.MaxMemBytes
+	c := refine.Checker{Sem: csp.NewSemantics(m.Env, m.Ctx), Budget: bgt}
 	switch a.Kind {
 	case cspm.AssertTraceRef:
 		return c.RefinesTraces(a.Spec, a.Impl)

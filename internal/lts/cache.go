@@ -102,8 +102,10 @@ func NewCache() *Cache {
 
 // Explore is a caching front end to Explore: concurrent callers asking
 // for the same (semantics, process, bound) share one exploration, and
-// later callers reuse its result. Options.MaxDuration only influences
-// how a miss is computed, never whether an entry hits.
+// later callers reuse its result. Options.Ctx only stops the
+// computation of a miss, never decides whether an entry hits: a joiner
+// shares the flight it joined, stop included. A resumed exploration
+// counts its snapshot's elapsed time against the leader's deadline.
 func (c *Cache) Explore(sem *csp.Semantics, p csp.Process, opts Options) (*LTS, error) {
 	maxStates := opts.MaxStates
 	if maxStates <= 0 {

@@ -2,13 +2,17 @@ package lts
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/csp"
 	"repro/internal/leakcheck"
+	"repro/internal/obs"
 )
 
 // countSem builds a semantics with one counting process C(n) stepping
@@ -80,23 +84,32 @@ func TestExploreCancelMidExplore(t *testing.T) {
 	}
 }
 
+// budgetCtx is a wall-clock budget of d as a caller states one: a
+// context deadline with cause ErrDeadline.
+func budgetCtx(t *testing.T, d time.Duration) context.Context {
+	ctx, cancel := context.WithTimeoutCause(context.Background(), d, ErrDeadline)
+	t.Cleanup(cancel)
+	return ctx
+}
+
 // TestExploreDeadlineInsideLevel pins the deadline-granularity fix: an
-// already-expired MaxDuration must abort before the first expansion.
-// Once the clock was only probed every 256 states, so a smaller model
-// explored to completion and returned success despite the deadline.
+// already-expired wall-clock budget must abort before the first
+// expansion. Once the clock was only probed every 256 states, so a
+// smaller model explored to completion and returned success despite the
+// deadline.
 func TestExploreDeadlineInsideLevel(t *testing.T) {
 	leakcheck.Check(t)
 	sem, p := countSem(t, 100)
-	_, err := Explore(sem, p, Options{MaxDuration: time.Nanosecond})
+	_, err := Explore(sem, p, Options{Ctx: budgetCtx(t, time.Nanosecond)})
 	if err == nil {
 		t.Fatal("exploration with an expired deadline returned success")
 	}
-	var de *DeadlineError
-	if !errors.As(err, &de) {
-		t.Fatalf("err = %T %v, want *DeadlineError", err, err)
+	var ce *CanceledError
+	if !errors.As(err, &ce) || !errors.Is(err, ErrDeadline) {
+		t.Fatalf("err = %T %v, want *CanceledError with cause ErrDeadline", err, err)
 	}
-	if de.Explored != 1 {
-		t.Errorf("explored %d states past an expired deadline, want 1", de.Explored)
+	if ce.Explored != 1 {
+		t.Errorf("explored %d states past an expired deadline, want 1", ce.Explored)
 	}
 }
 
@@ -105,13 +118,91 @@ func TestExploreDeadlineInsideLevel(t *testing.T) {
 func TestExploreDeadlineMidLevel(t *testing.T) {
 	leakcheck.Check(t)
 	sem, p := countSem(t, 100000)
-	_, err := Explore(sem, p, Options{MaxDuration: time.Millisecond})
+	_, err := Explore(sem, p, Options{Ctx: budgetCtx(t, time.Millisecond)})
 	if err == nil {
 		t.Skip("machine explored 100k states in under a millisecond")
 	}
-	var de *DeadlineError
-	if !errors.As(err, &de) {
-		t.Fatalf("err = %T %v, want *DeadlineError", err, err)
+	var ce *CanceledError
+	if !errors.As(err, &ce) || !errors.Is(err, ErrDeadline) {
+		t.Fatalf("err = %T %v, want *CanceledError with cause ErrDeadline", err, err)
+	}
+}
+
+// cancelAfter is a context whose Err reports cancellation from its
+// (n+1)th call on: Explore probes it before every expansion, so it
+// interrupts the exploration after n expansions.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestResumeCountsSpentTimeAgainstDeadline pins the elapsed-time
+// carryover: a resume shortens the context deadline by the time its
+// snapshot already spent, so a snapshot that spent more than the budget
+// stops with cause ErrDeadline before its first expansion, and one that
+// spent less resumes to completion.
+func TestResumeCountsSpentTimeAgainstDeadline(t *testing.T) {
+	leakcheck.Check(t)
+	sem, p := countSem(t, 100)
+	dir := t.TempDir()
+	ck := &CheckpointOptions{Dir: dir}
+	if _, err := Explore(sem, p, Options{Ctx: &cancelAfter{Context: context.Background(), n: 10}, Checkpoint: ck}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted explore: err = %v, want context.Canceled", err)
+	}
+	// spend rewrites the snapshot as if it had already spent d.
+	path := filepath.Join(dir, checkpointFile)
+	spend := func(d time.Duration) *snapshot {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap snapshot
+		if err := json.Unmarshal(data, &snap); err != nil {
+			t.Fatal(err)
+		}
+		snap.ElapsedNs = int64(d)
+		if snap.Digest, err = snap.digest(); err != nil {
+			t.Fatal(err)
+		}
+		if data, err = json.Marshal(&snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return &snap
+	}
+
+	snap := spend(time.Hour)
+	o := obs.New()
+	_, err := Explore(sem, p, Options{Ctx: budgetCtx(t, time.Minute), Checkpoint: ck, Obs: o})
+	var ce *CanceledError
+	if !errors.As(err, &ce) || !errors.Is(err, ErrDeadline) {
+		t.Fatalf("err = %T %v, want *CanceledError with cause ErrDeadline", err, err)
+	}
+	if o.Counter("lts.checkpoint.resumes").Value() != 1 {
+		t.Fatal("the snapshot was not resumed")
+	}
+	if ce.Explored != len(snap.States) {
+		t.Errorf("explored %d states, want the snapshot's %d: an expansion ran past the carried-over deadline",
+			ce.Explored, len(snap.States))
+	}
+
+	spend(time.Second)
+	l, err := Explore(sem, p, Options{Ctx: budgetCtx(t, time.Minute), Checkpoint: ck})
+	if err != nil {
+		t.Fatalf("resume within budget: %v", err)
+	}
+	if l.NumStates() != 101 {
+		t.Errorf("resume within budget explored %d states, want 101", l.NumStates())
 	}
 }
 

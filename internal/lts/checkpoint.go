@@ -53,8 +53,9 @@ type snapshot struct {
 	MaxStates int `json:"maxStates"`
 	// Levels is the number of completed BFS levels.
 	Levels int `json:"levels"`
-	// ElapsedNs is exploration wall-clock already spent, restored into
-	// the MaxDuration budget so a crash cannot extend a deadline.
+	// ElapsedNs is exploration wall-clock already spent; a resume
+	// shortens the deadline of Options.Ctx by it, so a crash cannot
+	// extend a deadline.
 	ElapsedNs int64 `json:"elapsedNs"`
 
 	Init int `json:"init"`

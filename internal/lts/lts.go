@@ -85,16 +85,14 @@ type Options struct {
 	// bound is exact: at most MaxStates states are ever materialised, and
 	// a *LimitError reports Explored <= Limit.
 	MaxStates int
-	// MaxDuration bounds the wall-clock time of the exploration; zero
-	// means unbounded. Exceeding it returns a *DeadlineError, so a
-	// pathological state space cannot hang a campaign-scale caller.
-	MaxDuration time.Duration
-	// Ctx, when non-nil, cooperatively cancels the exploration: the BFS
-	// checks the context before every state expansion, so a cancelled
-	// request (a disconnected client, a fired per-request deadline)
-	// aborts mid-level and returns a *CanceledError matching
-	// context.Canceled / context.DeadlineExceeded under errors.Is. nil
-	// means no cancellation, the batch-CLI default.
+	// Ctx, when non-nil, is the exploration's one stop signal: the BFS
+	// polls it before every state expansion, so a cancelled request (a
+	// disconnected client, a fired per-request deadline) or a spent
+	// wall-clock budget (a deadline with cause ErrDeadline) aborts
+	// mid-level with a *CanceledError. nil means no cancellation, the
+	// batch-CLI default. A resumed exploration shortens a deadline of
+	// Ctx by the wall-clock time its snapshot already spent, with cause
+	// ErrDeadline, so a crash cannot extend a deadline.
 	Ctx context.Context
 	// Obs receives exploration metrics, a span per Explore call and
 	// progress heartbeats. nil (the default) disables instrumentation at
@@ -144,38 +142,21 @@ func (e *MemoryError) Error() string {
 // Is makes errors.Is(err, ErrMemoryLimit) hold.
 func (e *MemoryError) Is(target error) bool { return target == ErrMemoryLimit }
 
-// ErrDeadline is returned when exploration exceeds its wall-clock
-// budget.
-var ErrDeadline = errors.New("wall-clock deadline exceeded during LTS exploration")
-
-// DeadlineError is the concrete error returned when exploration runs
-// past Options.MaxDuration. It matches ErrDeadline under errors.Is and
-// carries the partial exploration size.
-type DeadlineError struct {
-	// Explored is the number of states discovered before the deadline.
-	Explored int
-	// Limit is the configured wall-clock budget.
-	Limit time.Duration
-}
-
-// Error describes the exceeded deadline.
-func (e *DeadlineError) Error() string {
-	return fmt.Sprintf("%v (explored %d states, limit %v)", ErrDeadline, e.Explored, e.Limit)
-}
-
-// Is makes errors.Is(err, ErrDeadline) hold.
-func (e *DeadlineError) Is(target error) bool { return target == ErrDeadline }
+// ErrDeadline is the cause a wall-clock budget's context is cancelled
+// with (context.WithTimeoutCause), so a spent budget can be told apart
+// from a cancelled or timed-out request.
+var ErrDeadline = errors.New("wall-clock budget exhausted")
 
 // CanceledError is the concrete error returned when exploration is
-// aborted by Options.Ctx. It unwraps to the context's error, so
-// errors.Is(err, context.Canceled) and errors.Is(err,
-// context.DeadlineExceeded) both work, and carries the partial
-// exploration size like the other budget errors.
+// stopped by Options.Ctx. It unwraps to the context's cause, so
+// errors.Is(err, context.Canceled), errors.Is(err,
+// context.DeadlineExceeded) and errors.Is(err, ErrDeadline) work, and
+// carries the partial exploration size like the other budget errors.
 type CanceledError struct {
 	// Explored is the number of states discovered before the abort.
 	Explored int
-	// Cause is the context's error (context.Canceled or
-	// context.DeadlineExceeded).
+	// Cause is context.Cause of the context: context.Canceled,
+	// context.DeadlineExceeded, or ErrDeadline for a wall-clock budget.
 	Cause error
 }
 
@@ -223,11 +204,11 @@ type exploration struct {
 	maxStates int
 	ltsBytes  int64
 
-	// The cooperative stop conditions: cancellation and the wall-clock
-	// budget counted from start.
-	ctx    context.Context
-	maxDur time.Duration
-	start  time.Time
+	// ctx is the stop signal. start is when the exploration began,
+	// moved back by a restored snapshot's elapsed time; snapshots record
+	// the time since.
+	ctx   context.Context
+	start time.Time
 }
 
 func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, err error) {
@@ -274,7 +255,6 @@ func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, er
 		l:         &LTS{Events: []csp.Event{csp.Tau(), csp.Tick()}, c: c},
 		maxStates: maxStates,
 		ctx:       opts.Ctx,
-		maxDur:    opts.MaxDuration,
 		start:     time.Now(),
 	}
 	var ck *checkpointer
@@ -302,8 +282,16 @@ func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, er
 			merged = rs.Merged
 			levels = rs.Levels
 			// Wall clock spent before the crash counts against the
-			// deadline budget: a crash must never extend a deadline.
-			e.start = e.start.Add(-time.Duration(rs.ElapsedNs))
+			// deadline: a crash must never extend it.
+			spent := time.Duration(rs.ElapsedNs)
+			e.start = e.start.Add(-spent)
+			if e.ctx != nil && spent > 0 {
+				if dl, ok := e.ctx.Deadline(); ok {
+					var cancel context.CancelFunc
+					e.ctx, cancel = context.WithDeadlineCause(e.ctx, dl.Add(-spent), ErrDeadline)
+					defer cancel()
+				}
+			}
 			statesC.Add(int64(len(e.l.states)))
 		}
 	}
@@ -351,8 +339,8 @@ func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, er
 			}
 			levelEnd, levelStart, levelEdges = len(e.l.states), len(e.l.states), 0
 		}
-		// Probing the stop conditions before every expansion bounds
-		// deadline overshoot and cancellation latency to one state.
+		// Probing the stop signal before every expansion bounds deadline
+		// overshoot and cancellation latency to one state.
 		if err := e.check(); err != nil {
 			return nil, err
 		}
@@ -447,18 +435,21 @@ func (e *exploration) expand(s int) (trs []Step, err error) {
 	return trs, nil
 }
 
-// check returns the typed stop error if a stop condition has fired,
+// check returns the typed stop error if the stop signal has fired,
 // with the states discovered so far as the partial exploration size.
 func (e *exploration) check() error {
-	if e.ctx != nil {
-		if err := e.ctx.Err(); err != nil {
-			return &CanceledError{Explored: len(e.l.states), Cause: err}
-		}
+	if e.ctx == nil {
+		return nil
 	}
-	if e.maxDur > 0 && time.Since(e.start) > e.maxDur {
-		return &DeadlineError{Explored: len(e.l.states), Limit: e.maxDur}
+	err := e.ctx.Err()
+	if err == nil {
+		return nil
 	}
-	return nil
+	// A context type of the caller's own may report no cause.
+	if cause := context.Cause(e.ctx); cause != nil {
+		err = cause
+	}
+	return &CanceledError{Explored: len(e.l.states), Cause: err}
 }
 
 // EventByID returns the event with the given label ID.

@@ -2,7 +2,6 @@ package refine
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/csp"
 )
@@ -12,14 +11,15 @@ import (
 // identified by their canonical Key() strings, every frontier term's
 // whole syntax tree is evaluated by csp.Semantics, and observed events
 // are matched with csp.Event.Equal. It honours the same budgets and
-// deadline probes, so every field of the result and every error must
+// stop-signal probes, so every field of the result and every error must
 // agree with AcceptsTrace's.
 func (c *Checker) AcceptsTraceReference(p csp.Process, t csp.Trace) (TraceCheck, error) {
 	maxStates := c.MaxStates
 	if maxStates <= 0 {
 		maxStates = 1 << 20
 	}
-	deadline := c.deadline()
+	ctx, cancel := c.stopSignal()
+	defer cancel()
 
 	visited := map[string]bool{}
 	trans := map[string][]csp.Transition{}
@@ -62,9 +62,8 @@ func (c *Checker) AcceptsTraceReference(p csp.Process, t csp.Trace) (TraceCheck,
 				}
 			}
 			probes++
-			if !deadline.IsZero() && probes%deadlineCheckInterval == 0 &&
-				time.Now().After(deadline) {
-				return nil, budgetErr("trace-deadline", int(c.MaxDuration/time.Millisecond))
+			if ctx != nil && probes%stopCheckInterval == 0 && ctx.Err() != nil {
+				return nil, c.stopped(ctx, "trace", len(visited))
 			}
 			trs, err := transitions(cur.key, cur.proc)
 			if err != nil {
@@ -93,9 +92,8 @@ func (c *Checker) AcceptsTraceReference(p csp.Process, t csp.Trace) (TraceCheck,
 		allowed := map[string]csp.Event{}
 		for _, fe := range frontier {
 			probes++
-			if !deadline.IsZero() && probes%deadlineCheckInterval == 0 &&
-				time.Now().After(deadline) {
-				return TraceCheck{}, budgetErr("trace-deadline", int(c.MaxDuration/time.Millisecond))
+			if ctx != nil && probes%stopCheckInterval == 0 && ctx.Err() != nil {
+				return TraceCheck{}, c.stopped(ctx, "trace", len(visited))
 			}
 			trs, err := transitions(fe.key, fe.proc)
 			if err != nil {

@@ -68,10 +68,10 @@ type Result struct {
 	ProductStates int
 }
 
-// Checker runs refinement checks within one semantics (definition
-// environment + channel context).
-type Checker struct {
-	Sem *csp.Semantics
+// Budget is the one definition of a check's limits: Checker embeds
+// it, fdr.Budget is an alias of it and serve builds it from a request.
+// Zero fields mean the lts default (MaxStates) or unbounded.
+type Budget struct {
 	// MaxStates bounds each LTS exploration; 0 uses the lts default.
 	MaxStates int
 	// MaxProductStates bounds the number of (impl, spec) product pairs
@@ -83,11 +83,32 @@ type Checker struct {
 	// product search; 0 means unbounded.
 	MaxSteps int
 	// MaxDuration bounds the wall-clock time of a whole check (all
-	// explorations plus the product search); 0 means unbounded.
-	// Exceeding it yields a *BudgetError with a "-deadline" phase, so a
-	// pathological check degrades into a typed verdict instead of a
-	// hang.
+	// explorations plus the product search, or the whole trace walk); 0
+	// means unbounded. It is a deadline on the check's context with
+	// cause lts.ErrDeadline, and exceeding it yields a *BudgetError with
+	// a "-deadline" phase, so a pathological check degrades into a typed
+	// verdict instead of a hang.
 	MaxDuration time.Duration
+	// MaxMemBytes is a hard per-exploration watermark on estimated
+	// resident bytes; exceeding it yields a *BudgetError with phase
+	// "memory" — a structured budget-exhausted verdict instead of an
+	// OOM kill. 0 means unbounded.
+	MaxMemBytes int64
+	// CheckpointDir, when non-empty, makes the check crash-safe: each
+	// exploration writes atomic level-granular snapshots into a
+	// per-phase subdirectory ("spec", "impl"), and a re-run of the same
+	// check over the same directory resumes from them instead of
+	// starting over. Normalisation and the product search are
+	// recomputed deterministically from the restored LTSs, so the
+	// resumed verdict is byte-identical to an uninterrupted one. A
+	// resumed exploration counts the wall-clock time its snapshot
+	// already spent against the check's deadline, so a crash loop cannot
+	// extend it. Callers checking several assertions should pass a
+	// distinct directory per assertion.
+	CheckpointDir string
+	// CheckpointEveryLevels is the snapshot cadence in completed BFS
+	// levels; <= 0 means every level.
+	CheckpointEveryLevels int
 	// Cache, when non-nil, memoizes explorations and normalisations
 	// across checks. Checkers sharing one cache (and one Env/Ctx) reuse
 	// each other's spec and impl LTSs — the campaign-scale win: a spec
@@ -102,29 +123,21 @@ type Checker struct {
 	// influence verdicts.
 	Obs *obs.Observer
 	// Ctx, when non-nil, cooperatively cancels the whole check: the
-	// explorations and the product search all poll it, so a cancelled
-	// request (disconnected client, fired per-request deadline) aborts
-	// mid-BFS-level with an error matching context.Canceled /
-	// context.DeadlineExceeded under errors.Is. nil means no
-	// cancellation, the batch-CLI default. Cancellation never yields a
-	// verdict — like a budget exhaustion, the outcome is unknown.
+	// explorations, the product search and the trace walk all poll it,
+	// so a cancelled request (disconnected client, fired per-request
+	// deadline) aborts mid-BFS-level with an error matching
+	// context.Canceled / context.DeadlineExceeded under errors.Is. nil
+	// means no cancellation, the batch-CLI default. Cancellation never
+	// yields a verdict — like a budget exhaustion, the outcome is
+	// unknown.
 	Ctx context.Context
-	// CheckpointDir, when non-empty, makes the check crash-safe: each
-	// exploration writes atomic level-granular snapshots into a
-	// per-phase subdirectory ("spec", "impl"), and a re-run of the same
-	// check over the same directory resumes from them instead of
-	// starting over. Normalisation and the product search are
-	// recomputed deterministically from the restored LTSs, so the
-	// resumed verdict is byte-identical to an uninterrupted one.
-	CheckpointDir string
-	// CheckpointEveryLevels is the snapshot cadence in completed BFS
-	// levels; <= 0 means every level.
-	CheckpointEveryLevels int
-	// MaxMemBytes is a hard per-exploration watermark on estimated
-	// resident bytes; exceeding it yields a *BudgetError with phase
-	// "memory" — a structured budget-exhausted verdict instead of an
-	// OOM kill. 0 means unbounded.
-	MaxMemBytes int64
+}
+
+// Checker runs refinement checks within one semantics (definition
+// environment + channel context) under one budget.
+type Checker struct {
+	Sem *csp.Semantics
+	Budget
 }
 
 // BudgetError reports that a check ran out of its resource budget. The
@@ -143,8 +156,9 @@ type BudgetError struct {
 	// Explored is the number of states (or steps, for "product-steps")
 	// completed before exhaustion.
 	Explored int
-	// Limit is the configured budget. For wall-clock phases it is the
-	// deadline in milliseconds.
+	// Limit is the configured budget. For wall-clock phases it is
+	// MaxDuration in milliseconds (0 when the deadline was Ctx's, carried
+	// over a resume).
 	Limit int
 }
 
@@ -154,60 +168,59 @@ func (e *BudgetError) Error() string {
 		e.Phase, e.Explored, e.Limit)
 }
 
-// deadlineCheckInterval is how many loop iterations pass between
-// wall-clock probes in the exploration loops.
-const deadlineCheckInterval = 1024
+// stopCheckInterval is how many loop iterations pass between probes of
+// the stop signal in the product search and the trace walk.
+const stopCheckInterval = 1024
 
 // NewChecker builds a Checker over the given environment and context.
 func NewChecker(env *csp.Env, ctx *csp.Context) *Checker {
 	return &Checker{Sem: csp.NewSemantics(env, ctx)}
 }
 
-// canceled returns the checker context's cancellation error wrapped
-// with the phase that observed it, or nil. The wrapped error matches
-// context.Canceled / context.DeadlineExceeded under errors.Is.
-func (c *Checker) canceled(phase string) error {
-	if c.Ctx == nil {
-		return nil
-	}
-	if err := c.Ctx.Err(); err != nil {
-		return fmt.Errorf("refine: %s canceled: %w", phase, err)
-	}
-	return nil
-}
-
-// deadline returns the absolute wall-clock deadline of a check starting
-// now, or the zero time when the checker is unbounded.
-func (c *Checker) deadline() time.Time {
+// stopSignal derives the one stop signal of a check starting now: Ctx,
+// bounded by MaxDuration with cause lts.ErrDeadline. A check with
+// neither gets a nil context and polls nothing.
+func (c *Checker) stopSignal() (context.Context, context.CancelFunc) {
 	if c.MaxDuration <= 0 {
-		return time.Time{}
+		return c.Ctx, func() {}
 	}
-	return time.Now().Add(c.MaxDuration)
+	parent := c.Ctx
+	if parent == nil {
+		parent = context.Background()
+	}
+	return context.WithTimeoutCause(parent, c.MaxDuration, lts.ErrDeadline)
 }
 
-func (c *Checker) explore(p csp.Process) (*lts.LTS, error) {
-	return c.exploreWithin(p, c.deadline(), "impl")
+// stopErr classifies a fired stop signal observed in phase after
+// explored units. Cause lts.ErrDeadline — the budget's own clock, or the
+// carried-over time of a resumed exploration — is a "<phase>-deadline"
+// *BudgetError; any other stop is err, which matches context.Canceled /
+// context.DeadlineExceeded under errors.Is.
+func (c *Checker) stopErr(phase string, explored int, cause, err error) error {
+	if errors.Is(cause, lts.ErrDeadline) {
+		return &BudgetError{Phase: phase + "-deadline", Explored: explored,
+			Limit: int(c.MaxDuration / time.Millisecond)}
+	}
+	return err
 }
 
-// exploreWithin explores under the state budget and an absolute
-// wall-clock deadline (zero time means unbounded), consulting the
-// shared cache when one is configured. role ("spec", "impl") selects
-// the checkpoint subdirectory when checkpointing is on, so the two
-// explorations of a refinement check never clobber each other's
-// snapshots.
-func (c *Checker) exploreWithin(p csp.Process, deadline time.Time, role string) (*lts.LTS, error) {
+// stopped is stopErr for a loop of this package that found ctx done.
+func (c *Checker) stopped(ctx context.Context, phase string, explored int) error {
+	return c.stopErr(phase, explored, context.Cause(ctx),
+		fmt.Errorf("refine: %s search canceled: %w", phase, ctx.Err()))
+}
+
+// explore explores p under the state budget and the check's stop
+// signal, consulting the shared cache when one is configured. role
+// ("spec", "impl") selects the checkpoint subdirectory when
+// checkpointing is on, so the two explorations of a refinement check
+// never clobber each other's snapshots.
+func (c *Checker) explore(ctx context.Context, p csp.Process, role string) (*lts.LTS, error) {
 	opts := lts.Options{
 		MaxStates:   c.MaxStates,
 		Obs:         c.Obs,
-		Ctx:         c.Ctx,
+		Ctx:         ctx,
 		MaxMemBytes: c.MaxMemBytes,
-	}
-	if !deadline.IsZero() {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			remaining = time.Nanosecond
-		}
-		opts.MaxDuration = remaining
 	}
 	if c.CheckpointDir != "" {
 		opts.Checkpoint = &lts.CheckpointOptions{
@@ -227,10 +240,9 @@ func (c *Checker) exploreWithin(p csp.Process, deadline time.Time, role string) 
 		if errors.As(err, &le) {
 			return nil, &BudgetError{Phase: "explore", Explored: le.Explored, Limit: le.Limit}
 		}
-		var de *lts.DeadlineError
-		if errors.As(err, &de) {
-			return nil, &BudgetError{Phase: "explore-deadline", Explored: de.Explored,
-				Limit: int(c.MaxDuration / time.Millisecond)}
+		var ce *lts.CanceledError
+		if errors.As(err, &ce) {
+			return nil, c.stopErr("explore", ce.Explored, ce.Cause, err)
 		}
 		var me *lts.MemoryError
 		if errors.As(err, &me) {
@@ -245,7 +257,8 @@ func (c *Checker) exploreWithin(p csp.Process, deadline time.Time, role string) 
 // `assert SPEC [T= IMPL`, `assert SPEC [F= IMPL` or
 // `assert SPEC [FD= IMPL`.
 func (c *Checker) Refines(spec, impl csp.Process, model Model) (res Result, err error) {
-	deadline := c.deadline()
+	ctx, cancel := c.stopSignal()
+	defer cancel()
 	span := c.Obs.StartSpan("refine.refines", obs.String("model", model.String()))
 	checkStart := time.Now()
 	defer func() {
@@ -257,13 +270,13 @@ func (c *Checker) Refines(spec, impl csp.Process, model Model) (res Result, err 
 			obs.Int("productStates", int64(res.ProductStates)))
 	}()
 	phase := span.Child("refine.explore-spec")
-	specLTS, err := c.exploreWithin(spec, deadline, "spec")
+	specLTS, err := c.explore(ctx, spec, "spec")
 	phase.End()
 	if err != nil {
 		return Result{}, fmt.Errorf("explore specification: %w", err)
 	}
 	phase = span.Child("refine.explore-impl")
-	implLTS, err := c.exploreWithin(impl, deadline, "impl")
+	implLTS, err := c.explore(ctx, impl, "impl")
 	phase.End()
 	if err != nil {
 		return Result{}, fmt.Errorf("explore implementation: %w", err)
@@ -295,7 +308,7 @@ func (c *Checker) Refines(spec, impl csp.Process, model Model) (res Result, err 
 	norm := c.normalize(specLTS)
 	phase.End(obs.Int("specNodes", int64(norm.NumNodes())))
 	phase = span.Child("refine.product")
-	res, err = c.productCheck(specLTS, norm, implLTS, model, deadline)
+	res, err = c.productCheck(ctx, specLTS, norm, implLTS, model)
 	phase.End(obs.Int("productStates", int64(res.ProductStates)))
 	if err != nil {
 		return Result{}, err
@@ -393,7 +406,7 @@ func mapEvents(spec, impl []csp.Event) []int {
 	return out
 }
 
-func (c *Checker) productCheck(specLTS *lts.LTS, norm *lts.Normalized, implLTS *lts.LTS, model Model, deadline time.Time) (Result, error) {
+func (c *Checker) productCheck(ctx context.Context, specLTS *lts.LTS, norm *lts.Normalized, implLTS *lts.LTS, model Model) (Result, error) {
 	// Labels the spec has never heard of map to -1 and immediately fail
 	// refinement when performed.
 	implToSpec := mapEvents(specLTS.Events, implLTS.Events)
@@ -431,14 +444,8 @@ func (c *Checker) productCheck(specLTS *lts.LTS, norm *lts.Normalized, implLTS *
 		ps := queue[0]
 		queue = queue[1:]
 		visitedProduct++
-		if visitedProduct%deadlineCheckInterval == 0 {
-			if err := c.canceled("product search"); err != nil {
-				return Result{}, err
-			}
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				return Result{}, &BudgetError{Phase: "product-deadline", Explored: visitedProduct,
-					Limit: int(c.MaxDuration / time.Millisecond)}
-			}
+		if ctx != nil && visitedProduct%stopCheckInterval == 0 && ctx.Err() != nil {
+			return Result{}, c.stopped(ctx, "product", visitedProduct)
 		}
 
 		if model == Failures && implLTS.IsStable(ps.impl) {
@@ -526,7 +533,9 @@ func (c *Checker) DeadlockFree(p csp.Process) (res Result, err error) {
 		span.End(obs.String("verdict", verdictOf(res, err)),
 			obs.Int("implStates", int64(res.ImplStates)))
 	}()
-	l, err := c.explore(p)
+	ctx, cancel := c.stopSignal()
+	defer cancel()
+	l, err := c.explore(ctx, p, "impl")
 	if err != nil {
 		return Result{}, err
 	}
@@ -570,7 +579,9 @@ func (c *Checker) DivergenceFree(p csp.Process) (res Result, err error) {
 		span.End(obs.String("verdict", verdictOf(res, err)),
 			obs.Int("implStates", int64(res.ImplStates)))
 	}()
-	l, err := c.explore(p)
+	ctx, cancel := c.stopSignal()
+	defer cancel()
+	l, err := c.explore(ctx, p, "impl")
 	if err != nil {
 		return Result{}, err
 	}

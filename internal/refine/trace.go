@@ -2,7 +2,6 @@ package refine
 
 import (
 	"sort"
-	"time"
 
 	"repro/internal/csp"
 	"repro/internal/lts"
@@ -34,7 +33,8 @@ type TraceCheck struct {
 // internal activity interleaved): the conformance question "could the
 // extracted model have produced this observed event sequence?". The
 // checker's MaxStates and MaxDuration budgets apply; exhausting either
-// returns a *BudgetError ("trace" / "trace-deadline" phase).
+// returns a *BudgetError ("trace" / "trace-deadline" phase). A
+// cancelled Ctx stops the walk with an error matching ctx.Err().
 //
 // The check walks the compiled semantics (lts.Compile): terms are
 // TermIDs with transitions memoized per call, events match by compiled
@@ -44,7 +44,8 @@ func (c *Checker) AcceptsTrace(p csp.Process, t csp.Trace) (res TraceCheck, err 
 	if maxStates <= 0 {
 		maxStates = 1 << 20
 	}
-	deadline := c.deadline()
+	ctx, cancel := c.stopSignal()
+	defer cancel()
 	m := lts.Compile(c.Sem)
 
 	// mark holds, per TermID, the last pass (frontier construction) that
@@ -63,9 +64,6 @@ func (c *Checker) AcceptsTrace(p csp.Process, t csp.Trace) (res TraceCheck, err 
 			c.Obs.Counter("refine.trace.states").Add(int64(states))
 		}()
 	}
-	budgetErr := func(phase string, limit int) *BudgetError {
-		return &BudgetError{Phase: phase, Explored: states, Limit: limit}
-	}
 	// reach reports whether the current pass reaches id for the first time.
 	reach := func(id csp.TermID) (bool, error) {
 		if int(id) >= len(mark) {
@@ -76,20 +74,19 @@ func (c *Checker) AcceptsTrace(p csp.Process, t csp.Trace) (res TraceCheck, err 
 			return false, nil
 		case 0:
 			if states++; states > maxStates {
-				return false, budgetErr("trace", maxStates)
+				return false, &BudgetError{Phase: "trace", Explored: states, Limit: maxStates}
 			}
 		}
 		mark[id] = pass
 		return true, nil
 	}
 	// expand returns the transitions of a frontier term, probing the
-	// wall clock first: the closure and the visible step both probe, so
-	// neither a tau-rich nor a wide tau-free model ignores MaxDuration.
+	// stop signal first: the closure and the visible step both probe, so
+	// neither a tau-rich nor a wide tau-free model ignores it.
 	expand := func(id csp.TermID) ([]lts.Step, error) {
 		probes++
-		if !deadline.IsZero() && probes%deadlineCheckInterval == 0 &&
-			time.Now().After(deadline) {
-			return nil, budgetErr("trace-deadline", int(c.MaxDuration/time.Millisecond))
+		if ctx != nil && probes%stopCheckInterval == 0 && ctx.Err() != nil {
+			return nil, c.stopped(ctx, "trace", states)
 		}
 		return m.Steps(id)
 	}

@@ -12,7 +12,7 @@ import (
 // probe in the visible-event expansion loop. bigCounter is tau-free, so
 // the closure helper pops exactly one entry per trace event; before the
 // fix the probe counter advanced only there and a 600-event trace never
-// reached the deadlineCheckInterval-th probe, silently ignoring
+// reached the stopCheckInterval-th probe, silently ignoring
 // MaxDuration. With the expansion loop probing too, the counter crosses
 // the interval mid-expansion and the check degrades into the documented
 // *BudgetError instead of running to completion. This mirrors the PR 6

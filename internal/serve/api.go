@@ -3,10 +3,12 @@
 // process that runs for weeks under untrusted, bursty request traffic.
 // Robustness is the headline feature:
 //
-//   - Cooperative cancellation: every check runs under the request's
-//     context plus a per-request deadline, threaded through
-//     lts.Explore / refine.Checker / fdr.Budget, so a disconnected
-//     client or a fired deadline frees the worker mid-BFS-level.
+//   - Cooperative cancellation: every check runs under one context,
+//     the request's plus the per-request deadline, carried by
+//     fdr.Budget through refine.Checker into lts.Explore, so a
+//     disconnected client or a fired deadline frees the worker
+//     mid-BFS-level. A resumed job counts the time its checkpoints
+//     already spent against that deadline.
 //   - Admission control: a fixed worker-slot pool with a bounded wait
 //     queue. Past the queue watermark the server answers 429 with a
 //     Retry-After hint instead of collapsing under load.

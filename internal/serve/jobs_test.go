@@ -197,3 +197,30 @@ func TestJobsCheckpointAndMemoryWatermarks(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeCarriesDeadline pins the one wall-clock rule: a run that
+// outlives its request deadline reads "canceled", and a re-run over its
+// checkpoints counts the time they already spent against its own
+// deadline, so it stops with "budget:explore-deadline" that much before
+// the request would time out.
+func TestResumeCarriesDeadline(t *testing.T) {
+	leakcheck.Check(t)
+	srv, _ := newTestServer(t, Config{Workers: 1, MaxDuration: 2 * time.Second})
+	src := heavySource(7100, 20) // ~1M states: far past either budget
+	ckpt := t.TempDir()
+	for i, run := range []struct {
+		budget *BudgetSpec
+		want   string
+	}{
+		{&BudgetSpec{MaxDurationMs: 200}, "canceled"},
+		{nil, "budget:explore-deadline"},
+	} {
+		resp, status := srv.runCheck(context.Background(), &CheckRequest{CSPM: src, Budget: run.budget}, false, ckpt)
+		if status != http.StatusOK || len(resp.Results) != 1 {
+			t.Fatalf("run %d: status %d, %+v", i, status, resp)
+		}
+		if v := resp.Results[0]; v.ErrorKind != run.want {
+			t.Fatalf("run %d: ErrorKind = %q (%s), want %q", i, v.ErrorKind, v.Error, run.want)
+		}
+	}
+}

@@ -336,9 +336,12 @@ func (s *Server) runRequest(r *http.Request, req *CheckRequest) (CheckResponse, 
 // structured 500 response and the process survives. A non-empty
 // ckptRoot makes each assertion's explorations checkpoint under its own
 // subdirectory, so a re-run (a recovered job) resumes instead of
-// restarting. The wall-clock budget is per run: a resumed job gets a
-// fresh timer but inherits the explored levels, so crash loops converge
-// instead of starving.
+// restarting. The wall-clock budget is the run's context deadline and
+// its one clock: a request that outlives it reads "canceled", while a
+// resumed exploration counts the time its snapshot already spent
+// against that deadline (lts shortens it), so a crash loop cannot
+// extend the budget, and running past the carried-over time reads
+// "budget:explore-deadline".
 func (s *Server) runCheck(ctx context.Context, req *CheckRequest, chaosPanic bool, ckptRoot string) (resp CheckResponse, status int) {
 	status = http.StatusOK
 	defer func() {
@@ -363,7 +366,7 @@ func (s *Server) runCheck(ctx context.Context, req *CheckRequest, chaosPanic boo
 	bgt.Cache.Obs = s.obs
 	cctx, cancel := context.WithTimeout(ctx, bgt.MaxDuration)
 	defer cancel()
-	bgt.Ctx = cctx
+	bgt.Ctx, bgt.MaxDuration = cctx, 0
 
 	results := make([]AssertVerdict, 0, len(model.Asserts))
 	for i, a := range model.Asserts {

@@ -38,4 +38,10 @@ rm -f "$LEARNCHECK_OUT"
 echo "==> go test -race ./..."
 go test -race ./...
 
+# benchmark/ is a module of its own, so ./... above never compiles it.
+# Vet it and build its tests here (running them replays every workload,
+# ~40 s; CI does that).
+echo "==> benchmark module (vet + test build)"
+(cd benchmark && go vet ./... && go test -count=1 -run '^$' ./...)
+
 echo "OK"
