@@ -27,6 +27,7 @@ import (
 	"repro/internal/cspm"
 	"repro/internal/experiments"
 	"repro/internal/faultcampaign"
+	"repro/internal/learn"
 	"repro/internal/lts"
 	"repro/internal/ota"
 	"repro/internal/refine"
@@ -503,6 +504,25 @@ func BenchmarkCanoeSimulation(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkLearn measures L* learning the hardened ECU on the simulated
+// bus at seed 1 with one worker, each iteration over a fresh teacher so
+// every simulation the learner needs is run, not served from an
+// earlier iteration's memo.
+func BenchmarkLearn(b *testing.B) {
+	b.Run("sim", func(b *testing.B) {
+		cfg := learn.CampaignConfig{Seed: 1}
+		for i := 0; i < b.N; i++ {
+			teacher, err := learn.NewVariantTeacher(cfg, learn.VariantHardened)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := learn.Learn(learn.Config{Teacher: teacher, Seed: 1, Workers: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkDBCParse measures the CAN database parser.

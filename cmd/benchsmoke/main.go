@@ -44,9 +44,11 @@ import (
 	"testing"
 
 	"repro/internal/canbus"
+	"repro/internal/canoe"
 	"repro/internal/conformance"
 	"repro/internal/csp"
 	"repro/internal/faultcampaign"
+	"repro/internal/learn"
 	"repro/internal/lts"
 	"repro/internal/obs"
 	"repro/internal/ota"
@@ -263,9 +265,10 @@ type namedBench struct {
 // suite builds the benchmark list: exploration of the largest
 // case-study state space (plain and checkpointing every level), a full
 // refinement check (cold vs cached), the soak's trace-membership check,
-// the fault-injection campaign (sequential vs parallel scenarios), and
-// one fdrserve request (a POST /v1/check of testdata/ota.csp, read
-// relative to the working directory: run from the repository root).
+// the fault-injection campaign (sequential vs parallel scenarios), one
+// fdrserve request (a POST /v1/check of testdata/ota.csp, read relative
+// to the working directory: run from the repository root), the CAPL
+// runtime on the simulated bus, and L* learning the simulated ECU.
 // The observer (nil when disabled) is threaded through every layer so
 // -metrics aggregates the whole suite.
 func suite(o *obs.Observer) ([]namedBench, error) {
@@ -421,6 +424,39 @@ func suite(o *obs.Observer) ([]namedBench, error) {
 		}
 	}
 
+	// The CAPL runtime: the case-study measurement for 1 simulated ms.
+	canoeSimulation := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sim := canoe.NewSimulation(canbus.Config{})
+			if _, err := sim.AddNode("ECU", ota.ECUSource); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sim.AddNode("VMG", ota.VMGSource); err != nil {
+				b.Fatal(err)
+			}
+			if err := sim.Start(); err != nil {
+				b.Fatal(err)
+			}
+			if err := sim.Run(canbus.Millisecond); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	// L* over the simulated hardened ECU, a fresh teacher (and so an
+	// empty simulation memo) per iteration.
+	learnSim := func(b *testing.B) {
+		cfg := learn.CampaignConfig{Seed: 1, Obs: o}
+		for i := 0; i < b.N; i++ {
+			teacher, err := learn.NewVariantTeacher(cfg, learn.VariantHardened)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := learn.Learn(learn.Config{Teacher: teacher, Seed: 1, Workers: 1, Obs: o}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+
 	primed := lts.NewCache()
 	primed.Obs = o
 	return []namedBench{
@@ -432,5 +468,7 @@ func suite(o *obs.Observer) ([]namedBench, error) {
 		{"FaultCampaign/seq", campaign(1)},
 		{"FaultCampaign/par", campaign(0)},
 		{"Serve/check", serveCheck},
+		{"CanoeSimulation", canoeSimulation},
+		{"Learn/sim", learnSim},
 	}, nil
 }

@@ -197,6 +197,7 @@ func NewVariantTeacher(cfg CampaignConfig, v Variant) (*SimTeacher, error) {
 		Seed:              cfg.Seed,
 		Profile:           cfg.Profile,
 		MaxEventsPerQuery: cfg.SimEventsPerQuery,
+		Obs:               cfg.Obs,
 	})
 }
 

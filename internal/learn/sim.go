@@ -1,16 +1,20 @@
 package learn
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"repro/internal/canbus"
 	"repro/internal/candb"
 	"repro/internal/canoe"
+	"repro/internal/capl"
 	"repro/internal/csp"
+	"repro/internal/obs"
 )
 
 // FaultProfile selects the injection behaviour a membership run learns
@@ -73,6 +77,8 @@ type SimTeacherConfig struct {
 	Profile FaultProfile
 	// MaxEventsPerQuery bounds one membership run (default 100_000).
 	MaxEventsPerQuery int
+	// Obs counts simulation runs (learn.sim.runs); nil disables.
+	Obs *obs.Observer
 }
 
 // SimTeacher answers membership queries by running the node under
@@ -82,18 +88,41 @@ type SimTeacherConfig struct {
 // are emitted atomically per stimulus), the monitor trace is projected
 // through the database onto model events, and the word is a trace of
 // the node iff it is a prefix of the canonical observed trace.
+//
+// On an exact bus a run depends only on the word's stimulus
+// subsequence — response events merely choose what the observed trace
+// is compared with — so the teacher simulates each stimulus sequence
+// once and answers every word sharing it from that run. Under a fault
+// profile the injected faults are seeded from the whole word, so every
+// word gets a simulation of its own. The CAPL source is parsed once, in
+// NewSimTeacher; each run attaches the shared, read-only program to a
+// fresh bus.
 type SimTeacher struct {
 	cfg      SimTeacherConfig
+	prog     *capl.Program
 	alphabet []csp.Event
-	stimulus map[string]canbus.Frame // input event -> frame to transmit
-	byID     map[uint32]csp.Event    // delivered frame -> model event
+	stimulus []*canbus.Frame      // by alphabet index; nil for responses
+	byID     map[uint32]csp.Event // delivered frame -> model event
+	runs     *obs.Counter
+
+	mu   sync.Mutex
+	memo map[string]*simRun // stimulus-index sequence -> its run
 }
 
-// NewSimTeacher builds the alphabet and projection tables from the
-// database. Messages sent by InSender become input events on InChannel
-// with a synthesizable stimulus frame; all others become output events
-// on OutChannel. The alphabet is sorted by event rendering, so it is
-// independent of database declaration order.
+// simRun is one simulation, shared by every word with its stimulus
+// sequence. done closes once observed and err are final.
+type simRun struct {
+	done     chan struct{}
+	observed csp.Trace
+	err      error
+}
+
+// NewSimTeacher parses the node's CAPL source and builds the alphabet
+// and projection tables from the database. Messages sent by InSender
+// become input events on InChannel with a synthesizable stimulus frame;
+// all others become output events on OutChannel. The alphabet is sorted
+// by event rendering, so it is independent of database declaration
+// order.
 func NewSimTeacher(cfg SimTeacherConfig) (*SimTeacher, error) {
 	if cfg.Profile == "" {
 		cfg.Profile = ProfileNone
@@ -101,11 +130,22 @@ func NewSimTeacher(cfg SimTeacherConfig) (*SimTeacher, error) {
 	if cfg.MaxEventsPerQuery <= 0 {
 		cfg.MaxEventsPerQuery = 100_000
 	}
-	t := &SimTeacher{
-		cfg:      cfg,
-		stimulus: map[string]canbus.Frame{},
-		byID:     map[uint32]csp.Event{},
+	prog, err := capl.Parse(cfg.Source)
+	if err != nil {
+		return nil, fmt.Errorf("node %s: %w", cfg.NodeName, err)
 	}
+	t := &SimTeacher{
+		cfg:  cfg,
+		prog: prog,
+		byID: map[uint32]csp.Event{},
+		runs: cfg.Obs.Counter("learn.sim.runs"),
+		memo: map[string]*simRun{},
+	}
+	type symbol struct {
+		ev    csp.Event
+		frame *canbus.Frame
+	}
+	var symbols []symbol
 	for _, m := range cfg.DB.Messages {
 		ctor := candb.CtorName(m.Name)
 		if renamed, ok := cfg.Rename[ctor]; ok {
@@ -120,24 +160,45 @@ func NewSimTeacher(cfg SimTeacherConfig) (*SimTeacher, error) {
 			return nil, fmt.Errorf("learn: duplicate identifier 0x%03X in database", m.ID)
 		}
 		t.byID[m.ID] = ev
-		t.alphabet = append(t.alphabet, ev)
+		sym := symbol{ev: ev}
 		if m.Sender == cfg.InSender {
 			dlc := m.DLC
 			if dlc < 0 || dlc > canbus.MaxDataLen {
 				dlc = canbus.MaxDataLen
 			}
-			t.stimulus[ev.String()] = canbus.Frame{ID: m.ID, Data: make([]byte, dlc)}
+			sym.frame = &canbus.Frame{ID: m.ID, Data: make([]byte, dlc)}
 		}
+		symbols = append(symbols, sym)
 	}
-	sort.Slice(t.alphabet, func(i, j int) bool {
-		return t.alphabet[i].String() < t.alphabet[j].String()
+	sort.Slice(symbols, func(i, j int) bool {
+		return symbols[i].ev.String() < symbols[j].ev.String()
 	})
+	for _, sym := range symbols {
+		t.alphabet = append(t.alphabet, sym.ev)
+		t.stimulus = append(t.stimulus, sym.frame)
+	}
 	return t, nil
 }
 
 // Alphabet returns the model-event vocabulary.
 func (t *SimTeacher) Alphabet() []csp.Event {
 	return append([]csp.Event(nil), t.alphabet...)
+}
+
+// stimuli returns the alphabet indices of w's input events, in order.
+// Events are matched by csp.Event.Equal identity, so an event that
+// merely renders like a stimulus is a response: nothing to inject.
+func (t *SimTeacher) stimuli(w csp.Trace) []int {
+	var out []int
+	for _, ev := range w {
+		for i, a := range t.alphabet {
+			if t.stimulus[i] != nil && a.Equal(ev) {
+				out = append(out, i)
+				break
+			}
+		}
+	}
+	return out
 }
 
 // rng derives the per-query fault randomness: a pure function of
@@ -203,24 +264,84 @@ func (t *SimTeacher) installProfile(bus *canbus.Bus, inj *canbus.Injector, rng *
 	}
 }
 
-// Membership runs one seeded deterministic simulation of the node
-// against the stimulus subsequence of w and answers whether w is a
-// prefix of the observed projected trace.
+// Membership answers whether w is a prefix of the trace the node
+// shows under w's stimulus subsequence. On an exact bus that run comes
+// from the memo; under a fault profile every word is simulated on its
+// own, with faults seeded from the whole word.
 func (t *SimTeacher) Membership(w csp.Trace) (bool, error) {
-	var inj *canbus.Injector
+	stimuli := t.stimuli(w)
+	var observed csp.Trace
+	var err error
 	if t.cfg.Profile != ProfileNone {
+		observed, err = t.simulate(stimuli, t.rng(w))
+	} else {
+		observed, err = t.memoized(stimuli)
+	}
+	if err != nil {
+		return false, err
+	}
+	return observed.HasPrefix(w), nil
+}
+
+// memoized returns the exact-bus run of a stimulus sequence. The first
+// ask simulates it; every later ask, including one that arrives while
+// that simulation is still running, waits for it and gets its trace
+// and error.
+func (t *SimTeacher) memoized(stimuli []int) (csp.Trace, error) {
+	var key []byte
+	for _, i := range stimuli {
+		key = binary.AppendUvarint(key, uint64(i))
+	}
+	t.mu.Lock()
+	r, ok := t.memo[string(key)]
+	if !ok {
+		r = &simRun{done: make(chan struct{})}
+		t.memo[string(key)] = r
+	}
+	t.mu.Unlock()
+	if !ok {
+		t.run(r, stimuli)
+	}
+	<-r.done
+	return r.observed, r.err
+}
+
+// run fills r with one exact-bus simulation and releases its waiters.
+// A panicking simulation becomes r's error, so every word sharing the
+// run gets the same answer and no waiter blocks forever.
+func (t *SimTeacher) run(r *simRun, stimuli []int) {
+	defer close(r.done)
+	defer func() {
+		if p := recover(); p != nil {
+			r.observed, r.err = nil, fmt.Errorf("learn: membership run panicked: %v", p)
+		}
+	}()
+	r.observed, r.err = t.simulate(stimuli, nil)
+}
+
+// simulate runs the node once against the stimulus sequence (alphabet
+// indices) on a fresh bus, with the profile's faults drawn from rng
+// when it is non-nil, and returns the projected trace. The trace is
+// projected before the measurement stops, so stop handlers' frames are
+// not part of it; a node fault or a failing stop is the run's error.
+func (t *SimTeacher) simulate(stimuli []int, rng *rand.Rand) (csp.Trace, error) {
+	t.runs.Inc()
+	var inj *canbus.Injector
+	if rng != nil {
 		inj = &canbus.Injector{}
 	}
 	sim := canoe.NewSimulation(canbus.Config{Injector: inj})
 	if inj != nil {
-		t.installProfile(sim.Bus, inj, t.rng(w))
+		t.installProfile(sim.Bus, inj, rng)
 	}
-	if _, err := sim.AddNode(t.cfg.NodeName, t.cfg.Source); err != nil {
-		return false, err
+	node, err := canoe.NewNode(sim.Bus, t.cfg.NodeName, t.prog)
+	if err != nil {
+		return nil, err
 	}
+	sim.Nodes = append(sim.Nodes, node)
 	driver := sim.Bus.Attach("__learner__", canbus.ReceiverFunc(func(canbus.Time, canbus.Frame) {}))
 	if err := sim.Start(); err != nil {
-		return false, err
+		return nil, err
 	}
 
 	remaining := t.cfg.MaxEventsPerQuery
@@ -233,28 +354,24 @@ func (t *SimTeacher) Membership(w csp.Trace) (bool, error) {
 		return nil
 	}
 	if err := quiesce(); err != nil {
-		return false, err
+		return nil, err
 	}
-	for _, ev := range w {
-		f, ok := t.stimulus[ev.String()]
-		if !ok {
-			continue // response event: nothing to inject
-		}
-		if err := sim.Bus.Transmit(driver, f.Clone()); err != nil {
-			return false, err
+	for _, i := range stimuli {
+		if err := sim.Bus.Transmit(driver, t.stimulus[i].Clone()); err != nil {
+			return nil, err
 		}
 		if err := quiesce(); err != nil {
-			return false, err
+			return nil, err
 		}
 	}
 	if err := sim.Err(); err != nil {
-		return false, fmt.Errorf("learn: node fault during membership run: %w", err)
+		return nil, fmt.Errorf("learn: node fault during membership run: %w", err)
 	}
 	observed := t.project(sim.Trace())
 	if err := sim.Stop(); err != nil {
-		return false, fmt.Errorf("learn: measurement stop: %w", err)
+		return nil, fmt.Errorf("learn: measurement stop: %w", err)
 	}
-	return observed.HasPrefix(w), nil
+	return observed, nil
 }
 
 // project maps the monitor trace onto model events through the

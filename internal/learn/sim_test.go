@@ -1,9 +1,13 @@
 package learn
 
 import (
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/csp"
+	"repro/internal/obs"
 )
 
 func variantTeacher(t *testing.T, v Variant, cfg CampaignConfig) *SimTeacher {
@@ -133,5 +137,180 @@ func TestSimTeacherDropLosesTraffic(t *testing.T) {
 	}
 	if !diverged {
 		t.Fatal("drop profile never changed any answer over 32 words")
+	}
+}
+
+// recordingTeacher records every word the learner asks the wrapped
+// teacher, with its answer.
+type recordingTeacher struct {
+	Teacher
+	mu    sync.Mutex
+	asked []answer
+}
+
+type answer struct {
+	w   csp.Trace
+	ok  bool
+	err string
+}
+
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+func (r *recordingTeacher) Membership(w csp.Trace) (bool, error) {
+	ok, err := r.Teacher.Membership(w)
+	r.mu.Lock()
+	r.asked = append(r.asked, answer{w: append(csp.Trace(nil), w...), ok: ok, err: errString(err)})
+	r.mu.Unlock()
+	return ok, err
+}
+
+// TestSimTeacherMatchesFreshSimulation is the differential oracle for
+// the teacher's run memo: every word L* asks at seed 1 gets the answer
+// and error of a fresh teacher that simulates that word alone, on an
+// exact and on a dropping bus, sequentially and with a worker pool.
+func TestSimTeacherMatchesFreshSimulation(t *testing.T) {
+	for _, p := range []FaultProfile{ProfileNone, ProfileDrop} {
+		for _, v := range Variants {
+			cfg := CampaignConfig{Seed: 1, Profile: p}
+			fresh := map[string]answer{}
+			for _, workers := range []int{1, 4} {
+				rec := &recordingTeacher{Teacher: variantTeacher(t, v, cfg)}
+				// A fault-injected node need not be learnable: only the
+				// asked words matter here, not convergence.
+				_, _, _ = Learn(Config{Teacher: rec, Seed: 1, Workers: workers})
+				if len(rec.asked) == 0 {
+					t.Fatalf("%s/%s: learner asked nothing", p, v)
+				}
+				for _, got := range rec.asked {
+					key := got.w.String()
+					want, seen := fresh[key]
+					if !seen {
+						ok, err := variantTeacher(t, v, cfg).Membership(got.w)
+						want = answer{ok: ok, err: errString(err)}
+						fresh[key] = want
+					}
+					if got.ok != want.ok || got.err != want.err {
+						t.Fatalf("%s/%s workers=%d: Membership(%s) = %v, %q; fresh simulation says %v, %q",
+							p, v, workers, got.w, got.ok, got.err, want.ok, want.err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSimTeacherSingleFlight asks words sharing one stimulus sequence
+// from many goroutines at once: exactly one simulation runs, and every
+// word still gets its own answer.
+func TestSimTeacherSingleFlight(t *testing.T) {
+	o := obs.New()
+	teacher := variantTeacher(t, VariantNaive, CampaignConfig{Seed: 1, Obs: o})
+	words := []struct {
+		w    csp.Trace
+		want bool
+	}{
+		{csp.Trace{ev("send", "reqSw")}, true},
+		{csp.Trace{ev("send", "reqSw"), ev("rec", "rptSw")}, true},
+		{csp.Trace{ev("send", "reqSw"), ev("rec", "rptUpd")}, false},
+		{csp.Trace{ev("rec", "rptSw"), ev("send", "reqSw")}, false},
+	}
+	const n = 16
+	start := make(chan struct{})
+	errs := make(chan error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(tc struct {
+			w    csp.Trace
+			want bool
+		}) {
+			defer wg.Done()
+			<-start
+			got, err := teacher.Membership(tc.w)
+			if err == nil && got != tc.want {
+				err = fmt.Errorf("Membership(%s) = %v, want %v", tc.w, got, tc.want)
+			}
+			errs <- err
+		}(words[i%len(words)])
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if runs := o.Counter("learn.sim.runs").Value(); runs != 1 {
+		t.Fatalf("learn.sim.runs = %d for %d asks of one stimulus sequence, want 1", runs, n)
+	}
+}
+
+// TestSimTeacherStimulusByIdentity pins the teacher's event identity:
+// an event that renders as send.reqSw but is not Equal to it is a
+// response, so it injects no frame and adds nothing to the stimulus
+// sequence.
+func TestSimTeacherStimulusByIdentity(t *testing.T) {
+	o := obs.New()
+	teacher := variantTeacher(t, VariantNaive, CampaignConfig{Seed: 1, Obs: o})
+	reqSw := ev("send", "reqSw")
+	pun := csp.Event{Chan: "send", Args: []csp.Value{csp.NewDotted("reqSw")}}
+	if pun.String() != reqSw.String() || pun.Equal(reqSw) {
+		t.Fatalf("%s must render like %s without being Equal to it", pun, reqSw)
+	}
+	if got, err := teacher.Membership(csp.Trace{reqSw}); err != nil || !got {
+		t.Fatalf("Membership(<send.reqSw>) = %v, %v; want true", got, err)
+	}
+	got, err := teacher.Membership(csp.Trace{reqSw, pun})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got {
+		t.Fatal("a punned event matched the node's observed trace")
+	}
+	if runs := o.Counter("learn.sim.runs").Value(); runs != 1 {
+		t.Fatalf("learn.sim.runs = %d, want 1: the punned event was injected as a second stimulus", runs)
+	}
+}
+
+// TestNewSimTeacherRejectsBadCAPL pins where the one parse happens: a
+// teacher over bad CAPL fails to build, naming the node, before any
+// query is asked.
+func TestNewSimTeacherRejectsBadCAPL(t *testing.T) {
+	_, err := NewSimTeacher(SimTeacherConfig{NodeName: "ECU", Source: "on message {"})
+	if err == nil || !strings.HasPrefix(err.Error(), "node ECU: ") {
+		t.Fatalf("NewSimTeacher over bad CAPL: err = %v, want a node ECU: parse error", err)
+	}
+}
+
+// TestSimTeacherPanicAnswersEveryAsker pins the memo's failure path: a
+// simulation that panics becomes the error of every word sharing its
+// stimulus sequence, and no asker waits forever.
+func TestSimTeacherPanicAnswersEveryAsker(t *testing.T) {
+	teacher := variantTeacher(t, VariantNaive, CampaignConfig{Seed: 1})
+	teacher.prog = nil // attaching a nil program panics inside the run
+	words := []csp.Trace{
+		{ev("send", "reqSw")},
+		{ev("send", "reqSw"), ev("rec", "rptSw")},
+	}
+	errs := make([]error, 8)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = teacher.Membership(words[i%len(words)])
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "membership run panicked") {
+			t.Fatalf("ask %d: err = %v, want the run's panic", i, err)
+		}
 	}
 }

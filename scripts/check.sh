@@ -35,6 +35,17 @@ go run ./cmd/learncheck -seed 1 -format json > "$LEARNCHECK_OUT"
 cmp "$LEARNCHECK_OUT" testdata/learncheck_baseline.json
 rm -f "$LEARNCHECK_OUT"
 
+# Under a fault profile the teacher simulates every word on its own
+# (its faults are seeded from the whole word), so the drop campaign
+# must match its baseline at any worker count.
+echo "==> learncheck -profile drop (byte-identical vs committed baseline at -workers 1 and 4)"
+for workers in 1 4; do
+    LEARNCHECK_OUT=$(mktemp)
+    go run ./cmd/learncheck -seed 1 -profile drop -format json -workers "$workers" > "$LEARNCHECK_OUT"
+    cmp "$LEARNCHECK_OUT" testdata/learncheck_drop_baseline.json
+    rm -f "$LEARNCHECK_OUT"
+done
+
 echo "==> go test -race ./..."
 go test -race ./...
 
