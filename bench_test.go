@@ -24,6 +24,7 @@ import (
 	"repro/internal/capl"
 	"repro/internal/conformance"
 	"repro/internal/csp"
+	"repro/internal/csp/cspref"
 	"repro/internal/cspm"
 	"repro/internal/experiments"
 	"repro/internal/faultcampaign"
@@ -238,11 +239,11 @@ func BenchmarkAblation_RefinementAlgorithm(b *testing.B) {
 		sem := csp.NewSemantics(sys.Model.Env, sys.Model.Ctx)
 		const bound = 8
 		for i := 0; i < b.N; i++ {
-			implTraces, err := csp.Traces(sem, impl, bound)
+			implTraces, err := cspref.Traces(sem, impl, bound)
 			if err != nil {
 				b.Fatal(err)
 			}
-			specTraces, err := csp.Traces(sem, spec, bound)
+			specTraces, err := cspref.Traces(sem, spec, bound)
 			if err != nil {
 				b.Fatal(err)
 			}

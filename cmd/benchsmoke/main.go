@@ -47,6 +47,7 @@ import (
 	"repro/internal/canoe"
 	"repro/internal/conformance"
 	"repro/internal/csp"
+	"repro/internal/experiments"
 	"repro/internal/faultcampaign"
 	"repro/internal/learn"
 	"repro/internal/lts"
@@ -457,6 +458,20 @@ func suite(o *obs.Observer) ([]namedBench, error) {
 		}
 	}
 
+	// Section VII's largest point, end to end: CAPL source of a 64-pair
+	// ECU to the verdict of its refinement check.
+	scalability := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			pt, err := experiments.ScalabilityRun(64)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !pt.Holds {
+				b.Fatal("property failed")
+			}
+		}
+	}
+
 	primed := lts.NewCache()
 	primed.Obs = o
 	return []namedBench{
@@ -470,5 +485,6 @@ func suite(o *obs.Observer) ([]namedBench, error) {
 		{"Serve/check", serveCheck},
 		{"CanoeSimulation", canoeSimulation},
 		{"Learn/sim", learnSim},
+		{"Scalability/pairs=64", scalability},
 	}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/csp"
+	"repro/internal/csp/cspref"
 )
 
 // sampleTree is the running example: gain access via OBD port or via
@@ -71,7 +72,7 @@ func completedTraces(t *testing.T, tree Tree) map[string]bool {
 	sem := csp.NewSemantics(csp.NewEnv(), ctx)
 	proc := ToCSP(tree, "action")
 	maxLen := len(Actions(tree)) + 1
-	ts, err := csp.Traces(sem, proc, maxLen)
+	ts, err := cspref.Traces(sem, proc, maxLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestIntruderLearnsAndReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	sem := csp.NewSemantics(env, ctx)
-	ts, err := csp.Traces(sem, proc, 2)
+	ts, err := cspref.Traces(sem, proc, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

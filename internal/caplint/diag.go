@@ -160,16 +160,16 @@ const (
 	// Typechecker codes (the CAPL0100+ range). CAPL has no declared type
 	// system of its own; these diagnostics come from the typecheck pass
 	// (typecheck.go) that closes ROADMAP item 5.
-	CodeTypeMismatch   = "CAPL0100" // operand/assignment type class mismatch
-	CodeNarrowing      = "CAPL0101" // implicit lossy narrowing conversion
-	CodeConstOverflow  = "CAPL0102" // constant does not fit the target type
-	CodeCallArity      = "CAPL0103" // wrong argument count in function call
-	CodeCallArgType    = "CAPL0104" // argument type incompatible with parameter
-	CodeBadReturn      = "CAPL0105" // return disagrees with declared return type
-	CodeArrayMisuse    = "CAPL0106" // bad indexing, bounds or array-as-scalar use
-	CodeBadCondition   = "CAPL0107" // condition or switch tag is not numeric
-	CodeSignalNarrow   = "CAPL0108" // expression type wider than the signal bit width
-	CodeBadBuiltinArg  = "CAPL0109" // builtin called with a wrongly typed argument
+	CodeTypeMismatch  = "CAPL0100" // operand/assignment type class mismatch
+	CodeNarrowing     = "CAPL0101" // implicit lossy narrowing conversion
+	CodeConstOverflow = "CAPL0102" // constant does not fit the target type
+	CodeCallArity     = "CAPL0103" // wrong argument count in function call
+	CodeCallArgType   = "CAPL0104" // argument type incompatible with parameter
+	CodeBadReturn     = "CAPL0105" // return disagrees with declared return type
+	CodeArrayMisuse   = "CAPL0106" // bad indexing, bounds or array-as-scalar use
+	CodeBadCondition  = "CAPL0107" // condition or switch tag is not numeric
+	CodeSignalNarrow  = "CAPL0108" // expression type wider than the signal bit width
+	CodeBadBuiltinArg = "CAPL0109" // builtin called with a wrongly typed argument
 )
 
 // CatalogEntry documents one lint code.

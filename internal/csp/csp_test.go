@@ -1,7 +1,6 @@
 package csp
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -138,46 +137,6 @@ func TestPrefixRestrictedInput(t *testing.T) {
 	}
 }
 
-func TestExternalChoiceOffersBoth(t *testing.T) {
-	sem := newSem(t, testContext(t))
-	p := ExtChoice(DoEvent("a", Stop()), DoEvent("b", Stop()))
-	trs := mustTransitions(t, sem, p)
-	if len(trs) != 2 {
-		t.Fatalf("choice offers %d events, want 2", len(trs))
-	}
-}
-
-func TestExternalChoiceTauDoesNotResolve(t *testing.T) {
-	sem := newSem(t, testContext(t))
-	// (a->STOP |~| b->STOP) [] c->STOP: the internal choice contributes
-	// taus that must preserve the right branch.
-	p := ExtChoice(
-		IntChoice(DoEvent("a", Stop()), DoEvent("b", Stop())),
-		DoEvent("c", Stop()),
-	)
-	trs := mustTransitions(t, sem, p)
-	tauCount := 0
-	for _, tr := range trs {
-		if tr.Ev.IsTau() {
-			tauCount++
-			// After tau the c branch must still be available.
-			next := mustTransitions(t, sem, tr.To)
-			foundC := false
-			for _, n := range next {
-				if n.Ev.String() == "c" {
-					foundC = true
-				}
-			}
-			if !foundC {
-				t.Errorf("tau resolved external choice: %s lost branch c", tr.To.Key())
-			}
-		}
-	}
-	if tauCount != 2 {
-		t.Errorf("tau transitions = %d, want 2", tauCount)
-	}
-}
-
 func TestInternalChoiceIsTwoTaus(t *testing.T) {
 	sem := newSem(t, testContext(t))
 	p := IntChoice(DoEvent("a", Stop()), DoEvent("b", Stop()))
@@ -187,132 +146,25 @@ func TestInternalChoiceIsTwoTaus(t *testing.T) {
 	}
 }
 
-func TestSequentialComposition(t *testing.T) {
-	sem := newSem(t, testContext(t))
-	p := Seq(DoEvent("a", Skip()), DoEvent("b", Skip()))
-	ts, err := Traces(sem, p, 5)
-	if err != nil {
-		t.Fatal(err)
+// mustUnfold returns the term a call or conditional unfolds to.
+func mustUnfold(t *testing.T, sem *Semantics, p Process) Process {
+	t.Helper()
+	q, ok, err := sem.Unfold(p)
+	if err != nil || !ok {
+		t.Fatalf("Unfold(%s) = %v, %v", p.Key(), ok, err)
 	}
-	want := Trace{Ev("a"), Ev("b"), Tick()}
-	if !ts.Contains(want) {
-		t.Errorf("traces of a->SKIP;b->SKIP missing %s; got %v", want, ts.Slice())
-	}
-	// The first component's tick must be internal: <a, tick, ...> never occurs.
-	bad := Trace{Ev("a"), Tick()}
-	if ts.Contains(bad) {
-		t.Errorf("sequential composition leaked intermediate termination %s", bad)
-	}
-}
-
-func TestParallelSynchronisation(t *testing.T) {
-	sem := newSem(t, testContext(t))
-	// a->b->SKIP [| {a} |] a->c->SKIP: must sync on a then interleave b,c.
-	p := Par(
-		DoEvent("a", DoEvent("b", Skip())),
-		Events(Ev("a")),
-		DoEvent("a", DoEvent("c", Skip())),
-	)
-	ts, err := Traces(sem, p, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []Trace{
-		{Ev("a"), Ev("b"), Ev("c"), Tick()},
-		{Ev("a"), Ev("c"), Ev("b"), Tick()},
-	} {
-		if !ts.Contains(want) {
-			t.Errorf("missing trace %s", want)
-		}
-	}
-	if ts.Contains(Trace{Ev("a"), Ev("a")}) {
-		t.Error("synchronised event a occurred twice")
-	}
-	if ts.Contains(Trace{Ev("b")}) {
-		t.Error("b occurred before synchronised a")
-	}
-}
-
-func TestParallelBlocksWithoutPartner(t *testing.T) {
-	sem := newSem(t, testContext(t))
-	// a->STOP [| {a,b} |] b->STOP deadlocks immediately.
-	p := Par(DoEvent("a", Stop()), Events(Ev("a"), Ev("b")), DoEvent("b", Stop()))
-	trs := mustTransitions(t, sem, p)
-	if len(trs) != 0 {
-		t.Errorf("mismatched sync produced transitions %v, want deadlock", trs)
-	}
-}
-
-func TestInterleavingAllOrders(t *testing.T) {
-	sem := newSem(t, testContext(t))
-	p := Interleave(DoEvent("a", Skip()), DoEvent("b", Skip()))
-	ts, err := Traces(sem, p, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []Trace{
-		{Ev("a"), Ev("b"), Tick()},
-		{Ev("b"), Ev("a"), Tick()},
-	} {
-		if !ts.Contains(want) {
-			t.Errorf("missing interleaving %s", want)
-		}
-	}
-}
-
-func TestDistributedTermination(t *testing.T) {
-	sem := newSem(t, testContext(t))
-	// SKIP ||| a->SKIP cannot tick until both sides can.
-	p := Interleave(Skip(), DoEvent("a", Skip()))
-	ts, err := Traces(sem, p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ts.Contains(Trace{Tick()}) {
-		t.Error("parallel terminated before both components could")
-	}
-	if !ts.Contains(Trace{Ev("a"), Tick()}) {
-		t.Error("missing trace <a, tick>")
-	}
-}
-
-func TestHidingMakesEventsInternal(t *testing.T) {
-	sem := newSem(t, testContext(t))
-	p := Hide(DoEvent("a", DoEvent("b", Stop())), Events(Ev("a")))
-	trs := mustTransitions(t, sem, p)
-	if len(trs) != 1 || !trs[0].Ev.IsTau() {
-		t.Fatalf("hidden prefix transitions = %v, want single tau", trs)
-	}
-	ts, err := Traces(sem, p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ts.Contains(Trace{Ev("b")}) {
-		t.Error("hiding removed the wrong events")
-	}
-	if ts.Contains(Trace{Ev("a")}) {
-		t.Error("hidden event a still visible")
-	}
-}
-
-func TestRenaming(t *testing.T) {
-	sem := newSem(t, testContext(t))
-	p := Rename(DoEvent("a", Stop()), map[string]string{"a": "b"})
-	trs := mustTransitions(t, sem, p)
-	if len(trs) != 1 || trs[0].Ev.String() != "b" {
-		t.Fatalf("renamed transitions = %v, want single b", trs)
-	}
+	return q
 }
 
 func TestConditionalProcess(t *testing.T) {
 	sem := newSem(t, testContext(t))
 	p := If(LitBool(true), DoEvent("a", Stop()), DoEvent("b", Stop()))
-	trs := mustTransitions(t, sem, p)
+	trs := mustTransitions(t, sem, mustUnfold(t, sem, p))
 	if len(trs) != 1 || trs[0].Ev.String() != "a" {
 		t.Fatalf("if-true transitions = %v, want a", trs)
 	}
 	p = If(LitBool(false), DoEvent("a", Stop()), DoEvent("b", Stop()))
-	trs = mustTransitions(t, sem, p)
+	trs = mustTransitions(t, sem, mustUnfold(t, sem, p))
 	if len(trs) != 1 || trs[0].Ev.String() != "b" {
 		t.Fatalf("if-false transitions = %v, want b", trs)
 	}
@@ -321,69 +173,36 @@ func TestConditionalProcess(t *testing.T) {
 func TestGuardFalseIsStop(t *testing.T) {
 	sem := newSem(t, testContext(t))
 	p := Guard(LitBool(false), DoEvent("a", Stop()))
-	if trs := mustTransitions(t, sem, p); len(trs) != 0 {
+	if trs := mustTransitions(t, sem, mustUnfold(t, sem, p)); len(trs) != 0 {
 		t.Errorf("false-guarded process has transitions %v", trs)
-	}
-}
-
-func TestRecursionViaEnv(t *testing.T) {
-	ctx := testContext(t)
-	env := NewEnv()
-	env.MustDefine("P", nil, DoEvent("a", Call("P")))
-	sem := NewSemantics(env, ctx)
-	ts, err := Traces(sem, Call("P"), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ts.Contains(Trace{Ev("a"), Ev("a"), Ev("a"), Ev("a")}) {
-		t.Error("recursive P = a -> P missing trace <a,a,a,a>")
-	}
-}
-
-func TestParameterisedRecursion(t *testing.T) {
-	ctx := NewContext()
-	ctx.MustChannel("count", IntRange{Lo: 0, Hi: 5})
-	env := NewEnv()
-	// COUNT(n) = count!n -> COUNT(n+1), bounded by guard at 3.
-	env.MustDefine("COUNT", []string{"n"},
-		Guard(Binary{Op: OpLe, L: V("n"), R: LitInt(3)},
-			Prefix("count", []CommField{Out(V("n"))},
-				Call("COUNT", Binary{Op: OpAdd, L: V("n"), R: LitInt(1)}))))
-	sem := NewSemantics(env, ctx)
-	ts, err := Traces(sem, Call("COUNT", LitInt(0)), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Trace{
-		Ev("count", Int(0)), Ev("count", Int(1)),
-		Ev("count", Int(2)), Ev("count", Int(3)),
-	}
-	if !ts.Contains(want) {
-		t.Errorf("counter missing trace %s; have %d traces", want, ts.Len())
-	}
-	if ts.Contains(Trace{Ev("count", Int(0)), Ev("count", Int(0))}) {
-		t.Error("counter repeated a value")
-	}
-}
-
-func TestUnguardedRecursionDetected(t *testing.T) {
-	ctx := testContext(t)
-	env := NewEnv()
-	env.MustDefine("P", nil, Call("P"))
-	sem := NewSemantics(env, ctx)
-	_, err := sem.Transitions(Call("P"))
-	if err == nil {
-		t.Fatal("expected unguarded recursion error")
-	}
-	if !strings.Contains(err.Error(), "unguarded recursion") {
-		t.Errorf("error = %v, want unguarded recursion", err)
 	}
 }
 
 func TestUndefinedProcessError(t *testing.T) {
 	sem := newSem(t, testContext(t))
-	if _, err := sem.Transitions(Call("NoSuch")); err == nil {
-		t.Fatal("expected undefined process error")
+	if _, ok, err := sem.Unfold(Call("NoSuch")); !ok || err == nil {
+		t.Fatalf("Unfold(NoSuch) = %v, %v; want an undefined process error", ok, err)
+	}
+}
+
+// TestUnfoldOnlyCallsAndConditionals pins the split of the semantics:
+// Unfold answers "not unfoldable" for every other term, and Transitions
+// has rules for leaves only, so a composite term is an error there.
+func TestUnfoldOnlyCallsAndConditionals(t *testing.T) {
+	env := NewEnv()
+	env.MustDefine("P", []string{"x"}, Prefix("ch", []CommField{Out(V("x"))}, Stop()))
+	sem := NewSemantics(env, testContext(t))
+	if q := mustUnfold(t, sem, Call("P", LitSym("m1"))); q.Key() != Send("ch", Stop(), Sym("m1")).Key() {
+		t.Errorf("P(m1) unfolds to %s", q.Key())
+	}
+	comp := ExtChoice(DoEvent("a", Stop()), DoEvent("b", Stop()))
+	for _, p := range []Process{Stop(), Skip(), DoEvent("a", Stop()), IntChoice(Stop(), Skip()), comp} {
+		if q, ok, err := sem.Unfold(p); ok || err != nil || q != nil {
+			t.Errorf("Unfold(%s) = %v, %v, %v; want not unfoldable", p.Key(), q, ok, err)
+		}
+	}
+	if _, err := sem.Transitions(comp); err == nil {
+		t.Errorf("Transitions(%s) succeeded; composites have no leaf rule", comp.Key())
 	}
 }
 

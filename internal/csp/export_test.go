@@ -25,3 +25,6 @@ func ReinternKeys(n *Nodes) [][]byte {
 	}
 	return in.Keys()
 }
+
+// NewTestContext is testContext, for the external tests.
+var NewTestContext = testContext

@@ -1,8 +1,11 @@
-package csp
+package csp_test
 
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/csp"
+	"repro/internal/csp/cspref"
 )
 
 // This file property-tests the algebraic laws of the trace semantics
@@ -13,8 +16,8 @@ import (
 const lawBound = 5
 
 // lawContext declares the fixed alphabet the generated processes use.
-func lawContext() *Context {
-	ctx := NewContext()
+func lawContext() *csp.Context {
+	ctx := csp.NewContext()
 	for _, name := range []string{"a", "b", "c", "d"} {
 		ctx.MustChannel(name)
 	}
@@ -22,51 +25,51 @@ func lawContext() *Context {
 }
 
 // genProcess derives a small random process term from a seed.
-func genProcess(seed uint64, depth int) Process {
+func genProcess(seed uint64, depth int) csp.Process {
 	events := []string{"a", "b", "c", "d"}
 	pick := seed % 8
 	seed /= 8
 	if depth <= 0 {
 		switch pick % 3 {
 		case 0:
-			return Stop()
+			return csp.Stop()
 		case 1:
-			return Skip()
+			return csp.Skip()
 		default:
-			return DoEvent(events[seed%4], Stop())
+			return csp.DoEvent(events[seed%4], csp.Stop())
 		}
 	}
 	l := genProcess(seed/3, depth-1)
 	r := genProcess(seed/7+1, depth-1)
 	switch pick {
 	case 0:
-		return Stop()
+		return csp.Stop()
 	case 1:
-		return Skip()
+		return csp.Skip()
 	case 2:
-		return DoEvent(events[seed%4], l)
+		return csp.DoEvent(events[seed%4], l)
 	case 3:
-		return ExtChoice(l, r)
+		return csp.ExtChoice(l, r)
 	case 4:
-		return IntChoice(l, r)
+		return csp.IntChoice(l, r)
 	case 5:
-		return Seq(l, r)
+		return csp.Seq(l, r)
 	case 6:
-		return Interleave(l, r)
+		return csp.Interleave(l, r)
 	default:
-		return Par(l, Events(Ev(events[seed%4])), r)
+		return csp.Par(l, csp.Events(csp.Ev(events[seed%4])), r)
 	}
 }
 
 // sameTraces reports whether two processes have identical bounded trace
 // sets.
-func sameTraces(t *testing.T, sem *Semantics, p, q Process) bool {
+func sameTraces(t *testing.T, sem *csp.Semantics, p, q csp.Process) bool {
 	t.Helper()
-	tp, err := Traces(sem, p, lawBound)
+	tp, err := cspref.Traces(sem, p, lawBound)
 	if err != nil {
 		t.Fatalf("traces of %s: %v", p.Key(), err)
 	}
-	tq, err := Traces(sem, q, lawBound)
+	tq, err := cspref.Traces(sem, q, lawBound)
 	if err != nil {
 		t.Fatalf("traces of %s: %v", q.Key(), err)
 	}
@@ -75,9 +78,9 @@ func sameTraces(t *testing.T, sem *Semantics, p, q Process) bool {
 	return okPQ && okQP
 }
 
-func lawCheck(t *testing.T, law func(p, q, r Process) (Process, Process)) {
+func lawCheck(t *testing.T, law func(p, q, r csp.Process) (csp.Process, csp.Process)) {
 	t.Helper()
-	sem := NewSemantics(NewEnv(), lawContext())
+	sem := csp.NewSemantics(csp.NewEnv(), lawContext())
 	prop := func(seed uint64) bool {
 		p := genProcess(seed, 2)
 		q := genProcess(seed/5+2, 2)
@@ -91,95 +94,95 @@ func lawCheck(t *testing.T, law func(p, q, r Process) (Process, Process)) {
 }
 
 func TestLawExtChoiceCommutative(t *testing.T) {
-	lawCheck(t, func(p, q, _ Process) (Process, Process) {
-		return ExtChoice(p, q), ExtChoice(q, p)
+	lawCheck(t, func(p, q, _ csp.Process) (csp.Process, csp.Process) {
+		return csp.ExtChoice(p, q), csp.ExtChoice(q, p)
 	})
 }
 
 func TestLawExtChoiceAssociative(t *testing.T) {
-	lawCheck(t, func(p, q, r Process) (Process, Process) {
-		return ExtChoice(ExtChoice(p, q), r), ExtChoice(p, ExtChoice(q, r))
+	lawCheck(t, func(p, q, r csp.Process) (csp.Process, csp.Process) {
+		return csp.ExtChoice(csp.ExtChoice(p, q), r), csp.ExtChoice(p, csp.ExtChoice(q, r))
 	})
 }
 
 func TestLawExtChoiceIdempotentTraces(t *testing.T) {
-	lawCheck(t, func(p, _, _ Process) (Process, Process) {
-		return ExtChoice(p, p), p
+	lawCheck(t, func(p, _, _ csp.Process) (csp.Process, csp.Process) {
+		return csp.ExtChoice(p, p), p
 	})
 }
 
 func TestLawExtChoiceUnitStop(t *testing.T) {
-	lawCheck(t, func(p, _, _ Process) (Process, Process) {
-		return ExtChoice(p, Stop()), p
+	lawCheck(t, func(p, _, _ csp.Process) (csp.Process, csp.Process) {
+		return csp.ExtChoice(p, csp.Stop()), p
 	})
 }
 
 func TestLawIntChoiceEqualsExtChoiceInTraces(t *testing.T) {
 	// In the traces model (only), P |~| Q and P [] Q are
 	// indistinguishable: traces(P |~| Q) = traces(P) ∪ traces(Q).
-	lawCheck(t, func(p, q, _ Process) (Process, Process) {
-		return IntChoice(p, q), ExtChoice(p, q)
+	lawCheck(t, func(p, q, _ csp.Process) (csp.Process, csp.Process) {
+		return csp.IntChoice(p, q), csp.ExtChoice(p, q)
 	})
 }
 
 func TestLawInterleaveCommutative(t *testing.T) {
-	lawCheck(t, func(p, q, _ Process) (Process, Process) {
-		return Interleave(p, q), Interleave(q, p)
+	lawCheck(t, func(p, q, _ csp.Process) (csp.Process, csp.Process) {
+		return csp.Interleave(p, q), csp.Interleave(q, p)
 	})
 }
 
 func TestLawParallelCommutative(t *testing.T) {
-	sync := Events(Ev("a"), Ev("b"))
-	lawCheck(t, func(p, q, _ Process) (Process, Process) {
-		return Par(p, sync, q), Par(q, sync, p)
+	sync := csp.Events(csp.Ev("a"), csp.Ev("b"))
+	lawCheck(t, func(p, q, _ csp.Process) (csp.Process, csp.Process) {
+		return csp.Par(p, sync, q), csp.Par(q, sync, p)
 	})
 }
 
 func TestLawSeqUnitSkip(t *testing.T) {
-	lawCheck(t, func(p, _, _ Process) (Process, Process) {
-		return Seq(Skip(), p), p
+	lawCheck(t, func(p, _, _ csp.Process) (csp.Process, csp.Process) {
+		return csp.Seq(csp.Skip(), p), p
 	})
 }
 
 func TestLawSeqStopAnnihilates(t *testing.T) {
 	// STOP ; P never reaches P: traces(STOP;P) = {<>}.
-	lawCheck(t, func(p, _, _ Process) (Process, Process) {
-		return Seq(Stop(), p), Stop()
+	lawCheck(t, func(p, _, _ csp.Process) (csp.Process, csp.Process) {
+		return csp.Seq(csp.Stop(), p), csp.Stop()
 	})
 }
 
 func TestLawPrefixDistributesOverIntChoiceTraces(t *testing.T) {
 	// a -> (P |~| Q) =T (a -> P) |~| (a -> Q).
-	lawCheck(t, func(p, q, _ Process) (Process, Process) {
-		return DoEvent("a", IntChoice(p, q)),
-			IntChoice(DoEvent("a", p), DoEvent("a", q))
+	lawCheck(t, func(p, q, _ csp.Process) (csp.Process, csp.Process) {
+		return csp.DoEvent("a", csp.IntChoice(p, q)),
+			csp.IntChoice(csp.DoEvent("a", p), csp.DoEvent("a", q))
 	})
 }
 
 func TestLawHideNothingIsIdentity(t *testing.T) {
-	empty := NewEventSet()
-	lawCheck(t, func(p, _, _ Process) (Process, Process) {
-		return Hide(p, empty), p
+	empty := csp.NewEventSet()
+	lawCheck(t, func(p, _, _ csp.Process) (csp.Process, csp.Process) {
+		return csp.Hide(p, empty), p
 	})
 }
 
 func TestLawHideComposition(t *testing.T) {
 	// (P \ A) \ B =T P \ (A ∪ B).
-	setA := Events(Ev("a"))
-	setB := Events(Ev("b"))
+	setA := csp.Events(csp.Ev("a"))
+	setB := csp.Events(csp.Ev("b"))
 	union := setA.Union(setB)
-	lawCheck(t, func(p, _, _ Process) (Process, Process) {
-		return Hide(Hide(p, setA), setB), Hide(p, union)
+	lawCheck(t, func(p, _, _ csp.Process) (csp.Process, csp.Process) {
+		return csp.Hide(csp.Hide(p, setA), setB), csp.Hide(p, union)
 	})
 }
 
 func TestLawTraceSetsPrefixClosed(t *testing.T) {
 	// For every generated process, the bounded trace set is prefix
 	// closed (the defining invariant of traces(P) in section IV-A).
-	sem := NewSemantics(NewEnv(), lawContext())
+	sem := csp.NewSemantics(csp.NewEnv(), lawContext())
 	prop := func(seed uint64) bool {
 		p := genProcess(seed, 3)
-		ts, err := Traces(sem, p, lawBound)
+		ts, err := cspref.Traces(sem, p, lawBound)
 		if err != nil {
 			t.Fatalf("traces: %v", err)
 		}
@@ -191,7 +194,7 @@ func TestLawTraceSetsPrefixClosed(t *testing.T) {
 				return false
 			}
 		}
-		return ts.Contains(Trace{})
+		return ts.Contains(csp.Trace{})
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -200,10 +203,10 @@ func TestLawTraceSetsPrefixClosed(t *testing.T) {
 
 func TestLawTickIsAlwaysFinal(t *testing.T) {
 	// Tick only appears as the last event of a trace.
-	sem := NewSemantics(NewEnv(), lawContext())
+	sem := csp.NewSemantics(csp.NewEnv(), lawContext())
 	prop := func(seed uint64) bool {
 		p := genProcess(seed, 3)
-		ts, err := Traces(sem, p, lawBound)
+		ts, err := cspref.Traces(sem, p, lawBound)
 		if err != nil {
 			t.Fatalf("traces: %v", err)
 		}
@@ -229,12 +232,12 @@ func TestLawRenamingBijective(t *testing.T) {
 	// identity.
 	mapAB := map[string]string{"a": "b"}
 	mapBA := map[string]string{"b": "a"}
-	sem := NewSemantics(NewEnv(), lawContext())
+	sem := csp.NewSemantics(csp.NewEnv(), lawContext())
 	prop := func(seed uint64) bool {
 		p := genProcess(seed, 2)
 		// Filter: regenerate trace sets and check the law only when b is
 		// unused by p (renaming is not injective otherwise).
-		tp, err := Traces(sem, p, lawBound)
+		tp, err := cspref.Traces(sem, p, lawBound)
 		if err != nil {
 			t.Fatalf("traces: %v", err)
 		}
@@ -245,7 +248,7 @@ func TestLawRenamingBijective(t *testing.T) {
 				}
 			}
 		}
-		return sameTraces(t, sem, Rename(Rename(p, mapAB), mapBA), p)
+		return sameTraces(t, sem, csp.Rename(csp.Rename(p, mapAB), mapBA), p)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -256,7 +259,7 @@ func TestLawSubstitutionIdempotentOnClosed(t *testing.T) {
 	// Generated processes are closed, so substitution is the identity.
 	prop := func(seed uint64) bool {
 		p := genProcess(seed, 3)
-		return p.Subst("x", Int(1)).Key() == p.Key()
+		return p.Subst("x", csp.Int(1)).Key() == p.Key()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -218,24 +218,6 @@ func TestEnvOperations(t *testing.T) {
 	}
 }
 
-func TestTraceStateLimit(t *testing.T) {
-	ctx := NewContext()
-	ctx.MustChannel("n", IntRange{Lo: 0, Hi: 1 << 20})
-	env := NewEnv()
-	env.MustDefine("UP", []string{"i"},
-		Prefix("n", []CommField{Out(V("i"))},
-			Call("UP", Binary{Op: OpAdd, L: V("i"), R: LitInt(1)})))
-	sem := NewSemantics(env, ctx)
-	// Each visible step reaches a new state; the bound keeps it finite.
-	ts, err := Traces(sem, Call("UP", LitInt(0)), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ts.Contains(Trace{Ev("n", Int(0)), Ev("n", Int(1)), Ev("n", Int(2))}) {
-		t.Error("unbounded counter traces wrong")
-	}
-}
-
 func TestDataTypeContainsMistyped(t *testing.T) {
 	dt := DataType{TypeName: "T", Ctors: []Ctor{
 		{Head: "leaf"},
@@ -288,12 +270,12 @@ func TestSemanticsErrorPaths(t *testing.T) {
 		t.Error("undeclared channel accepted")
 	}
 	// Conditional with non-boolean guard.
-	if _, err := sem.Transitions(If(LitInt(1), Stop(), Stop())); err == nil {
-		t.Error("non-boolean guard accepted")
+	if _, _, err := sem.Unfold(If(LitInt(1), Stop(), Stop())); err == nil || err.Error() != "conditional guard is not boolean: 1" {
+		t.Errorf("non-boolean guard: err = %v", err)
 	}
 	// Conditional with unbound guard.
-	if _, err := sem.Transitions(If(V("x"), Stop(), Stop())); err == nil {
-		t.Error("unbound guard accepted")
+	if _, _, err := sem.Unfold(If(V("x"), Stop(), Stop())); err == nil || !strings.HasPrefix(err.Error(), "conditional guard: ") {
+		t.Errorf("unbound guard: err = %v", err)
 	}
 	// Restricted input with non-boolean predicate.
 	bad := Prefix("ch", []CommField{InSuchThat("x", LitInt(1))}, Stop())

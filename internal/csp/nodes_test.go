@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/csp"
+	"repro/internal/csp/cspref"
 	"repro/internal/lts"
 	"repro/internal/ota"
 )
@@ -268,7 +269,7 @@ func TestCodecOverOTACorpus(t *testing.T) {
 					recorded[id] = true
 					states, ids = append(states, p), append(ids, id)
 				}
-				trs, err := sem.Transitions(p)
+				trs, err := cspref.Transitions(sem, p)
 				if err != nil {
 					t.Fatalf("%s: transitions(%s): %v", name, p.Key(), err)
 				}
@@ -283,11 +284,11 @@ func TestCodecOverOTACorpus(t *testing.T) {
 			if !ok || in.Process(got) != id {
 				t.Fatalf("%s: state %s did not decode to its own node", name, states[i].Key())
 			}
-			want, err := sem.Transitions(states[i])
+			want, err := cspref.Transitions(sem, states[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			have, err := sem.Transitions(got)
+			have, err := cspref.Transitions(sem, got)
 			if err != nil {
 				t.Fatalf("%s: transitions(decoded %s): %v", name, got.Key(), err)
 			}

@@ -12,17 +12,21 @@ type Transition struct {
 	To Process
 }
 
-// ErrUnguardedRecursion is returned when expanding process calls exceeds
-// the expansion budget without reaching a prefix, which indicates an
-// unguarded recursive definition such as P = P.
+// ErrUnguardedRecursion is returned when a chain of process-call
+// unfoldings exceeds MaxUnfoldings without reaching a prefix, which
+// indicates an unguarded recursive definition such as P = P.
 var ErrUnguardedRecursion = errors.New("unguarded recursion: expansion budget exceeded")
 
-// maxExpansions bounds how many CallProc expansions may occur while
-// computing the transitions of a single term.
-const maxExpansions = 4096
+// MaxUnfoldings bounds the CallProc unfoldings that computing one
+// term's transitions may go through: lts's compiler counts those on one
+// nested chain, the test-only reference semantics every one. Unfolding
+// a conditional does not count.
+const MaxUnfoldings = 4096
 
-// Semantics computes operational-semantics transitions of process terms
-// within a fixed definition environment and channel context.
+// Semantics holds the leaf rules of the operational semantics within a
+// fixed definition environment and channel context. The rules of the
+// composite operators ([], ;, [| |], \, [[ ]]) live in one place, the
+// lts package's compiler, which combines memoized leaf transitions.
 type Semantics struct {
 	Env *Env
 	Ctx *Context
@@ -33,13 +37,11 @@ func NewSemantics(env *Env, ctx *Context) *Semantics {
 	return &Semantics{Env: env, Ctx: ctx}
 }
 
-// Transitions returns every transition the term can perform.
+// Transitions returns every transition of a leaf term: a prefix (input
+// fields enumerated over their channel's declared type), an internal
+// choice, SKIP, STOP or Ω. Any other term is an error; calls and
+// conditionals first go through Unfold.
 func (s *Semantics) Transitions(p Process) ([]Transition, error) {
-	budget := maxExpansions
-	return s.transitions(p, &budget)
-}
-
-func (s *Semantics) transitions(p Process, budget *int) ([]Transition, error) {
 	switch t := p.(type) {
 	case StopProc, OmegaProc:
 		return nil, nil
@@ -47,48 +49,41 @@ func (s *Semantics) transitions(p Process, budget *int) ([]Transition, error) {
 		return []Transition{{Ev: Tick(), To: OmegaProc{}}}, nil
 	case PrefixProc:
 		return s.prefixTransitions(t)
-	case ExtChoiceProc:
-		return s.extChoiceTransitions(t, budget)
 	case IntChoiceProc:
 		return []Transition{
 			{Ev: Tau(), To: t.L},
 			{Ev: Tau(), To: t.R},
 		}, nil
-	case SeqProc:
-		return s.seqTransitions(t, budget)
-	case ParProc:
-		return s.parTransitions(t, budget)
-	case HideProc:
-		return s.hideTransitions(t, budget)
-	case RenameProc:
-		return s.renameTransitions(t, budget)
-	case IfProc:
-		v, err := Eval(t.Cond)
-		if err != nil {
-			return nil, fmt.Errorf("conditional guard: %w", err)
-		}
-		b, ok := v.(Bool)
-		if !ok {
-			return nil, fmt.Errorf("conditional guard is not boolean: %s", v)
-		}
-		if b {
-			return s.transitions(t.Then, budget)
-		}
-		return s.transitions(t.Else, budget)
-	case CallProc:
-		if *budget <= 0 {
-			return nil, fmt.Errorf("expanding %s: %w", t.Key(), ErrUnguardedRecursion)
-		}
-		*budget--
-		body, err := s.Env.Expand(t)
-		if err != nil {
-			return nil, err
-		}
-		return s.transitions(body, budget)
 	case nil:
 		return nil, errors.New("nil process")
 	}
-	return nil, fmt.Errorf("unknown process node %T", p)
+	return nil, fmt.Errorf("no leaf rule for process node %T", p)
+}
+
+// Unfold returns the term a call or conditional behaves as: the call's
+// instantiated body, or the branch the guard picks. ok is false for any
+// other term. Unfold does not bound recursion; its callers count call
+// unfoldings against MaxUnfoldings.
+func (s *Semantics) Unfold(p Process) (q Process, ok bool, err error) {
+	switch t := p.(type) {
+	case IfProc:
+		v, err := Eval(t.Cond)
+		if err != nil {
+			return nil, true, fmt.Errorf("conditional guard: %w", err)
+		}
+		b, isBool := v.(Bool)
+		if !isBool {
+			return nil, true, fmt.Errorf("conditional guard is not boolean: %s", v)
+		}
+		if b {
+			return t.Then, true, nil
+		}
+		return t.Else, true, nil
+	case CallProc:
+		body, err := s.Env.Expand(t)
+		return body, true, err
+	}
+	return nil, false, nil
 }
 
 // prefixTransitions enumerates the concrete events a prefix offers. Input
@@ -173,140 +168,6 @@ func (s *Semantics) prefixTransitions(p PrefixProc) ([]Transition, error) {
 	}
 	if err := rec(0, p.Cont, p.Fields); err != nil {
 		return nil, err
-	}
-	return out, nil
-}
-
-func (s *Semantics) extChoiceTransitions(p ExtChoiceProc, budget *int) ([]Transition, error) {
-	lt, err := s.transitions(p.L, budget)
-	if err != nil {
-		return nil, err
-	}
-	rt, err := s.transitions(p.R, budget)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Transition, 0, len(lt)+len(rt))
-	for _, tr := range lt {
-		if tr.Ev.IsTau() {
-			// Tau does not resolve external choice.
-			out = append(out, Transition{Ev: Tau(), To: ExtChoiceProc{L: tr.To, R: p.R}})
-		} else {
-			out = append(out, tr)
-		}
-	}
-	for _, tr := range rt {
-		if tr.Ev.IsTau() {
-			out = append(out, Transition{Ev: Tau(), To: ExtChoiceProc{L: p.L, R: tr.To}})
-		} else {
-			out = append(out, tr)
-		}
-	}
-	return out, nil
-}
-
-func (s *Semantics) seqTransitions(p SeqProc, budget *int) ([]Transition, error) {
-	lt, err := s.transitions(p.L, budget)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Transition, 0, len(lt))
-	for _, tr := range lt {
-		if tr.Ev.IsTick() {
-			// Termination of the first component is internal to P;Q.
-			out = append(out, Transition{Ev: Tau(), To: p.R})
-		} else {
-			out = append(out, Transition{Ev: tr.Ev, To: SeqProc{L: tr.To, R: p.R}})
-		}
-	}
-	return out, nil
-}
-
-func (s *Semantics) parTransitions(p ParProc, budget *int) ([]Transition, error) {
-	lt, err := s.transitions(p.L, budget)
-	if err != nil {
-		return nil, err
-	}
-	rt, err := s.transitions(p.R, budget)
-	if err != nil {
-		return nil, err
-	}
-	var out []Transition
-	leftTick, rightTick := false, false
-	for _, tr := range lt {
-		switch {
-		case tr.Ev.IsTick():
-			leftTick = true
-		case tr.Ev.IsTau() || !p.Sync.Contains(tr.Ev):
-			out = append(out, Transition{Ev: tr.Ev, To: ParProc{L: tr.To, R: p.R, Sync: p.Sync}})
-		}
-	}
-	for _, tr := range rt {
-		switch {
-		case tr.Ev.IsTick():
-			rightTick = true
-		case tr.Ev.IsTau() || !p.Sync.Contains(tr.Ev):
-			out = append(out, Transition{Ev: tr.Ev, To: ParProc{L: p.L, R: tr.To, Sync: p.Sync}})
-		}
-	}
-	// Synchronised events: both components must agree on the event.
-	for _, ltr := range lt {
-		if !ltr.Ev.IsVisible() || !p.Sync.Contains(ltr.Ev) {
-			continue
-		}
-		for _, rtr := range rt {
-			if rtr.Ev.IsVisible() && p.Sync.Contains(rtr.Ev) && ltr.Ev.Equal(rtr.Ev) {
-				out = append(out, Transition{
-					Ev: ltr.Ev,
-					To: ParProc{L: ltr.To, R: rtr.To, Sync: p.Sync},
-				})
-			}
-		}
-	}
-	// Distributed termination: the composition terminates when both can.
-	if leftTick && rightTick {
-		out = append(out, Transition{Ev: Tick(), To: OmegaProc{}})
-	}
-	return out, nil
-}
-
-func (s *Semantics) hideTransitions(p HideProc, budget *int) ([]Transition, error) {
-	inner, err := s.transitions(p.P, budget)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Transition, 0, len(inner))
-	for _, tr := range inner {
-		switch {
-		case tr.Ev.IsTick():
-			out = append(out, Transition{Ev: Tick(), To: OmegaProc{}})
-		case p.Set.Contains(tr.Ev):
-			out = append(out, Transition{Ev: Tau(), To: HideProc{P: tr.To, Set: p.Set}})
-		default:
-			out = append(out, Transition{Ev: tr.Ev, To: HideProc{P: tr.To, Set: p.Set}})
-		}
-	}
-	return out, nil
-}
-
-func (s *Semantics) renameTransitions(p RenameProc, budget *int) ([]Transition, error) {
-	inner, err := s.transitions(p.P, budget)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Transition, 0, len(inner))
-	for _, tr := range inner {
-		ev := tr.Ev
-		if ev.IsVisible() {
-			if to, ok := p.Mapping[ev.Chan]; ok {
-				ev = Event{Chan: to, Args: ev.Args}
-			}
-		}
-		if tr.Ev.IsTick() {
-			out = append(out, Transition{Ev: Tick(), To: OmegaProc{}})
-			continue
-		}
-		out = append(out, Transition{Ev: ev, To: RenameProc{P: tr.To, Mapping: p.Mapping}})
 	}
 	return out, nil
 }

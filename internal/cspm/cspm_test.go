@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/csp"
+	"repro/internal/csp/cspref"
 	"repro/internal/refine"
 )
 
@@ -173,7 +174,7 @@ COUNT(n) = n < 3 & tick!n -> COUNT(n+1)
 		t.Fatal(err)
 	}
 	sem := csp.NewSemantics(m.Env, m.Ctx)
-	ts, err := csp.Traces(sem, csp.Call("COUNT", csp.LitInt(0)), 5)
+	ts, err := cspref.Traces(sem, csp.Call("COUNT", csp.LitInt(0)), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ P = ch?x:{a, b} -> STOP
 		t.Fatal(err)
 	}
 	sem := csp.NewSemantics(m.Env, m.Ctx)
-	ts, err := csp.Traces(sem, csp.Call("P"), 1)
+	ts, err := cspref.Traces(sem, csp.Call("P"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,14 +244,14 @@ Q = net?p -> STOP
 		t.Fatal(err)
 	}
 	sem := csp.NewSemantics(m.Env, m.Ctx)
-	ts, err := csp.Traces(sem, csp.Call("P"), 1)
+	ts, err := cspref.Traces(sem, csp.Call("P"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ts.Contains(csp.Trace{csp.Ev("net", csp.NewDotted("plain", csp.Sym("k1")))}) {
 		t.Errorf("missing net.plain.k1; have %v", ts.Slice())
 	}
-	tq, err := csp.Traces(sem, csp.Call("Q"), 1)
+	tq, err := cspref.Traces(sem, csp.Call("Q"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,14 +271,14 @@ Q = (a -> STOP)[[a <- c]]
 		t.Fatal(err)
 	}
 	sem := csp.NewSemantics(m.Env, m.Ctx)
-	ts, err := csp.Traces(sem, csp.Call("P"), 2)
+	ts, err := cspref.Traces(sem, csp.Call("P"), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ts.Contains(csp.Trace{csp.Ev("b")}) || ts.Contains(csp.Trace{csp.Ev("a")}) {
 		t.Errorf("hiding wrong: %v", ts.Slice())
 	}
-	tq, err := csp.Traces(sem, csp.Call("Q"), 1)
+	tq, err := cspref.Traces(sem, csp.Call("Q"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ Q = (a -> SKIP) ||| (b -> SKIP)
 		t.Fatal(err)
 	}
 	sem := csp.NewSemantics(m.Env, m.Ctx)
-	tp, err := csp.Traces(sem, csp.Call("P"), 3)
+	tp, err := cspref.Traces(sem, csp.Call("P"), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ Q = (a -> SKIP) ||| (b -> SKIP)
 	if tp.Contains(csp.Trace{csp.Ev("b")}) {
 		t.Error("sequence allowed b first")
 	}
-	tq, err := csp.Traces(sem, csp.Call("Q"), 3)
+	tq, err := cspref.Traces(sem, csp.Call("Q"), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +325,7 @@ func TestPrefixPrecedenceOverChoice(t *testing.T) {
 		t.Fatal(err)
 	}
 	sem := csp.NewSemantics(m.Env, m.Ctx)
-	ts, err := csp.Traces(sem, csp.Call("P"), 1)
+	ts, err := cspref.Traces(sem, csp.Call("P"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +436,7 @@ P = [] x:M @ ch!x -> STOP
 		t.Fatal(err)
 	}
 	sem := csp.NewSemantics(m.Env, m.Ctx)
-	ts, err := csp.Traces(sem, csp.Call("P"), 1)
+	ts, err := cspref.Traces(sem, csp.Call("P"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +460,7 @@ P = ||| n:{0..2} @ tick!n -> SKIP
 		t.Fatal(err)
 	}
 	sem := csp.NewSemantics(m.Env, m.Ctx)
-	ts, err := csp.Traces(sem, csp.Call("P"), 4)
+	ts, err := cspref.Traces(sem, csp.Call("P"), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/csp"
+	"repro/internal/lts"
 	"repro/internal/ota"
 	"repro/internal/refine"
 )
@@ -104,22 +105,30 @@ func AttackTree() (*AttackTreeResult, error) {
 		return nil, err
 	}
 	sem := csp.NewSemantics(csp.NewEnv(), ctx)
-	proc := attack.ToCSP(tree, "action")
-	ts, err := csp.Traces(sem, proc, len(attack.Actions(tree))+1)
+	l, err := lts.Explore(sem, attack.ToCSP(tree, "action"), lts.Options{})
 	if err != nil {
 		return nil, err
 	}
+	// The tree's process is finite and acyclic, so a DFS over its LTS
+	// visits every path; a path that ticks is a completed attack.
 	completed := map[string]bool{}
-	for _, tr := range ts.Slice() {
-		if len(tr) == 0 || !tr[len(tr)-1].IsTick() {
-			continue
+	var path []string
+	var walk func(s int)
+	walk = func(s int) {
+		for _, e := range l.Edges[s] {
+			switch e.Ev {
+			case lts.TauID:
+				walk(e.To)
+			case lts.TickID:
+				completed[strings.Join(path, ",")] = true
+			default:
+				path = append(path, l.EventByID(e.Ev).Args[0].String())
+				walk(e.To)
+				path = path[:len(path)-1]
+			}
 		}
-		parts := make([]string, 0, len(tr)-1)
-		for _, ev := range tr[:len(tr)-1] {
-			parts = append(parts, ev.Args[0].String())
-		}
-		completed[strings.Join(parts, ",")] = true
 	}
+	walk(l.Init)
 	equivalent := len(completed) == len(sequences)
 	for _, s := range sequences {
 		if !completed[strings.Join(s, ",")] {

@@ -67,7 +67,8 @@ type Stats struct {
 
 // Learn runs L* against the teacher until a bounded equivalence round
 // finds no counterexample, returning the canonical learned automaton.
-func Learn(cfg Config) (*DFA, Stats, error) {
+// The stats describe the run on every return, an error's included.
+func Learn(cfg Config) (_ *DFA, stats Stats, _ error) {
 	depth := cfg.Depth
 	if depth <= 0 {
 		depth = 6
@@ -86,7 +87,6 @@ func Learn(cfg Config) (*DFA, Stats, error) {
 	}
 
 	alpha := append([]csp.Event(nil), cfg.Teacher.Alphabet()...)
-	var stats Stats
 	if len(alpha) == 0 {
 		return nil, stats, fmt.Errorf("learn: teacher has an empty alphabet")
 	}
@@ -96,14 +96,15 @@ func Learn(cfg Config) (*DFA, Stats, error) {
 	span := cfg.Obs.StartSpan("learn.run", obs.Int("alphabet", int64(len(alpha))))
 	defer span.End()
 
-	fill := func() {
+	// Deferred, this writes the named result after a return statement
+	// has set it, so an error return keeps its query and table figures.
+	defer func() {
 		stats.MembershipQueries, stats.CacheHits = cache.stats()
 		stats.TableRows = len(tbl.prefixes)
 		stats.TableSuffixes = len(tbl.suffixes)
 		cfg.Obs.Gauge("learn.table.rows").Set(int64(len(tbl.prefixes)))
 		cfg.Obs.Gauge("learn.table.suffixes").Set(int64(len(tbl.suffixes)))
-	}
-	defer fill()
+	}()
 
 	for round := 0; round < maxRounds; round++ {
 		if err := tbl.repair(); err != nil {
@@ -125,7 +126,6 @@ func Learn(cfg Config) (*DFA, Stats, error) {
 			return nil, stats, err
 		}
 		if !found {
-			fill()
 			return hyp.Canonical(), stats, nil
 		}
 		if err := tbl.processCounterexample(hyp, cex); err != nil {

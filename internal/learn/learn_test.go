@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/csp"
@@ -167,5 +168,34 @@ func TestQueryBudgetAborts(t *testing.T) {
 	}
 	if qe.Limit != 5 {
 		t.Fatalf("budget limit %d, want 5", qe.Limit)
+	}
+}
+
+// countingTeacher counts the membership queries that reach a teacher.
+type countingTeacher struct {
+	Teacher
+	calls int64
+}
+
+func (c *countingTeacher) Membership(w csp.Trace) (bool, error) {
+	c.calls++
+	return c.Teacher.Membership(w)
+}
+
+// TestLearnErrorReportsStats pins the stats of an error return: a run
+// stopped by MaxRounds before it converges still reports the membership
+// queries the teacher answered and the observation table's size.
+func TestLearnErrorReportsStats(t *testing.T) {
+	inner, _, _ := modelTeacher(t)
+	teacher := &countingTeacher{Teacher: inner}
+	_, stats, err := Learn(Config{Teacher: teacher, Seed: 1, MaxRounds: 1, Workers: 1})
+	if err == nil || !strings.Contains(err.Error(), "no convergence after 1 equivalence rounds") {
+		t.Fatalf("err = %v, want non-convergence after 1 round", err)
+	}
+	if teacher.calls == 0 || stats.MembershipQueries != teacher.calls {
+		t.Errorf("MembershipQueries = %d, teacher answered %d", stats.MembershipQueries, teacher.calls)
+	}
+	if stats.CacheHits == 0 || stats.TableRows == 0 || stats.TableSuffixes == 0 {
+		t.Errorf("stats %+v: want non-zero cache hits and table size", stats)
 	}
 }

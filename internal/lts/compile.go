@@ -7,21 +7,25 @@ import (
 	"repro/internal/csp"
 )
 
-// Compiled semantics. Exploration does not re-derive a product state's
-// transitions from its syntax tree; it memoizes the transitions of every
-// interned process node, once, as (event ID, TermID) runs in one arena.
-// Operators whose transitions are a function of their children's —
-// parallel, hiding, renaming, external choice and sequential
-// composition — combine the children's memoized runs and intern each
-// successor straight from child IDs. Every other node (prefix, call,
-// conditional, internal choice, STOP, SKIP, Ω) is a leaf: its
-// transitions come from the operational semantics, evaluated once per
-// distinct term.
+// Compiled semantics. This is the only production place that builds
+// the transitions of composite terms. Exploration does not re-derive a
+// product state's transitions from its syntax tree; it memoizes the
+// transitions of every interned process node, once, as (event ID,
+// TermID) runs in one arena. Operators whose transitions are a function
+// of their children's — parallel, hiding, renaming, external choice and
+// sequential composition — combine the children's memoized runs and
+// intern each successor straight from child IDs. A call or conditional
+// is unfolded (csp.Semantics.Unfold): the instantiated body or the
+// branch the guard picks is interned, and its memoized run is the
+// node's run. Every other node (prefix, internal choice, STOP, SKIP, Ω)
+// is a leaf: its transitions come from csp.Semantics' leaf rules,
+// evaluated once per distinct term.
 //
 // Each combinator emits exactly the transitions, in exactly the order,
-// that csp.Semantics computes for the whole term, so the LTS is
-// byte-identical to the reference engine's. The memo lives and dies
-// with one Explore call, or with one Compiled, and is single-threaded.
+// that the whole-term rules of the reference semantics (package
+// csp/cspref, test-only) compute, so the LTS is byte-identical to the
+// reference engine's. The memo lives and dies with one Explore call,
+// or with one Compiled, and is single-threaded.
 
 // Compiled is the compiled semantics as a standalone memo, for checkers
 // that walk process terms on the fly instead of building an LTS
@@ -45,8 +49,9 @@ func (m *Compiled) Event(ev csp.Event) int32 { return m.c.event(ev) }
 func (m *Compiled) EventOf(id int32) csp.Event { return m.c.events[id] }
 
 // Steps returns the transitions of a TermID from Intern or a Step, in
-// csp.Semantics order, computing them on first use; the slice is shared
-// and must not be modified. An evaluation error names the term by Key().
+// the reference semantics' order, computing them on first use; the
+// slice is shared and must not be modified. An evaluation error names
+// the term by Key().
 func (m *Compiled) Steps(id csp.TermID) ([]Step, error) {
 	steps, err := m.c.trans(id)
 	if err != nil {
@@ -58,10 +63,12 @@ func (m *Compiled) Steps(id csp.TermID) ([]Step, error) {
 // Memo reports how many transition lookups hit the memo and missed it.
 func (m *Compiled) Memo() (hits, misses int64) { return m.c.hits, m.c.misses }
 
-// transitionSource evaluates leaf terms. *csp.Semantics is the
-// production implementation; tests substitute failing or panicking fakes.
+// transitionSource evaluates leaf terms and unfolds calls and
+// conditionals. *csp.Semantics is the production implementation; tests
+// substitute failing or panicking fakes.
 type transitionSource interface {
 	Transitions(p csp.Process) ([]csp.Transition, error)
+	Unfold(p csp.Process) (csp.Process, bool, error)
 }
 
 // Node operators of the compiled form.
@@ -84,9 +91,11 @@ type Step struct {
 
 // cnode is the compiled form of one interned process node, indexed by
 // its TermID. A composite node is its (op, a, b, aux) record alone; a
-// leaf's aux indexes its term, which the operational semantics
-// evaluates. Its memoized transitions are arena[off : off+n] once
-// computed; arena[0] is reserved, so off == 0 means not yet.
+// leaf's aux indexes its term, which the leaf rules evaluate or, for a
+// call or conditional, unfold. Its memoized transitions are
+// arena[off : off+n] once computed — for an unfolded node, the run of
+// the term it unfolds to; arena[0] is reserved, so off == 0 means not
+// yet.
 type cnode struct {
 	off   uint32
 	n     uint32
@@ -121,6 +130,11 @@ type compiler struct {
 	memoOf map[csp.TermID]int32
 
 	omega csp.TermID
+
+	// unfoldings counts the calls unfolded on the current chain of
+	// nested trans calls; past csp.MaxUnfoldings the recursion is
+	// unguarded.
+	unfoldings int
 
 	// syncHead/syncNext index the right child's synchronising
 	// transitions by event ID while a parallel node is combined. Between
@@ -260,10 +274,11 @@ func (c *compiler) records(states []csp.TermID) *compiler {
 }
 
 // fresh grows the node table to cover id and reports whether id is not
-// yet a known process node.
+// yet a known process node. The table starts at 64 slots, so a small
+// exploration does not regrow it at every few nodes.
 func (c *compiler) fresh(id csp.TermID) bool {
 	if int(id) >= len(c.nodes) {
-		grown := make([]cnode, max(c.in.Len(), 2*len(c.nodes)))
+		grown := make([]cnode, max(c.in.Len(), 2*len(c.nodes), 64))
 		copy(grown, c.nodes)
 		c.nodes = grown
 	}
@@ -336,6 +351,19 @@ func (c *compiler) trans(id csp.TermID) ([]Step, error) {
 	}
 	c.misses++
 	n := c.nodes[id]
+	if n.op == opLeaf {
+		body, ok, err := c.unfold(c.leaves[n.aux])
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			// The node shares the run of the term it unfolds to.
+			b := c.nodes[body]
+			m := &c.nodes[id]
+			m.off, m.n = b.off, b.n
+			return c.arena[b.off : b.off+b.n : b.off+b.n], nil
+		}
+	}
 	// Children are computed before this node's run starts, so the run is
 	// contiguous; their runs stay valid when the arena grows.
 	var lt, rt []Step
@@ -412,14 +440,37 @@ func (c *compiler) trans(id csp.TermID) ([]Step, error) {
 	return c.arena[off:end:end], nil
 }
 
+// unfold interns the term a call or conditional behaves as and
+// computes its run, returning its TermID; ok is false for any other
+// leaf. Only calls count against the unfolding chain's bound.
+func (c *compiler) unfold(p csp.Process) (body csp.TermID, ok bool, err error) {
+	_, call := p.(csp.CallProc)
+	if call && c.unfoldings >= csp.MaxUnfoldings {
+		return 0, false, fmt.Errorf("expanding %s: %w", p.Key(), csp.ErrUnguardedRecursion)
+	}
+	q, ok, err := c.leaf.Unfold(p)
+	if !ok || err != nil {
+		return 0, false, err
+	}
+	body = c.intern(q)
+	if call {
+		c.unfoldings++
+	}
+	_, err = c.trans(body)
+	if call {
+		c.unfoldings--
+	}
+	return body, true, err
+}
+
 func (c *compiler) emit(ev int32, to csp.TermID) {
 	c.arena = append(c.arena, Step{Ev: ev, To: to})
 }
 
-// parTrans mirrors csp's parTransitions: unsynchronised moves of the
-// left then the right component, then synchronised pairs in left-major
-// order — matched through an event-ID index over the right component —
-// then distributed termination.
+// parTrans mirrors the reference parallel rule (cspref): unsynchronised
+// moves of the left then the right component, then synchronised pairs
+// in left-major order — matched through an event-ID index over the
+// right component — then distributed termination.
 func (c *compiler) parTrans(n cnode, lt, rt []Step) {
 	s := n.aux
 	leftTick, rightTick, sync := false, false, false

@@ -36,6 +36,9 @@ func newPanicSource(size, panicAt int) *panicSource {
 	return s
 }
 
+// Unfold answers that no term unfolds: every tree term is a leaf.
+func (s *panicSource) Unfold(csp.Process) (csp.Process, bool, error) { return nil, false, nil }
+
 func (s *panicSource) Transitions(p csp.Process) ([]csp.Transition, error) {
 	n, ok := s.byKey[p.Key()]
 	if !ok {

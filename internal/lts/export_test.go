@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/csp"
+	"repro/internal/csp/cspref"
 )
 
 // Reference is the reference engine's result: the LTS graph, with every
@@ -40,10 +41,10 @@ func (l *LTS) Graph() (int, [][]Edge, []csp.Event) { return l.Init, l.Edges, l.E
 // original string-keyed sequential engine: states interned by their
 // recursively rendered canonical Key() strings, events by their
 // String() renders, plain level-ordered BFS, every state's whole term
-// evaluated by csp.Semantics. It is deliberately frozen — no memo, no
-// interner, no checkpoints — and is the differential oracle proving the
-// compiled engine produces byte-identical results (state numbering,
-// edges, event table). Only maxStates is honoured; 0 means
+// evaluated by the reference semantics (cspref.Transitions). It is
+// deliberately frozen — no memo, no interner, no checkpoints — and is
+// the differential oracle proving the compiled engine produces
+// byte-identical results (state numbering, edges, event table). Only maxStates is honoured; 0 means
 // DefaultMaxStates.
 func ExploreReference(sem *csp.Semantics, root csp.Process, maxStates int) (*Reference, error) {
 	if maxStates <= 0 {
@@ -74,7 +75,7 @@ func ExploreReference(sem *csp.Semantics, root csp.Process, maxStates int) (*Ref
 	}
 	l.Init = rootID
 	for id := 0; id < len(l.Procs); id++ {
-		trs, err := sem.Transitions(l.Procs[id])
+		trs, err := cspref.Transitions(sem, l.Procs[id])
 		if err != nil {
 			return nil, fmt.Errorf("state %q: %w", l.Key(id), err)
 		}
@@ -134,6 +135,8 @@ func (s *cancelSource) Transitions(p csp.Process) ([]csp.Transition, error) {
 	}
 	return s.sem.Transitions(p)
 }
+
+func (s *cancelSource) Unfold(p csp.Process) (csp.Process, bool, error) { return s.sem.Unfold(p) }
 
 // InternBytes returns the resident size of the interner an exploration
 // of root ends with. Compiled runs explore's compiler, so a BFS over it

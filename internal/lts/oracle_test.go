@@ -1,6 +1,6 @@
 // Differential tests of the compiled explorer against the frozen
 // string-keyed reference engine (ExploreReference, which evaluates every
-// state's whole term with csp.Semantics). Explore must produce a
+// state's whole term with the reference semantics, cspref.Transitions). Explore must produce a
 // byte-identical LTS — same state numbering, keys, event table and edge
 // lists — because downstream verdicts, counterexamples and reports are
 // rendered from those exact indices. The corpora are the OTA case study
@@ -247,5 +247,41 @@ func TestExploreMaxStatesBoundIsExact(t *testing.T) {
 	}
 	if _, err := lts.Explore(sem2, three, lts.Options{MaxStates: 2}); err == nil {
 		t.Fatal("3-state process accepted by MaxStates=2")
+	}
+}
+
+// TestUnfoldingLimit pins the bound on a chain of call unfoldings at
+// csp.MaxUnfoldings: with C(n) = if n == 0 then a -> STOP else C(n-1),
+// reaching the prefix from C(4095) unfolds 4096 calls and explores, and
+// C(4096) needs one more and is unguarded recursion. Conditionals do
+// not count. The reference semantics draws the line at the same call.
+func TestUnfoldingLimit(t *testing.T) {
+	ctx := csp.NewContext()
+	ctx.MustChannel("a")
+	env := csp.NewEnv()
+	env.MustDefine("C", []string{"n"},
+		csp.If(csp.Binary{Op: csp.OpEq, L: csp.V("n"), R: csp.LitInt(0)},
+			csp.DoEvent("a", csp.Stop()),
+			csp.Call("C", csp.Binary{Op: csp.OpSub, L: csp.V("n"), R: csp.LitInt(1)})))
+	sem := csp.NewSemantics(env, ctx)
+
+	ok := csp.Call("C", csp.LitInt(csp.MaxUnfoldings-1))
+	l, err := lts.Explore(sem, ok, lts.Options{})
+	if err != nil {
+		t.Fatalf("%s: %v", ok.Key(), err)
+	}
+	ref, err := lts.ExploreReference(sem, ok, 0)
+	if err != nil {
+		t.Fatalf("reference %s: %v", ok.Key(), err)
+	}
+	requireSameLTS(t, ok.Key(), ref, l)
+
+	over := csp.Call("C", csp.LitInt(csp.MaxUnfoldings))
+	_, err = lts.Explore(sem, over, lts.Options{})
+	if !errors.Is(err, csp.ErrUnguardedRecursion) {
+		t.Fatalf("%s: err = %v, want ErrUnguardedRecursion", over.Key(), err)
+	}
+	if _, refErr := lts.ExploreReference(sem, over, 0); refErr == nil || refErr.Error() != err.Error() {
+		t.Errorf("%s: err = %v, reference %v", over.Key(), err, refErr)
 	}
 }

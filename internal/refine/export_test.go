@@ -4,15 +4,17 @@ import (
 	"fmt"
 
 	"repro/internal/csp"
+	"repro/internal/csp/cspref"
 )
 
 // AcceptsTraceReference is the frozen string-keyed trace-membership
 // check AcceptsTrace replaced, kept as its independent oracle: terms are
 // identified by their canonical Key() strings, every frontier term's
-// whole syntax tree is evaluated by csp.Semantics, and observed events
-// are matched with csp.Event.Equal. It honours the same budgets and
-// stop-signal probes, so every field of the result and every error must
-// agree with AcceptsTrace's.
+// whole syntax tree is evaluated by the reference semantics
+// (cspref.Transitions), and observed events are matched with
+// csp.Event.Equal. It honours the same budgets and stop-signal probes,
+// so every field of the result and every error must agree with
+// AcceptsTrace's.
 func (c *Checker) AcceptsTraceReference(p csp.Process, t csp.Trace) (TraceCheck, error) {
 	maxStates := c.MaxStates
 	if maxStates <= 0 {
@@ -27,7 +29,7 @@ func (c *Checker) AcceptsTraceReference(p csp.Process, t csp.Trace) (TraceCheck,
 		if ts, ok := trans[key]; ok {
 			return ts, nil
 		}
-		ts, err := c.Sem.Transitions(p)
+		ts, err := cspref.Transitions(c.Sem, p)
 		if err != nil {
 			return nil, fmt.Errorf("transitions of %s: %w", key, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/csp"
+	"repro/internal/csp/cspref"
 	"repro/internal/lts"
 )
 
@@ -144,11 +145,11 @@ func TestRefinementAgreesWithTraceEnumeration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		specT, err := csp.Traces(sem, spec, bound)
+		specT, err := cspref.Traces(sem, spec, bound)
 		if err != nil {
 			t.Fatal(err)
 		}
-		implT, err := csp.Traces(sem, impl, bound)
+		implT, err := cspref.Traces(sem, impl, bound)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +192,7 @@ func TestNormalizationPreservesTraces(t *testing.T) {
 			t.Fatal(err)
 		}
 		norm := lts.Normalize(l)
-		ts, err := csp.Traces(sem, p, bound)
+		ts, err := cspref.Traces(sem, p, bound)
 		if err != nil {
 			t.Fatal(err)
 		}

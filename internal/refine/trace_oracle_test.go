@@ -17,6 +17,7 @@ import (
 	"repro/internal/conformance"
 	"repro/internal/csp"
 	"repro/internal/csp/cspgen"
+	"repro/internal/csp/cspref"
 	"repro/internal/ota"
 	"repro/internal/refine"
 )
@@ -117,7 +118,7 @@ var insertable = []csp.Event{
 func randomWalk(r *rand.Rand, sem *csp.Semantics, p csp.Process, n int) csp.Trace {
 	var tr csp.Trace
 	for step := 0; step < n; step++ {
-		trs, err := sem.Transitions(p)
+		trs, err := cspref.Transitions(sem, p)
 		if err != nil || len(trs) == 0 {
 			break
 		}

@@ -1,9 +1,17 @@
 #!/usr/bin/env sh
-# Tier-1 verification: vet + the full test suite under the race
+# Tier-1 verification: gofmt + vet + the full test suite under the race
 # detector. CI-style, make-free; referenced from ROADMAP.md.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "==> gofmt -l ."
+UNFORMATTED=$(gofmt -l .)
+if [ -n "$UNFORMATTED" ]; then
+    echo "gofmt would reformat:" >&2
+    echo "$UNFORMATTED" >&2
+    exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
