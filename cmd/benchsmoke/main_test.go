@@ -213,3 +213,24 @@ func TestGateAllocs(t *testing.T) {
 		t.Errorf("reference row without allocs/op failed the gate: %v", err)
 	}
 }
+
+// TestMedianCapture pins the row a benchmark records: of its captures,
+// the one with the median ns/op, whole (its allocs/op and states/s
+// travel with it), whatever order the captures arrived in.
+func TestMedianCapture(t *testing.T) {
+	runs := []Measurement{
+		{Name: "Explore/seq", NsPerOp: 900, AllocsPerOp: 9},
+		{Name: "Explore/seq", NsPerOp: 100, AllocsPerOp: 1},
+		{Name: "Explore/seq", NsPerOp: 500, AllocsPerOp: 5, StatesPerSec: 42},
+	}
+	want := runs[2]
+	if got := median(runs); got != want {
+		t.Errorf("median = %+v, want %+v", got, want)
+	}
+	if runs[0].NsPerOp != 900 || runs[1].NsPerOp != 100 {
+		t.Errorf("median reordered its input: %+v", runs)
+	}
+	if got := median(runs[1:2]); got != runs[1] {
+		t.Errorf("median of one capture = %+v, want %+v", got, runs[1])
+	}
+}

@@ -112,10 +112,12 @@ func BuildIntruder(cfg BusConfig, env *csp.Env) (csp.Process, error) {
 		knowledge csp.SetValue
 		name      string
 	}
-	index := map[string]*state{}
+	// Indexed by identity: the set's ID in one interner for the build.
+	ids := csp.NewInterner()
+	index := map[csp.TermID]*state{}
 	var order []*state
 	intern := func(k csp.SetValue) (*state, bool) {
-		key := k.String()
+		key := ids.Value(k)
 		if s, ok := index[key]; ok {
 			return s, false
 		}

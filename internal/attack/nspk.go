@@ -241,8 +241,6 @@ type nspkKnowledge struct {
 	set csp.SetValue
 }
 
-func (k nspkKnowledge) key() string { return k.set.String() }
-
 func (k nspkKnowledge) knowsNonce(n csp.Value) bool { return k.set.Contains(n) }
 
 func (k nspkKnowledge) nonceCount() int {
@@ -333,10 +331,12 @@ func buildNSPKIntruder(env *csp.Env, cfg NSPKConfig) (csp.Process, int, error) {
 		k    nspkKnowledge
 		name string
 	}
-	index := map[string]*state{}
+	// Indexed by identity: the set's ID in one interner for the build.
+	ids := csp.NewInterner()
+	index := map[csp.TermID]*state{}
 	var order []*state
 	intern := func(k nspkKnowledge) *state {
-		key := k.key()
+		key := ids.Value(k.set)
 		if s, ok := index[key]; ok {
 			return s
 		}

@@ -165,7 +165,13 @@ func (p *Pipeline) Build() (*Report, error) {
 			return nil, fmt.Errorf("core: extract model for %s: %w", spec.Name, err)
 		}
 		report.NodeModels[spec.Name] = res.Text
-		report.Warnings = append(report.Warnings, res.Warnings...)
+		for _, d := range res.Diags {
+			w := d.Msg
+			if d.Line > 0 {
+				w = fmt.Sprintf("line %d: %s", d.Line, d.Msg)
+			}
+			report.Warnings = append(report.Warnings, w)
+		}
 		parts = append(parts, res.Text)
 	}
 	parts = append(parts, p.Spec)

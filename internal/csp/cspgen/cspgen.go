@@ -6,6 +6,7 @@
 // event-listed sync sets, |||, hiding, renaming, ;, [], |~|,
 // conditionals, parameterised calls and restricted inputs. Most systems
 // have at most a few hundred states; some are larger or infinite.
+// Punned adds a channel whose values render alike without being Equal.
 package cspgen
 
 import (
@@ -24,6 +25,9 @@ type modelGen struct {
 	// [| |] spawns a component per step, and the reference engine's
 	// whole-term evaluation is exponential in such terms.
 	root bool
+	// puns, set only by Punned, are the values of channel p: they add a
+	// prefix on p and sets listing p's events to the choices Model has.
+	puns []csp.Value
 }
 
 // genDomain is the value domain of every integer field and parameter.
@@ -32,6 +36,34 @@ var genDomain = csp.IntRange{Lo: 0, Hi: 2}
 // Model generates the system of a seed: its semantics and root term.
 func Model(seed int64) (*csp.Semantics, csp.Process) {
 	g := &modelGen{r: rand.New(rand.NewSource(seed))}
+	sem := g.system()
+	g.root = true
+	return sem, g.proc(3, true, nil)
+}
+
+// Punned generates a refinement question of a seed: a system with a
+// channel p whose type holds Int(0), Int(1) and the symbols spelling+"0"
+// and spelling+"1", and a specification and an implementation term
+// that use p in prefixes, sync sets and hiding sets. With spelling ""
+// the symbols render like the integers (p.0 twice, p.1 twice) while
+// being different events; any other spelling gives the same system
+// with no two values rendering alike, its twin.
+func Punned(seed int64, spelling string) (sem *csp.Semantics, spec, impl csp.Process) {
+	ints := csp.IntRange{Lo: 0, Hi: 1}
+	syms := csp.EnumType("S", csp.Sym(spelling+"0"), csp.Sym(spelling+"1"))
+	g := &modelGen{r: rand.New(rand.NewSource(seed)), puns: append(ints.Values(), syms.Values()...)}
+	sem = g.system()
+	sem.Ctx.MustChannel("p", csp.UnionType{TypeName: "P", Members: []csp.Type{ints, syms}})
+	g.root = true
+	impl = g.proc(3, true, nil)
+	if g.pick(2) == 0 {
+		return sem, csp.IntChoice(impl, g.proc(2, true, nil)), impl
+	}
+	return sem, g.proc(3, true, nil), impl
+}
+
+// system generates the channel context and the definitions.
+func (g *modelGen) system() *csp.Semantics {
 	ctx := csp.NewContext()
 	ctx.MustChannel("a")
 	ctx.MustChannel("b")
@@ -51,11 +83,19 @@ func Model(seed int64) (*csp.Semantics, csp.Process) {
 		}
 		env.MustDefine(fmt.Sprintf("P%d", i), vars, g.proc(2+g.r.Intn(2), false, vars))
 	}
-	g.root = true
-	return csp.NewSemantics(env, ctx), g.proc(3, true, nil)
+	return csp.NewSemantics(env, ctx)
 }
 
 func (g *modelGen) pick(n int) int { return g.r.Intn(n) }
+
+// choices is n, plus extra for a Punned system. The extra choices come
+// last, so Model's systems are unchanged.
+func (g *modelGen) choices(n, extra int) int {
+	if g.puns == nil {
+		return n
+	}
+	return n + extra
+}
 
 // proc generates a term. guarded reports whether a prefix (or the root
 // position) precedes it, which is what makes a call safe: calls never
@@ -113,7 +153,7 @@ func (g *modelGen) leaf(guarded bool, vars []string) csp.Process {
 // prefix generates a communication; the continuation is guarded and may
 // use any variable the communication binds.
 func (g *modelGen) prefix(depth int, vars []string) csp.Process {
-	switch g.pick(4) {
+	switch g.pick(g.choices(4, 1)) {
 	case 0:
 		ch := []string{"a", "b", "t"}[g.pick(3)]
 		return csp.DoEvent(ch, g.proc(depth-1, true, vars))
@@ -127,6 +167,14 @@ func (g *modelGen) prefix(depth int, vars []string) csp.Process {
 		}
 		inner := append(append([]string(nil), vars...), x)
 		return csp.Prefix("c", []csp.CommField{f}, g.proc(depth-1, true, inner))
+	case 4:
+		// p's values are not integers, so the bound variable stays out
+		// of vars.
+		f := csp.OutVal(g.pun())
+		if g.pick(2) == 0 {
+			f = csp.InSuchThat("y", csp.MemberExpr{Elem: csp.V("y"), Set: csp.Lit{Val: csp.NewSet(g.pun(), g.pun(), g.pun())}})
+		}
+		return csp.Prefix("p", []csp.CommField{f}, g.proc(depth-1, true, vars))
 	}
 	y := fmt.Sprintf("x%d", len(vars))
 	inner := append(append([]string(nil), vars...), y)
@@ -152,7 +200,7 @@ func (g *modelGen) cond(vars []string) csp.Expr {
 }
 
 func (g *modelGen) set() *csp.EventSet {
-	switch g.pick(5) {
+	switch g.pick(g.choices(5, 2)) {
 	case 0:
 		return csp.EventsOf("a")
 	case 1:
@@ -161,6 +209,12 @@ func (g *modelGen) set() *csp.EventSet {
 		return csp.Events(csp.Ev("c", csp.Int(g.pick(3))), csp.Ev("b"))
 	case 3:
 		return csp.EventsOf("d").AddEvent(csp.Ev("a"))
+	case 5:
+		return csp.Events(csp.Ev("p", g.pun()), csp.Ev("p", g.pun()))
+	case 6:
+		return csp.Events(csp.Ev("p", g.pun()), csp.Ev("b"))
 	}
 	return csp.NewEventSet()
 }
+
+func (g *modelGen) pun() csp.Value { return g.puns[g.pick(len(g.puns))] }

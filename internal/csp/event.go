@@ -120,6 +120,9 @@ func (t Trace) Hide(set *EventSet) Trace {
 // EventSet is a finite set of visible events, described as a union of
 // whole channels (the CSPm production set {| c |}) and individual events.
 // Membership is decided without enumerating the channel's domain.
+// Individual events are stored and tested by IdentityKey, so two events
+// that merely render alike (pun.5 with an Int or a Sym) are different
+// members.
 type EventSet struct {
 	chans  map[string]bool
 	events map[string]Event
@@ -144,7 +147,7 @@ func EventsOf(channels ...string) *EventSet {
 func Events(evs ...Event) *EventSet {
 	s := NewEventSet()
 	for _, e := range evs {
-		s.events[e.String()] = e
+		s.AddEvent(e)
 	}
 	return s
 }
@@ -157,7 +160,7 @@ func (s *EventSet) AddChannel(name string) *EventSet {
 
 // AddEvent includes a single event.
 func (s *EventSet) AddEvent(e Event) *EventSet {
-	s.events[e.String()] = e
+	s.events[IdentityKey(e)] = e
 	return s
 }
 
@@ -170,7 +173,10 @@ func (s *EventSet) Contains(e Event) bool {
 	if s.chans[e.Chan] {
 		return true
 	}
-	_, ok := s.events[e.String()]
+	if len(s.events) == 0 {
+		return false
+	}
+	_, ok := s.events[IdentityKey(e)]
 	return ok
 }
 
@@ -191,13 +197,7 @@ func (s *EventSet) Union(o *EventSet) *EventSet {
 	return out
 }
 
-// IsEmpty reports whether the set denotes no events.
-func (s *EventSet) IsEmpty() bool {
-	return s == nil || (len(s.chans) == 0 && len(s.events) == 0)
-}
-
-// Key returns a canonical string for the set, used when hashing process
-// states that embed sets (hiding, parallel).
+// Key renders the set canonically, for Process.Key.
 func (s *EventSet) Key() string {
 	if s == nil {
 		return "{}"
@@ -206,49 +206,9 @@ func (s *EventSet) Key() string {
 	for c := range s.chans {
 		parts = append(parts, "{|"+c+"|}")
 	}
-	for k := range s.events {
-		parts = append(parts, k)
+	for _, e := range s.events {
+		parts = append(parts, e.String())
 	}
 	sort.Strings(parts)
 	return "{" + strings.Join(parts, ",") + "}"
-}
-
-// Enumerate lists the concrete events the set denotes under the given
-// declaration context (channel members require enumeration).
-func (s *EventSet) Enumerate(ctx *Context) []Event {
-	if s == nil {
-		return nil
-	}
-	var out []Event
-	seen := map[string]bool{}
-	chans := make([]string, 0, len(s.chans))
-	for c := range s.chans {
-		chans = append(chans, c)
-	}
-	sort.Strings(chans)
-	for _, c := range chans {
-		evs, err := ctx.EventsOf(c)
-		if err != nil {
-			continue
-		}
-		for _, e := range evs {
-			k := e.String()
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, e)
-			}
-		}
-	}
-	keys := make([]string, 0, len(s.events))
-	for k := range s.events {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, s.events[k])
-		}
-	}
-	return out
 }

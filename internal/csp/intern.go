@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"unsafe"
 )
 
@@ -328,6 +330,9 @@ func (in *Interner) expr(x Expr) TermID {
 	panic(fmt.Sprintf("csp: interner: unknown expression type %T", x))
 }
 
+// Value interns a value, hash-consing every subterm.
+func (in *Interner) Value(v Value) TermID { return in.value(v) }
+
 func (in *Interner) value(v Value) TermID {
 	switch x := v.(type) {
 	case Int:
@@ -403,22 +408,22 @@ func (in *Interner) EventSet(s *EventSet) TermID {
 			return id
 		}
 	}
+	// Channels in ascending order, events in Compare order.
 	var chans []string
-	var evIDs []TermID
+	var events []Event
 	if s != nil {
-		chans = make([]string, 0, len(s.chans))
 		for c := range s.chans {
 			chans = append(chans, c)
 		}
-		sort.Strings(chans)
-		keys := make([]string, 0, len(s.events))
-		for k := range s.events {
-			keys = append(keys, k)
+		for _, e := range s.events {
+			events = append(events, e)
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			evIDs = append(evIDs, in.Event(s.events[k]))
-		}
+	}
+	sort.Strings(chans)
+	slices.SortFunc(events, Compare)
+	evIDs := make([]TermID, len(events))
+	for i, e := range events {
+		evIDs[i] = in.Event(e)
 	}
 	in.begin(itagEventSet)
 	in.count(len(chans))
@@ -624,10 +629,11 @@ func children[T any](d *nodeDecoder) []T {
 	return out
 }
 
-// ascending fails unless s > prev (for i > 0): the strictly sorted
-// order the interner encodes sets and mappings in.
-func (d *nodeDecoder) ascending(i int, prev, s string) {
-	if i > 0 && s <= prev {
+// ascending fails unless order > 0 for i > 0, where order compares a
+// member with the one before it: the strictly sorted order the
+// interner encodes sets and mappings in.
+func (d *nodeDecoder) ascending(i, order int) {
+	if i > 0 && order <= 0 {
 		d.fail("members not in strictly ascending order")
 	}
 }
@@ -702,12 +708,10 @@ func (d *nodeDecoder) node() any {
 	case itagValDotted:
 		return Dotted{Head: Sym(d.str()), Args: children[Value](d)}
 	case itagValSet:
-		// The encoding lists Elems() in canonical order; values that
-		// render alike (Sym("5"), Int(5)) have no canonical order between
-		// them, so such a set is rejected.
+		// The encoding lists Elems() in canonical (Compare) order.
 		elems := children[Value](d)
 		for i := 1; i < len(elems) && d.err == nil; i++ {
-			d.ascending(i, elems[i-1].String(), elems[i].String())
+			d.ascending(i, Compare(elems[i], elems[i-1]))
 		}
 		return SetValue{elems: elems}
 	case itagEvent:
@@ -717,15 +721,16 @@ func (d *nodeDecoder) node() any {
 		prev := ""
 		for i, n := 0, d.count(); i < n && d.err == nil; i++ {
 			c := d.str()
-			d.ascending(i, prev, c)
+			d.ascending(i, strings.Compare(c, prev))
 			s.AddChannel(c)
 			prev = c
 		}
+		var last Event
 		for i, n := 0, d.count(); i < n && d.err == nil; i++ {
 			e := child[Event](d)
-			d.ascending(i, prev, e.String())
+			d.ascending(i, Compare(e, last))
 			s.AddEvent(e)
-			prev = e.String()
+			last = e
 		}
 		return s
 	case itagMapping:
@@ -733,7 +738,7 @@ func (d *nodeDecoder) node() any {
 		prev := ""
 		for i, n := 0, d.count(); i < n && d.err == nil; i++ {
 			from := d.str()
-			d.ascending(i, prev, from)
+			d.ascending(i, strings.Compare(from, prev))
 			m[from] = d.str()
 			prev = from
 		}

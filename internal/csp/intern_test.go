@@ -175,30 +175,30 @@ func TestCodecRejectsMalformed(t *testing.T) {
 		return keys
 	}
 	cases := map[string][][]byte{
-		"empty key":           {k()},
-		"unknown tag 0":       {k(0)},
-		"unknown tag":         {k(itagMapping + 1)},
-		"truncated varint":    {k(itagValInt, 0x80)},
-		"overlong varint":     {k(itagValInt, 0x80, 0x00)},
-		"varint overflow":     {k(itagValInt, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)},
-		"truncated child":     {stop, k(itagSeq, 0)},
-		"string past end":     {k(itagValSym, 5, 'a')},
-		"huge count":          {k(itagValSet, 0xff, 0xff, 0xff, 0xff, 0x0f)},
-		"self reference":      {k(itagExprLit, 0)},
-		"forward reference":   {k(itagExprLit, 1), k(itagValInt, 2)},
-		"wrong child kind":    {stop, k(itagExprLit, 0)},
-		"process as event":    {stop, k(itagEventSet, 0, 1, 0)},
-		"trailing bytes":      {k(itagStop, 0)},
-		"duplicate key":       {stop, stop},
-		"bool out of range":   {k(itagValBool, 2)},
-		"unknown binary op":   {k(itagExprVar, 1, 'x'), k(itagExprBinary, 0, 0, 0)},
-		"unknown unary op":    {k(itagExprVar, 1, 'x'), k(itagExprUnary, 9, 0)},
-		"unsorted set":        {k(itagValSym, 1, 'b'), k(itagValSym, 1, 'a'), k(itagValSet, 2, 0, 1)},
-		"duplicate channels":  {k(itagEventSet, 2, 1, 'a', 1, 'a', 0)},
-		"unsorted mapping":    {k(itagMapping, 2, 1, 'b', 1, 'x', 1, 'a', 1, 'y')},
-		"punned set elements": {k(itagValSym, 1, '5'), k(itagValInt, 10), k(itagValSet, 2, 0, 1)},
-		"exponential term":    chain(24),
-		"json codec document": {[]byte(`{"t":"stop"}`)},
+		"empty key":             {k()},
+		"unknown tag 0":         {k(0)},
+		"unknown tag":           {k(itagMapping + 1)},
+		"truncated varint":      {k(itagValInt, 0x80)},
+		"overlong varint":       {k(itagValInt, 0x80, 0x00)},
+		"varint overflow":       {k(itagValInt, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)},
+		"truncated child":       {stop, k(itagSeq, 0)},
+		"string past end":       {k(itagValSym, 5, 'a')},
+		"huge count":            {k(itagValSet, 0xff, 0xff, 0xff, 0xff, 0x0f)},
+		"self reference":        {k(itagExprLit, 0)},
+		"forward reference":     {k(itagExprLit, 1), k(itagValInt, 2)},
+		"wrong child kind":      {stop, k(itagExprLit, 0)},
+		"process as event":      {stop, k(itagEventSet, 0, 1, 0)},
+		"trailing bytes":        {k(itagStop, 0)},
+		"duplicate key":         {stop, stop},
+		"bool out of range":     {k(itagValBool, 2)},
+		"unknown binary op":     {k(itagExprVar, 1, 'x'), k(itagExprBinary, 0, 0, 0)},
+		"unknown unary op":      {k(itagExprVar, 1, 'x'), k(itagExprUnary, 9, 0)},
+		"unsorted set":          {k(itagValSym, 1, 'b'), k(itagValSym, 1, 'a'), k(itagValSet, 2, 0, 1)},
+		"duplicate channels":    {k(itagEventSet, 2, 1, 'a', 1, 'a', 0)},
+		"unsorted mapping":      {k(itagMapping, 2, 1, 'b', 1, 'x', 1, 'a', 1, 'y')},
+		"punned set descending": {k(itagValSym, 1, '5'), k(itagValInt, 10), k(itagValSet, 2, 0, 1)},
+		"exponential term":      chain(24),
+		"json codec document":   {[]byte(`{"t":"stop"}`)},
 	}
 	for name, keys := range cases {
 		if _, err := DecodeNodes(keys); err == nil {

@@ -142,7 +142,7 @@ func (u UnionType) Values() []Value {
 	seen := map[string]bool{}
 	for _, m := range u.Members {
 		for _, v := range m.Values() {
-			k := v.String()
+			k := IdentityKey(v)
 			if !seen[k] {
 				seen[k] = true
 				out = append(out, v)

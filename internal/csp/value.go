@@ -12,7 +12,7 @@ package csp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -110,9 +110,10 @@ func (d Dotted) Equal(v Value) bool {
 }
 
 // SetValue is a finite set of values, usable as a process parameter
-// (e.g. an intruder knowledge set). Its canonical form is sorted by the
-// element's String, so two sets with the same members are Equal and have
-// the same String.
+// (e.g. an intruder knowledge set). Its canonical form is sorted by
+// Compare and holds no two Equal members, so two sets with the same
+// members are Equal and have the same String, whatever order they were
+// built in.
 type SetValue struct {
 	elems []Value
 }
@@ -124,7 +125,7 @@ func NewSet(elems ...Value) SetValue {
 	}
 	sorted := make([]Value, len(elems))
 	copy(sorted, elems)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].String() < sorted[j].String() })
+	slices.SortFunc(sorted, Compare)
 	out := sorted[:1]
 	for _, e := range sorted[1:] {
 		if !e.Equal(out[len(out)-1]) {
@@ -142,7 +143,7 @@ func (s SetValue) Add(v Value) SetValue {
 	out := make([]Value, 0, len(s.elems)+1)
 	out = append(out, s.elems...)
 	out = append(out, v)
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	slices.SortFunc(out, Compare)
 	return SetValue{elems: out}
 }
 

@@ -1,8 +1,8 @@
 package learn
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"repro/internal/csp"
 )
@@ -27,32 +27,43 @@ type DFA struct {
 	// it from the initial state); after Canonical these are the
 	// BFS-shortest access words.
 	Access []csp.Trace
-
-	// symIdx maps rendered symbols to alphabet positions. It is built
-	// once on first use; concurrent equivalence workers walk one shared
-	// hypothesis, so the build is guarded by idxOnce.
-	symIdx  map[string]int
-	idxOnce sync.Once
 }
 
-func (d *DFA) index() map[string]int {
-	d.idxOnce.Do(func() {
-		d.symIdx = make(map[string]int, len(d.Alpha))
-		for i, a := range d.Alpha {
-			d.symIdx[a.String()] = i
+// symbol returns the alphabet index of ev. Events are matched by
+// csp.Event.Equal identity, so an event that merely renders like a
+// symbol is not one.
+func symbol(alpha []csp.Event, ev csp.Event) (int, bool) {
+	for i, a := range alpha {
+		if a.Equal(ev) {
+			return i, true
 		}
-	})
-	return d.symIdx
+	}
+	return 0, false
+}
+
+// wordKey is the identity of a word over alpha: its symbols' indices,
+// uvarint-encoded (the encoding of SimTeacher's memo key). ok is false
+// if w has an event outside alpha.
+func wordKey(alpha []csp.Event, w csp.Trace) (key string, ok bool) {
+	var arr [32]byte
+	b := arr[:0]
+	for _, ev := range w {
+		i, ok := symbol(alpha, ev)
+		if !ok {
+			return "", false
+		}
+		b = binary.AppendUvarint(b, uint64(i))
+	}
+	return string(b), true
 }
 
 // Walk returns the state reached from the initial state on w. Events
 // outside the alphabet report an error — the learner never generates
 // them, so one appearing means a caller projected a foreign trace.
 func (d *DFA) Walk(w csp.Trace) (int, error) {
-	idx := d.index()
 	st := d.Initial
 	for _, ev := range w {
-		a, ok := idx[ev.String()]
+		a, ok := symbol(d.Alpha, ev)
 		if !ok {
 			return 0, fmt.Errorf("learn: event %s not in the learned alphabet", ev)
 		}

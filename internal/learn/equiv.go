@@ -19,7 +19,7 @@ func equivSuite(hyp *DFA, suffixes []csp.Trace, seed int64, round, depth, walks 
 	var words []csp.Trace
 	seen := map[string]bool{}
 	add := func(w csp.Trace) {
-		k := w.String()
+		k, _ := wordKey(hyp.Alpha, w) // every suite word is over the alphabet
 		if !seen[k] {
 			seen[k] = true
 			words = append(words, w)

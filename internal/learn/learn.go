@@ -90,7 +90,7 @@ func Learn(cfg Config) (_ *DFA, stats Stats, _ error) {
 	if len(alpha) == 0 {
 		return nil, stats, fmt.Errorf("learn: teacher has an empty alphabet")
 	}
-	cache := newQueryCache(cfg.Teacher, maxQueries, cfg.Obs)
+	cache := newQueryCache(cfg.Teacher, alpha, maxQueries, cfg.Obs)
 	tbl := newObsTable(cache, alpha)
 
 	span := cfg.Obs.StartSpan("learn.run", obs.Int("alphabet", int64(len(alpha))))

@@ -90,6 +90,38 @@ func TestLearnECUFromModelTeacher(t *testing.T) {
 	}
 }
 
+// TestLearnTellsPunnedEventsApart: pun.Int(5) and pun.Sym("5") render
+// alike, but they are two symbols of the alphabet. Against a model that
+// performs only the Int, the learned automaton must accept the Int and
+// reject the Sym; a learner that matched words by rendering would share
+// one memo entry and one DFA symbol between them.
+func TestLearnTellsPunnedEventsApart(t *testing.T) {
+	ctx := csp.NewContext()
+	ctx.MustChannel("pun", csp.ExplicitType{TypeName: "Pun", Elems: []csp.Value{csp.Int(5), csp.Sym("5")}})
+	env := csp.NewEnv()
+	env.MustDefine("P", nil, csp.Send("pun", csp.Call("P"), csp.Int(5)))
+	num, sym := csp.Ev("pun", csp.Int(5)), csp.Ev("pun", csp.Sym("5"))
+	for _, alpha := range [][]csp.Event{{num, sym}, {sym, num}} {
+		teacher := &ModelTeacher{Checker: refine.NewChecker(env, ctx), Proc: csp.Call("P"), Events: alpha}
+		dfa, _, err := Learn(Config{Teacher: teacher, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			w    csp.Trace
+			want bool
+		}{
+			{csp.Trace{num, num}, true},
+			{csp.Trace{sym}, false},
+			{csp.Trace{num, sym}, false},
+		} {
+			if got := dfa.Accepts(tc.w); got != tc.want {
+				t.Errorf("alphabet %v: Accepts(%#v) = %v, want %v", alpha, tc.w, got, tc.want)
+			}
+		}
+	}
+}
+
 func mustJSON(t *testing.T, v any) string {
 	t.Helper()
 	data, err := json.MarshalIndent(v, "", "  ")

@@ -171,7 +171,7 @@ func NewSimTeacher(cfg SimTeacherConfig) (*SimTeacher, error) {
 		symbols = append(symbols, sym)
 	}
 	sort.Slice(symbols, func(i, j int) bool {
-		return symbols[i].ev.String() < symbols[j].ev.String()
+		return csp.Compare(symbols[i].ev, symbols[j].ev) < 0
 	})
 	for _, sym := range symbols {
 		t.alphabet = append(t.alphabet, sym.ev)
@@ -191,11 +191,8 @@ func (t *SimTeacher) Alphabet() []csp.Event {
 func (t *SimTeacher) stimuli(w csp.Trace) []int {
 	var out []int
 	for _, ev := range w {
-		for i, a := range t.alphabet {
-			if t.stimulus[i] != nil && a.Equal(ev) {
-				out = append(out, i)
-				break
-			}
+		if i, ok := symbol(t.alphabet, ev); ok && t.stimulus[i] != nil {
+			out = append(out, i)
 		}
 	}
 	return out
@@ -203,7 +200,10 @@ func (t *SimTeacher) stimuli(w csp.Trace) []int {
 
 // rng derives the per-query fault randomness: a pure function of
 // (seed, profile, word), so the teacher answers every word the same way
-// no matter when, or on which worker, it is asked.
+// no matter when, or on which worker, it is asked. It hashes the word's
+// rendering, the one place a word is not taken by identity: the drop
+// baseline (testdata/learncheck_drop_baseline.json) is byte-gated on
+// these seeds, so re-keying them is a change of its own.
 func (t *SimTeacher) rng(w csp.Trace) *rand.Rand {
 	h := fnv.New64a()
 	_, _ = io.WriteString(h, string(t.cfg.Profile))

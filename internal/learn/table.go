@@ -139,9 +139,8 @@ func (t *obsTable) consistentOnce() (bool, error) {
 }
 
 func (t *obsTable) addSuffix(e csp.Trace) bool {
-	key := e.String()
 	for _, have := range t.suffixes {
-		if have.String() == key {
+		if have.Equal(e) {
 			return false
 		}
 	}

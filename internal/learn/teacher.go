@@ -44,6 +44,7 @@ func (e *QueryBudgetError) Error() string {
 // distinct word.
 type queryCache struct {
 	t     Teacher
+	alpha []csp.Event
 	limit int
 	o     *obs.Observer
 
@@ -53,12 +54,17 @@ type queryCache struct {
 	hits    int64
 }
 
-func newQueryCache(t Teacher, limit int, o *obs.Observer) *queryCache {
-	return &queryCache{t: t, limit: limit, o: o, memo: map[string]bool{}}
+func newQueryCache(t Teacher, alpha []csp.Event, limit int, o *obs.Observer) *queryCache {
+	return &queryCache{t: t, alpha: alpha, limit: limit, o: o, memo: map[string]bool{}}
 }
 
+// membership answers w from the memo, which is keyed by wordKey, or
+// asks the teacher.
 func (c *queryCache) membership(w csp.Trace) (bool, error) {
-	key := w.String()
+	key, ok := wordKey(c.alpha, w)
+	if !ok {
+		return false, fmt.Errorf("learn: membership %s: event not in the learned alphabet", w)
+	}
 	c.mu.Lock()
 	if v, ok := c.memo[key]; ok {
 		c.hits++
@@ -76,7 +82,7 @@ func (c *queryCache) membership(w csp.Trace) (bool, error) {
 
 	v, err := c.t.Membership(w)
 	if err != nil {
-		return false, fmt.Errorf("learn: membership %s: %w", key, err)
+		return false, fmt.Errorf("learn: membership %s: %w", w, err)
 	}
 	c.mu.Lock()
 	c.memo[key] = v

@@ -1,7 +1,6 @@
 package lts
 
 import (
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -48,34 +47,13 @@ type Cache struct {
 
 // cacheKey identifies one exploration: the semantic identity (both the
 // definition environment and the channel context pointers) plus the
-// process term's structural encoding and the effective state bound.
+// process term's identity key and the effective state bound.
 type cacheKey struct {
 	env       *csp.Env
 	ctx       *csp.Context
 	proc      string
 	maxStates int
 }
-
-// structuralKey is p's node encoding: the keys a fresh interner
-// assigns while interning p, each length-prefixed. It is deterministic
-// and equal for two terms iff they are structurally equal — unlike
-// Key(), which renders Int(5) and Sym("5") alike. Reset
-// interners from a pool keep a cache hit's cost near a Key() render.
-func structuralKey(p csp.Process) string {
-	in := keyInterners.Get().(*csp.Interner)
-	defer keyInterners.Put(in)
-	in.Reset()
-	in.Process(p)
-	var arr [256]byte
-	b := arr[:0]
-	for _, k := range in.Keys() {
-		b = binary.AppendUvarint(b, uint64(len(k)))
-		b = append(b, k...)
-	}
-	return string(b)
-}
-
-var keyInterners = sync.Pool{New: func() any { return csp.NewInterner() }}
 
 type cacheEntry struct {
 	once sync.Once
@@ -111,7 +89,7 @@ func (c *Cache) Explore(sem *csp.Semantics, p csp.Process, opts Options) (*LTS, 
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates
 	}
-	key := cacheKey{env: sem.Env, ctx: sem.Ctx, proc: structuralKey(p), maxStates: maxStates}
+	key := cacheKey{env: sem.Env, ctx: sem.Ctx, proc: csp.IdentityKey(p), maxStates: maxStates}
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {

@@ -95,6 +95,21 @@ func TestCacheKeysStructurally(t *testing.T) {
 	if hits, _ := c.Stats(); hits != 1 {
 		t.Errorf("structurally equal root missed the cache: %d hits, want 1", hits)
 	}
+	// Hiding sets that render alike are different sets: hiding either
+	// pun leaves the other visible.
+	both := csp.ExtChoice(num, sym)
+	for _, hidden := range []csp.Event{csp.Ev("pun", csp.Int(5)), csp.Ev("pun", csp.Sym("5"))} {
+		l, err := c.Explore(sem, csp.Hide(both, csp.Events(hidden)), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(l.Events) != 3 || l.Events[2].Equal(hidden) {
+			t.Errorf("hiding %#v: events %v, want only the other pun", hidden, l.Events)
+		}
+	}
+	if _, misses := c.Stats(); misses != 4 {
+		t.Errorf("%d misses, want 4: punned hiding sets shared an entry", misses)
+	}
 }
 
 func TestCacheKeysOnEffectiveBound(t *testing.T) {

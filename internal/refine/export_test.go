@@ -2,6 +2,7 @@ package refine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/csp"
 	"repro/internal/csp/cspref"
@@ -105,7 +106,7 @@ func (c *Checker) AcceptsTraceReference(p csp.Process, t csp.Trace) (TraceCheck,
 				if tr.Ev.IsTau() {
 					continue
 				}
-				allowed[tr.Ev.String()] = tr.Ev
+				allowed[csp.IdentityKey(tr.Ev)] = tr.Ev
 				if !tr.Ev.Equal(ev) {
 					continue
 				}
@@ -137,4 +138,14 @@ func (c *Checker) AcceptsTraceReference(p csp.Process, t csp.Trace) (TraceCheck,
 		}
 	}
 	return TraceCheck{Accepted: true, FailedAt: -1, States: len(visited)}, nil
+}
+
+// sortedEvents lists a diagnosis in csp.Compare order, as offered does.
+func sortedEvents(m map[string]csp.Event) []csp.Event {
+	out := make([]csp.Event, 0, len(m))
+	for _, ev := range m {
+		out = append(out, ev)
+	}
+	slices.SortFunc(out, csp.Compare)
+	return out
 }

@@ -338,6 +338,28 @@ func TestFailuresRefinementRejectsDivergentSpec(t *testing.T) {
 // Against a specification that may also refuse everything (|~| STOP),
 // the first failure under both models is the event itself, and the
 // verdict names the Sym as the bad event.
+// TestHidingPunnedEventFails pins event identity in hiding sets: hiding
+// pun.Int(5) leaves pun.Sym("5") visible, so
+// STOP [T= (pun!Sym("5") -> STOP) \ {pun.Int(5)} fails on that event,
+// while hiding the Sym itself makes the check hold.
+func TestHidingPunnedEventFails(t *testing.T) {
+	ctx := csp.NewContext()
+	ctx.MustChannel("pun", csp.ExplicitType{TypeName: "Pun", Elems: []csp.Value{csp.Int(5), csp.Sym("5")}})
+	num, sym := csp.Ev("pun", csp.Int(5)), csp.Ev("pun", csp.Sym("5"))
+	impl := csp.Prefix("pun", []csp.CommField{csp.OutVal(csp.Sym("5"))}, csp.Stop())
+	c := NewChecker(csp.NewEnv(), ctx)
+	res, err := c.RefinesTraces(csp.Stop(), csp.Hide(impl, csp.Events(num)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Holds || len(res.Counterexample) != 1 || !res.Counterexample[0].Equal(sym) {
+		t.Errorf("holds=%v counterexample %#v, want a failure on %#v", res.Holds, res.Counterexample, sym)
+	}
+	if res, err := c.RefinesTraces(csp.Stop(), csp.Hide(impl, csp.Events(sym))); err != nil || !res.Holds {
+		t.Errorf("hiding the Sym itself: %+v, %v", res, err)
+	}
+}
+
 func TestRefinesPunnedEventsFail(t *testing.T) {
 	ctx := csp.NewContext()
 	ctx.MustChannel("pun", csp.ExplicitType{TypeName: "Pun", Elems: []csp.Value{csp.Int(5), csp.Sym("5")}})

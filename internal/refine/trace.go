@@ -1,7 +1,7 @@
 package refine
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/csp"
 	"repro/internal/lts"
@@ -159,28 +159,21 @@ func (c *Checker) AcceptsTrace(p csp.Process, t csp.Trace) (res TraceCheck, err 
 }
 
 // offered is the failure diagnosis: the visible events a frontier
-// offers, by rendering. Every frontier term's steps are memoized.
+// offers, each once by compiled event ID (which is event identity), in
+// csp.Compare order, which keeps conformance reports byte-identical.
+// Every frontier term's steps are memoized.
 func offered(m *lts.Compiled, frontier []csp.TermID) []csp.Event {
-	byName := map[string]csp.Event{}
+	var out []csp.Event
+	seen := map[int32]bool{}
 	for _, id := range frontier {
 		steps, _ := m.Steps(id)
 		for _, s := range steps {
-			if s.Ev != lts.TauID {
-				ev := m.EventOf(s.Ev)
-				byName[ev.String()] = ev
+			if s.Ev != lts.TauID && !seen[s.Ev] {
+				seen[s.Ev] = true
+				out = append(out, m.EventOf(s.Ev))
 			}
 		}
 	}
-	return sortedEvents(byName)
-}
-
-// sortedEvents lists a diagnosis in rendering order, which keeps
-// conformance reports byte-identical.
-func sortedEvents(m map[string]csp.Event) []csp.Event {
-	out := make([]csp.Event, 0, len(m))
-	for _, ev := range m {
-		out = append(out, ev)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	slices.SortFunc(out, csp.Compare)
 	return out
 }

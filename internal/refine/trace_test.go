@@ -199,6 +199,12 @@ func TestAcceptsTracePunnedEventsMatchExactly(t *testing.T) {
 	if len(res.Allowed) != 1 || !res.Allowed[0].Equal(num) {
 		t.Errorf("Allowed = %#v, want [%#v]", res.Allowed, num)
 	}
+	// A frontier offering both lists both, once each, in csp.Compare order.
+	symOnly := csp.Prefix("pun", []csp.CommField{csp.OutVal(csp.Sym("5"))}, csp.Stop())
+	res, _ = c.AcceptsTrace(csp.IntChoice(csp.ExtChoice(symOnly, intOnly), symOnly), csp.Trace{csp.Ev("pun", csp.Sym("6"))})
+	if len(res.Allowed) != 2 || !res.Allowed[0].Equal(num) || !res.Allowed[1].Equal(sym) {
+		t.Errorf("Allowed = %#v, want [%#v %#v]", res.Allowed, num, sym)
+	}
 }
 
 // TestAcceptsTraceEmitsSpan pins the refine.trace span — the benchmark's

@@ -151,12 +151,12 @@ on timer cycle { output(ping); setTimer(cycle, period); }
 		t.Fatal(err)
 	}
 	found := false
-	for _, w := range res.Warnings {
-		if strings.Contains(w, "non-constant timer duration") {
+	for _, d := range res.Diags {
+		if strings.Contains(d.Msg, "non-constant timer duration") {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("expected non-constant duration warning, got %v", res.Warnings)
+		t.Errorf("expected non-constant duration warning, got %v", res.Diags)
 	}
 }

@@ -72,8 +72,6 @@ type Options struct {
 	TockTime bool
 	// TockMs is the CAPL-millisecond length of one tock (default 100).
 	TockMs int
-	// Templates overrides the output template group.
-	Templates *st.Group
 	// SourceFile labels diagnostics with the CAPL filename.
 	SourceFile string
 	// Strict runs the caplint static analyzer before extraction and
@@ -105,12 +103,10 @@ type Result struct {
 	Script *cspm.Script
 	// Text is the rendered CSPm source.
 	Text string
-	// Warnings lists the abstractions applied (state dropped, conditions
-	// over-approximated, loops approximated) as plain strings; Diags
-	// carries the same findings with stable codes, severities and
-	// positions.
-	Warnings []string
-	Diags    []caplint.Diagnostic
+	// Diags lists the abstractions applied (state dropped, conditions
+	// over-approximated, loops approximated) with stable codes,
+	// severities and positions.
+	Diags []caplint.Diagnostic
 }
 
 // Translate extracts a CSPm implementation model from a CAPL program.
@@ -155,7 +151,7 @@ func Translate(prog *capl.Program, opts Options) (*Result, error) {
 	if _, err := cspm.Parse(text); err != nil {
 		return nil, fmt.Errorf("generated CSPm does not parse (translator bug): %w\n%s", err, text)
 	}
-	return &Result{Script: script, Text: text, Warnings: tr.warnings, Diags: tr.diags}, nil
+	return &Result{Script: script, Text: text, Diags: tr.diags}, nil
 }
 
 // LintError is returned by strict translation when the pre-extraction
@@ -193,28 +189,21 @@ type translator struct {
 	timerSet map[string]bool
 
 	defs     []cspm.ProcDef
-	warnings []string
 	diags    []caplint.Diagnostic
 	auxCount int
 	maxDur   int // largest setTimer duration in tocks (TockTime)
 }
 
-// diag records one abstraction as both a structured diagnostic (stable
-// code, severity from the lint catalog, position) and a legacy warning
-// string ("line N: msg" when a position is known).
+// diag records one abstraction as a structured diagnostic (stable
+// code, severity from the lint catalog, position).
 func (t *translator) diag(code string, line int, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
 	t.diags = append(t.diags, caplint.Diagnostic{
 		Code:     code,
 		Severity: caplint.SeverityOf(code),
 		File:     t.opts.SourceFile,
 		Line:     line,
-		Msg:      msg,
+		Msg:      fmt.Sprintf(format, args...),
 	})
-	if line > 0 {
-		msg = fmt.Sprintf("line %d: %s", line, msg)
-	}
-	t.warnings = append(t.warnings, msg)
 }
 
 func (t *translator) ctorFor(varName string) string {
@@ -464,10 +453,7 @@ func (t *translator) script() *cspm.Script {
 // render produces the final CSPm text through the template group,
 // preserving the paper's AST -> templates -> text pipeline.
 func render(s *cspm.Script, opts Options) (string, error) {
-	g := opts.Templates
-	if g == nil {
-		g = DefaultTemplates()
-	}
+	g := DefaultTemplates()
 	var datatypes, channels []string
 	var defs []st.Attrs
 	for _, d := range s.Decls {

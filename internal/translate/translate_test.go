@@ -75,8 +75,8 @@ func TestECUTranslationShape(t *testing.T) {
 			t.Errorf("generated text missing %q:\n%s", want, text)
 		}
 	}
-	if len(res.Warnings) != 0 {
-		t.Errorf("unexpected warnings: %v", res.Warnings)
+	if len(res.Diags) != 0 {
+		t.Errorf("unexpected diagnostics: %v", res.Diags)
 	}
 }
 
@@ -200,7 +200,7 @@ on message ping { setTimer(cycle, 5); }
 	if strings.Contains(res.Text, "setTimer") || strings.Contains(res.Text, "timeout") {
 		t.Errorf("timer events present despite IncludeTimers=false:\n%s", res.Text)
 	}
-	if len(res.Warnings) == 0 {
+	if len(res.Diags) == 0 {
 		t.Error("dropping a timer handler should warn")
 	}
 }
@@ -235,13 +235,13 @@ on message req
 		t.Errorf("runtime condition should become internal choice:\n%s", res.Text)
 	}
 	found := false
-	for _, w := range res.Warnings {
-		if strings.Contains(w, "internal choice") {
+	for _, d := range res.Diags {
+		if strings.Contains(d.Msg, "internal choice") {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("expected abstraction warning, got %v", res.Warnings)
+		t.Errorf("expected abstraction warning, got %v", res.Diags)
 	}
 }
 
