@@ -48,6 +48,7 @@ import (
 
 	"repro/internal/canbus"
 	"repro/internal/canoe"
+	"repro/internal/capl"
 	"repro/internal/conformance"
 	"repro/internal/csp"
 	"repro/internal/cspm"
@@ -291,8 +292,9 @@ type namedBench struct {
 // fdrserve request (a POST /v1/check of testdata/ota.csp, read relative
 // to the working directory: run from the repository root), the CAPL
 // runtime on the simulated bus, L* learning the simulated ECU, CAPL
-// source to verdict at 64 pairs, loading the case study's CSPm and
-// normalising its SYSTEM. The observer (nil when disabled) is threaded
+// source to verdict at 64 pairs, loading the case study's CSPm,
+// normalising its SYSTEM, the Figure 1 pipeline (CAPL source to verdicts
+// and the simulation cross-check) and parsing the ECU's CAPL. The observer (nil when disabled) is threaded
 // through every layer so -metrics aggregates the whole suite.
 func suite(o *obs.Observer) ([]namedBench, error) {
 	lossy, err := ota.BuildLossy(ota.HardenedGateway, ota.DefaultLossBudget)
@@ -515,6 +517,26 @@ func suite(o *obs.Observer) ([]namedBench, error) {
 		}
 	}
 
+	// The paper's Figure 1 end to end, and the front end's first stage.
+	figure1 := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			res, err := experiments.Figure1()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.CrossValidated {
+				b.Fatal("cross-validation failed")
+			}
+		}
+	}
+	caplParse := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := capl.Parse(ota.ECUSource); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+
 	primed := lts.NewCache()
 	primed.Obs = o
 	return []namedBench{
@@ -531,5 +553,7 @@ func suite(o *obs.Observer) ([]namedBench, error) {
 		{"Scalability/pairs=64", scalability},
 		{"CSPMLoad", cspmLoad},
 		{"Normalize", normalize},
+		{"Figure1_Pipeline", figure1},
+		{"CAPLParse", caplParse},
 	}, nil
 }

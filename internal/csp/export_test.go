@@ -28,3 +28,22 @@ func ReinternKeys(n *Nodes) [][]byte {
 
 // NewTestContext is testContext, for the external tests.
 var NewTestContext = testContext
+
+// The composite node tags, for the external tests' reference interner.
+const (
+	TagExtChoice = itagExtChoice
+	TagSeq       = itagSeq
+	TagPar       = itagPar
+	TagHide      = itagHide
+	TagRename    = itagRename
+)
+
+// IsCompositeKey reports whether a node-table key is a composite's:
+// one the interner indexes by tag and child IDs, not by its bytes.
+func IsCompositeKey(k []byte) bool {
+	switch k[0] {
+	case itagExtChoice, itagSeq, itagPar, itagHide, itagRename:
+		return true
+	}
+	return false
+}

@@ -2,6 +2,8 @@ package csp
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -53,6 +55,51 @@ func TestNewSetPunsByIdentity(t *testing.T) {
 	for _, s := range []SetValue{NewSet(punInt).Add(punSym), NewSet(punSym).Add(punInt).Add(punSym)} {
 		if !s.Equal(want) {
 			t.Errorf("Add built %v, want %v", s.Elems(), want.Elems())
+		}
+	}
+}
+
+// TestSetAddMatchesNewSet pins that a set built by Add, one member at a
+// time in any order and with repeats, is the set NewSet builds from the
+// same values: the same members in the same order. The pool puns (Int
+// and Sym, bare and inside Dotted and nested sets), so the binary
+// search must place rendering ties by identity. Add must leave the set
+// it extends unchanged, and Contains must agree with Equal.
+func TestSetAddMatchesNewSet(t *testing.T) {
+	pool := []Value{
+		Int(5), Sym("5"), Int(12), Sym("12"), Int(-1), Bool(true), Sym("true"),
+		Dotted{Head: "m", Args: []Value{Int(5)}}, Dotted{Head: "m", Args: []Value{Sym("5")}},
+		NewSet(Int(5)), NewSet(Sym("5")), NewSet(), Sym("a"),
+	}
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 200; round++ {
+		var vs []Value
+		for n := rng.Intn(2 * len(pool)); len(vs) < n; {
+			vs = append(vs, pool[rng.Intn(len(pool))])
+		}
+		var built SetValue
+		for _, v := range vs {
+			before := built.String()
+			next := built.Add(v)
+			if built.String() != before {
+				t.Fatalf("Add(%v) changed the set it extends: %s, was %s", v, built, before)
+			}
+			built = next
+		}
+		want := NewSet(vs...)
+		if !built.Equal(want) || len(built.Elems()) != len(want.Elems()) {
+			t.Fatalf("Add over %v built %v, NewSet %v", vs, built.Elems(), want.Elems())
+		}
+		for i, e := range want.Elems() {
+			if IdentityKey(built.Elems()[i]) != IdentityKey(e) {
+				t.Fatalf("Add over %v: member %d is %#v, NewSet's %#v", vs, i, built.Elems()[i], e)
+			}
+		}
+		for _, v := range pool {
+			in := slices.ContainsFunc(vs, v.Equal)
+			if built.Contains(v) != in {
+				t.Fatalf("Contains(%#v) = %v on %v, want %v", v, !in, built.Elems(), in)
+			}
 		}
 	}
 }

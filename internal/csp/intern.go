@@ -62,6 +62,16 @@ const (
 // canonical-string rendering (Process.Key) that previously dominated
 // state interning.
 //
+// Nodes live in one ID space, numbered in first-intern order, and are
+// indexed two ways. A composite process node ([| |], \, [[ ]], [] and
+// ;) is fully described by its tag and up to three child IDs, so it is
+// looked up in a pointer-free open-addressing table keyed by those
+// fixed-width fields: no encoding, no string hash and nothing for the
+// garbage collector to scan. Every other node (a leaf: prefix, |~|,
+// call, conditional, field, expression, value, event, set, mapping) is
+// keyed by its byte encoding in a map. A composite's byte encoding is
+// rendered only when Keys asks for the node table.
+//
 // Equality is structural, which is strictly finer than Key-string
 // equality: value kinds that render identically (Sym("5") vs Int(5))
 // intern differently. For models whose value spaces do not pun on
@@ -74,14 +84,50 @@ const (
 // interning has begun — the same immutability exploration already
 // requires of them.
 type Interner struct {
-	ids     map[string]int
-	bytes   int64
-	keys    [][]byte // keys[id]: the node table, the same bytes as the index's keys
-	chunk   []byte   // the key arena's current chunk; see finish
+	ids     map[string]int // leaf keys
+	bytes   int64          // leaf keys and records, map entries, rendered composite keys
+	leaves  []leafRec      // the leaves, in ID order
+	keys    [][]byte       // the node table as far as Keys has listed it
+	chunk   []byte         // the key arena's current chunk; see store
 	scratch []byte
 	sets    map[*EventSet]TermID
 	maps    map[uintptr]TermID
+
+	// The composite index: slots is an open-addressing table (linear
+	// probing, a power of two long, at most 3/4 full) of record index + 1,
+	// 0 for an empty slot; recs holds the composites in ID order, and
+	// recs[:rendered] are listed in keys.
+	slots    []uint32
+	recs     []compRec
+	rendered int
 }
+
+// leafRec is one leaf's record: its key, which its map entry shares.
+type leafRec struct {
+	key []byte
+	id  TermID
+}
+
+// compKey is a composite node: its tag and children. Par uses a, b and
+// aux (the sync set); the other composites use a and b and leave aux 0.
+type compKey struct {
+	tag       uint32
+	a, b, aux TermID
+}
+
+// compRec is one composite node's record in the index.
+type compRec struct {
+	key compKey
+	id  TermID
+}
+
+// The composite table starts at 64 slots with room for 32 records, when
+// the first composite is interned, so an interner of leaves only (an
+// event lookup, a value's identity) never allocates one.
+const (
+	compSlots0 = 64
+	compRecs0  = 32
+)
 
 // NewInterner returns an empty interner.
 func NewInterner() *Interner {
@@ -93,56 +139,146 @@ func NewInterner() *Interner {
 	}
 }
 
-// Reset empties the interner for reuse, keeping its capacity.
+// Reset empties the interner for reuse, keeping the capacity of its leaf
+// index and node table. The composite table is released, so a pooled
+// interner holds no table a large term once grew.
 func (in *Interner) Reset() {
 	clear(in.ids)
 	clear(in.sets)
 	clear(in.maps)
 	in.bytes = 0
+	in.leaves = in.leaves[:0]
 	in.keys = in.keys[:0]
+	in.slots, in.recs, in.rendered = nil, nil, 0
 }
 
 // Len returns the number of interned nodes (the next TermID to be
 // assigned).
-func (in *Interner) Len() int { return len(in.ids) }
+func (in *Interner) Len() int { return len(in.leaves) + len(in.recs) }
+
+// Composites returns how many of the interned nodes are composite
+// process nodes; the other Len() - Composites() are leaves.
+func (in *Interner) Composites() int { return len(in.recs) }
 
 // Keys returns the node table: Keys()[i] is the key of TermID i, the
 // persisted form of every term interned so far, which DecodeNodes reads
-// back. They are the index's own bytes: the caller must not modify them.
-func (in *Interner) Keys() [][]byte { return in.keys }
+// back. It extends the table with the nodes interned since the last
+// call, merging the leaf and composite records by ID and rendering each
+// composite's byte encoding; the table and the rendered keys then stay
+// resident (and count in Bytes). The keys are the interner's own bytes:
+// the caller must not modify them.
+func (in *Interner) Keys() [][]byte {
+	leaf := len(in.keys) - in.rendered
+	for id := TermID(len(in.keys)); int(id) < in.Len(); id++ {
+		if leaf < len(in.leaves) && in.leaves[leaf].id == id {
+			in.keys = append(in.keys, in.leaves[leaf].key)
+			leaf++
+			continue
+		}
+		k := in.recs[in.rendered].key
+		in.rendered++
+		in.begin(byte(k.tag))
+		in.id(k.a)
+		in.id(k.b)
+		if byte(k.tag) == itagPar {
+			in.id(k.aux)
+		}
+		key := in.store()
+		in.keys = append(in.keys, key)
+		in.bytes += int64(len(key))
+	}
+	return in.keys
+}
 
-// Per-node resident cost beyond the key bytes: a map[string]int entry
-// (string header, int, amortised bucket overhead) and the key's slice
-// header in the node table.
+// Per-node resident cost beyond the key bytes: a leaf's map[string]int
+// entry (string header, int, amortised bucket overhead) and record, a
+// composite's record, and a listed node's key slice header in the node
+// table.
 const (
 	mapEntryOverhead = 48
+	leafRecBytes     = int64(unsafe.Sizeof(leafRec{}))
+	compRecBytes     = int64(unsafe.Sizeof(compRec{}))
 	keySlotOverhead  = 24
 )
 
-// Bytes estimates the resident size of the interner: the index's
-// entries and the node table, which share each key's bytes.
-func (in *Interner) Bytes() int64 { return in.bytes }
+// Bytes estimates the resident size of the interner: the leaves' keys,
+// index entries and records, the composite records and table, and the
+// node table Keys has listed, with the composite keys it rendered (a
+// leaf's key is shared, not copied).
+func (in *Interner) Bytes() int64 {
+	return in.bytes + int64(len(in.recs))*compRecBytes + int64(len(in.slots))*4 +
+		int64(len(in.keys))*keySlotOverhead
+}
 
-// finish interns the node encoded in scratch and returns its ID.
+// finish interns the leaf node encoded in scratch and returns its ID.
 func (in *Interner) finish() TermID {
 	if id, ok := in.ids[string(in.scratch)]; ok { // no allocation: the compiler optimises this lookup
 		return TermID(id)
 	}
-	id := len(in.ids)
-	// The key is copied into the key arena, whose chunks grow
-	// geometrically up to 64 KiB: one allocation per chunk, not per node.
-	// Bytes below a chunk's length are never written again, not even
-	// after Reset, so the index's map key is a string over the same bytes.
+	id := in.Len()
+	key := in.store()
+	in.ids[unsafe.String(&key[0], len(key))] = id
+	in.leaves = append(in.leaves, leafRec{key: key, id: TermID(id)})
+	in.bytes += int64(len(key)) + mapEntryOverhead + leafRecBytes
+	return TermID(id)
+}
+
+// store copies scratch into the key arena, whose chunks grow
+// geometrically up to 64 KiB: one allocation per chunk, not per node.
+// Bytes below a chunk's length are never written again, not even after
+// Reset, so the leaf index's map key is a string over the same bytes.
+func (in *Interner) store() []byte {
 	if n := len(in.scratch); cap(in.chunk)-len(in.chunk) < n {
 		in.chunk = make([]byte, 0, max(n, 256, min(2*cap(in.chunk), 64<<10)))
 	}
 	start := len(in.chunk)
 	in.chunk = append(in.chunk, in.scratch...)
-	key := in.chunk[start:len(in.chunk):len(in.chunk)]
-	in.ids[unsafe.String(&key[0], len(key))] = id
-	in.keys = append(in.keys, key)
-	in.bytes += int64(len(key)) + mapEntryOverhead + keySlotOverhead
-	return TermID(id)
+	return in.chunk[start:len(in.chunk):len(in.chunk)]
+}
+
+// composite interns the composite node k and returns its ID.
+func (in *Interner) composite(k compKey) TermID {
+	if in.slots == nil {
+		in.slots = make([]uint32, compSlots0)
+		in.recs = make([]compRec, 0, compRecs0)
+	}
+	mask := uint32(len(in.slots) - 1)
+	for i := k.hash() & mask; ; i = (i + 1) & mask {
+		s := in.slots[i]
+		if s == 0 {
+			id := TermID(in.Len())
+			in.recs = append(in.recs, compRec{key: k, id: id})
+			in.slots[i] = uint32(len(in.recs))
+			if 4*len(in.recs) > 3*len(in.slots) {
+				in.grow()
+			}
+			return id
+		}
+		if r := &in.recs[s-1]; r.key == k {
+			return r.id
+		}
+	}
+}
+
+// grow doubles the composite table and re-inserts every record.
+func (in *Interner) grow() {
+	in.slots = make([]uint32, 2*len(in.slots))
+	mask := uint32(len(in.slots) - 1)
+	for r := range in.recs {
+		i := in.recs[r].key.hash() & mask
+		for in.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		in.slots[i] = uint32(r + 1)
+	}
+}
+
+// hash mixes all of k's fields into the low bits the table indexes by.
+func (k compKey) hash() uint32 {
+	h := (uint64(k.a)<<32 | uint64(k.b)) * 0x9e3779b97f4a7c15
+	h ^= uint64(k.aux)<<8 | uint64(k.tag)
+	h = (h ^ h>>29) * 0xbf58476d1ce4e5b9
+	return uint32(h ^ h>>32)
 }
 
 func (in *Interner) begin(tag byte) { in.scratch = append(in.scratch[:0], tag) }
@@ -192,7 +328,11 @@ func (in *Interner) Process(p Process) TermID {
 	case ExtChoiceProc:
 		return in.ExtChoice(in.Process(x.L), in.Process(x.R))
 	case IntChoiceProc:
-		return in.binary(itagIntChoice, in.Process(x.L), in.Process(x.R))
+		l, r := in.Process(x.L), in.Process(x.R)
+		in.begin(itagIntChoice)
+		in.id(l)
+		in.id(r)
+		return in.finish()
 	case SeqProc:
 		return in.Seq(in.Process(x.L), in.Process(x.R))
 	case ParProc:
@@ -226,36 +366,34 @@ func (in *Interner) Process(p Process) TermID {
 }
 
 // The constructors below intern a composite process node directly from
-// its children's IDs, with exactly the encoding Process gives the same
-// term, so a compiled exploration can build successor states without
-// materialising and re-walking their syntax trees.
+// its children's IDs. Process reaches composites through them too, so a
+// compiled exploration can build successor states without materialising
+// and re-walking their syntax trees, and gets the IDs Process gives the
+// same terms.
 
 // ExtChoice interns l [] r.
-func (in *Interner) ExtChoice(l, r TermID) TermID { return in.binary(itagExtChoice, l, r) }
+func (in *Interner) ExtChoice(l, r TermID) TermID {
+	return in.composite(compKey{tag: uint32(itagExtChoice), a: l, b: r})
+}
 
 // Seq interns l ; r.
-func (in *Interner) Seq(l, r TermID) TermID { return in.binary(itagSeq, l, r) }
+func (in *Interner) Seq(l, r TermID) TermID {
+	return in.composite(compKey{tag: uint32(itagSeq), a: l, b: r})
+}
 
 // Par interns l [| sync |] r, where sync is an EventSet ID.
 func (in *Interner) Par(l, r, sync TermID) TermID {
-	in.begin(itagPar)
-	in.id(l)
-	in.id(r)
-	in.id(sync)
-	return in.finish()
+	return in.composite(compKey{tag: uint32(itagPar), a: l, b: r, aux: sync})
 }
 
 // Hide interns p \ set, where set is an EventSet ID.
-func (in *Interner) Hide(p, set TermID) TermID { return in.binary(itagHide, p, set) }
+func (in *Interner) Hide(p, set TermID) TermID {
+	return in.composite(compKey{tag: uint32(itagHide), a: p, b: set})
+}
 
 // Rename interns p[[mapping]], where mapping is a Mapping ID.
-func (in *Interner) Rename(p, mapping TermID) TermID { return in.binary(itagRename, p, mapping) }
-
-func (in *Interner) binary(tag byte, l, r TermID) TermID {
-	in.begin(tag)
-	in.id(l)
-	in.id(r)
-	return in.finish()
+func (in *Interner) Rename(p, mapping TermID) TermID {
+	return in.composite(compKey{tag: uint32(itagRename), a: p, b: mapping})
 }
 
 func (in *Interner) field(f CommField) TermID {

@@ -122,6 +122,35 @@ func TestInternerRestrictedInputDistinct(t *testing.T) {
 	}
 }
 
+// TestCompositeTableTellsCollidingTwinsApart interns pairs of composite
+// keys that differ in one field yet share a home slot of the initial
+// table, so the second lookup probes past the first one's record: each
+// must keep an ID of its own. Random keys rarely collide like this, so
+// the generated oracles alone would miss an equality test that skips a
+// field.
+func TestCompositeTableTellsCollidingTwinsApart(t *testing.T) {
+	base := compKey{tag: uint32(itagPar), a: 1, b: 2, aux: 3}
+	mask := uint32(compSlots0 - 1)
+	fields := map[string]func(k *compKey, v uint32){
+		"tag": func(k *compKey, v uint32) { k.tag = v },
+		"a":   func(k *compKey, v uint32) { k.a = TermID(v) },
+		"b":   func(k *compKey, v uint32) { k.b = TermID(v) },
+		"aux": func(k *compKey, v uint32) { k.aux = TermID(v) },
+	}
+	for name, set := range fields {
+		twin := base
+		for v := uint32(0); twin == base || twin.hash()&mask != base.hash()&mask; v++ {
+			twin = base
+			set(&twin, v)
+		}
+		in := NewInterner()
+		x, y := in.composite(base), in.composite(twin)
+		if x == y || in.composite(base) != x || in.composite(twin) != y {
+			t.Errorf("twins differing in %s: IDs %d and %d, then %d and %d", name, x, y, in.composite(base), in.composite(twin))
+		}
+	}
+}
+
 func BenchmarkInternProcess(b *testing.B) {
 	terms := make([]Process, 64)
 	for i := range terms {

@@ -203,21 +203,44 @@ func TestInternerResetMatchesFresh(t *testing.T) {
 }
 
 // TestKeyTableBytesCountsRecordedKeys pins that the interner's size
-// estimate covers its node table: every key's bytes, once, plus its
-// index entry and its slot in the table.
+// estimate covers its indexes: every leaf key's bytes, once, plus its
+// map entry and its record; every composite's record and its share of
+// the table's slots (64 slots, doubled while more than 3/4 full); and,
+// once Keys has listed them, every node's slot in the node table and
+// the composites' rendered keys.
 func TestKeyTableBytesCountsRecordedKeys(t *testing.T) {
 	in := csp.NewInterner()
 	in.Process(exerciseAll())
-	if len(in.Keys()) != in.Len() {
-		t.Fatalf("node table has %d keys for %d nodes", len(in.Keys()), in.Len())
+	unlisted := in.Bytes()
+	keys := in.Keys()
+	if len(keys) != in.Len() {
+		t.Fatalf("node table has %d keys for %d nodes", len(keys), in.Len())
 	}
-	var total int64
-	for _, k := range in.Keys() {
-		total += int64(len(k))
+	var leafBytes, compositeBytes, composites int64
+	for _, k := range keys {
+		if csp.IsCompositeKey(k) {
+			composites++
+			compositeBytes += int64(len(k))
+		} else {
+			leafBytes += int64(len(k))
+		}
 	}
-	if got, min := in.Bytes(), total+int64(in.Len())*(48+24); got < min {
-		t.Fatalf("Bytes() = %d, want at least %d (keys %d + %d index entries and table slots)",
-			got, min, total, in.Len())
+	if composites == 0 || composites != int64(in.Composites()) {
+		t.Fatalf("%d composite keys, Composites() = %d", composites, in.Composites())
+	}
+	slots := int64(64)
+	for 4*composites > 3*slots {
+		slots *= 2
+	}
+	leaves := int64(in.Len()) - composites
+	min := leafBytes + leaves*(48+32) + composites*20 + slots*4
+	if unlisted < min {
+		t.Fatalf("Bytes() = %d, want at least %d (leaf keys %d + %d leaf index entries and records, %d composite records, %d table slots)",
+			unlisted, min, leafBytes, leaves, composites, slots)
+	}
+	if got, min := in.Bytes(), unlisted+int64(in.Len())*24+compositeBytes; got < min {
+		t.Fatalf("Bytes() = %d after Keys, want at least %d (+ %d node-table slots and %d rendered composite key bytes)",
+			got, min, in.Len(), compositeBytes)
 	}
 }
 

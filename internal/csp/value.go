@@ -135,26 +135,28 @@ func NewSet(elems ...Value) SetValue {
 	return SetValue{elems: out}
 }
 
-// Add returns a new set that also contains v.
+// Add returns a new set that also contains v, inserted at its place in
+// Compare order: one binary search, rendering v once, and one copy.
 func (s SetValue) Add(v Value) SetValue {
 	if s.Contains(v) {
 		return s
 	}
-	out := make([]Value, 0, len(s.elems)+1)
-	out = append(out, s.elems...)
-	out = append(out, v)
-	slices.SortFunc(out, Compare)
-	return SetValue{elems: out}
+	vs := v.String()
+	i, _ := slices.BinarySearchFunc(s.elems, v, func(e, v Value) int {
+		if c := strings.Compare(e.String(), vs); c != 0 {
+			return c
+		}
+		return Compare(e, v)
+	})
+	return SetValue{elems: slices.Insert(slices.Clip(s.elems), i, v)}
 }
 
-// Contains reports whether v is a member of the set.
+// Contains reports whether v is a member of the set. It scans with
+// Equal, which allocates nothing: a binary search by Compare renders the
+// members it visits, and on the small sets models hold (an intruder's
+// knowledge) that made the NSPK attack search almost twice as slow.
 func (s SetValue) Contains(v Value) bool {
-	for _, e := range s.elems {
-		if e.Equal(v) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(s.elems, v.Equal)
 }
 
 // Elems returns the members in canonical order. The caller must not

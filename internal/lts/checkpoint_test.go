@@ -470,7 +470,9 @@ func TestMemoryWatermarkReturnsStructuredError(t *testing.T) {
 // TestMaxMemBytesSameWithCheckpointing pins that checkpointing holds no
 // table of its own: snapshots persist the exploration's node table, so
 // a checkpointing exploration trips the watermark at exactly the state
-// count and estimate a plain one does.
+// count a plain one does, and its estimate exceeds the plain one by
+// exactly the node table its snapshots listed: a slot per node of the
+// last snapshot and the keys rendered for its composite nodes.
 func TestMaxMemBytesSameWithCheckpointing(t *testing.T) {
 	sys, err := ota.BuildLossy(ota.HardenedGateway, ota.DefaultLossBudget)
 	if err != nil {
@@ -494,10 +496,35 @@ func TestMaxMemBytesSameWithCheckpointing(t *testing.T) {
 	if !errors.As(err, &ck) {
 		t.Fatalf("checkpointing explore under %d-byte watermark: %v, want *MemoryError", limit, err)
 	}
-	if *ck != *plain {
-		t.Fatalf("checkpointing changed the watermark trip: %+v, plain %+v", *ck, *plain)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "checkpoint.json")); err != nil {
+	data, err := os.ReadFile(filepath.Join(dir, "checkpoint.json"))
+	if err != nil {
 		t.Fatalf("no snapshot written before the trip: %v", err)
+	}
+	var snap struct {
+		Nodes [][]byte `json:"nodes"`
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := csp.DecodeNodes(snap.Nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rendered int64
+	for id, key := range snap.Nodes {
+		p, _ := nodes.Process(csp.TermID(id))
+		switch p.(type) {
+		case csp.ParProc, csp.HideProc, csp.RenameProc, csp.ExtChoiceProc, csp.SeqProc:
+			rendered += int64(len(key))
+		}
+	}
+	if rendered == 0 {
+		t.Fatal("the snapshot holds no composite node")
+	}
+	want := *plain
+	want.EstimatedBytes += int64(len(snap.Nodes))*24 + rendered
+	if *ck != want {
+		t.Fatalf("checkpointing changed the watermark trip: %+v, want %+v (plain %+v + %d node-table slots and %d rendered composite key bytes)",
+			*ck, want, *plain, len(snap.Nodes), rendered)
 	}
 }

@@ -216,8 +216,17 @@ func TestExploreMemoMetrics(t *testing.T) {
 	if misses == 0 || hits == 0 {
 		t.Errorf("memo hits=%d misses=%d, want both > 0", hits, misses)
 	}
-	if nodes := o.Gauge("lts.explore.nodes").Value(); nodes < int64(l.NumStates()) {
+	nodes := o.Gauge("lts.explore.nodes").Value()
+	if nodes < int64(l.NumStates()) {
 		t.Errorf("nodes gauge %d below the %d states", nodes, l.NumStates())
+	}
+	composite := o.Gauge("lts.explore.nodes.composite").Value()
+	leaf := o.Gauge("lts.explore.nodes.leaf").Value()
+	if composite == 0 || leaf == 0 || composite+leaf != nodes {
+		t.Errorf("nodes split %d composite + %d leaf, want both > 0 summing to %d", composite, leaf, nodes)
+	}
+	if spans := o.Spans(); len(spans) != 1 || spans[0].Attrs["nodes.composite"] != composite || spans[0].Attrs["nodes.leaf"] != leaf {
+		t.Errorf("lts.explore span does not carry the nodes split: %+v", spans)
 	}
 	again, err := Explore(sem, root, Options{Obs: o})
 	if err != nil {

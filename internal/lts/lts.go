@@ -227,7 +227,12 @@ func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, er
 	missesC := opts.Obs.Counter("lts.explore.memo.misses")
 	frontierG := opts.Obs.Gauge("lts.explore.frontier")
 	nodesG := opts.Obs.Gauge("lts.explore.nodes")
+	compositeG := opts.Obs.Gauge("lts.explore.nodes.composite")
+	leafG := opts.Obs.Gauge("lts.explore.nodes.leaf")
 	prog := opts.Obs.Progress("lts.explore")
+	// The interned nodes at the last level end, split by index: composite
+	// nodes (the fixed-width table) and leaves (the byte-keyed map).
+	var composites, leaves int64
 	defer func() {
 		explored := int64(0)
 		if lts != nil {
@@ -247,7 +252,8 @@ func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, er
 		case err != nil:
 			outcome = "error"
 		}
-		span.End(obs.Int("states", explored), obs.String("outcome", outcome))
+		span.End(obs.Int("states", explored), obs.String("outcome", outcome),
+			obs.Int("nodes.composite", composites), obs.Int("nodes.leaf", leaves))
 	}()
 	c := newCompiler(src)
 	e := &exploration{
@@ -316,6 +322,10 @@ func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, er
 		missesC.Add(e.c.misses - flushedMisses)
 		flushedHits, flushedMisses = e.c.hits, e.c.misses
 		nodesG.Max(int64(e.c.in.Len()))
+		composites = int64(e.c.in.Composites())
+		leaves = int64(e.c.in.Len()) - composites
+		compositeG.Max(composites)
+		leafG.Max(leaves)
 		prog.Tick(int64(len(e.l.states)), obs.Int("frontier", int64(len(e.l.states)-merged)))
 		levels++
 		if ck != nil && levels%ck.every == 0 {
