@@ -1,6 +1,7 @@
 // Command benchsmoke runs the refinement-centric benchmark suite via
-// testing.Benchmark, three captures per benchmark, and writes each
-// benchmark's median capture as machine-readable JSON
+// testing.Benchmark, three captures per benchmark of at least -benchtime
+// (0.5 s) each, and writes each benchmark's median capture as
+// machine-readable JSON
 // (BENCH_refine.json) — the artefact CI publishes so performance
 // regressions in exploration, refinement checking and campaign
 // throughput are visible per commit. Every row records ns/op and
@@ -11,18 +12,22 @@
 // must interpret the table together with goMaxProcs.
 //
 // With -gate, a previously committed BENCH_refine.json acts as the
-// reference: any benchmark whose fresh ns/op or allocs/op exceeds the
-// reference by more than -gate-factor fails the run, which is how CI
-// turns the artefact into a regression gate. ns/op ratios are only
-// meaningful between runs on comparable hosts, so a reference captured
-// at a different GOMAXPROCS fails the run (-gate-procs-mismatch fail,
-// the default) or skips the ns/op comparison with a logged reason
-// (-gate-procs-mismatch skip) — it is never compared silently. allocs/op
-// do not depend on the host, so they are gated in both cases.
+// reference: any benchmark whose fresh ns/op exceeds the reference by
+// more than -gate-factor, or whose allocs/op exceed it by more than
+// allocsGateFactor, fails the run, which is how CI turns the
+// artefact into a regression gate. Each row is gated on its own, so a
+// regression names its layer. ns/op ratios are only meaningful between
+// runs on comparable hosts, so a reference captured at a different
+// GOMAXPROCS fails the run (-gate-procs-mismatch fail, the default) or
+// skips the ns/op comparison with a logged reason (-gate-procs-mismatch
+// skip) — it is never compared silently. allocs/op do not depend on the
+// host, so they are gated in both cases, and tighter. A reference
+// captured at another -benchtime fails the run: short captures amortise
+// warm-up differently and spread too widely to gate.
 //
 // Usage:
 //
-//	benchsmoke [-o BENCH_refine.json] [-bench regexp] [-benchtime 2s|10x]
+//	benchsmoke [-o BENCH_refine.json] [-bench regexp] [-benchtime 0.5s|10x]
 //	           [-gate BENCH_refine.json] [-gate-factor 2]
 //	           [-gate-procs-mismatch fail|skip]
 //	           [-metrics] [-tracefile trace.jsonl] [-progress]
@@ -60,6 +65,7 @@ import (
 	"repro/internal/ota"
 	"repro/internal/refine"
 	"repro/internal/serve"
+	"repro/internal/translate"
 )
 
 // Measurement is one benchmark result.
@@ -78,8 +84,10 @@ type Measurement struct {
 // published artefact records cache hit rates and explored-state counts
 // alongside the timings they explain.
 type Output struct {
-	GoVersion  string        `json:"goVersion"`
-	GoMaxProcs int           `json:"goMaxProcs"`
+	GoVersion  string `json:"goVersion"`
+	GoMaxProcs int    `json:"goMaxProcs"`
+	// BenchTime is the -benchtime of every capture.
+	BenchTime  string        `json:"benchTime,omitempty"`
 	Benchmarks []Measurement `json:"benchmarks"`
 	Metrics    *obs.Snapshot `json:"metrics,omitempty"`
 }
@@ -90,7 +98,7 @@ type runConfig struct {
 	pattern       string
 	benchtime     string
 	gatePath      string    // reference BENCH_refine.json; empty disables the gate
-	gateFactor    float64   // max allowed fresh/reference ns/op and allocs/op ratio
+	gateFactor    float64   // max allowed fresh/reference ns/op ratio
 	procsMismatch string    // "fail" or "skip" when reference goMaxProcs differs
 	obs           obs.Flags // -metrics / -tracefile / -progress
 }
@@ -99,9 +107,9 @@ func main() {
 	var cfg runConfig
 	flag.StringVar(&cfg.outPath, "o", "BENCH_refine.json", "output path (- for stdout)")
 	flag.StringVar(&cfg.pattern, "bench", ".", "regexp selecting benchmarks by name")
-	flag.StringVar(&cfg.benchtime, "benchtime", "", `per-benchmark budget, a duration ("2s") or count ("10x"); empty uses the testing default`)
+	flag.StringVar(&cfg.benchtime, "benchtime", "0.5s", `per-capture budget, a minimum duration ("0.5s") or a count ("10x")`)
 	flag.StringVar(&cfg.gatePath, "gate", "", "reference BENCH_refine.json to gate against (empty: no gate)")
-	flag.Float64Var(&cfg.gateFactor, "gate-factor", 2, "fail when fresh ns/op or allocs/op exceeds the reference by more than this factor")
+	flag.Float64Var(&cfg.gateFactor, "gate-factor", 2, "fail when fresh ns/op exceeds the reference by more than this factor")
 	flag.StringVar(&cfg.procsMismatch, "gate-procs-mismatch", "fail", `"fail" the -gate run, or "skip" its ns/op comparison, when the reference was captured at a different GOMAXPROCS`)
 	cfg.obs.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -166,6 +174,7 @@ func run(cfg runConfig, stdout io.Writer) error {
 	doc := Output{
 		GoVersion:  runtime.Version(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
+		BenchTime:  cfg.benchtime,
 		Benchmarks: ms,
 	}
 	if cfg.obs.Metrics && observer != nil {
@@ -191,7 +200,7 @@ func run(cfg runConfig, stdout io.Writer) error {
 		return err
 	}
 	if cfg.gatePath != "" {
-		if err := checkGate(ms, cfg.gatePath, cfg.gateFactor, cfg.procsMismatch, stdout); err != nil {
+		if err := checkGate(doc, cfg, stdout); err != nil {
 			return err
 		}
 	}
@@ -204,6 +213,12 @@ func run(cfg runConfig, stdout io.Writer) error {
 // neither the written row nor the gate.
 const captures = 3
 
+// allocsGateFactor bounds the fresh/reference allocs/op ratio. allocs/op
+// barely move between runs, so the bound is tighter than -gate-factor:
+// a row that does its work twice fails on allocs/op even when noise
+// keeps its ns/op ratio under 2.
+const allocsGateFactor = 1.5
+
 // median returns the capture with the median ns/op.
 func median(runs []Measurement) Measurement {
 	sorted := slices.Clone(runs)
@@ -211,21 +226,23 @@ func median(runs []Measurement) Measurement {
 	return sorted[len(sorted)/2]
 }
 
-// checkGate compares fresh measurements against a committed reference
-// document and fails when any shared benchmark slowed down, or
-// allocates, by more than factor. Benchmarks present on only one side
+// checkGate compares fresh measurements against the committed reference
+// document cfg.gatePath and fails when any shared benchmark slowed down
+// by more than cfg.gateFactor, or allocates more by more than
+// allocsGateFactor. Benchmarks present on only one side
 // are reported but never fail the gate, so adding or renaming a
 // benchmark does not require a lockstep reference update; nor does a
 // reference row without allocs/op fail the allocs/op gate.
 // A reference captured at a different GOMAXPROCS is a different
 // machine shape: its ns/op carry a different parallelism, so comparing
 // against it yields false regressions (or worse, false passes). Such a
-// reference fails the gate under onMismatch "fail" (the default for CI,
+// reference fails the gate under cfg.procsMismatch "fail" (the default for CI,
 // where runner shape is pinned) and skips the ns/op comparison with a
 // logged reason under "skip" (for local runs on arbitrary hardware).
 // allocs/op do not depend on machine shape, so they are compared either
-// way.
-func checkGate(fresh []Measurement, refPath string, factor float64, onMismatch string, stdout io.Writer) error {
+// way. A reference captured at another benchtime always fails the gate.
+func checkGate(fresh Output, cfg runConfig, stdout io.Writer) error {
+	refPath := cfg.gatePath
 	data, err := os.ReadFile(refPath)
 	if err != nil {
 		return fmt.Errorf("gate reference: %w", err)
@@ -234,9 +251,13 @@ func checkGate(fresh []Measurement, refPath string, factor float64, onMismatch s
 	if err := json.Unmarshal(data, &ref); err != nil {
 		return fmt.Errorf("gate reference %s: %w", refPath, err)
 	}
+	if ref.BenchTime != fresh.BenchTime {
+		return fmt.Errorf("gate reference %s was captured at -benchtime %q but this run used %q; re-run at the reference's capture length",
+			refPath, ref.BenchTime, fresh.BenchTime)
+	}
 	compareNs := true
-	if procs := runtime.GOMAXPROCS(0); ref.GoMaxProcs != procs {
-		if onMismatch != "skip" {
+	if procs := fresh.GoMaxProcs; ref.GoMaxProcs != procs {
+		if cfg.procsMismatch != "skip" {
 			return fmt.Errorf("gate reference %s was captured at GOMAXPROCS=%d but this host runs %d; ns/op ratios across machine shapes are not comparable (re-capture the reference or pass -gate-procs-mismatch skip)",
 				refPath, ref.GoMaxProcs, procs)
 		}
@@ -249,7 +270,7 @@ func checkGate(fresh []Measurement, refPath string, factor float64, onMismatch s
 		refs[m.Name] = m
 	}
 	var regressions []string
-	check := func(name, unit string, got, base int64) {
+	check := func(name, unit string, got, base int64, factor float64) {
 		ratio := float64(got) / float64(base)
 		fmt.Fprintf(stdout, "gate: %-24s %12d %s vs %12d reference (%.2fx)\n", name, got, unit, base, ratio)
 		if ratio > factor {
@@ -257,17 +278,17 @@ func checkGate(fresh []Measurement, refPath string, factor float64, onMismatch s
 				fmt.Sprintf("%s: %d %s vs %d reference (%.2fx > %.2fx)", name, got, unit, base, ratio, factor))
 		}
 	}
-	for _, m := range fresh {
+	for _, m := range fresh.Benchmarks {
 		base, ok := refs[m.Name]
 		if !ok {
 			fmt.Fprintf(stdout, "gate: %-24s no reference entry, skipped\n", m.Name)
 			continue
 		}
 		if compareNs {
-			check(m.Name, "ns/op", m.NsPerOp, base.NsPerOp)
+			check(m.Name, "ns/op", m.NsPerOp, base.NsPerOp, cfg.gateFactor)
 		}
 		if base.AllocsPerOp > 0 {
-			check(m.Name, "allocs/op", m.AllocsPerOp, base.AllocsPerOp)
+			check(m.Name, "allocs/op", m.AllocsPerOp, base.AllocsPerOp, allocsGateFactor)
 		}
 	}
 	if len(regressions) > 0 {
@@ -294,7 +315,8 @@ type namedBench struct {
 // runtime on the simulated bus, L* learning the simulated ECU, CAPL
 // source to verdict at 64 pairs, loading the case study's CSPm,
 // normalising its SYSTEM, the Figure 1 pipeline (CAPL source to verdicts
-// and the simulation cross-check) and parsing the ECU's CAPL. The observer (nil when disabled) is threaded
+// and the simulation cross-check), parsing the ECU's CAPL, translating it
+// to CSPm, and the bus delivering one frame. The observer (nil when disabled) is threaded
 // through every layer so -metrics aggregates the whole suite.
 func suite(o *obs.Observer) ([]namedBench, error) {
 	lossy, err := ota.BuildLossy(ota.HardenedGateway, ota.DefaultLossBudget)
@@ -536,6 +558,34 @@ func suite(o *obs.Observer) ([]namedBench, error) {
 			}
 		}
 	}
+	// The front end's middle stage: the parsed ECU to its CSPm model.
+	ecuProg, err := capl.Parse(ota.ECUSource)
+	if err != nil {
+		return nil, fmt.Errorf("parse ECU: %w", err)
+	}
+	translateECU := func(b *testing.B) {
+		opts := translate.DefaultOptions("ECU")
+		opts.MessageRename = ota.MessageRename
+		for i := 0; i < b.N; i++ {
+			if _, err := translate.Translate(ecuProg, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	// The simulated bus alone: one frame transmitted and delivered.
+	canBusThroughput := func(b *testing.B) {
+		bus := canbus.New(canbus.Config{})
+		tap := bus.Attach("tx", canbus.ReceiverFunc(func(canbus.Time, canbus.Frame) {}))
+		bus.Attach("rx", canbus.ReceiverFunc(func(canbus.Time, canbus.Frame) {}))
+		frame := canbus.Frame{ID: 0x123, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := bus.Transmit(tap, frame); err != nil {
+				b.Fatal(err)
+			}
+			bus.RunAll(4)
+		}
+	}
 
 	primed := lts.NewCache()
 	primed.Obs = o
@@ -555,5 +605,7 @@ func suite(o *obs.Observer) ([]namedBench, error) {
 		{"Normalize", normalize},
 		{"Figure1_Pipeline", figure1},
 		{"CAPLParse", caplParse},
+		{"TranslateECU", translateECU},
+		{"CANBusThroughput", canBusThroughput},
 	}, nil
 }

@@ -95,11 +95,21 @@ func TestRunWithMetricsFoldsSnapshot(t *testing.T) {
 	}
 }
 
+// freshDoc wraps measurements as a run on this host.
+func freshDoc(ms ...Measurement) Output {
+	return Output{GoMaxProcs: runtime.GOMAXPROCS(0), Benchmarks: ms}
+}
+
+// gateConfig gates against ref at an ns/op factor of 2.
+func gateConfig(ref, onMismatch string) runConfig {
+	return runConfig{gatePath: ref, gateFactor: 2, procsMismatch: onMismatch}
+}
+
 // TestGate covers the CI regression gate: a reference document with an
 // absurdly fast entry must fail the run, a slow one must pass, and
 // benchmarks missing from the reference are skipped.
 func TestGate(t *testing.T) {
-	fresh := []Measurement{{Name: "Refines/cold", NsPerOp: 1000}, {Name: "New/bench", NsPerOp: 5}}
+	fresh := freshDoc(Measurement{Name: "Refines/cold", NsPerOp: 1000}, Measurement{Name: "New/bench", NsPerOp: 5})
 	write := func(ns int64) string {
 		ref := Output{GoMaxProcs: runtime.GOMAXPROCS(0),
 			Benchmarks: []Measurement{{Name: "Refines/cold", NsPerOp: ns}}}
@@ -115,21 +125,21 @@ func TestGate(t *testing.T) {
 	}
 
 	var stdout bytes.Buffer
-	if err := checkGate(fresh, write(400), 2, "fail", &stdout); err == nil {
+	if err := checkGate(fresh, gateConfig(write(400), "fail"), &stdout); err == nil {
 		t.Error("2.5x slowdown passed a 2x gate")
 	} else if !strings.Contains(err.Error(), "Refines/cold") {
 		t.Errorf("gate error does not name the regression: %v", err)
 	}
 
 	stdout.Reset()
-	if err := checkGate(fresh, write(600), 2, "fail", &stdout); err != nil {
+	if err := checkGate(fresh, gateConfig(write(600), "fail"), &stdout); err != nil {
 		t.Errorf("1.67x slowdown failed a 2x gate: %v", err)
 	}
 	if !strings.Contains(stdout.String(), "no reference entry") {
 		t.Errorf("unreferenced benchmark not reported as skipped:\n%s", stdout.String())
 	}
 
-	if err := checkGate(fresh, filepath.Join(t.TempDir(), "missing.json"), 2, "fail", &stdout); err == nil {
+	if err := checkGate(fresh, gateConfig(filepath.Join(t.TempDir(), "missing.json"), "fail"), &stdout); err == nil {
 		t.Error("missing reference file accepted")
 	}
 }
@@ -139,7 +149,7 @@ func TestGate(t *testing.T) {
 // the run fails by default, or logs an explicit skip when configured
 // to.
 func TestGateProcsMismatch(t *testing.T) {
-	fresh := []Measurement{{Name: "Refines/cold", NsPerOp: 1000}}
+	fresh := freshDoc(Measurement{Name: "Refines/cold", NsPerOp: 1000})
 	ref := Output{GoMaxProcs: runtime.GOMAXPROCS(0) + 1,
 		// An absurdly fast reference entry: under "skip" the mismatch
 		// must short-circuit before any ratio is computed.
@@ -154,14 +164,14 @@ func TestGateProcsMismatch(t *testing.T) {
 	}
 
 	var stdout bytes.Buffer
-	if err := checkGate(fresh, p, 2, "fail", &stdout); err == nil {
+	if err := checkGate(fresh, gateConfig(p, "fail"), &stdout); err == nil {
 		t.Error("GOMAXPROCS mismatch passed under \"fail\"")
 	} else if !strings.Contains(err.Error(), "GOMAXPROCS") {
 		t.Errorf("mismatch error does not explain itself: %v", err)
 	}
 
 	stdout.Reset()
-	if err := checkGate(fresh, p, 2, "skip", &stdout); err != nil {
+	if err := checkGate(fresh, gateConfig(p, "skip"), &stdout); err != nil {
 		t.Errorf("GOMAXPROCS mismatch failed under \"skip\": %v", err)
 	}
 	if !strings.Contains(stdout.String(), "skipped") || !strings.Contains(stdout.String(), "GOMAXPROCS") {
@@ -169,10 +179,11 @@ func TestGateProcsMismatch(t *testing.T) {
 	}
 }
 
-// TestGateAllocs pins the allocs/op gate: an allocation blow-up beyond
-// the factor fails the run even when a GOMAXPROCS mismatch skips the
-// ns/op comparison, since allocs/op do not depend on machine shape. A
-// reference row without allocs/op is not allocs-gated.
+// TestGateAllocs pins the allocs/op gate: allocs/op beyond
+// allocsGateFactor (tighter than the ns/op factor of 2) fail the run
+// even when a GOMAXPROCS mismatch skips the ns/op comparison, since
+// allocs/op do not depend on machine shape. A reference row without
+// allocs/op is not allocs-gated.
 func TestGateAllocs(t *testing.T) {
 	write := func(procs int, allocs int64) string {
 		ref := Output{GoMaxProcs: procs,
@@ -187,12 +198,12 @@ func TestGateAllocs(t *testing.T) {
 		}
 		return p
 	}
-	fresh := []Measurement{{Name: "Explore/seq", NsPerOp: 1000, AllocsPerOp: 2500}}
+	fresh := freshDoc(Measurement{Name: "Explore/seq", NsPerOp: 1000, AllocsPerOp: 2500})
 	other := runtime.GOMAXPROCS(0) + 1
 
 	var stdout bytes.Buffer
-	if err := checkGate(fresh, write(other, 1000), 2, "skip", &stdout); err == nil {
-		t.Error("2.5x allocs/op passed a 2x gate under a skipped ns/op comparison")
+	if err := checkGate(fresh, gateConfig(write(other, 1250), "skip"), &stdout); err == nil {
+		t.Error("2x allocs/op passed the 1.5x allocs/op gate under a skipped ns/op comparison")
 	} else if !strings.Contains(err.Error(), "allocs/op") || !strings.Contains(err.Error(), "Explore/seq") {
 		t.Errorf("gate error does not name the allocs/op regression: %v", err)
 	}
@@ -201,16 +212,41 @@ func TestGateAllocs(t *testing.T) {
 	}
 
 	stdout.Reset()
-	if err := checkGate(fresh, write(other, 1500), 2, "skip", &stdout); err != nil {
-		t.Errorf("1.67x allocs/op failed a 2x gate: %v", err)
+	if err := checkGate(fresh, gateConfig(write(other, 1800), "skip"), &stdout); err != nil {
+		t.Errorf("1.39x allocs/op failed the 1.5x allocs/op gate: %v", err)
 	}
 	if !strings.Contains(stdout.String(), "allocs/op") {
 		t.Errorf("allocs/op comparison not logged:\n%s", stdout.String())
 	}
 
 	stdout.Reset()
-	if err := checkGate(fresh, write(other, 0), 2, "skip", &stdout); err != nil {
+	if err := checkGate(fresh, gateConfig(write(other, 0), "skip"), &stdout); err != nil {
 		t.Errorf("reference row without allocs/op failed the gate: %v", err)
+	}
+}
+
+// TestGateBenchTimeMismatch pins the capture-length guard: a reference
+// captured at another -benchtime is never compared.
+func TestGateBenchTimeMismatch(t *testing.T) {
+	ref := Output{GoMaxProcs: runtime.GOMAXPROCS(0), BenchTime: "0.5s",
+		Benchmarks: []Measurement{{Name: "CAPLParse", NsPerOp: 1000}}}
+	data, err := json.Marshal(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := filepath.Join(t.TempDir(), "ref.json")
+	if err := os.WriteFile(p, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh := freshDoc(Measurement{Name: "CAPLParse", NsPerOp: 1000})
+	fresh.BenchTime = "10x"
+	var stdout bytes.Buffer
+	if err := checkGate(fresh, gateConfig(p, "skip"), &stdout); err == nil || !strings.Contains(err.Error(), "benchtime") {
+		t.Errorf("benchtime mismatch not refused: %v", err)
+	}
+	fresh.BenchTime = "0.5s"
+	if err := checkGate(fresh, gateConfig(p, "fail"), &stdout); err != nil {
+		t.Errorf("same benchtime refused: %v", err)
 	}
 }
 

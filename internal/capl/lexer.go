@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Error is a lexical or syntax error with source position.
@@ -17,8 +18,12 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("capl:%d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
+// lexer scans the source string byte by byte. A rune is decoded only
+// at a byte of utf8.RuneSelf or above; every operator, delimiter and
+// comment marker is ASCII, so those are matched on bytes. pos is a
+// byte offset, col counts runes.
 type lexer struct {
-	src  []rune
+	src  string
 	pos  int
 	line int
 	col  int
@@ -26,8 +31,9 @@ type lexer struct {
 
 // Lex tokenises CAPL source, returning the stream terminated by EOF.
 // CANoe's `/*@!Encoding:1310*/` pragma and comments are skipped.
+// Identifier and number texts are substrings of src.
 func Lex(src string) ([]Token, error) {
-	lx := &lexer{src: []rune(src), line: 1, col: 1}
+	lx := &lexer{src: src, line: 1, col: 1}
 	var out []Token
 	for {
 		t, err := lx.next()
@@ -41,30 +47,94 @@ func Lex(src string) ([]Token, error) {
 	}
 }
 
-func (lx *lexer) peek() rune {
-	if lx.pos >= len(lx.src) {
-		return 0
-	}
-	return lx.src[lx.pos]
-}
-
-func (lx *lexer) peekAt(n int) rune {
+// byteAt returns the byte n bytes past pos, or 0 past the end.
+func (lx *lexer) byteAt(n int) byte {
 	if lx.pos+n >= len(lx.src) {
 		return 0
 	}
 	return lx.src[lx.pos+n]
 }
 
+// runeAt decodes the rune starting n bytes past pos (0 past the end).
+func (lx *lexer) runeAt(n int) rune {
+	if lx.pos+n >= len(lx.src) {
+		return 0
+	}
+	if c := lx.src[lx.pos+n]; c < utf8.RuneSelf {
+		return rune(c)
+	}
+	r, _ := utf8.DecodeRuneInString(lx.src[lx.pos+n:])
+	return r
+}
+
+// advance consumes one rune.
 func (lx *lexer) advance() rune {
-	r := lx.src[lx.pos]
-	lx.pos++
-	if r == '\n' {
-		lx.line++
-		lx.col = 1
-	} else {
+	c := lx.src[lx.pos]
+	if c < utf8.RuneSelf {
+		lx.pos++
+		if c == '\n' {
+			lx.line++
+			lx.col = 1
+		} else {
+			lx.col++
+		}
+		return rune(c)
+	}
+	r, w := utf8.DecodeRuneInString(lx.src[lx.pos:])
+	lx.pos += w
+	lx.col++
+	return r
+}
+
+// class is a set of runes, its ASCII members in a table and the rest
+// decided by a predicate.
+type class struct {
+	ascii [utf8.RuneSelf]bool
+	other func(rune) bool
+}
+
+func newClass(in func(rune) bool) *class {
+	c := &class{other: in}
+	for b := range c.ascii {
+		c.ascii[b] = in(rune(b))
+	}
+	return c
+}
+
+var (
+	letters    = newClass(unicode.IsLetter)
+	digits     = newClass(unicode.IsDigit)
+	identChars = newClass(func(r rune) bool { return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r) })
+	hexDigits  = newClass(func(r rune) bool { return unicode.IsDigit(r) || 'a' <= r && r <= 'f' || 'A' <= r && r <= 'F' })
+)
+
+// has reports whether r is in c.
+func (c *class) has(r rune) bool {
+	if r < utf8.RuneSelf {
+		return c.ascii[r]
+	}
+	return c.other(r)
+}
+
+// skipRunes consumes the runes at pos while they are in c. No class
+// holds '\n', so an ASCII member only moves the column.
+func (lx *lexer) skipRunes(c *class) {
+	for lx.pos < len(lx.src) {
+		if b := lx.src[lx.pos]; b < utf8.RuneSelf {
+			if !c.ascii[b] {
+				return
+			}
+			lx.pos++
+			lx.col++
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(lx.src[lx.pos:])
+		if !c.other(r) {
+			return
+		}
+		lx.pos += w
 		lx.col++
 	}
-	return r
 }
 
 func (lx *lexer) errf(format string, args ...any) error {
@@ -73,34 +143,91 @@ func (lx *lexer) errf(format string, args ...any) error {
 
 func (lx *lexer) skip() error {
 	for lx.pos < len(lx.src) {
-		r := lx.peek()
+		c := lx.src[lx.pos]
 		switch {
-		case unicode.IsSpace(r):
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' || c == '\f':
 			lx.advance()
-		case r == '/' && lx.peekAt(1) == '/':
-			for lx.pos < len(lx.src) && lx.peek() != '\n' {
-				lx.advance()
+		case c == '/' && lx.byteAt(1) == '/':
+			end := strings.IndexByte(lx.src[lx.pos:], '\n')
+			if end < 0 {
+				end = len(lx.src) - lx.pos
 			}
-		case r == '/' && lx.peekAt(1) == '*':
+			lx.col += utf8.RuneCountInString(lx.src[lx.pos : lx.pos+end])
+			lx.pos += end
+		case c == '/' && lx.byteAt(1) == '*':
 			line, col := lx.line, lx.col
-			lx.advance()
-			lx.advance()
+			lx.pos += 2
+			lx.col += 2
 			for {
 				if lx.pos >= len(lx.src) {
 					return &Error{Line: line, Col: col, Msg: "unterminated block comment"}
 				}
-				if lx.peek() == '*' && lx.peekAt(1) == '/' {
-					lx.advance()
-					lx.advance()
+				if lx.src[lx.pos] == '*' && lx.byteAt(1) == '/' {
+					lx.pos += 2
+					lx.col += 2
 					break
 				}
 				lx.advance()
 			}
+		case c >= utf8.RuneSelf && unicode.IsSpace(lx.runeAt(0)):
+			lx.advance()
 		default:
 			return nil
 		}
 	}
 	return nil
+}
+
+// punct maps each single-byte punctuation character to its token kind.
+var punct = [utf8.RuneSelf]Kind{
+	'(': LPAREN, ')': RPAREN, '{': LBRACE, '}': RBRACE,
+	'[': LBRACKET, ']': RBRACKET, ';': SEMI, ',': COMMA, '.': DOT,
+	'=': ASSIGN, '+': PLUS, '-': MINUS, '*': STAR, '/': SLASH,
+	'%': PERCENT, '&': AMP, '|': PIPE, '^': CARET, '~': TILDE,
+	'!': BANG, '<': LT, '>': GT, '?': QUESTION, ':': COLON,
+}
+
+// operator matches the longest operator starting with the ASCII byte c
+// at pos, returning its kind (0 when c starts none) and length in bytes.
+func (lx *lexer) operator(c byte) (Kind, int) {
+	c1 := lx.byteAt(1)
+	switch c {
+	case '<':
+		switch {
+		case c1 == '<' && lx.byteAt(2) == '=':
+			return SHLEQ, 3
+		case c1 == '<':
+			return SHL, 2
+		case c1 == '=':
+			return LE, 2
+		}
+	case '>':
+		switch {
+		case c1 == '>' && lx.byteAt(2) == '=':
+			return SHREQ, 3
+		case c1 == '>':
+			return SHR, 2
+		case c1 == '=':
+			return GE, 2
+		}
+	case '&', '|', '+', '-':
+		if c1 == c {
+			return doubled[c], 2
+		}
+	}
+	if c1 == '=' && compoundAssign[c] != 0 {
+		return compoundAssign[c], 2
+	}
+	return punct[c], 1
+}
+
+// doubled maps c to the kind of the operator cc.
+var doubled = [utf8.RuneSelf]Kind{'&': ANDAND, '|': OROR, '+': INC, '-': DEC}
+
+// compoundAssign maps c to the kind of the operator c=.
+var compoundAssign = [utf8.RuneSelf]Kind{
+	'=': EQ, '!': NE, '+': PLUSEQ, '-': MINUSEQ, '*': STAREQ, '/': SLASHEQ,
+	'%': PERCENTEQ, '&': AMPEQ, '|': PIPEEQ, '^': CARETEQ,
 }
 
 func (lx *lexer) next() (Token, error) {
@@ -112,17 +239,15 @@ func (lx *lexer) next() (Token, error) {
 		tok.Kind = EOF
 		return tok, nil
 	}
-	r := lx.peek()
+	r := lx.runeAt(0)
 
 	switch {
 	case r == '#':
 		// #include directive inside an includes section.
 		start := lx.pos
 		lx.advance()
-		for lx.pos < len(lx.src) && unicode.IsLetter(lx.peek()) {
-			lx.advance()
-		}
-		word := string(lx.src[start:lx.pos])
+		lx.skipRunes(letters)
+		word := lx.src[start:lx.pos]
 		if word != "#include" {
 			return Token{}, lx.errf("unknown directive %q", word)
 		}
@@ -130,12 +255,10 @@ func (lx *lexer) next() (Token, error) {
 		tok.Text = word
 		return tok, nil
 
-	case r == '_' || unicode.IsLetter(r):
+	case r == '_' || letters.has(r):
 		start := lx.pos
-		for lx.pos < len(lx.src) && (lx.peek() == '_' || unicode.IsLetter(lx.peek()) || unicode.IsDigit(lx.peek())) {
-			lx.advance()
-		}
-		text := string(lx.src[start:lx.pos])
+		lx.skipRunes(identChars)
+		text := lx.src[start:lx.pos]
 		if kw, ok := keywords[text]; ok {
 			tok.Kind = kw
 			tok.Text = text
@@ -145,53 +268,20 @@ func (lx *lexer) next() (Token, error) {
 		tok.Text = text
 		return tok, nil
 
-	case unicode.IsDigit(r):
+	case digits.has(r):
 		return lx.number()
 
 	case r == '"':
-		lx.advance()
-		var sb strings.Builder
-		for {
-			if lx.pos >= len(lx.src) {
-				return Token{}, lx.errf("unterminated string literal")
-			}
-			c := lx.advance()
-			if c == '"' {
-				break
-			}
-			if c == '\\' {
-				if lx.pos >= len(lx.src) {
-					return Token{}, lx.errf("unterminated escape")
-				}
-				e := lx.advance()
-				switch e {
-				case 'n':
-					sb.WriteByte('\n')
-				case 't':
-					sb.WriteByte('\t')
-				case 'r':
-					sb.WriteByte('\r')
-				case '\\', '"', '\'':
-					sb.WriteRune(e)
-				case '0':
-					sb.WriteByte(0)
-				default:
-					return Token{}, lx.errf("unknown escape \\%c", e)
-				}
-				continue
-			}
-			sb.WriteRune(c)
-		}
-		tok.Kind = STRING
-		tok.Text = sb.String()
-		return tok, nil
+		return lx.str(tok)
 
 	case r == '\'':
 		lx.advance()
 		if lx.pos >= len(lx.src) {
 			return Token{}, lx.errf("unterminated character literal")
 		}
+		start := lx.pos
 		c := lx.advance()
+		text := lx.src[start:lx.pos]
 		if c == '\\' {
 			if lx.pos >= len(lx.src) {
 				return Token{}, lx.errf("unterminated escape")
@@ -209,119 +299,116 @@ func (lx *lexer) next() (Token, error) {
 			default:
 				return Token{}, lx.errf("unknown escape \\%c", e)
 			}
+			text = string(c)
+		} else if c == utf8.RuneError {
+			// An invalid byte reads as U+FFFD, as string([]rune(src)) has it.
+			text = string(c)
 		}
 		if lx.pos >= len(lx.src) || lx.advance() != '\'' {
 			return Token{}, lx.errf("unterminated character literal")
 		}
 		tok.Kind = CHAR
-		tok.Text = string(c)
+		tok.Text = text
 		tok.Int = int64(c)
 		return tok, nil
 	}
 
-	three := string(r) + string(lx.peekAt(1)) + string(lx.peekAt(2))
-	two := string(r) + string(lx.peekAt(1))
-
-	consume := func(kind Kind, n int) (Token, error) {
-		for i := 0; i < n; i++ {
-			lx.advance()
+	if r < utf8.RuneSelf {
+		if kind, n := lx.operator(byte(r)); kind != 0 {
+			lx.pos += n
+			lx.col += n
+			tok.Kind = kind
+			return tok, nil
 		}
-		tok.Kind = kind
-		return tok, nil
-	}
-
-	switch three {
-	case "<<=":
-		return consume(SHLEQ, 3)
-	case ">>=":
-		return consume(SHREQ, 3)
-	}
-	switch two {
-	case "<=":
-		return consume(LE, 2)
-	case ">=":
-		return consume(GE, 2)
-	case "==":
-		return consume(EQ, 2)
-	case "!=":
-		return consume(NE, 2)
-	case "&&":
-		return consume(ANDAND, 2)
-	case "||":
-		return consume(OROR, 2)
-	case "<<":
-		return consume(SHL, 2)
-	case ">>":
-		return consume(SHR, 2)
-	case "++":
-		return consume(INC, 2)
-	case "--":
-		return consume(DEC, 2)
-	case "+=":
-		return consume(PLUSEQ, 2)
-	case "-=":
-		return consume(MINUSEQ, 2)
-	case "*=":
-		return consume(STAREQ, 2)
-	case "/=":
-		return consume(SLASHEQ, 2)
-	case "%=":
-		return consume(PERCENTEQ, 2)
-	case "&=":
-		return consume(AMPEQ, 2)
-	case "|=":
-		return consume(PIPEEQ, 2)
-	case "^=":
-		return consume(CARETEQ, 2)
-	}
-	single := map[rune]Kind{
-		'(': LPAREN, ')': RPAREN, '{': LBRACE, '}': RBRACE,
-		'[': LBRACKET, ']': RBRACKET, ';': SEMI, ',': COMMA, '.': DOT,
-		'=': ASSIGN, '+': PLUS, '-': MINUS, '*': STAR, '/': SLASH,
-		'%': PERCENT, '&': AMP, '|': PIPE, '^': CARET, '~': TILDE,
-		'!': BANG, '<': LT, '>': GT, '?': QUESTION, ':': COLON,
-	}
-	if k, ok := single[r]; ok {
-		return consume(k, 1)
 	}
 	return Token{}, lx.errf("unexpected character %q", string(r))
+}
+
+// str scans a string literal. A literal without escapes whose bytes are
+// valid UTF-8 is a substring of the source; any other is rebuilt rune by
+// rune, with invalid bytes read as U+FFFD.
+func (lx *lexer) str(tok Token) (Token, error) {
+	lx.advance()
+	start, line, col := lx.pos, lx.line, lx.col
+	for lx.pos < len(lx.src) && lx.src[lx.pos] != '"' && lx.src[lx.pos] != '\\' {
+		lx.advance()
+	}
+	if lx.pos < len(lx.src) && lx.src[lx.pos] == '"' && utf8.ValidString(lx.src[start:lx.pos]) {
+		tok.Kind = STRING
+		tok.Text = lx.src[start:lx.pos]
+		lx.advance()
+		return tok, nil
+	}
+	lx.pos, lx.line, lx.col = start, line, col
+	var sb strings.Builder
+	for {
+		if lx.pos >= len(lx.src) {
+			return Token{}, lx.errf("unterminated string literal")
+		}
+		c := lx.advance()
+		if c == '"' {
+			break
+		}
+		if c == '\\' {
+			if lx.pos >= len(lx.src) {
+				return Token{}, lx.errf("unterminated escape")
+			}
+			e := lx.advance()
+			switch e {
+			case 'n':
+				sb.WriteByte('\n')
+			case 't':
+				sb.WriteByte('\t')
+			case 'r':
+				sb.WriteByte('\r')
+			case '\\', '"', '\'':
+				sb.WriteRune(e)
+			case '0':
+				sb.WriteByte(0)
+			default:
+				return Token{}, lx.errf("unknown escape \\%c", e)
+			}
+			continue
+		}
+		sb.WriteRune(c)
+	}
+	tok.Kind = STRING
+	tok.Text = sb.String()
+	return tok, nil
 }
 
 func (lx *lexer) number() (Token, error) {
 	tok := Token{Line: lx.line, Col: lx.col}
 	start := lx.pos
-	if lx.peek() == '0' && (lx.peekAt(1) == 'x' || lx.peekAt(1) == 'X') {
-		lx.advance()
-		lx.advance()
+	if lx.byteAt(0) == '0' && (lx.byteAt(1) == 'x' || lx.byteAt(1) == 'X') {
+		lx.pos += 2
+		lx.col += 2
 		hexStart := lx.pos
-		for lx.pos < len(lx.src) && isHexDigit(lx.peek()) {
-			lx.advance()
-		}
+		lx.skipRunes(hexDigits)
 		if lx.pos == hexStart {
 			return Token{}, lx.errf("malformed hex literal")
 		}
-		text := string(lx.src[hexStart:lx.pos])
+		text := lx.src[hexStart:lx.pos]
 		n, err := strconv.ParseInt(text, 16, 64)
 		if err != nil {
 			return Token{}, lx.errf("bad hex literal 0x%s", text)
 		}
 		tok.Kind = INT
 		tok.Int = n
-		tok.Text = "0x" + text
+		tok.Text = lx.src[start:lx.pos]
+		if lx.src[start+1] == 'X' {
+			tok.Text = "0x" + text
+		}
 		return tok, nil
 	}
-	for lx.pos < len(lx.src) && unicode.IsDigit(lx.peek()) {
-		lx.advance()
-	}
+	lx.skipRunes(digits)
 	isFloat := false
-	if lx.peek() == '.' && unicode.IsDigit(lx.peekAt(1)) {
+	if lx.byteAt(0) == '.' && digits.has(lx.runeAt(1)) {
 		isFloat = true
 		lx.advance()
-		for lx.pos < len(lx.src) && unicode.IsDigit(lx.peek()) {
-			lx.advance()
-		}
+		lx.skipRunes(digits)
 	}
-	text := string(lx.src[start:lx.pos])
+	text := lx.src[start:lx.pos]
 	if isFloat {
 		f, err := strconv.ParseFloat(text, 64)
 		if err != nil {
@@ -340,8 +427,4 @@ func (lx *lexer) number() (Token, error) {
 	tok.Int = n
 	tok.Text = text
 	return tok, nil
-}
-
-func isHexDigit(r rune) bool {
-	return unicode.IsDigit(r) || (r >= 'a' && r <= 'f') || (r >= 'A' && r <= 'F')
 }

@@ -26,15 +26,24 @@ type Report struct {
 	Results     []ProgramResult `json:"results"`
 }
 
-// Run executes the full differential soak: generate, check, shrink.
-// The master rng derives one sub-seed per program, so program i is
-// reproducible from its recorded seed alone.
-func Run(cfg Config) *Report {
+// Programs generates the cfg.Programs programs of a soak. The master rng
+// derives one sub-seed per program, so program i is reproducible from
+// its recorded seed alone.
+func Programs(cfg Config) []*Spec {
 	master := rand.New(rand.NewSource(cfg.Seed))
-	rep := &Report{Seed: cfg.Seed, Programs: cfg.Programs, Verdicts: map[string]int{}}
-	for i := 0; i < cfg.Programs; i++ {
+	specs := make([]*Spec, cfg.Programs)
+	for i := range specs {
 		progSeed := master.Int63()
-		spec := generate(rand.New(rand.NewSource(progSeed)), i, progSeed)
+		specs[i] = generate(rand.New(rand.NewSource(progSeed)), i, progSeed)
+	}
+	return specs
+}
+
+// Run executes the full differential soak over Programs(cfg): generate,
+// check, shrink.
+func Run(cfg Config) *Report {
+	rep := &Report{Seed: cfg.Seed, Programs: cfg.Programs, Verdicts: map[string]int{}}
+	for _, spec := range Programs(cfg) {
 		res := RunOne(spec, cfg)
 		if res.Verdict != VerdictOK && cfg.Shrink {
 			if m := Shrink(spec, cfg, res.Verdict); m != nil {

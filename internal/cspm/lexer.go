@@ -3,7 +3,9 @@ package cspm
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // SyntaxError is a lexical or parse error with source position.
@@ -16,21 +18,22 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("cspm:%d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
+// lexer scans the source string byte by byte. A rune is decoded only
+// at a byte of utf8.RuneSelf or above; every operator and comment
+// marker is ASCII, so those are matched on bytes. pos is a byte offset,
+// col counts runes.
 type lexer struct {
-	src  []rune
+	src  string
 	pos  int
 	line int
 	col  int
 }
 
-func newLexer(src string) *lexer {
-	return &lexer{src: []rune(src), line: 1, col: 1}
-}
-
 // Lex tokenises an entire CSPm source, returning the token stream
-// terminated by TokEOF.
+// terminated by TokEOF. Identifier and integer texts are substrings of
+// src.
 func Lex(src string) ([]Token, error) {
-	lx := newLexer(src)
+	lx := &lexer{src: src, line: 1, col: 1}
 	var out []Token
 	for {
 		t, err := lx.next()
@@ -44,30 +47,92 @@ func Lex(src string) ([]Token, error) {
 	}
 }
 
-func (lx *lexer) peek() rune {
-	if lx.pos >= len(lx.src) {
-		return 0
-	}
-	return lx.src[lx.pos]
-}
-
-func (lx *lexer) peekAt(n int) rune {
+// byteAt returns the byte n bytes past pos, or 0 past the end.
+func (lx *lexer) byteAt(n int) byte {
 	if lx.pos+n >= len(lx.src) {
 		return 0
 	}
 	return lx.src[lx.pos+n]
 }
 
-func (lx *lexer) advance() rune {
-	r := lx.src[lx.pos]
-	lx.pos++
-	if r == '\n' {
-		lx.line++
-		lx.col = 1
-	} else {
+// runeAt decodes the rune at pos (0 at the end).
+func (lx *lexer) runeAt() rune {
+	if lx.pos >= len(lx.src) {
+		return 0
+	}
+	if c := lx.src[lx.pos]; c < utf8.RuneSelf {
+		return rune(c)
+	}
+	r, _ := utf8.DecodeRuneInString(lx.src[lx.pos:])
+	return r
+}
+
+// advance consumes one rune.
+func (lx *lexer) advance() {
+	c := lx.src[lx.pos]
+	if c < utf8.RuneSelf {
+		lx.pos++
+		if c == '\n' {
+			lx.line++
+			lx.col = 1
+		} else {
+			lx.col++
+		}
+		return
+	}
+	_, w := utf8.DecodeRuneInString(lx.src[lx.pos:])
+	lx.pos += w
+	lx.col++
+}
+
+// class is a set of runes, its ASCII members in a table and the rest
+// decided by a predicate.
+type class struct {
+	ascii [utf8.RuneSelf]bool
+	other func(rune) bool
+}
+
+func newClass(in func(rune) bool) *class {
+	c := &class{other: in}
+	for b := range c.ascii {
+		c.ascii[b] = in(rune(b))
+	}
+	return c
+}
+
+var (
+	identStart = newClass(func(r rune) bool { return r == '_' || unicode.IsLetter(r) })
+	identChars = newClass(func(r rune) bool { return r == '_' || r == '\'' || unicode.IsLetter(r) || unicode.IsDigit(r) })
+	digits     = newClass(unicode.IsDigit)
+)
+
+// has reports whether r is in c.
+func (c *class) has(r rune) bool {
+	if r < utf8.RuneSelf {
+		return c.ascii[r]
+	}
+	return c.other(r)
+}
+
+// skipRunes consumes the runes at pos while they are in c. No class
+// holds '\n', so an ASCII member only moves the column.
+func (lx *lexer) skipRunes(c *class) {
+	for lx.pos < len(lx.src) {
+		if b := lx.src[lx.pos]; b < utf8.RuneSelf {
+			if !c.ascii[b] {
+				return
+			}
+			lx.pos++
+			lx.col++
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(lx.src[lx.pos:])
+		if !c.other(r) {
+			return
+		}
+		lx.pos += w
 		lx.col++
 	}
-	return r
 }
 
 func (lx *lexer) errf(format string, args ...any) error {
@@ -76,31 +141,36 @@ func (lx *lexer) errf(format string, args ...any) error {
 
 func (lx *lexer) skipSpaceAndComments() error {
 	for lx.pos < len(lx.src) {
-		r := lx.peek()
+		c := lx.src[lx.pos]
 		switch {
-		case unicode.IsSpace(r):
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' || c == '\f':
 			lx.advance()
-		case r == '-' && lx.peekAt(1) == '-':
+		case c == '-' && lx.byteAt(1) == '-':
 			// Line comment. But "->" must not be eaten: '--' is safe.
-			for lx.pos < len(lx.src) && lx.peek() != '\n' {
-				lx.advance()
+			end := strings.IndexByte(lx.src[lx.pos:], '\n')
+			if end < 0 {
+				end = len(lx.src) - lx.pos
 			}
-		case r == '{' && lx.peekAt(1) == '-':
+			lx.col += utf8.RuneCountInString(lx.src[lx.pos : lx.pos+end])
+			lx.pos += end
+		case c == '{' && lx.byteAt(1) == '-':
 			// Block comment {- ... -}, nesting not supported (as in CSPm).
 			startLine, startCol := lx.line, lx.col
-			lx.advance()
-			lx.advance()
+			lx.pos += 2
+			lx.col += 2
 			for {
 				if lx.pos >= len(lx.src) {
 					return &SyntaxError{Line: startLine, Col: startCol, Msg: "unterminated block comment"}
 				}
-				if lx.peek() == '-' && lx.peekAt(1) == '}' {
-					lx.advance()
-					lx.advance()
+				if lx.src[lx.pos] == '-' && lx.byteAt(1) == '}' {
+					lx.pos += 2
+					lx.col += 2
 					break
 				}
 				lx.advance()
 			}
+		case c >= utf8.RuneSelf && unicode.IsSpace(lx.runeAt()):
+			lx.advance()
 		default:
 			return nil
 		}
@@ -108,13 +178,93 @@ func (lx *lexer) skipSpaceAndComments() error {
 	return nil
 }
 
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
+// punct maps each single-byte operator to its token kind.
+var punct = [utf8.RuneSelf]TokKind{
+	'=': TokEquals, '(': TokLParen, ')': TokRParen, '{': TokLBrace,
+	'}': TokRBrace, ',': TokComma, ':': TokColon, ';': TokSemi,
+	'|': TokBar, '.': TokDot, '?': TokQuestion, '!': TokBang,
+	'\\': TokBackslash, '&': TokAmp, '@': TokAt, '<': TokLt, '>': TokGt,
+	'+': TokPlus, '-': TokMinus, '*': TokStar, '/': TokSlash,
+	'%': TokPercent, ']': TokRBrack,
 }
 
-func isIdentCont(r rune) bool {
-	return r == '_' || r == '\'' || unicode.IsLetter(r) || unicode.IsDigit(r)
+// operator matches the longest operator starting with the ASCII byte c
+// at pos, returning its kind (0 when c starts none) and length in bytes.
+func (lx *lexer) operator(c byte) (TokKind, int) {
+	c1 := lx.byteAt(1)
+	switch c {
+	case '[':
+		switch c1 {
+		case 'F':
+			if lx.byteAt(2) == 'D' && lx.byteAt(3) == '=' {
+				return TokRefFD, 4
+			}
+			if lx.byteAt(2) == '=' {
+				return TokRefF, 3
+			}
+		case 'T':
+			if lx.byteAt(2) == '=' {
+				return TokRefT, 3
+			}
+		case ']':
+			return TokBox, 2
+		case '|':
+			return TokLPar, 2
+		case '[':
+			return TokLRename, 2
+		}
+	case '|':
+		switch c1 {
+		case '~':
+			if lx.byteAt(2) == '|' {
+				return TokIntCh, 3
+			}
+		case '|':
+			if lx.byteAt(2) == '|' {
+				return TokIleave, 3
+			}
+		case '}':
+			return TokRProd, 2
+		case ']':
+			return TokRPar, 2
+		}
+	case '{':
+		if c1 == '|' {
+			return TokLProd, 2
+		}
+	case '-':
+		if c1 == '>' {
+			return TokArrow, 2
+		}
+	case ']':
+		if c1 == ']' {
+			return TokRRename, 2
+		}
+	case '<':
+		switch c1 {
+		case '-':
+			return TokLArrow, 2
+		case '=':
+			return TokLe, 2
+		}
+	case '=', '!', '>':
+		if c1 == '=' {
+			return compareOps[c], 2
+		}
+	case '.':
+		if c1 == '.' {
+			return TokDotDot, 2
+		}
+	case ':':
+		if c1 == '[' {
+			return TokColLBrack, 2
+		}
+	}
+	return punct[c], 1
 }
+
+// compareOps maps c to the kind of the operator c=.
+var compareOps = [utf8.RuneSelf]TokKind{'=': TokEq, '!': TokNe, '>': TokGe}
 
 func (lx *lexer) next() (Token, error) {
 	if err := lx.skipSpaceAndComments(); err != nil {
@@ -125,15 +275,13 @@ func (lx *lexer) next() (Token, error) {
 		tok.Kind = TokEOF
 		return tok, nil
 	}
-	r := lx.peek()
+	r := lx.runeAt()
 
 	switch {
-	case isIdentStart(r):
+	case identStart.has(r):
 		start := lx.pos
-		for lx.pos < len(lx.src) && isIdentCont(lx.peek()) {
-			lx.advance()
-		}
-		text := string(lx.src[start:lx.pos])
+		lx.skipRunes(identChars)
+		text := lx.src[start:lx.pos]
 		if kw, ok := keywords[text]; ok {
 			tok.Kind = kw
 			tok.Text = text
@@ -143,12 +291,10 @@ func (lx *lexer) next() (Token, error) {
 		tok.Text = text
 		return tok, nil
 
-	case unicode.IsDigit(r):
+	case digits.has(r):
 		start := lx.pos
-		for lx.pos < len(lx.src) && unicode.IsDigit(lx.peek()) {
-			lx.advance()
-		}
-		text := string(lx.src[start:lx.pos])
+		lx.skipRunes(digits)
+		text := lx.src[start:lx.pos]
 		n, err := strconv.Atoi(text)
 		if err != nil {
 			return Token{}, lx.errf("bad integer literal %q", text)
@@ -159,110 +305,13 @@ func (lx *lexer) next() (Token, error) {
 		return tok, nil
 	}
 
-	two := string(r) + string(lx.peekAt(1))
-	three := two + string(lx.peekAt(2))
-	four := three + string(lx.peekAt(3))
-
-	consume := func(kind TokKind, n int) (Token, error) {
-		for i := 0; i < n; i++ {
-			lx.advance()
+	if r < utf8.RuneSelf {
+		if kind, n := lx.operator(byte(r)); kind != 0 {
+			lx.pos += n
+			lx.col += n
+			tok.Kind = kind
+			return tok, nil
 		}
-		tok.Kind = kind
-		return tok, nil
-	}
-
-	if four == "[FD=" {
-		return consume(TokRefFD, 4)
-	}
-	switch three {
-	case "|~|":
-		return consume(TokIntCh, 3)
-	case "|||":
-		return consume(TokIleave, 3)
-	case "[T=":
-		return consume(TokRefT, 3)
-	case "[F=":
-		return consume(TokRefF, 3)
-	}
-	switch two {
-	case "->":
-		return consume(TokArrow, 2)
-	case "{|":
-		return consume(TokLProd, 2)
-	case "|}":
-		return consume(TokRProd, 2)
-	case "[]":
-		return consume(TokBox, 2)
-	case "[|":
-		return consume(TokLPar, 2)
-	case "|]":
-		return consume(TokRPar, 2)
-	case "[[":
-		return consume(TokLRename, 2)
-	case "]]":
-		return consume(TokRRename, 2)
-	case "<-":
-		return consume(TokLArrow, 2)
-	case "==":
-		return consume(TokEq, 2)
-	case "!=":
-		return consume(TokNe, 2)
-	case "<=":
-		return consume(TokLe, 2)
-	case ">=":
-		return consume(TokGe, 2)
-	case "..":
-		return consume(TokDotDot, 2)
-	case ":[":
-		return consume(TokColLBrack, 2)
-	}
-	switch r {
-	case '=':
-		return consume(TokEquals, 1)
-	case '(':
-		return consume(TokLParen, 1)
-	case ')':
-		return consume(TokRParen, 1)
-	case '{':
-		return consume(TokLBrace, 1)
-	case '}':
-		return consume(TokRBrace, 1)
-	case ',':
-		return consume(TokComma, 1)
-	case ':':
-		return consume(TokColon, 1)
-	case ';':
-		return consume(TokSemi, 1)
-	case '|':
-		return consume(TokBar, 1)
-	case '.':
-		return consume(TokDot, 1)
-	case '?':
-		return consume(TokQuestion, 1)
-	case '!':
-		return consume(TokBang, 1)
-	case '\\':
-		return consume(TokBackslash, 1)
-	case '&':
-		return consume(TokAmp, 1)
-	case '@':
-		return consume(TokAt, 1)
-	case '<':
-		return consume(TokLt, 1)
-	case '>':
-		return consume(TokGt, 1)
-	case '+':
-		return consume(TokPlus, 1)
-	case '-':
-		return consume(TokMinus, 1)
-	case '*':
-		return consume(TokStar, 1)
-	case '/':
-		return consume(TokSlash, 1)
-	case '%':
-		return consume(TokPercent, 1)
-	case ']':
-		return consume(TokRBrack, 1)
 	}
 	return Token{}, lx.errf("unexpected character %q", string(r))
 }

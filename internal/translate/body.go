@@ -250,8 +250,6 @@ func stripBreak(list []capl.Stmt) []capl.Stmt {
 	return list
 }
 
-// sameProc reports whether two translated processes are syntactically
-// identical (used to collapse redundant internal choices).
-func sameProc(a, b cspm.ProcExpr) bool {
-	return cspm.PrintProc(a) == cspm.PrintProc(b)
-}
+// sameProc reports whether two translated processes are the same
+// syntax tree (used to collapse redundant internal choices).
+var sameProc = cspm.EqualProc
