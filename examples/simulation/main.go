@@ -55,13 +55,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	mapping := core.FrameMapping{
-		0x101: csp.Ev("send", csp.Sym("reqSw")),
-		0x102: csp.Ev("rec", csp.Sym("rptSw")),
-		0x103: csp.Ev("send", csp.Sym("reqApp")),
-		0x104: csp.Ev("rec", csp.Sym("rptUpd")),
+	db, err := ota.Database()
+	if err != nil {
+		return err
 	}
-	observed, err := pipeline.CrossValidate(report.Model, csp.Call("SYSTEM"), mapping, 2*canbus.Millisecond)
+	observed, err := pipeline.CrossValidate(report.Model, csp.Call("SYSTEM"), db, 2*canbus.Millisecond)
 	if err != nil {
 		return err
 	}

@@ -1,15 +1,18 @@
 package candb
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
 // FuzzParse asserts the DBC frontend is total and that everything
-// downstream of a successful parse — CSPm generation and signal
-// decoding — is panic-free too, since those run on whatever a parse
-// accepts.
+// downstream of a successful parse — CSPm generation, signal decoding
+// and the frame ↔ event table — is panic-free too, since those run on
+// whatever a parse accepts. With every sender mapped, building the
+// table either fails with a named error or round-trips every
+// identifier through its event.
 func FuzzParse(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "*.dbc"))
 	if err != nil {
@@ -51,6 +54,28 @@ func FuzzParse(f *testing.F) {
 				// A payload truncated to the declared DLC must decode
 				// without panicking even when the signal layout overruns it.
 				_ = m.Signals[i].Decode(short)
+			}
+		}
+		senders := map[string]string{}
+		for _, m := range db.Messages {
+			senders[m.Sender] = m.Sender
+		}
+		table, err := NewTable(db, nil, senders)
+		if err != nil {
+			if !errors.Is(err, ErrDuplicateEvent) && !errors.Is(err, ErrDuplicateID) &&
+				!errors.Is(err, ErrBadDLC) && !errors.Is(err, ErrUnmappedSender) {
+				t.Fatalf("NewTable: unnamed error %v", err)
+			}
+			return
+		}
+		for _, m := range db.Messages {
+			ev, ok := table.Event(m.ID)
+			if !ok {
+				t.Fatalf("identifier %d missing from the table", m.ID)
+			}
+			back, ok := table.Message(ev)
+			if !ok || back.ID != m.ID {
+				t.Fatalf("Message(Event(%d)) = %v, %v", m.ID, back, ok)
 			}
 		}
 	})

@@ -142,11 +142,19 @@ func TestShrinkMinimises(t *testing.T) {
 // error path.
 func TestProjectTraceRejectsUnknownID(t *testing.T) {
 	spec := &Spec{NStim: 1, NResp: 1}
+	db, err := candb.Parse(spec.DBC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := frameTable(db)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sim := simFrame(0x7FF)
-	if _, err := projectTrace(spec, sim); err == nil {
+	if _, err := projectTrace(table, sim); err == nil {
 		t.Error("unknown identifier projected without error")
 	}
-	if _, err := projectTrace(spec, simFrame(stimBaseID)); err != nil {
+	if _, err := projectTrace(table, simFrame(stimBaseID)); err != nil {
 		t.Errorf("known identifier rejected: %v", err)
 	}
 }

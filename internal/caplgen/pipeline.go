@@ -97,24 +97,24 @@ func hiddenTimerEvents() *csp.EventSet {
 	return csp.EventsOf(translate.SetTimerChan, translate.CancelTimerChan, translate.TimeoutChan)
 }
 
-// projectTrace maps delivered frames onto model events by identifier.
-func projectTrace(s *Spec, frames []canoe.TimedFrame) (csp.Trace, error) {
-	byID := map[uint32]csp.Event{}
-	for i := 0; i < s.NStim; i++ {
-		byID[uint32(stimBaseID+i)] = csp.Event{Chan: "stim", Args: []csp.Value{csp.Sym(stimName(i))}}
-	}
-	for j := 0; j < s.NResp; j++ {
-		byID[uint32(respBaseID+j)] = csp.Event{Chan: "resp", Args: []csp.Value{csp.Sym(respName(j))}}
-	}
+// projectTrace maps delivered frames onto model events through the
+// generated database's table.
+func projectTrace(table *candb.Table, frames []canoe.TimedFrame) (csp.Trace, error) {
 	out := make(csp.Trace, 0, len(frames))
 	for i, tf := range frames {
-		ev, ok := byID[tf.Frame.ID]
+		ev, ok := table.Event(tf.Frame.ID)
 		if !ok {
 			return nil, fmt.Errorf("frame %d at t=%dus: identifier 0x%03X not generated", i, int64(tf.At), tf.Frame.ID)
 		}
 		out = append(out, ev)
 	}
 	return out, nil
+}
+
+// frameTable is the generated database's frame ↔ event table: the
+// driver's stimuli appear on stim, the node's responses on resp.
+func frameTable(db *candb.Database) (*candb.Table, error) {
+	return candb.NewTable(db, nil, map[string]string{"DRV": "stim", "NODE": "resp"})
 }
 
 // lintGate runs the full analyzer and returns the first warning-or-
@@ -247,7 +247,11 @@ func RunOne(spec *Spec, cfg Config) (res ProgramResult) {
 	res.Frames = len(frames)
 
 	// Phase 5: conformance — the observed trace must be a model trace.
-	trace, err := projectTrace(spec, frames)
+	table, err := frameTable(db)
+	var trace csp.Trace
+	if err == nil {
+		trace, err = projectTrace(table, frames)
+	}
 	if err != nil {
 		res.Verdict = VerdictProjection
 		res.Detail = err.Error()

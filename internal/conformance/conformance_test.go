@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/canbus"
+	"repro/internal/canoe"
 )
 
 // sharedRunner returns a package-wide runner so the expensive observed
@@ -255,17 +256,18 @@ func TestRunScheduleWatchdog(t *testing.T) {
 }
 
 func TestProjectorRejectsUnknownID(t *testing.T) {
-	p, err := NewOTAProjector()
+	r, err := NewRunner()
 	if err != nil {
-		t.Fatalf("NewOTAProjector: %v", err)
+		t.Fatalf("NewRunner: %v", err)
 	}
-	if _, err := p.Frame(canbus.Frame{ID: 0x7FF}); err == nil {
-		t.Fatal("unknown identifier projected without error")
+	_, err = r.project([]canoe.TimedFrame{{Frame: canbus.Frame{ID: 0x7FF}}})
+	if err == nil || !strings.Contains(err.Error(), "identifier 0x7FF not in database") {
+		t.Fatalf("unknown identifier: err = %v, want not in database", err)
 	}
-	if dir := p.Direction(0x101); dir != "sendE" {
-		t.Fatalf("Direction(0x101) = %q, want sendE", dir)
+	if dir := r.direction(0x101); dir != "sendE" {
+		t.Fatalf("direction(0x101) = %q, want sendE", dir)
 	}
-	if dir := p.Direction(0x102); dir != "rec" {
-		t.Fatalf("Direction(0x102) = %q, want rec", dir)
+	if dir := r.direction(0x102); dir != "rec" {
+		t.Fatalf("direction(0x102) = %q, want rec", dir)
 	}
 }

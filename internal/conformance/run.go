@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/canbus"
+	"repro/internal/candb"
 	"repro/internal/canoe"
 	"repro/internal/csp"
 	"repro/internal/lts"
@@ -102,7 +103,9 @@ type Runner struct {
 	// reports are byte-identical either way.
 	Obs *obs.Observer
 
-	projector *Projector
+	// table projects delivered frames onto observed-model events: Table
+	// II identifiers onto the delivered side of each direction.
+	table *candb.Table
 
 	mu     sync.Mutex
 	models map[modelKey]*modelEntry
@@ -123,16 +126,44 @@ type modelEntry struct {
 
 // NewRunner builds a runner over the OTA projection.
 func NewRunner() (*Runner, error) {
-	p, err := NewOTAProjector()
+	db, err := ota.Database()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("conformance: parse OTA database: %w", err)
+	}
+	table, err := candb.NewTable(db, ota.MessageRename, map[string]string{
+		"VMG": ota.ObservedToECU,
+		"ECU": ota.ObservedToVMG,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("conformance: %w", err)
 	}
 	return &Runner{
 		MaxDuration:  defaultMaxDuration,
 		MaxSimEvents: 300_000,
-		projector:    p,
+		table:        table,
 		models:       make(map[modelKey]*modelEntry),
 	}, nil
+}
+
+// direction returns the delivered-side channel of the identifier, or ""
+// if unknown — used to attribute fault budgets.
+func (r *Runner) direction(id uint32) string {
+	ev, _ := r.table.Event(id)
+	return ev.Chan
+}
+
+// project maps a monitor trace onto the observed event sequence. A
+// frame the database cannot name is an error.
+func (r *Runner) project(tfs []canoe.TimedFrame) (csp.Trace, error) {
+	out := make(csp.Trace, 0, len(tfs))
+	for i, tf := range tfs {
+		ev, ok := r.table.Event(tf.Frame.ID)
+		if !ok {
+			return nil, fmt.Errorf("frame %d at t=%dus: conformance: identifier 0x%03X not in database", i, int64(tf.At), tf.Frame.ID)
+		}
+		out = append(out, ev)
+	}
+	return out, nil
 }
 
 // model returns the cached observed-bus reference model for the variant
@@ -232,7 +263,7 @@ func (r *Runner) simulate(ctx context.Context, s Schedule) (simResult, error) {
 		for _, op := range frameOps[i] {
 			if op.Kind == OpDupFrame {
 				replay(t+canbus.Time(op.DelayUs), f)
-				res.applied = append(res.applied, appliedOp{op: op, dir: r.projector.Direction(f.ID)})
+				res.applied = append(res.applied, appliedOp{op: op, dir: r.direction(f.ID)})
 			}
 		}
 	}
@@ -242,11 +273,11 @@ func (r *Runner) simulate(ctx context.Context, s Schedule) (simResult, error) {
 			switch op.Kind {
 			case OpDropFrame:
 				drop = true
-				res.applied = append(res.applied, appliedOp{op: op, dir: r.projector.Direction(f.ID)})
+				res.applied = append(res.applied, appliedOp{op: op, dir: r.direction(f.ID)})
 			case OpDelayFrame:
 				drop = true
 				replay(t+canbus.Time(op.DelayUs), f)
-				res.applied = append(res.applied, appliedOp{op: op, dir: r.projector.Direction(f.ID)})
+				res.applied = append(res.applied, appliedOp{op: op, dir: r.direction(f.ID)})
 			}
 		}
 		return drop
@@ -357,7 +388,7 @@ func (r *Runner) Observe(s Schedule) (csp.Trace, *ota.System, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	trace, err := r.projector.Trace(sres.trace)
+	trace, err := r.project(sres.trace)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -413,7 +444,7 @@ func (r *Runner) RunSchedule(s Schedule) (v Verdict) {
 	v.DeliveredFrames = len(sres.trace)
 	v.Budgets = deriveBudgets(sres.applied)
 
-	trace, err := r.projector.Trace(sres.trace)
+	trace, err := r.project(sres.trace)
 	var sys *ota.System
 	if err == nil {
 		sys, err = r.model(s.Variant, v.Budgets)

@@ -13,9 +13,11 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"repro/internal/canbus"
+	"repro/internal/candb"
 	"repro/internal/canoe"
 	"repro/internal/capl"
 	"repro/internal/csp"
@@ -185,18 +187,26 @@ func (p *Pipeline) Build() (*Report, error) {
 	return report, nil
 }
 
-// FrameMapping maps CAN identifiers observed on the simulated bus to
-// events of the extracted CSP model.
-type FrameMapping map[uint32]csp.Event
-
 // CrossValidate executes the pipeline's node programs on the simulated
 // CAN bus for the given duration, maps the observed frame trace into
-// model events, and checks that the observed trace is a trace of the
-// given process (usually the composed SYSTEM). This closes the loop
-// between simulation (CANoe) and verification (FDR) in Figure 1.
+// model events through the CAN database, and checks that the observed
+// trace is a trace of the given process (usually the composed SYSTEM).
+// A node's frames appear on its Out channel, and message names map to
+// constructors through the union of the nodes' Rename maps. This
+// closes the loop between simulation (CANoe) and verification (FDR) in
+// Figure 1.
 func (p *Pipeline) CrossValidate(model *cspm.Model, system csp.Process,
-	mapping FrameMapping, duration canbus.Time) (csp.Trace, error) {
+	db *candb.Database, duration canbus.Time) (csp.Trace, error) {
 
+	rename, senderChan := map[string]string{}, map[string]string{}
+	for _, spec := range p.Nodes {
+		maps.Copy(rename, spec.Rename)
+		senderChan[spec.Name] = spec.Out
+	}
+	table, err := candb.NewTable(db, rename, senderChan)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	sim := canoe.NewSimulation(canbus.Config{})
 	for _, spec := range p.Nodes {
 		if _, err := sim.AddNode(spec.Name, spec.Source); err != nil {
@@ -211,7 +221,7 @@ func (p *Pipeline) CrossValidate(model *cspm.Model, system csp.Process,
 	}
 	observed := make(csp.Trace, 0, len(sim.Trace()))
 	for _, tf := range sim.Trace() {
-		ev, ok := mapping[tf.Frame.ID]
+		ev, ok := table.Event(tf.Frame.ID)
 		if !ok {
 			return nil, fmt.Errorf("core: frame id %#x observed on the bus has no event mapping", tf.Frame.ID)
 		}

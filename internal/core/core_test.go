@@ -1,10 +1,12 @@
 package core_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/canbus"
+	"repro/internal/candb"
 	"repro/internal/core"
 	"repro/internal/csp"
 	"repro/internal/ota"
@@ -75,15 +77,14 @@ func TestPipelineValidation(t *testing.T) {
 	}
 }
 
-// otaMapping maps the simulated CAN identifiers (Table II) to the
-// extracted model's events.
-func otaMapping() core.FrameMapping {
-	return core.FrameMapping{
-		0x101: csp.Ev("send", csp.Sym("reqSw")),
-		0x102: csp.Ev("rec", csp.Sym("rptSw")),
-		0x103: csp.Ev("send", csp.Sym("reqApp")),
-		0x104: csp.Ev("rec", csp.Sym("rptUpd")),
+// otaDatabase parses the case study's CAN database (Table II).
+func otaDatabase(t *testing.T) *candb.Database {
+	t.Helper()
+	db, err := ota.Database()
+	if err != nil {
+		t.Fatal(err)
 	}
+	return db
 }
 
 func TestCrossValidationSimulationMatchesModel(t *testing.T) {
@@ -93,7 +94,7 @@ func TestCrossValidationSimulationMatchesModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	system := csp.Call("SYSTEM")
-	observed, err := p.CrossValidate(report.Model, system, otaMapping(), 5*canbus.Millisecond)
+	observed, err := p.CrossValidate(report.Model, system, otaDatabase(t), 5*canbus.Millisecond)
 	if err != nil {
 		t.Fatalf("cross-validation failed: %v", err)
 	}
@@ -112,9 +113,9 @@ func TestCrossValidationUnknownFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapping := otaMapping()
-	delete(mapping, 0x102)
-	_, err = p.CrossValidate(report.Model, csp.Call("SYSTEM"), mapping, 5*canbus.Millisecond)
+	db := otaDatabase(t)
+	db.Messages = slices.DeleteFunc(db.Messages, func(m *candb.Message) bool { return m.ID == 0x102 })
+	_, err = p.CrossValidate(report.Model, csp.Call("SYSTEM"), db, 5*canbus.Millisecond)
 	if err == nil || !strings.Contains(err.Error(), "no event mapping") {
 		t.Errorf("err = %v, want unmapped frame error", err)
 	}

@@ -57,13 +57,11 @@ assert SYSTEM :[divergence free]
 		CombinedLines:  strings.Count(report.CombinedSource, "\n"),
 		Asserts:        report.Results,
 	}
-	mapping := core.FrameMapping{
-		0x101: csp.Ev("send", csp.Sym("reqSw")),
-		0x102: csp.Ev("rec", csp.Sym("rptSw")),
-		0x103: csp.Ev("send", csp.Sym("reqApp")),
-		0x104: csp.Ev("rec", csp.Sym("rptUpd")),
+	db, err := ota.Database()
+	if err != nil {
+		return res, err
 	}
-	observed, err := pipeline.CrossValidate(report.Model, csp.Call("SYSTEM"), mapping, 5*canbus.Millisecond)
+	observed, err := pipeline.CrossValidate(report.Model, csp.Call("SYSTEM"), db, 5*canbus.Millisecond)
 	if err != nil {
 		return res, err
 	}

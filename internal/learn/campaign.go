@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/candb"
 	"repro/internal/csp"
 	"repro/internal/lts"
 	"repro/internal/obs"
@@ -186,14 +187,15 @@ func NewVariantTeacher(cfg CampaignConfig, v Variant) (*SimTeacher, error) {
 	if err != nil {
 		return nil, err
 	}
+	table, err := candb.NewTable(db, ota.MessageRename, map[string]string{"VMG": "send", "ECU": "rec"})
+	if err != nil {
+		return nil, err
+	}
 	return NewSimTeacher(SimTeacherConfig{
 		NodeName:          "ECU",
 		Source:            src,
-		DB:                db,
-		Rename:            ota.MessageRename,
+		Table:             table,
 		InChannel:         "send",
-		OutChannel:        "rec",
-		InSender:          "VMG",
 		Seed:              cfg.Seed,
 		Profile:           cfg.Profile,
 		MaxEventsPerQuery: cfg.SimEventsPerQuery,

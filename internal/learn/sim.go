@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"io"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"repro/internal/canbus"
@@ -61,16 +60,13 @@ type SimTeacherConfig struct {
 	// NodeName and Source are the CAPL node under learning.
 	NodeName string
 	Source   string
-	// DB is the CAN database shared with the extractor; Rename maps
-	// CtorName(message) to the model constructor (ota.MessageRename).
-	DB     *candb.Database
-	Rename map[string]string
-	// InChannel carries stimuli (messages the database attributes to
-	// InSender); OutChannel carries the node's responses. For the raw
-	// extracted ECU these are "send" and "rec".
-	InChannel  string
-	OutChannel string
-	InSender   string
+	// Table projects delivered frames onto model events; it is built
+	// from the CAN database shared with the extractor (for the OTA ECU,
+	// ota.MessageRename with {VMG: send, ECU: rec}). Its events on
+	// InChannel are the stimuli the learner injects; all others are the
+	// node's responses.
+	Table     *candb.Table
+	InChannel string
 	// Seed feeds the per-query fault randomness.
 	Seed int64
 	// Profile selects the injection behaviour (default none).
@@ -101,8 +97,7 @@ type SimTeacher struct {
 	cfg      SimTeacherConfig
 	prog     *capl.Program
 	alphabet []csp.Event
-	stimulus []*canbus.Frame      // by alphabet index; nil for responses
-	byID     map[uint32]csp.Event // delivered frame -> model event
+	stimulus []*canbus.Frame // by alphabet index; nil for responses
 	runs     *obs.Counter
 
 	mu   sync.Mutex
@@ -117,12 +112,10 @@ type simRun struct {
 	err      error
 }
 
-// NewSimTeacher parses the node's CAPL source and builds the alphabet
-// and projection tables from the database. Messages sent by InSender
-// become input events on InChannel with a synthesizable stimulus frame;
-// all others become output events on OutChannel. The alphabet is sorted
-// by event rendering, so it is independent of database declaration
-// order.
+// NewSimTeacher parses the node's CAPL source and takes the alphabet
+// from the table, sorted by csp.Compare, so it is independent of
+// database declaration order. Each InChannel event gets a synthesizable
+// stimulus frame.
 func NewSimTeacher(cfg SimTeacherConfig) (*SimTeacher, error) {
 	if cfg.Profile == "" {
 		cfg.Profile = ProfileNone
@@ -135,47 +128,18 @@ func NewSimTeacher(cfg SimTeacherConfig) (*SimTeacher, error) {
 		return nil, fmt.Errorf("node %s: %w", cfg.NodeName, err)
 	}
 	t := &SimTeacher{
-		cfg:  cfg,
-		prog: prog,
-		byID: map[uint32]csp.Event{},
-		runs: cfg.Obs.Counter("learn.sim.runs"),
-		memo: map[string]*simRun{},
+		cfg:      cfg,
+		prog:     prog,
+		alphabet: cfg.Table.Events(),
+		runs:     cfg.Obs.Counter("learn.sim.runs"),
+		memo:     map[string]*simRun{},
 	}
-	type symbol struct {
-		ev    csp.Event
-		frame *canbus.Frame
-	}
-	var symbols []symbol
-	for _, m := range cfg.DB.Messages {
-		ctor := candb.CtorName(m.Name)
-		if renamed, ok := cfg.Rename[ctor]; ok {
-			ctor = renamed
+	t.stimulus = make([]*canbus.Frame, len(t.alphabet))
+	for i, ev := range t.alphabet {
+		if ev.Chan == cfg.InChannel {
+			m, _ := cfg.Table.Message(ev)
+			t.stimulus[i] = &canbus.Frame{ID: m.ID, Data: make([]byte, m.DLC)}
 		}
-		ch := cfg.OutChannel
-		if m.Sender == cfg.InSender {
-			ch = cfg.InChannel
-		}
-		ev := csp.Event{Chan: ch, Args: []csp.Value{csp.Sym(ctor)}}
-		if _, dup := t.byID[m.ID]; dup {
-			return nil, fmt.Errorf("learn: duplicate identifier 0x%03X in database", m.ID)
-		}
-		t.byID[m.ID] = ev
-		sym := symbol{ev: ev}
-		if m.Sender == cfg.InSender {
-			dlc := m.DLC
-			if dlc < 0 || dlc > canbus.MaxDataLen {
-				dlc = canbus.MaxDataLen
-			}
-			sym.frame = &canbus.Frame{ID: m.ID, Data: make([]byte, dlc)}
-		}
-		symbols = append(symbols, sym)
-	}
-	sort.Slice(symbols, func(i, j int) bool {
-		return csp.Compare(symbols[i].ev, symbols[j].ev) < 0
-	})
-	for _, sym := range symbols {
-		t.alphabet = append(t.alphabet, sym.ev)
-		t.stimulus = append(t.stimulus, sym.frame)
 	}
 	return t, nil
 }
@@ -381,7 +345,7 @@ func (t *SimTeacher) simulate(stimuli []int, rng *rand.Rand) (csp.Trace, error) 
 func (t *SimTeacher) project(tfs []canoe.TimedFrame) csp.Trace {
 	out := make(csp.Trace, 0, len(tfs))
 	for _, tf := range tfs {
-		if ev, ok := t.byID[tf.Frame.ID]; ok {
+		if ev, ok := t.cfg.Table.Event(tf.Frame.ID); ok {
 			out = append(out, ev)
 		}
 	}

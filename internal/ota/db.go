@@ -4,10 +4,12 @@ import "repro/internal/candb"
 
 // DBCSource is the CAN database of the simulated update network: the
 // Table II message types with the identifiers and sending nodes the
-// CAPL programs use. It is the identifier->model-event dictionary the
-// conformance harness projects bus traces through (message name lowered
-// per candb.CtorName gives the CAPL variable, MessageRename gives the
-// X.1373 constructor, the sender gives the direction).
+// CAPL programs use. candb.NewTable with MessageRename turns it into the
+// frame ↔ event table every bus-trace consumer projects through (the
+// lowered message name is the CAPL variable, MessageRename gives the
+// X.1373 constructor, the sender gives the channel): the learner maps
+// {VMG: send, ECU: rec}, the conformance harness the delivered sides
+// {VMG: ObservedToECU, ECU: ObservedToVMG}.
 const DBCSource = `VERSION "X.1373 demo"
 BU_: VMG ECU
 

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/candb"
+	"repro/internal/csp"
 	"repro/internal/fdr"
 	"repro/internal/refine"
 )
@@ -123,6 +125,29 @@ func TestTableIIContents(t *testing.T) {
 	for _, want := range []string{"reqSw", "rptSw", "reqApp", "rptUpd"} {
 		if !ids[want] {
 			t.Errorf("Table II missing %s", want)
+		}
+	}
+	// Table II is a data copy of the CAN database's frame table: each
+	// row's identifier, sender and constructor are one table entry.
+	db, err := Database()
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := candb.NewTable(db, MessageRename, map[string]string{"VMG": "VMG", "ECU": "ECU"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(table.Events()); n != len(TableII) {
+		t.Errorf("frame table has %d messages, Table II %d rows", n, len(TableII))
+	}
+	for _, row := range TableII {
+		m, ok := table.Message(csp.Ev(row.From, csp.Sym(row.ID)))
+		if !ok {
+			t.Errorf("row %s: no %s message with that constructor in the database", row.ID, row.From)
+			continue
+		}
+		if int64(m.ID) != row.CANID {
+			t.Errorf("row %s: CANID 0x%X, database 0x%X", row.ID, row.CANID, m.ID)
 		}
 	}
 }

@@ -23,7 +23,6 @@ package translate
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/candb"
@@ -453,7 +452,6 @@ func (t *translator) script() *cspm.Script {
 // render produces the final CSPm text through the template group,
 // preserving the paper's AST -> templates -> text pipeline.
 func render(s *cspm.Script, opts Options) (string, error) {
-	g := DefaultTemplates()
 	var datatypes, channels []string
 	var defs []st.Attrs
 	for _, d := range s.Decls {
@@ -463,14 +461,14 @@ func render(s *cspm.Script, opts Options) (string, error) {
 			for i, c := range x.Ctors {
 				ctors[i] = c.Name
 			}
-			line, err := g.Render("datatype", st.Attrs{"name": x.Name, "ctors": ctors})
+			line, err := templates.Render("datatype", st.Attrs{"name": x.Name, "ctors": ctors})
 			if err != nil {
 				return "", err
 			}
 			datatypes = append(datatypes, line)
 		case cspm.ChannelDecl:
 			typeName := channelTypeString(x.Fields)
-			line, err := g.Render("channel", st.Attrs{"names": x.Names, "type": typeName})
+			line, err := templates.Render("channel", st.Attrs{"names": x.Names, "type": typeName})
 			if err != nil {
 				return "", err
 			}
@@ -478,36 +476,17 @@ func render(s *cspm.Script, opts Options) (string, error) {
 		case cspm.ProcDef:
 			name := x.Name
 			if len(x.Params) > 0 {
-				name += "(" + joinComma(x.Params) + ")"
+				name += "(" + strings.Join(x.Params, ", ") + ")"
 			}
 			defs = append(defs, st.Attrs{"name": name, "body": cspm.PrintProc(x.Body)})
 		}
 	}
-	var asserts []string
-	for _, a := range s.Asserts {
-		asserts = append(asserts, printAssertion(a))
-	}
-	return g.Render("script", st.Attrs{
+	return templates.Render("script", st.Attrs{
 		"node":      opts.NodeName,
 		"datatypes": datatypes,
 		"channels":  channels,
 		"defs":      defs,
-		"asserts":   asserts,
 	})
-}
-
-func printAssertion(a cspm.Assertion) string {
-	switch a.Kind {
-	case cspm.AssertTraceRef:
-		return "assert " + cspm.PrintProc(a.Spec) + " [T= " + cspm.PrintProc(a.Impl)
-	case cspm.AssertFailRef:
-		return "assert " + cspm.PrintProc(a.Spec) + " [F= " + cspm.PrintProc(a.Impl)
-	case cspm.AssertDeadlockFree:
-		return "assert " + cspm.PrintProc(a.Impl) + " :[deadlock free]"
-	case cspm.AssertDivergenceFree:
-		return "assert " + cspm.PrintProc(a.Impl) + " :[divergence free]"
-	}
-	return ""
 }
 
 // channelTypeString renders a channel's dotted field signature.
@@ -521,39 +500,5 @@ func channelTypeString(fields []cspm.TypeExpr) string {
 			parts = append(parts, fmt.Sprintf("{%d..%d}", ft.Lo, ft.Hi))
 		}
 	}
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += "."
-		}
-		out += p
-	}
-	return out
-}
-
-func joinComma(xs []string) string {
-	out := ""
-	for i, x := range xs {
-		if i > 0 {
-			out += ", "
-		}
-		out += x
-	}
-	return out
-}
-
-// MessageConstructors returns the datatype constructors a program's
-// message declarations map to under the options, sorted. Used by system
-// composition to check two nodes agree on the message universe.
-func MessageConstructors(prog *capl.Program, opts Options) []string {
-	var out []string
-	for _, d := range prog.MessageDecls() {
-		name := d.Name
-		if renamed, ok := opts.MessageRename[d.Name]; ok {
-			name = renamed
-		}
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return strings.Join(parts, ".")
 }
