@@ -307,7 +307,8 @@ type namedBench struct {
 }
 
 // suite builds the benchmark list: exploration of the largest
-// case-study state space (plain and checkpointing every level), a full
+// case-study state space (plain and checkpointing every level) and of
+// the five small assertion subjects, a full
 // refinement check (cold vs cached), the soak's trace-membership check,
 // the fault-injection campaign (sequential vs parallel scenarios), one
 // fdrserve request (a POST /v1/check of testdata/ota.csp, read relative
@@ -527,9 +528,26 @@ func suite(o *obs.Observer) ([]namedBench, error) {
 			}
 		}
 	}
-	plainSystem, err := lts.Explore(csp.NewSemantics(plain.Model.Env, plain.Model.Ctx), csp.Call("SYSTEM"), lts.Options{})
+	plainSem := csp.NewSemantics(plain.Model.Env, plain.Model.Ctx)
+	plainSystem, err := lts.Explore(plainSem, csp.Call("SYSTEM"), lts.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("explore SYSTEM: %w", err)
+	}
+	// Tiny explorations, where per-exploration set-up dominates: the
+	// subjects of the case study's five Table III assertions, 5-state
+	// systems each.
+	exploreSmall := func(b *testing.B) {
+		states := 0
+		for i := 0; i < b.N; i++ {
+			for _, a := range plain.Model.Asserts {
+				l, err := lts.Explore(plainSem, a.Impl, lts.Options{Obs: o})
+				if err != nil {
+					b.Fatal(err)
+				}
+				states += l.NumStates()
+			}
+		}
+		b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
 	}
 	normalize := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -592,6 +610,7 @@ func suite(o *obs.Observer) ([]namedBench, error) {
 	return []namedBench{
 		{"Explore/seq", explore},
 		{"Explore/checkpoint", exploreCheckpoint},
+		{"Explore/small", exploreSmall},
 		{"Refines/cold", refines(nil)},
 		{"Refines/cached", refines(primed)},
 		{"AcceptsTrace/soak", acceptsTrace},

@@ -139,17 +139,32 @@ func NewInterner() *Interner {
 	}
 }
 
+// maxKeptSlots bounds the composite table Reset keeps: a larger one is
+// released, so a pooled interner holds no table a large term once grew.
+const maxKeptSlots = 1 << 12
+
 // Reset empties the interner for reuse, keeping the capacity of its leaf
-// index and node table. The composite table is released, so a pooled
-// interner holds no table a large term once grew.
+// index, node table and the key arena's current chunk, which it writes
+// again from the start, and a composite table of up to maxKeptSlots
+// slots, cleared. A reset interner assigns the IDs a fresh one would,
+// in the same first-intern order, and Bytes reads the same.
 func (in *Interner) Reset() {
 	clear(in.ids)
 	clear(in.sets)
 	clear(in.maps)
 	in.bytes = 0
+	clear(in.leaves) // nothing may pin an earlier chunk
 	in.leaves = in.leaves[:0]
+	clear(in.keys)
 	in.keys = in.keys[:0]
-	in.slots, in.recs, in.rendered = nil, nil, 0
+	in.chunk = in.chunk[:0]
+	if len(in.slots) <= maxKeptSlots {
+		clear(in.slots)
+		in.recs = in.recs[:0]
+	} else {
+		in.slots, in.recs = nil, nil
+	}
+	in.rendered = 0
 }
 
 // Len returns the number of interned nodes (the next TermID to be
@@ -166,7 +181,8 @@ func (in *Interner) Composites() int { return len(in.recs) }
 // call, merging the leaf and composite records by ID and rendering each
 // composite's byte encoding; the table and the rendered keys then stay
 // resident (and count in Bytes). The keys are the interner's own bytes:
-// the caller must not modify them.
+// the caller must not modify them, and they are overwritten after
+// Reset.
 func (in *Interner) Keys() [][]byte {
 	leaf := len(in.keys) - in.rendered
 	for id := TermID(len(in.keys)); int(id) < in.Len(); id++ {
@@ -206,8 +222,24 @@ const (
 // node table Keys has listed, with the composite keys it rendered (a
 // leaf's key is shared, not copied).
 func (in *Interner) Bytes() int64 {
-	return in.bytes + int64(len(in.recs))*compRecBytes + int64(len(in.slots))*4 +
+	return in.bytes + int64(len(in.recs))*compRecBytes + int64(compSlots(len(in.recs)))*4 +
 		int64(len(in.keys))*keySlotOverhead
+}
+
+// compSlots is the length of the composite table a fresh interner has
+// after interning n composites: none before the first, then compSlots0,
+// doubled whenever it would be more than 3/4 full. Bytes counts it
+// rather than the table's actual length, which a reset interner may
+// inherit from an earlier, larger use.
+func compSlots(n int) int {
+	if n == 0 {
+		return 0
+	}
+	s := compSlots0
+	for 4*n > 3*s {
+		s *= 2
+	}
+	return s
 }
 
 // finish interns the leaf node encoded in scratch and returns its ID.
@@ -225,8 +257,8 @@ func (in *Interner) finish() TermID {
 
 // store copies scratch into the key arena, whose chunks grow
 // geometrically up to 64 KiB: one allocation per chunk, not per node.
-// Bytes below a chunk's length are never written again, not even after
-// Reset, so the leaf index's map key is a string over the same bytes.
+// Bytes below a chunk's length are not written again before Reset, so
+// the leaf index's map key is a string over the same bytes.
 func (in *Interner) store() []byte {
 	if n := len(in.scratch); cap(in.chunk)-len(in.chunk) < n {
 		in.chunk = make([]byte, 0, max(n, 256, min(2*cap(in.chunk), 64<<10)))

@@ -257,8 +257,8 @@ var matrixCases = []matrixCase{
 	{kind: BurstLoss, period: 100 * canbus.Millisecond, width: 50 * canbus.Millisecond},
 	{kind: BabblingIdiot, targetID: 0x001, period: canbus.Millisecond, width: 200 * canbus.Millisecond},
 	{kind: BabblingIdiot, targetID: 0x001, period: 5 * canbus.Millisecond, width: 200 * canbus.Millisecond},
-	{kind: TargetedDrop, targetID: 0x102},
-	{kind: TargetedDrop, targetID: 0x104},
+	{kind: TargetedDrop, targetID: idRptSw},
+	{kind: TargetedDrop, targetID: idRptUpd},
 }
 
 // Matrix expands the configuration into the full scenario list:
@@ -309,13 +309,23 @@ func scenarioName(sc Scenario, rep int) string {
 	return fmt.Sprintf("%s%s-%s-r%d", sc.Kind, detail, sc.Variant, rep)
 }
 
-// protocol IDs of the OTA case study (Table II).
-const (
-	idReqSw  = 0x101
-	idRptSw  = 0x102
-	idReqApp = 0x103
-	idRptUpd = 0x104
+// The protocol identifiers of the OTA case study, read from Table II.
+var (
+	idReqSw  = tableIIID("reqSw")
+	idRptSw  = tableIIID("rptSw")
+	idReqApp = tableIIID("reqApp")
+	idRptUpd = tableIIID("rptUpd")
 )
+
+// tableIIID returns the CAN identifier of the Table II message type id.
+func tableIIID(id string) uint32 {
+	for _, m := range ota.TableII {
+		if m.ID == id {
+			return uint32(m.CANID)
+		}
+	}
+	panic("faultcampaign: no Table II message type " + id)
+}
 
 // tailTraceLen bounds the counterexample tail kept per outcome.
 const tailTraceLen = 12

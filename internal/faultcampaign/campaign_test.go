@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/canbus"
+	"repro/internal/ota"
 )
 
 func TestMatrixShape(t *testing.T) {
@@ -263,5 +264,35 @@ func TestBabblingIdiotNonPositivePeriodErrors(t *testing.T) {
 		if !strings.Contains(o.Error, "Period") {
 			t.Errorf("error %q does not name the Period field", o.Error)
 		}
+	}
+}
+
+// TestProtocolIDsAreTheDatabase pins the campaign's protocol identifiers
+// to the case study's CAN database: the four are its four messages, the
+// requests sent by the VMG and the reports by the ECU, and the targeted
+// drops remove the ECU's two reports.
+func TestProtocolIDsAreTheDatabase(t *testing.T) {
+	db, err := ota.Database()
+	if err != nil {
+		t.Fatal(err)
+	}
+	senders := map[uint32]string{idReqSw: "VMG", idRptSw: "ECU", idReqApp: "VMG", idRptUpd: "ECU"}
+	if len(senders) != len(db.Messages) {
+		t.Fatalf("%d distinct protocol identifiers, the database has %d messages", len(senders), len(db.Messages))
+	}
+	for id, sender := range senders {
+		m, ok := db.MessageByID(id)
+		if !ok || m.Sender != sender {
+			t.Errorf("identifier 0x%03X: database message %+v, want one sent by %s", id, m, sender)
+		}
+	}
+	var dropped []uint32
+	for _, mc := range matrixCases {
+		if mc.kind == TargetedDrop {
+			dropped = append(dropped, mc.targetID)
+		}
+	}
+	if !reflect.DeepEqual(dropped, []uint32{idRptSw, idRptUpd}) {
+		t.Errorf("targeted drops of %#x, want the ECU's reports %#x and %#x", dropped, idRptSw, idRptUpd)
 	}
 }

@@ -3,6 +3,7 @@ package lts
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/csp"
 )
@@ -24,19 +25,38 @@ import (
 // Each combinator emits exactly the transitions, in exactly the order,
 // that the whole-term rules of the reference semantics (package
 // csp/cspref, test-only) compute, so the LTS is byte-identical to the
-// reference engine's. The memo lives and dies with one Explore call,
-// or with one Compiled, and is single-threaded.
+// reference engine's. The memo serves one Explore call, or one
+// Compiled until its Release, and is single-threaded. It is then reset
+// and pooled, keeping the capacity of its tables, so the next
+// exploration does not pay their set-up again; a reset memo assigns the
+// same IDs in the same order as a fresh one.
 
 // Compiled is the compiled semantics as a standalone memo, for checkers
 // that walk process terms on the fly instead of building an LTS
 // (refine.AcceptsTrace). It has its own interner, so its TermIDs and
-// event IDs mean nothing to any other memo.
+// event IDs mean nothing to any other memo. Release hands it back for
+// reuse; after that neither it nor any Steps slice it returned may be
+// used.
 type Compiled struct{ c *compiler }
 
 // Compile returns an empty memo over sem.
 func Compile(sem *csp.Semantics) *Compiled {
 	return &Compiled{newCompiler(sem)}
 }
+
+// Release hands the memo back for reuse by a later Compile or Explore.
+// The Compiled, and every Steps slice it returned, are invalid after
+// Release; a second Release does nothing.
+func (m *Compiled) Release() {
+	if m.c != nil {
+		m.c.release()
+		m.c = nil
+	}
+}
+
+// Reused reports whether the memo was reset from an earlier one rather
+// than built afresh.
+func (m *Compiled) Reused() bool { return m.c.reused }
 
 // Intern returns the TermID of a process term.
 func (m *Compiled) Intern(p csp.Process) csp.TermID { return m.c.intern(p) }
@@ -116,11 +136,14 @@ type evMemo struct {
 
 // compiler holds the memo of one exploration.
 type compiler struct {
-	leaf   transitionSource
-	in     *csp.Interner
-	nodes  []cnode
-	leaves []csp.Process // leaf terms, by cnode.aux
-	arena  []Step
+	leaf  transitionSource
+	in    *csp.Interner
+	nodes []cnode
+	// tableLen is the node table's length in a fresh compiler; nodes may
+	// be longer, inherited from an earlier use, and is zero past tableLen.
+	tableLen int
+	leaves   []csp.Process // leaf terms, by cnode.aux
+	arena    []Step
 
 	events  []csp.Event // compiled event ID -> event
 	ltsID   []int32     // compiled event ID -> LTS event ID + 1, 0 until on an edge
@@ -142,12 +165,23 @@ type compiler struct {
 	syncHead []int32
 	syncNext []int32
 
+	// kept and keptID are records' scratch: the kept nodes in kept
+	// order, and each node's kept ID + 1 (0 until kept).
+	kept   []csp.TermID
+	keptID []csp.TermID
+
 	hits, misses int64
+
+	// reused is set on a compiler reset from an earlier use.
+	reused bool
 }
 
-func newCompiler(leaf transitionSource) *compiler {
-	c := &compiler{
-		leaf:    leaf,
+// compilers holds reset compilers, so an exploration reuses the tables
+// an earlier one grew instead of allocating and rehashing its own.
+var compilers = sync.Pool{New: func() any { return emptyCompiler() }}
+
+func emptyCompiler() *compiler {
+	return &compiler{
 		in:      csp.NewInterner(),
 		events:  []csp.Event{csp.Tau(), csp.Tick()},
 		ltsID:   []int32{TauID + 1, TickID + 1},
@@ -155,15 +189,68 @@ func newCompiler(leaf transitionSource) *compiler {
 		memoOf:  map[csp.TermID]int32{},
 		arena:   make([]Step, 1),
 	}
+}
+
+// A compiler whose interner or node table grew past maxPooledNodes, or
+// its transition arena past maxPooledSteps, is left to the garbage
+// collector rather than pooled, so one large check does not pin its
+// memory.
+const (
+	maxPooledNodes = 1 << 12
+	maxPooledSteps = 1 << 14
+)
+
+func newCompiler(leaf transitionSource) *compiler {
+	return compilers.Get().(*compiler).begin(leaf)
+}
+
+// begin readies an empty or reset compiler to evaluate terms over leaf.
+func (c *compiler) begin(leaf transitionSource) *compiler {
+	c.leaf = leaf
 	c.omega = c.intern(csp.OmegaProc{})
 	return c
 }
 
+// release resets c and pools it for a later newCompiler, unless it is
+// too large to keep. c must not be used after.
+func (c *compiler) release() {
+	if c.in.Len() <= maxPooledNodes && len(c.nodes) <= maxPooledNodes && cap(c.arena) <= maxPooledSteps {
+		c.reset()
+		compilers.Put(c)
+	}
+}
+
+// reset empties c, keeping the capacity of its tables, and drops its
+// references to the terms and semantics it evaluated.
+func (c *compiler) reset() {
+	c.leaf = nil
+	c.in.Reset()
+	clear(c.nodes[:c.tableLen])
+	c.tableLen = 0
+	clear(c.leaves)
+	c.leaves = c.leaves[:0]
+	c.arena = c.arena[:1]
+	clear(c.events[2:])
+	c.events, c.ltsID = c.events[:2], c.ltsID[:2]
+	clear(c.eventOf)
+	clear(c.memos)
+	c.memos = c.memos[:0]
+	clear(c.memoOf)
+	// A panic in the semantics may have left a call chain or a parallel
+	// node's index half done.
+	c.unfoldings = 0
+	c.syncHead = c.syncHead[:0]
+	c.hits, c.misses = 0, 0
+	c.reused = true
+}
+
 // bytes estimates the memo's resident size: 28 bytes per node-table
 // slot (a cnode), ~64 per leaf term (its slot and boxed term), 8 per
-// arena transition, and the set caches.
+// arena transition, and the set caches. It counts what the exploration
+// filled, not the capacity a reused compiler inherits, so a watermark
+// trips at the same point whatever ran before.
 func (c *compiler) bytes() int64 {
-	b := int64(len(c.nodes))*28 + int64(len(c.leaves))*64 + int64(cap(c.arena))*8
+	b := int64(c.tableLen)*28 + int64(len(c.leaves))*64 + int64(len(c.arena))*8
 	for i := range c.memos {
 		b += int64(len(c.memos[i].in))
 	}
@@ -240,28 +327,35 @@ func (c *compiler) proc(id csp.TermID) csp.Process {
 
 // records returns what a finished LTS keeps of the compiler, and
 // renumbers the states into it: the records of the nodes the states
-// reach, with their leaf terms, and the set and mapping memos — what
-// proc rebuilds terms from — and the Ω node. The interner's index, the
-// transition arena, the event tables and every node no state reaches
-// are left behind.
+// reach, with their leaf terms, and the sets and mappings of the memos
+// — what proc rebuilds terms from — and the Ω node. The interner's
+// index, the transition arena, the event tables and every node no state
+// reaches are left behind. Everything kept is copied, so the compiler
+// can be reused.
 func (c *compiler) records(states []csp.TermID) *compiler {
-	kept := &compiler{memos: c.memos}
-	newID := make([]csp.TermID, len(c.nodes)) // kept ID + 1; 0 until kept
+	kept := &compiler{memos: make([]evMemo, len(c.memos))}
+	for i, m := range c.memos {
+		kept.memos[i] = evMemo{set: m.set, m: m.m}
+	}
+	// Number the reached nodes children first, then copy their records
+	// out in that order into tables of the exact size.
+	order := slices.Grow(c.kept[:0], c.in.Len())
+	newID := append(c.keptID[:0], make([]csp.TermID, c.in.Len())...)
+	leaves := 0
 	var keep func(id csp.TermID) csp.TermID
 	keep = func(id csp.TermID) csp.TermID {
 		if newID[id] == 0 {
-			n := c.nodes[id]
-			switch n.op {
+			switch n := &c.nodes[id]; n.op {
 			case opPar, opExt, opSeq:
-				n.a, n.b = keep(n.a), keep(n.b)
+				keep(n.a)
+				keep(n.b)
 			case opHide, opRename:
-				n.a = keep(n.a)
+				keep(n.a)
 			case opLeaf:
-				kept.leaves = append(kept.leaves, c.leaves[n.aux])
-				n.aux = int32(len(kept.leaves) - 1)
+				leaves++
 			}
-			kept.nodes = append(kept.nodes, n)
-			newID[id] = csp.TermID(len(kept.nodes))
+			order = append(order, id)
+			newID[id] = csp.TermID(len(order))
 		}
 		return newID[id] - 1
 	}
@@ -269,18 +363,36 @@ func (c *compiler) records(states []csp.TermID) *compiler {
 		states[i] = keep(s)
 	}
 	kept.omega = keep(c.omega)
-	kept.nodes, kept.leaves = slices.Clone(kept.nodes), slices.Clone(kept.leaves)
+	kept.nodes, kept.leaves = make([]cnode, len(order)), make([]csp.Process, 0, leaves)
+	for i, id := range order {
+		n := c.nodes[id]
+		switch n.op {
+		case opPar, opExt, opSeq:
+			n.a, n.b = newID[n.a]-1, newID[n.b]-1
+		case opHide, opRename:
+			n.a = newID[n.a] - 1
+		case opLeaf:
+			kept.leaves = append(kept.leaves, c.leaves[n.aux])
+			n.aux = int32(len(kept.leaves) - 1)
+		}
+		kept.nodes[i] = n
+	}
+	c.kept, c.keptID = order, newID
 	return kept
 }
 
 // fresh grows the node table to cover id and reports whether id is not
 // yet a known process node. The table starts at 64 slots, so a small
-// exploration does not regrow it at every few nodes.
+// exploration does not regrow it at every few nodes; a reused table is
+// reallocated only when the exploration outgrows what it inherited.
 func (c *compiler) fresh(id csp.TermID) bool {
-	if int(id) >= len(c.nodes) {
-		grown := make([]cnode, max(c.in.Len(), 2*len(c.nodes), 64))
-		copy(grown, c.nodes)
-		c.nodes = grown
+	if int(id) >= c.tableLen {
+		c.tableLen = max(c.in.Len(), 2*c.tableLen, 64)
+		if c.tableLen > len(c.nodes) {
+			grown := make([]cnode, c.tableLen)
+			copy(grown, c.nodes)
+			c.nodes = grown
+		}
 	}
 	return c.nodes[id].op == opUnseen
 }

@@ -211,7 +211,15 @@ type exploration struct {
 	start time.Time
 }
 
-func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, err error) {
+func explore(src transitionSource, root csp.Process, opts Options) (*LTS, error) {
+	c := newCompiler(src)
+	defer c.release()
+	return c.explore(root, opts)
+}
+
+// explore builds the LTS reachable from root over c, which must be
+// fresh or reset.
+func (c *compiler) explore(root csp.Process, opts Options) (lts *LTS, err error) {
 	maxStates := opts.MaxStates
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates
@@ -234,6 +242,9 @@ func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, er
 	// nodes (the fixed-width table) and leaves (the byte-keyed map).
 	var composites, leaves int64
 	defer func() {
+		if span == nil {
+			return
+		}
 		explored := int64(0)
 		if lts != nil {
 			explored = int64(lts.NumStates())
@@ -253,9 +264,9 @@ func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, er
 			outcome = "error"
 		}
 		span.End(obs.Int("states", explored), obs.String("outcome", outcome),
-			obs.Int("nodes.composite", composites), obs.Int("nodes.leaf", leaves))
+			obs.Int("nodes.composite", composites), obs.Int("nodes.leaf", leaves),
+			obs.Bool("memo.reused", c.reused))
 	}()
-	c := newCompiler(src)
 	e := &exploration{
 		c:         c,
 		l:         &LTS{Events: []csp.Event{csp.Tau(), csp.Tick()}, c: c},
@@ -326,7 +337,9 @@ func explore(src transitionSource, root csp.Process, opts Options) (lts *LTS, er
 		leaves = int64(e.c.in.Len()) - composites
 		compositeG.Max(composites)
 		leafG.Max(leaves)
-		prog.Tick(int64(len(e.l.states)), obs.Int("frontier", int64(len(e.l.states)-merged)))
+		if prog != nil { // the attribute would allocate
+			prog.Tick(int64(len(e.l.states)), obs.Int("frontier", int64(len(e.l.states)-merged)))
+		}
 		levels++
 		if ck != nil && levels%ck.every == 0 {
 			ck.write(e.l, merged, levels, time.Since(e.start))

@@ -38,7 +38,8 @@ type TraceCheck struct {
 //
 // The check walks the compiled semantics (lts.Compile): terms are
 // TermIDs with transitions memoized per call, events match by compiled
-// ID, and strings are rendered only for Allowed and error messages.
+// ID, and strings are rendered only for Allowed and error messages. The
+// memo is released for reuse when the check returns.
 func (c *Checker) AcceptsTrace(p csp.Process, t csp.Trace) (res TraceCheck, err error) {
 	maxStates := c.MaxStates
 	if maxStates <= 0 {
@@ -47,6 +48,7 @@ func (c *Checker) AcceptsTrace(p csp.Process, t csp.Trace) (res TraceCheck, err 
 	ctx, cancel := c.stopSignal()
 	defer cancel()
 	m := lts.Compile(c.Sem)
+	defer m.Release()
 
 	// mark holds, per TermID, the last pass (frontier construction) that
 	// reached the term, 0 if none. A term is charged against MaxStates
@@ -56,7 +58,7 @@ func (c *Checker) AcceptsTrace(p csp.Process, t csp.Trace) (res TraceCheck, err 
 	var pass uint32
 	states, probes := 0, 0
 	if c.Obs != nil {
-		span := c.Obs.StartSpan("refine.trace", obs.Int("events", int64(len(t))))
+		span := c.Obs.StartSpan("refine.trace", obs.Int("events", int64(len(t))), obs.Bool("memo.reused", m.Reused()))
 		defer func() {
 			hits, misses := m.Memo()
 			span.End(obs.String("verdict", verdictOf(Result{Holds: res.Accepted}, err)),

@@ -18,6 +18,7 @@ import (
 	"repro/internal/csp"
 	"repro/internal/csp/cspgen"
 	"repro/internal/csp/cspref"
+	"repro/internal/obs"
 	"repro/internal/ota"
 	"repro/internal/refine"
 )
@@ -187,4 +188,41 @@ func TestAcceptsTraceMatchesReferenceOnGeneratedSystems(t *testing.T) {
 		t.Fatalf("%d accepted, %d rejected, %d failed: corpus too one-sided", accepted, rejected, failed)
 	}
 	t.Logf("%d accepted, %d rejected, %d failed", accepted, rejected, failed)
+}
+
+// TestAcceptsTraceMatchesReferenceAcrossMemoReuse interleaves trace
+// checks of different generated systems — 0, 1, 0, 2, 1, 3, … — so each
+// check runs on a memo an earlier check of another system released.
+// Every check must still agree with the reference, and the refine.trace
+// spans must show that memos were reused.
+func TestAcceptsTraceMatchesReferenceAcrossMemoReuse(t *testing.T) {
+	const seeds, walkLen, bound = 120, 12, 60
+	var order []int64
+	for seed := int64(0); seed < seeds; seed++ {
+		order = append(order, seed)
+		if seed > 0 {
+			order = append(order, seed-1)
+		}
+	}
+	o := obs.New(obs.WithSpanRing(4 * len(order)))
+	for i, seed := range order {
+		sem, root := cspgen.Model(seed)
+		c := refine.NewChecker(sem.Env, sem.Ctx)
+		c.MaxStates = bound
+		c.Obs = o
+		r := rand.New(rand.NewSource(seed))
+		walk := randomWalk(r, sem, root, walkLen)
+		for _, tr := range append([]csp.Trace{walk}, mutants(r, walk)...) {
+			checkAgainstReference(t, fmt.Sprintf("check %d: seed %d trace %s", i, seed, tr), c, root, tr)
+		}
+	}
+	reused := 0
+	for _, s := range o.Spans() {
+		if s.Name == "refine.trace" && s.Attrs["memo.reused"] == true {
+			reused++
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no trace check reused a released memo")
+	}
 }
