@@ -46,6 +46,10 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	renames, err := parseRenames(*rename)
+	if err != nil {
+		return err
+	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("expected exactly one CAPL source file, got %d", fs.NArg())
 	}
@@ -72,7 +76,7 @@ func run(args []string, stdout io.Writer) error {
 		NodeName:             *node,
 		InChannel:            *in,
 		OutChannel:           *out,
-		MessageRename:        parseRenames(*rename),
+		MessageRename:        renames,
 		IncludeTimers:        *timers,
 		GenerateTimerProcess: *timerProc,
 		OmitDecls:            *omitDecls,
@@ -94,15 +98,19 @@ func run(args []string, stdout io.Writer) error {
 	return os.WriteFile(*output, []byte(res.Text), 0o644)
 }
 
-func parseRenames(spec string) map[string]string {
+// parseRenames reads the -rename list: comma-separated CAPLname=ctor
+// pairs, each with both sides non-empty.
+func parseRenames(spec string) (map[string]string, error) {
 	out := map[string]string{}
-	for _, pair := range strings.Split(spec, ",") {
-		if pair == "" {
-			continue
-		}
-		if eq := strings.IndexByte(pair, '='); eq > 0 {
-			out[pair[:eq]] = pair[eq+1:]
-		}
+	if spec == "" {
+		return out, nil
 	}
-	return out
+	for _, pair := range strings.Split(spec, ",") {
+		from, to, ok := strings.Cut(pair, "=")
+		if !ok || from == "" || to == "" {
+			return nil, fmt.Errorf("-rename: malformed pair %q (want CAPLname=ctor)", pair)
+		}
+		out[from] = to
+	}
+	return out, nil
 }

@@ -48,9 +48,25 @@ func TestRunUsage(t *testing.T) {
 }
 
 func TestParseRenames(t *testing.T) {
-	got := parseRenames("a=b,c=d,,bad")
-	if got["a"] != "b" || got["c"] != "d" || len(got) != 2 {
-		t.Errorf("renames = %v", got)
+	got, err := parseRenames("a=b,c=d")
+	if err != nil || got["a"] != "b" || got["c"] != "d" || len(got) != 2 {
+		t.Errorf("renames = %v, %v", got, err)
+	}
+	if got, err := parseRenames(""); err != nil || len(got) != 0 {
+		t.Errorf("empty list = %v, %v", got, err)
+	}
+	for _, bad := range []string{"bad", "=x", "a=", ""} {
+		_, err := parseRenames("a=b," + bad + ",c=d")
+		if err == nil || !strings.Contains(err.Error(), `malformed pair "`+bad+`"`) {
+			t.Errorf("pair %q: err = %v, want it named as malformed", bad, err)
+		}
+	}
+}
+
+func TestRunRejectsMalformedRename(t *testing.T) {
+	err := run([]string{"-rename", "swInventoryReq=reqSw,bogus,=x", "../../testdata/ecu.can"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), `malformed pair "bogus"`) {
+		t.Errorf("err = %v, want the malformed pair named", err)
 	}
 }
 

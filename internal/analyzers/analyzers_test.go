@@ -61,10 +61,10 @@ func plain(ctx *csp.Context) (err error) {
 
 func TestMustRecoverFuncLitOwnGuard(t *testing.T) {
 	src := `package main
-import "repro/internal/st"
-func render(g *st.Group) {
+import "repro/internal/csp"
+func build(ctx *csp.Context) {
 	go func() {
-		g.MustRender("hdr", nil) // unguarded: goroutine escapes the caller's defers
+		ctx.MustChannel("send") // unguarded: goroutine escapes the caller's defers
 	}()
 }`
 	diags := runOn(t, MustRecover, "cmd/x", src, false)

@@ -7,12 +7,12 @@ import (
 
 // MustRecover enforces the repo's panic-boundary convention in command
 // binaries: the Must* construction helpers (csp.MustDefine,
-// csp.MustChannel, st.MustRender, ...) panic with a typed error that is
-// only converted back into an ordinary error by a deferred Recover*
-// helper (csp.RecoverBuild, st.RecoverRender). A cmd/ function that
-// calls Must* without such a boundary anywhere on the synchronous call
-// path turns a model-build failure into a bare stack trace for the
-// user, so every Must* call site there must be guarded.
+// csp.MustChannel, ...) panic with a typed error that is only converted
+// back into an ordinary error by a deferred Recover* helper
+// (csp.RecoverBuild). A cmd/ function that calls Must* without such a
+// boundary anywhere on the synchronous call path turns a model-build
+// failure into a bare stack trace for the user, so every Must* call
+// site there must be guarded.
 var MustRecover = &Analyzer{
 	Name: "mustrecover",
 	Doc: "Must* construction helpers panic with a typed error; in cmd/ " +
@@ -90,7 +90,7 @@ func callsRecover(body *ast.BlockStmt) bool {
 }
 
 // calleeName extracts the bare function or method name of a call
-// target: `Must`, `csp.MustChannel` and `g.MustRender` all resolve to
+// target: `Must`, `csp.MustChannel` and `ctx.MustDefine` all resolve to
 // their final identifier.
 func calleeName(fun ast.Expr) string {
 	switch x := fun.(type) {

@@ -25,7 +25,7 @@ const (
 	VerdictLintReject = "lint-reject"     // generator emitted a program the linter flags
 	VerdictParse      = "parse-error"     // generator emitted unparseable CAPL
 	VerdictTranslate  = "translate-error" // extraction refused a lint-clean program
-	VerdictCSPm       = "cspm-error"      // rendered model does not load
+	VerdictCSPm       = "cspm-error"      // printed model does not parse back to its syntax tree, or does not load
 	VerdictExplore    = "explore-error"   // model exploration failed or blew its budget
 	VerdictSim        = "sim-error"       // bus simulation failed
 	VerdictSimBudget  = "sim-budget"      // simulation event budget exhausted
@@ -193,7 +193,15 @@ func RunOne(spec *Spec, cfg Config) (res ProgramResult) {
 		res.Detail = err.Error()
 		return res
 	}
-	model, err := cspm.Load(tr.Text)
+	// The printed model must parse back to the translator's syntax tree.
+	script, err := cspm.Parse(tr.Text)
+	if err == nil && !cspm.EqualScript(script, tr.Script) {
+		err = errors.New("printed model does not parse back to the translator's syntax tree")
+	}
+	var model *cspm.Model
+	if err == nil {
+		model, err = cspm.Evaluate(script)
+	}
 	if err != nil {
 		res.Verdict = VerdictCSPm
 		res.Detail = err.Error()

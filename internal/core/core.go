@@ -106,10 +106,16 @@ func (p *Pipeline) Run() (*Report, error) {
 }
 
 // Build parses every node, extracts its model, composes the models
-// with Spec and evaluates the combined script. It runs no checks.
+// with Spec and evaluates the combined script. It runs no checks. The
+// extracted models are evaluated as the translator's syntax trees;
+// only Spec is parsed, so its errors carry Spec's own line numbers.
 func (p *Pipeline) Build() (*Report, error) {
 	if len(p.Nodes) == 0 {
 		return nil, fmt.Errorf("core: pipeline needs at least one node")
+	}
+	spec, err := cspm.Parse(p.Spec)
+	if err != nil {
+		return nil, fmt.Errorf("core: parse spec: %w", err)
 	}
 	report := &Report{NodeModels: map[string]string{}}
 
@@ -149,6 +155,7 @@ func (p *Pipeline) Build() (*Report, error) {
 	// Second pass: translate each node; only the first emits
 	// declarations.
 	var parts []string
+	combined := &cspm.Script{}
 	for i, spec := range p.Nodes {
 		opts := translate.Options{
 			NodeName:             spec.Name,
@@ -175,11 +182,14 @@ func (p *Pipeline) Build() (*Report, error) {
 			report.Warnings = append(report.Warnings, w)
 		}
 		parts = append(parts, res.Text)
+		combined.Decls = append(combined.Decls, res.Script.Decls...)
 	}
 	parts = append(parts, p.Spec)
 	report.CombinedSource = strings.Join(parts, "\n")
+	combined.Decls = append(combined.Decls, spec.Decls...)
+	combined.Asserts = spec.Asserts
 
-	model, err := cspm.Load(report.CombinedSource)
+	model, err := cspm.Evaluate(combined)
 	if err != nil {
 		return nil, fmt.Errorf("core: evaluate combined model: %w", err)
 	}

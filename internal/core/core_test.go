@@ -120,3 +120,14 @@ func TestCrossValidationUnknownFrame(t *testing.T) {
 		t.Errorf("err = %v, want unmapped frame error", err)
 	}
 }
+
+// TestSpecErrorPointsIntoSpec checks that a syntax error in Spec is
+// reported at its line in Spec, not in the combined source.
+func TestSpecErrorPointsIntoSpec(t *testing.T) {
+	p := caseStudyPipeline()
+	p.Spec = "SP02 = send.reqSw -> rec.rptSw -> SP02\nSYSTEM = VMG [| {| send, rec |} |] ECU\n= SYSTEM\n"
+	_, err := p.Build()
+	if err == nil || !strings.HasPrefix(err.Error(), "core: parse spec: cspm:3:1:") {
+		t.Errorf("err = %v, want a core: parse spec error at cspm:3:1", err)
+	}
+}

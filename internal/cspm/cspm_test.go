@@ -356,6 +356,28 @@ func TestRoundTripPrintParse(t *testing.T) {
 		if again := Print(second); again != printed {
 			t.Errorf("print not stable:\nfirst:\n%s\nsecond:\n%s", printed, again)
 		}
+		if !EqualScript(first, second) {
+			t.Errorf("printed form parses to a different script:\n%s", printed)
+		}
+	}
+	other, err := Parse("channel a, b\nP = a -> (STOP |~| b -> STOP)\nassert P [F= P\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last, _ := Parse(srcs[len(srcs)-1]); EqualScript(last, other) {
+		t.Error("scripts that differ in grouping compare equal")
+	}
+}
+
+func TestIsIdent(t *testing.T) {
+	for s, want := range map[string]bool{
+		"reqSw": true, "_t0": true, "x'": true, "anyMsg": true,
+		"": false, "then": false, "STOP": false, "a b": false, "a--x": false,
+		"ECU-1": false, "1a": false, "a.b": false,
+	} {
+		if got := IsIdent(s); got != want {
+			t.Errorf("IsIdent(%q) = %v, want %v", s, got, want)
+		}
 	}
 }
 

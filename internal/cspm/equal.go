@@ -2,6 +2,38 @@ package cspm
 
 import "slices"
 
+// EqualScript reports whether two scripts hold the same declarations
+// and assertions in the same order, compared as syntax trees. An
+// assertion's Text is a label for reports, not structure, so it is not
+// compared.
+func EqualScript(a, b *Script) bool {
+	return slices.EqualFunc(a.Decls, b.Decls, equalDecl) && slices.EqualFunc(a.Asserts, b.Asserts, equalAssert)
+}
+
+func equalDecl(a, b Decl) bool {
+	switch x := a.(type) {
+	case ChannelDecl:
+		y, ok := b.(ChannelDecl)
+		return ok && slices.Equal(x.Names, y.Names) && slices.Equal(x.Fields, y.Fields)
+	case DatatypeDecl:
+		y, ok := b.(DatatypeDecl)
+		return ok && x.Name == y.Name && slices.EqualFunc(x.Ctors, y.Ctors, func(c, d CtorDecl) bool {
+			return c.Name == d.Name && slices.Equal(c.Fields, d.Fields)
+		})
+	case NametypeDecl:
+		y, ok := b.(NametypeDecl)
+		return ok && x.Name == y.Name && equalSet(x.Set, y.Set)
+	case ProcDef:
+		y, ok := b.(ProcDef)
+		return ok && x.Name == y.Name && slices.Equal(x.Params, y.Params) && EqualProc(x.Body, y.Body)
+	}
+	return a == nil && b == nil
+}
+
+func equalAssert(a, b Assertion) bool {
+	return a.Kind == b.Kind && EqualProc(a.Spec, b.Spec) && EqualProc(a.Impl, b.Impl)
+}
+
 // EqualProc reports whether two process expressions are the same syntax
 // tree: the same node types with the same fields, compared recursively.
 // A nil and an empty list are equal, as they print alike.

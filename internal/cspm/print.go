@@ -14,7 +14,7 @@ func Print(s *Script) string {
 		if i > 0 {
 			sb.WriteByte('\n')
 		}
-		sb.WriteString(printDecl(d))
+		sb.WriteString(PrintDecl(d))
 		sb.WriteByte('\n')
 	}
 	if len(s.Asserts) > 0 {
@@ -27,7 +27,8 @@ func Print(s *Script) string {
 	return sb.String()
 }
 
-func printDecl(d Decl) string {
+// PrintDecl renders one top-level declaration on a single line.
+func PrintDecl(d Decl) string {
 	switch x := d.(type) {
 	case ChannelDecl:
 		out := "channel " + strings.Join(x.Names, ", ")

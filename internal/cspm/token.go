@@ -136,3 +136,17 @@ var keywords = map[string]TokKind{
 	"union": TokUnion, "member": TokMember,
 	"let": TokLet, "within": TokWithin,
 }
+
+// IsIdent reports whether s lexes to exactly one identifier token, so
+// that a printed script reads it back as the same name. Keywords are
+// not identifiers.
+func IsIdent(s string) bool {
+	toks, err := Lex(s)
+	return err == nil && len(toks) == 2 && toks[0].Kind == TokIdent && toks[0].Text == s
+}
+
+// IsKeyword reports whether s is a reserved CSPm word.
+func IsKeyword(s string) bool {
+	_, ok := keywords[s]
+	return ok
+}

@@ -4,12 +4,16 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"testing"
+
+	"repro/internal/cspm"
+	"repro/internal/fdr"
 )
 
 // TestBuilderOutputPinned pins the SHA-256 of every builder's combined
 // script and per-node models: the OTA corpus's behavioural contract.
 // Each row is Source, ECUText, VMGText (an ECU-only build has an empty
-// VMGText).
+// VMGText). The combined Source must also parse back to the script the
+// builder evaluated, with the same verdicts.
 func TestBuilderOutputPinned(t *testing.T) {
 	hardBudgets := ChannelBudgets{DropToECU: 1, DropToVMG: 2, SpurToECU: 1, SpurToVMG: 1}
 	observed := func(v LossyVariant, b ChannelBudgets) func() (*System, error) {
@@ -64,6 +68,37 @@ func TestBuilderOutputPinned(t *testing.T) {
 			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(part.text))); got != part.want {
 				t.Errorf("%s: %s sha256 = %s, want %s", tc.name, part.field, got, part.want)
 			}
+		}
+		checkSourceRoundTrip(t, tc.name, sys)
+	}
+}
+
+// checkSourceRoundTrip checks that sys.Source parses to the script sys
+// evaluated and that both give every assertion the same verdict.
+func checkSourceRoundTrip(t *testing.T, name string, sys *System) {
+	t.Helper()
+	parsed, err := cspm.Parse(sys.Source)
+	if err != nil {
+		t.Fatalf("%s: Source does not parse: %v", name, err)
+	}
+	if !cspm.EqualScript(parsed, sys.Model.Script) {
+		t.Fatalf("%s: Source parses to a different script than the one evaluated", name)
+	}
+	loaded, err := cspm.Evaluate(parsed)
+	if err != nil {
+		t.Fatalf("%s: parsed Source does not evaluate: %v", name, err)
+	}
+	want, err := fdr.RunAll(sys.Model, 0)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	got, err := fdr.RunAll(loaded, 0)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for i := range want {
+		if got[i].Result.Holds != want[i].Result.Holds {
+			t.Errorf("%s: %s holds = %v from parsed Source, %v as built", name, want[i].Assert.Text, got[i].Result.Holds, want[i].Result.Holds)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package translate is the model extractor at the centre of Figure 1 of
 // the paper: it walks a parsed CAPL program (the implementation of an
 // ECU node) and produces a CSPm implementation model — both as a
-// cspm.Script AST and as rendered CSPm text — ready for the FDR-style
-// refinement checker.
+// cspm.Script AST and as CSPm text printed from it — ready for the
+// FDR-style refinement checker.
 //
 // The extraction rules follow section VI and the §VIII-A future-work
 // extensions:
@@ -22,6 +22,7 @@
 package translate
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -29,7 +30,6 @@ import (
 	"repro/internal/capl"
 	"repro/internal/caplint"
 	"repro/internal/cspm"
-	"repro/internal/st"
 )
 
 // Options configures a translation.
@@ -100,7 +100,7 @@ func DefaultOptions(node string) Options {
 type Result struct {
 	// Script is the extracted model as a CSPm syntax tree.
 	Script *cspm.Script
-	// Text is the rendered CSPm source.
+	// Text is Script printed as a CSPm file.
 	Text string
 	// Diags lists the abstractions applied (state dropped, conditions
 	// over-approximated, loops approximated) with stable codes,
@@ -108,16 +108,38 @@ type Result struct {
 	Diags []caplint.Diagnostic
 }
 
+// ErrBadName reports an outside name (a CAPL message or timer, a
+// rename or an option) that is not a CSPm identifier, so the extracted
+// model could not name it.
+var ErrBadName = errors.New("translate: bad name")
+
+// checkName returns an ErrBadName naming role and name unless name is a
+// CSPm identifier.
+func checkName(role, name string) error {
+	if cspm.IsIdent(name) {
+		return nil
+	}
+	why := "is not a CSPm identifier"
+	if cspm.IsKeyword(name) {
+		why = "is a CSPm keyword"
+	}
+	return fmt.Errorf("%w: %s %q %s", ErrBadName, role, name, why)
+}
+
 // Translate extracts a CSPm implementation model from a CAPL program.
 func Translate(prog *capl.Program, opts Options) (*Result, error) {
-	if opts.NodeName == "" {
-		return nil, fmt.Errorf("translate: NodeName must be set")
-	}
-	if opts.InChannel == "" || opts.OutChannel == "" {
-		return nil, fmt.Errorf("translate: InChannel and OutChannel must be set")
-	}
 	if opts.MsgDatatype == "" {
 		opts.MsgDatatype = "Msgs"
+	}
+	for _, n := range [][2]string{
+		{"node name", opts.NodeName},
+		{"in channel", opts.InChannel},
+		{"out channel", opts.OutChannel},
+		{"message datatype", opts.MsgDatatype},
+	} {
+		if err := checkName(n[0], n[1]); err != nil {
+			return nil, err
+		}
 	}
 	if opts.TockTime {
 		opts.IncludeTimers = true
@@ -142,15 +164,7 @@ func Translate(prog *capl.Program, opts Options) (*Result, error) {
 		return nil, err
 	}
 	script := tr.script()
-	text, err := render(script, opts)
-	if err != nil {
-		return nil, fmt.Errorf("render: %w", err)
-	}
-	// Self-check: the rendered text must parse back.
-	if _, err := cspm.Parse(text); err != nil {
-		return nil, fmt.Errorf("generated CSPm does not parse (translator bug): %w\n%s", err, text)
-	}
-	return &Result{Script: script, Text: text, Diags: tr.diags}, nil
+	return &Result{Script: script, Text: render(script, opts.NodeName), Diags: tr.diags}, nil
 }
 
 // LintError is returned by strict translation when the pre-extraction
@@ -205,17 +219,23 @@ func (t *translator) diag(code string, line int, format string, args ...any) {
 	})
 }
 
-func (t *translator) ctorFor(varName string) string {
+// ctorFor returns the constructor of a CAPL message variable, checked
+// as a CSPm name.
+func (t *translator) ctorFor(varName string) (string, error) {
+	ctor, role := varName, "message constructor"
 	if renamed, ok := t.opts.MessageRename[varName]; ok {
-		return renamed
+		ctor, role = renamed, "rename of message "+varName
 	}
-	return varName
+	return ctor, checkName(role, ctor)
 }
 
 func (t *translator) collectDecls() error {
 	seen := map[string]bool{}
 	for _, d := range t.prog.MessageDecls() {
-		ctor := t.ctorFor(d.Name)
+		ctor, err := t.ctorFor(d.Name)
+		if err != nil {
+			return err
+		}
 		if seen[ctor] {
 			return fmt.Errorf("message constructor %q generated twice", ctor)
 		}
@@ -227,6 +247,9 @@ func (t *translator) collectDecls() error {
 		}
 	}
 	for _, extra := range t.opts.ExtraMessages {
+		if err := checkName("extra message", extra); err != nil {
+			return err
+		}
 		if !seen[extra] {
 			seen[extra] = true
 			t.msgCtors = append(t.msgCtors, extra)
@@ -238,11 +261,17 @@ func (t *translator) collectDecls() error {
 	t.timerSet = map[string]bool{}
 	for _, v := range t.prog.Variables {
 		if v.Type.Base == capl.TypeMsTimer || v.Type.Base == capl.TypeTimer {
+			if err := checkName("timer", v.Name); err != nil {
+				return err
+			}
 			t.timers = append(t.timers, v.Name)
 			t.timerSet[v.Name] = true
 		}
 	}
 	for _, extra := range t.opts.ExtraTimers {
+		if err := checkName("extra timer", extra); err != nil {
+			return err
+		}
 		if !t.timerSet[extra] {
 			t.timers = append(t.timers, extra)
 			t.timerSet[extra] = true
@@ -399,49 +428,13 @@ func timerProcess() cspm.ProcDef {
 	}
 }
 
-// script assembles the declarations and definitions into a cspm.Script.
+// script assembles the declarations and definitions into a cspm.Script:
+// the datatypes, then the channels, then the process definitions, the
+// order render lays them out in.
 func (t *translator) script() *cspm.Script {
 	s := &cspm.Script{}
-	if t.opts.OmitDecls {
-		for _, d := range t.defs {
-			s.Decls = append(s.Decls, d)
-		}
-		return s
-	}
-	ctors := make([]cspm.CtorDecl, len(t.msgCtors))
-	for i, c := range t.msgCtors {
-		ctors[i] = cspm.CtorDecl{Name: c}
-	}
-	s.Decls = append(s.Decls, cspm.DatatypeDecl{Name: t.opts.MsgDatatype, Ctors: ctors})
-	s.Decls = append(s.Decls, cspm.ChannelDecl{
-		Names:  []string{t.opts.InChannel, t.opts.OutChannel},
-		Fields: []cspm.TypeExpr{cspm.TypeRef{Name: t.opts.MsgDatatype}},
-	})
-	if t.opts.IncludeTimers && len(t.timers) > 0 {
-		timerCtors := make([]cspm.CtorDecl, len(t.timers))
-		for i, name := range t.timers {
-			timerCtors[i] = cspm.CtorDecl{Name: name}
-		}
-		s.Decls = append(s.Decls, cspm.DatatypeDecl{Name: timerType, Ctors: timerCtors})
-		if t.opts.TockTime {
-			s.Decls = append(s.Decls, cspm.ChannelDecl{Names: []string{TockChan}})
-			s.Decls = append(s.Decls, cspm.ChannelDecl{
-				Names: []string{SetTimerChan},
-				Fields: []cspm.TypeExpr{
-					cspm.TypeRef{Name: timerType},
-					cspm.TypeRange{Lo: 0, Hi: t.maxDur},
-				},
-			})
-			s.Decls = append(s.Decls, cspm.ChannelDecl{
-				Names:  []string{CancelTimerChan, TimeoutChan},
-				Fields: []cspm.TypeExpr{cspm.TypeRef{Name: timerType}},
-			})
-		} else {
-			s.Decls = append(s.Decls, cspm.ChannelDecl{
-				Names:  []string{SetTimerChan, CancelTimerChan, TimeoutChan},
-				Fields: []cspm.TypeExpr{cspm.TypeRef{Name: timerType}},
-			})
-		}
+	if !t.opts.OmitDecls {
+		s.Decls = t.decls()
 	}
 	for _, d := range t.defs {
 		s.Decls = append(s.Decls, d)
@@ -449,56 +442,60 @@ func (t *translator) script() *cspm.Script {
 	return s
 }
 
-// render produces the final CSPm text through the template group,
-// preserving the paper's AST -> templates -> text pipeline.
-func render(s *cspm.Script, opts Options) (string, error) {
-	var datatypes, channels []string
-	var defs []st.Attrs
-	for _, d := range s.Decls {
-		switch x := d.(type) {
-		case cspm.DatatypeDecl:
-			ctors := make([]string, len(x.Ctors))
-			for i, c := range x.Ctors {
-				ctors[i] = c.Name
-			}
-			line, err := templates.Render("datatype", st.Attrs{"name": x.Name, "ctors": ctors})
-			if err != nil {
-				return "", err
-			}
-			datatypes = append(datatypes, line)
-		case cspm.ChannelDecl:
-			typeName := channelTypeString(x.Fields)
-			line, err := templates.Render("channel", st.Attrs{"names": x.Names, "type": typeName})
-			if err != nil {
-				return "", err
-			}
-			channels = append(channels, line)
-		case cspm.ProcDef:
-			name := x.Name
-			if len(x.Params) > 0 {
-				name += "(" + strings.Join(x.Params, ", ") + ")"
-			}
-			defs = append(defs, st.Attrs{"name": name, "body": cspm.PrintProc(x.Body)})
+// decls declares the message and timer datatypes and the channels over
+// them.
+func (t *translator) decls() []cspm.Decl {
+	msgs := cspm.TypeRef{Name: t.opts.MsgDatatype}
+	datatypes := []cspm.Decl{cspm.DatatypeDecl{Name: t.opts.MsgDatatype, Ctors: ctorDecls(t.msgCtors)}}
+	channels := []cspm.Decl{cspm.ChannelDecl{Names: []string{t.opts.InChannel, t.opts.OutChannel}, Fields: []cspm.TypeExpr{msgs}}}
+	if t.opts.IncludeTimers && len(t.timers) > 0 {
+		timers := cspm.TypeRef{Name: timerType}
+		datatypes = append(datatypes, cspm.DatatypeDecl{Name: timerType, Ctors: ctorDecls(t.timers)})
+		if t.opts.TockTime {
+			channels = append(channels,
+				cspm.ChannelDecl{Names: []string{TockChan}},
+				cspm.ChannelDecl{Names: []string{SetTimerChan}, Fields: []cspm.TypeExpr{timers, cspm.TypeRange{Lo: 0, Hi: t.maxDur}}},
+				cspm.ChannelDecl{Names: []string{CancelTimerChan, TimeoutChan}, Fields: []cspm.TypeExpr{timers}})
+		} else {
+			channels = append(channels,
+				cspm.ChannelDecl{Names: []string{SetTimerChan, CancelTimerChan, TimeoutChan}, Fields: []cspm.TypeExpr{timers}})
 		}
 	}
-	return templates.Render("script", st.Attrs{
-		"node":      opts.NodeName,
-		"datatypes": datatypes,
-		"channels":  channels,
-		"defs":      defs,
-	})
+	return append(datatypes, channels...)
 }
 
-// channelTypeString renders a channel's dotted field signature.
-func channelTypeString(fields []cspm.TypeExpr) string {
-	parts := make([]string, 0, len(fields))
-	for _, f := range fields {
-		switch ft := f.(type) {
-		case cspm.TypeRef:
-			parts = append(parts, ft.Name)
-		case cspm.TypeRange:
-			parts = append(parts, fmt.Sprintf("{%d..%d}", ft.Lo, ft.Hi))
-		}
+func ctorDecls(names []string) []cspm.CtorDecl {
+	ctors := make([]cspm.CtorDecl, len(names))
+	for i, n := range names {
+		ctors[i] = cspm.CtorDecl{Name: n}
 	}
-	return strings.Join(parts, ".")
+	return ctors
+}
+
+// render prints the script as the extractor's CSPm file: a header
+// naming the node, then the datatypes, the channels and the process
+// definitions, one declaration a line. A blank line follows the
+// datatypes when there are any, and the channels even when there are
+// none (OmitDecls); the OTA pins hold this layout byte for byte.
+func render(s *cspm.Script, node string) string {
+	var groups [3][]string // datatypes, channels, definitions
+	for _, d := range s.Decls {
+		g := 2
+		switch d.(type) {
+		case cspm.DatatypeDecl:
+			g = 0
+		case cspm.ChannelDecl:
+			g = 1
+		}
+		groups[g] = append(groups[g], cspm.PrintDecl(d))
+	}
+	var b strings.Builder
+	b.WriteString("-- CSPm implementation model extracted from CAPL node \"" + node + "\"\n" +
+		"-- Generated by capl2cspm; do not edit.\n\n")
+	if len(groups[0]) > 0 {
+		b.WriteString(strings.Join(groups[0], "\n") + "\n\n")
+	}
+	b.WriteString(strings.Join(groups[1], "\n") + "\n\n")
+	b.WriteString(strings.Join(groups[2], "\n") + "\n")
+	return b.String()
 }

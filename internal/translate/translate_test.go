@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -488,5 +489,49 @@ func TestGeneratedScriptAlwaysParses(t *testing.T) {
 	}
 	if _, err := cspm.Load(res.Text); err != nil {
 		t.Fatalf("generated CSPm does not evaluate: %v", err)
+	}
+}
+
+// TestBadNamesRejected checks that an outside name the CSPm file could
+// not carry is refused where it enters the translator, naming the name
+// and its role, and not as a translator fault.
+func TestBadNamesRejected(t *testing.T) {
+	const plain = "variables { message 0x1 a; }\non message a { output(a); }\n"
+	cases := []struct {
+		name, src string
+		opts      func(*Options)
+		want      string
+	}{
+		{"message keyword", "variables { message 0x1 then; }\non message then { output(then); }\n", nil,
+			`message constructor "then" is a CSPm keyword`},
+		{"timer keyword", "variables { message 0x1 a; msTimer STOP; }\non message a { setTimer(STOP, 10); }\n", nil,
+			`timer "STOP" is a CSPm keyword`},
+		{"empty rename", plain, func(o *Options) { o.MessageRename = map[string]string{"a": ""} },
+			`rename of message a "" is not a CSPm identifier`},
+		{"spaced rename", plain, func(o *Options) { o.MessageRename = map[string]string{"a": "a b"} },
+			`rename of message a "a b" is not a CSPm identifier`},
+		{"node name", plain, func(o *Options) { o.NodeName = "ECU-1" },
+			`node name "ECU-1" is not a CSPm identifier`},
+		{"channel keyword", plain, func(o *Options) { o.InChannel = "if" },
+			`in channel "if" is a CSPm keyword`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, err := capl.Parse(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := DefaultOptions("N")
+			if tc.opts != nil {
+				tc.opts(&opts)
+			}
+			_, err = Translate(prog, opts)
+			if !errors.Is(err, ErrBadName) {
+				t.Fatalf("err = %v, want ErrBadName", err)
+			}
+			if !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "translator bug") {
+				t.Errorf("err = %v, want %q and no translator fault", err, tc.want)
+			}
+		})
 	}
 }
