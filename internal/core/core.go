@@ -2,9 +2,11 @@
 // of operations (Figure 1) as a reusable pipeline. A Pipeline takes the
 // CAPL sources of one or more ECU network nodes plus a CSPm
 // specification section (security-property processes, system
-// composition and assertions), extracts an implementation model from
-// each node, composes everything into one CSPm script, evaluates it and
-// runs the assertions through the FDR-style checker.
+// composition and assertions), extracts the network's models in one
+// translate.TranslateNetwork call (one model per node over the
+// network's shared alphabet), composes them with the specification into
+// one CSPm script, evaluates it and runs the assertions through the
+// FDR-style checker.
 //
 // It also cross-validates: the same CAPL sources can be executed on the
 // simulated CAN bus (the CANoe stand-in) and the observed frame trace
@@ -34,20 +36,23 @@ type NodeSpec struct {
 	// Source is the node's CAPL program.
 	Source string
 	// In and Out are the CSPm channels for received and emitted
-	// messages, from this node's perspective.
+	// messages, from this node's perspective. The network declares the
+	// union of every node's channels.
 	In, Out string
 	// Rename maps CAPL message variable names to CSPm constructors.
 	Rename map[string]string
-	// TimerProcess also emits the TIMER(t) lifecycle process the node's
-	// timer events compose with.
+	// TimerProcess asks for the TIMER(t) lifecycle process the timer
+	// events compose with. The network defines it once, in the first
+	// node that asks for it.
 	TimerProcess bool
 }
 
 // Pipeline is a configured end-to-end verification run.
 type Pipeline struct {
-	// Nodes lists the implementation models to extract. All nodes share
-	// one message datatype; the first node's translation carries the
-	// declarations.
+	// Nodes lists the implementation models to extract. They share one
+	// alphabet, the network universe: every node's message constructors
+	// (after renaming), timers and channels, declared once at the head
+	// of the first node's model.
 	Nodes []NodeSpec
 	// Spec is CSPm source appended after the extracted models:
 	// specification processes, the composed SYSTEM, and assert lines.
@@ -105,10 +110,11 @@ func (p *Pipeline) Run() (*Report, error) {
 	return report, nil
 }
 
-// Build parses every node, extracts its model, composes the models
-// with Spec and evaluates the combined script. It runs no checks. The
-// extracted models are evaluated as the translator's syntax trees;
-// only Spec is parsed, so its errors carry Spec's own line numbers.
+// Build parses Spec and every node, extracts the network's models
+// over their shared alphabet, composes them with Spec and evaluates the
+// combined script. It runs no checks. The extracted models are
+// evaluated as the translator's syntax trees; only Spec is parsed, so
+// its errors carry Spec's own line numbers.
 func (p *Pipeline) Build() (*Report, error) {
 	if len(p.Nodes) == 0 {
 		return nil, fmt.Errorf("core: pipeline needs at least one node")
@@ -117,63 +123,22 @@ func (p *Pipeline) Build() (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: parse spec: %w", err)
 	}
-	report := &Report{NodeModels: map[string]string{}}
-
-	// First pass: parse every node and collect the shared message and
-	// timer universes.
-	progs := make([]*capl.Program, len(p.Nodes))
-	msgSet := map[string]bool{}
-	var allMsgs []string
-	timerSet := map[string]bool{}
-	var allTimers []string
-	for i, spec := range p.Nodes {
-		prog, err := capl.Parse(spec.Source)
+	nodes := make([]translate.Node, len(p.Nodes))
+	for i, n := range p.Nodes {
+		prog, err := capl.Parse(n.Source)
 		if err != nil {
-			return nil, fmt.Errorf("core: parse node %s: %w", spec.Name, err)
+			return nil, fmt.Errorf("core: parse node %s: %w", n.Name, err)
 		}
-		progs[i] = prog
-		for _, d := range prog.MessageDecls() {
-			name := d.Name
-			if renamed, ok := spec.Rename[d.Name]; ok {
-				name = renamed
-			}
-			if !msgSet[name] {
-				msgSet[name] = true
-				allMsgs = append(allMsgs, name)
-			}
-		}
-		for _, v := range prog.Variables {
-			if v.Type.Base == capl.TypeMsTimer || v.Type.Base == capl.TypeTimer {
-				if !timerSet[v.Name] {
-					timerSet[v.Name] = true
-					allTimers = append(allTimers, v.Name)
-				}
-			}
-		}
+		nodes[i] = translate.Node{Prog: prog, Name: n.Name, In: n.In, Out: n.Out, Rename: n.Rename, TimerProcess: n.TimerProcess}
 	}
-
-	// Second pass: translate each node; only the first emits
-	// declarations.
-	var parts []string
-	combined := &cspm.Script{}
-	for i, spec := range p.Nodes {
-		opts := translate.Options{
-			NodeName:             spec.Name,
-			InChannel:            spec.In,
-			OutChannel:           spec.Out,
-			MsgDatatype:          "Msgs",
-			MessageRename:        spec.Rename,
-			ExtraMessages:        allMsgs,
-			ExtraTimers:          allTimers,
-			IncludeTimers:        true,
-			OmitDecls:            i > 0,
-			GenerateTimerProcess: spec.TimerProcess,
-		}
-		res, err := translate.Translate(progs[i], opts)
-		if err != nil {
-			return nil, fmt.Errorf("core: extract model for %s: %w", spec.Name, err)
-		}
-		report.NodeModels[spec.Name] = res.Text
+	combined, results, err := translate.TranslateNetwork(nodes)
+	if err != nil {
+		return nil, fmt.Errorf("core: extract network: %w", err)
+	}
+	report := &Report{NodeModels: map[string]string{}}
+	parts := make([]string, 0, len(results)+1)
+	for i, res := range results {
+		report.NodeModels[p.Nodes[i].Name] = res.Text
 		for _, d := range res.Diags {
 			w := d.Msg
 			if d.Line > 0 {
@@ -182,10 +147,8 @@ func (p *Pipeline) Build() (*Report, error) {
 			report.Warnings = append(report.Warnings, w)
 		}
 		parts = append(parts, res.Text)
-		combined.Decls = append(combined.Decls, res.Script.Decls...)
 	}
-	parts = append(parts, p.Spec)
-	report.CombinedSource = strings.Join(parts, "\n")
+	report.CombinedSource = strings.Join(append(parts, p.Spec), "\n")
 	combined.Decls = append(combined.Decls, spec.Decls...)
 	combined.Asserts = spec.Asserts
 

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/csp"
 	"repro/internal/ota"
+	"repro/internal/translate"
 )
 
 func caseStudyPipeline() *core.Pipeline {
@@ -129,5 +131,80 @@ func TestSpecErrorPointsIntoSpec(t *testing.T) {
 	_, err := p.Build()
 	if err == nil || !strings.HasPrefix(err.Error(), "core: parse spec: cspm:3:1:") {
 		t.Errorf("err = %v, want a core: parse spec error at cspm:3:1", err)
+	}
+}
+
+// pingSrc sends ping on start and again on every pong; pongSrc answers
+// every ping with pong.
+const (
+	pingSrc = "variables { message 0x1 ping; message 0x2 pong; }\non start { output(ping); }\non message pong { output(ping); }\n"
+	pongSrc = "variables { message 0x1 ping; message 0x2 pong; }\non message ping { output(pong); }\n"
+)
+
+// TestNetworkTwoTimerProcesses checks that two nodes asking for the
+// TIMER(t) process share one definition of it.
+func TestNetworkTwoTimerProcesses(t *testing.T) {
+	p := &core.Pipeline{
+		Nodes: []core.NodeSpec{
+			{Name: "A", In: "ba", Out: "ab", TimerProcess: true, Source: "variables { message 0x1 ping; message 0x2 pong; msTimer tick; }\n" +
+				"on start { setTimer(tick, 10); }\non timer tick { output(ping); }\non message pong { setTimer(tick, 10); }\n"},
+			{Name: "B", In: "ab", Out: "ba", TimerProcess: true, Source: "variables { message 0x1 ping; message 0x2 pong; msTimer guard; }\n" +
+				"on message ping { cancelTimer(guard); output(pong); }\non timer guard { }\n"},
+		},
+		Spec: "NET = A [| {| ab, ba |} |] B\n" +
+			"SYSTEM = NET [| {| setTimer, cancelTimer, timeout |} |] (TIMER(tick) ||| TIMER(guard))\n" +
+			"assert SYSTEM :[divergence free]\n",
+	}
+	report, err := p.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !report.AllHold() {
+		t.Errorf("failed: %v", report.Failed())
+	}
+	if n := strings.Count(report.CombinedSource, "TIMER(t) ="); n != 1 {
+		t.Errorf("TIMER(t) defined %d times, want once:\n%s", n, report.CombinedSource)
+	}
+}
+
+// TestNetworkThirdChannel checks that a channel only a later node
+// uses is declared with the rest of the network's alphabet.
+func TestNetworkThirdChannel(t *testing.T) {
+	p := &core.Pipeline{
+		Nodes: []core.NodeSpec{
+			{Name: "A", Source: pingSrc, In: "ba", Out: "ab"},
+			{Name: "B", Source: pongSrc, In: "ab", Out: "ba"},
+			{Name: "C", Source: "variables { message 0x2 pong; message 0x3 log; }\non message pong { output(log); }\n", In: "ba", Out: "cx"},
+		},
+		Spec: "SYSTEM = (A [| {| ab, ba |} |] B) [| {| ba |} |] C\nassert SYSTEM :[deadlock free]\n",
+	}
+	report, err := p.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !report.AllHold() {
+		t.Errorf("failed: %v", report.Failed())
+	}
+	if !strings.Contains(report.NodeModels["A"], "channel ba, ab, cx : Msgs") {
+		t.Errorf("network channels not declared together:\n%s", report.NodeModels["A"])
+	}
+}
+
+// TestNetworkBadRenameNamesNode checks that a bad rename is refused as
+// ErrBadName naming the node and the rename that carries it.
+func TestNetworkBadRenameNamesNode(t *testing.T) {
+	p := &core.Pipeline{
+		Nodes: []core.NodeSpec{
+			{Name: "A", Source: pingSrc, In: "ba", Out: "ab"},
+			{Name: "B", Source: pongSrc, In: "ab", Out: "ba", Rename: map[string]string{"pong": "if"}},
+		},
+		Spec: "SYSTEM = A [| {| ab, ba |} |] B\n",
+	}
+	_, err := p.Build()
+	if !errors.Is(err, translate.ErrBadName) {
+		t.Fatalf("err = %v, want ErrBadName", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "node B") || !strings.Contains(msg, "rename of message pong") {
+		t.Errorf("err = %v, want it to name node B and the rename of message pong", err)
 	}
 }

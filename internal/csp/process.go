@@ -7,10 +7,12 @@ import (
 
 // Process is a CSP process term. Terms are immutable; taking a transition
 // produces a new term (input bindings are applied by substitution, so a
-// term is always closed and Key returns a canonical state identifier).
+// term is always closed).
 type Process interface {
-	// Key returns canonical syntax for the term, used to identify LTS
-	// states during exploration.
+	// Key renders the term as canonical syntax, for messages and
+	// display. It is not an identity: Int(5) and Sym("5") render alike.
+	// Exploration identifies states by their interned TermID, and
+	// IdentityKey is the identity wherever a string key is needed.
 	Key() string
 	// Subst replaces free occurrences of a variable with a value.
 	Subst(name string, v Value) Process

@@ -83,11 +83,7 @@ func (t *translator) exprStmt(s *capl.ExprStmt, cont cspm.ProcExpr, inlining []s
 		if !ok {
 			return nil, fmt.Errorf("line %d: output(%s): message variable not declared", s.Line, id.Name)
 		}
-		return cspm.PrefixE{
-			Chan:   t.opts.OutChannel,
-			Fields: []cspm.FieldE{{Kind: cspm.FieldOut, Expr: cspm.IdentE{Name: ctor}}},
-			Cont:   cont,
-		}, nil
+		return prefix(t.opts.OutChannel, cspm.FieldOut, cspm.IdentE{Name: ctor}, cont), nil
 
 	case "setTimer", "cancelTimer":
 		if !t.opts.IncludeTimers {
@@ -97,7 +93,7 @@ func (t *translator) exprStmt(s *capl.ExprStmt, cont cspm.ProcExpr, inlining []s
 			return nil, fmt.Errorf("line %d: %s() expects a timer argument", s.Line, call.Fun)
 		}
 		id, ok := call.Args[0].(*capl.Ident)
-		if !ok || !t.timerSet[id.Name] {
+		if !ok || !t.u.timers.has[id.Name] {
 			return nil, fmt.Errorf("line %d: %s(): first argument must be a declared timer", s.Line, call.Fun)
 		}
 		if t.opts.TockTime && call.Fun == "setTimer" {
@@ -115,11 +111,7 @@ func (t *translator) exprStmt(s *capl.ExprStmt, cont cspm.ProcExpr, inlining []s
 		if call.Fun == "cancelTimer" {
 			ch = CancelTimerChan
 		}
-		return cspm.PrefixE{
-			Chan:   ch,
-			Fields: []cspm.FieldE{{Kind: cspm.FieldDot, Expr: cspm.IdentE{Name: id.Name}}},
-			Cont:   cont,
-		}, nil
+		return prefix(ch, cspm.FieldDot, cspm.IdentE{Name: id.Name}, cont), nil
 
 	case "write", "writeEx", "writeLineEx":
 		// Diagnostics do not appear in the network model.

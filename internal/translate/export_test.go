@@ -10,7 +10,9 @@ var SameProc = &sameProc
 // under opts: CAPL variable -> constructor, and CAN identifier ->
 // constructor (what `on message 0x…` resolves through).
 func MessageCtors(prog *capl.Program, opts Options) (byVar map[string]string, byID map[int64]string, err error) {
-	tr := &translator{prog: prog, opts: opts, msgCtor: map[string]string{}, msgByID: map[int64]string{}}
-	err = tr.collectDecls()
-	return tr.msgCtor, tr.msgByID, err
+	tr, err := newTranslator(prog, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return tr.msgCtor, tr.msgByID, nil
 }

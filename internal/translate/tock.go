@@ -30,17 +30,10 @@ import (
 const TockChan = "tock"
 
 // tockDuration converts a CAPL millisecond literal to tocks, rounding
-// up so a timer never fires early.
+// up so a timer never fires early. Translate has set TockMs > 0.
 func (t *translator) tockDuration(ms int64) int {
 	q := int64(t.opts.TockMs)
-	if q <= 0 {
-		q = 100
-	}
-	d := (ms + q - 1) / q
-	if d < 1 {
-		d = 1
-	}
-	return int(d)
+	return max(1, int((ms+q-1)/q))
 }
 
 // maxTockDuration scans the program for constant setTimer durations and
@@ -117,54 +110,25 @@ func (t *translator) tockSetTimerEvent(timer string, ms int64, cont cspm.ProcExp
 //	ARMED(t, n) = if n == 0 then timeout.t -> TIMER(t)
 //	              else (tock -> ARMED(t, n-1) [] cancelTimer.t -> TIMER(t))
 func tockTimerProcess() []cspm.ProcDef {
-	tVar := cspm.IdentE{Name: "t"}
-	nVar := cspm.IdentE{Name: "n"}
-	timer := cspm.ProcDef{
-		Name:   "TIMER",
-		Params: []string{"t"},
-		Body: cspm.BinProcE{
-			Op: cspm.OpExtChoice,
-			L: cspm.PrefixE{
-				Chan: SetTimerChan,
-				Fields: []cspm.FieldE{
-					{Kind: cspm.FieldOut, Expr: tVar},
-					{Kind: cspm.FieldIn, Var: "d"},
-				},
-				Cont: cspm.CallE{Name: "ARMED", Args: []cspm.ExprE{tVar, cspm.IdentE{Name: "d"}}},
-			},
-			R: cspm.PrefixE{
-				Chan: TockChan,
-				Cont: cspm.CallE{Name: "TIMER", Args: []cspm.ExprE{tVar}},
-			},
-		},
+	tVar, nVar := cspm.IdentE{Name: "t"}, cspm.IdentE{Name: "n"}
+	timer := cspm.CallE{Name: "TIMER", Args: []cspm.ExprE{tVar}}
+	set := cspm.PrefixE{
+		Chan:   SetTimerChan,
+		Fields: []cspm.FieldE{{Kind: cspm.FieldOut, Expr: tVar}, {Kind: cspm.FieldIn, Var: "d"}},
+		Cont:   cspm.CallE{Name: "ARMED", Args: []cspm.ExprE{tVar, cspm.IdentE{Name: "d"}}},
 	}
-	armed := cspm.ProcDef{
-		Name:   "ARMED",
-		Params: []string{"t", "n"},
-		Body: cspm.IfE{
-			Cond: cspm.BinE{Op: "==", L: nVar, R: cspm.IntE{Val: 0}},
-			Then: cspm.PrefixE{
-				Chan:   TimeoutChan,
-				Fields: []cspm.FieldE{{Kind: cspm.FieldOut, Expr: tVar}},
-				Cont:   cspm.CallE{Name: "TIMER", Args: []cspm.ExprE{tVar}},
-			},
-			Else: cspm.BinProcE{
-				Op: cspm.OpExtChoice,
-				L: cspm.PrefixE{
-					Chan: TockChan,
-					Cont: cspm.CallE{Name: "ARMED", Args: []cspm.ExprE{
-						tVar, cspm.BinE{Op: "-", L: nVar, R: cspm.IntE{Val: 1}},
-					}},
-				},
-				R: cspm.PrefixE{
-					Chan:   CancelTimerChan,
-					Fields: []cspm.FieldE{{Kind: cspm.FieldOut, Expr: tVar}},
-					Cont:   cspm.CallE{Name: "TIMER", Args: []cspm.ExprE{tVar}},
-				},
-			},
-		},
+	countdown := cspm.CallE{Name: "ARMED", Args: []cspm.ExprE{tVar, cspm.BinE{Op: "-", L: nVar, R: cspm.IntE{Val: 1}}}}
+	armed := cspm.IfE{
+		Cond: cspm.BinE{Op: "==", L: nVar, R: cspm.IntE{Val: 0}},
+		Then: prefix(TimeoutChan, cspm.FieldOut, tVar, timer),
+		Else: cspm.BinProcE{Op: cspm.OpExtChoice,
+			L: cspm.PrefixE{Chan: TockChan, Cont: countdown},
+			R: prefix(CancelTimerChan, cspm.FieldOut, tVar, timer)},
 	}
-	return []cspm.ProcDef{timer, armed}
+	return []cspm.ProcDef{
+		{Name: "TIMER", Params: []string{"t"}, Body: allowTock(set, timer)},
+		{Name: "ARMED", Params: []string{"t", "n"}, Body: armed},
+	}
 }
 
 // allowTock wraps a recurring state's body so that time may pass:

@@ -24,6 +24,7 @@ package translate
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/candb"
@@ -48,8 +49,9 @@ type Options struct {
 	// verbatim.
 	MessageRename map[string]string
 	// ExtraMessages lists constructor names that must be part of the
-	// message datatype even if this node never declares them (so that
-	// two independently translated nodes share one datatype).
+	// message datatype even if this node never declares them, so that
+	// nodes translated one at a time share one datatype
+	// (TranslateNetwork works the shared alphabet out itself).
 	ExtraMessages []string
 	// ExtraTimers likewise forces timer constructors into the Timers
 	// datatype for multi-node composition.
@@ -127,20 +129,9 @@ func checkName(role, name string) error {
 }
 
 // Translate extracts a CSPm implementation model from a CAPL program.
+// The declarations cover the program's own messages, timers and
+// channels plus opts.ExtraMessages and opts.ExtraTimers.
 func Translate(prog *capl.Program, opts Options) (*Result, error) {
-	if opts.MsgDatatype == "" {
-		opts.MsgDatatype = "Msgs"
-	}
-	for _, n := range [][2]string{
-		{"node name", opts.NodeName},
-		{"in channel", opts.InChannel},
-		{"out channel", opts.OutChannel},
-		{"message datatype", opts.MsgDatatype},
-	} {
-		if err := checkName(n[0], n[1]); err != nil {
-			return nil, err
-		}
-	}
 	if opts.TockTime {
 		opts.IncludeTimers = true
 		if opts.TockMs <= 0 {
@@ -153,18 +144,105 @@ func Translate(prog *capl.Program, opts Options) (*Result, error) {
 			return nil, &LintError{Diags: errs}
 		}
 	}
-	tr := &translator{prog: prog, opts: opts, msgCtor: map[string]string{}, msgByID: map[int64]string{}}
-	if err := tr.collectDecls(); err != nil {
+	tr, err := newTranslator(prog, opts)
+	if err != nil {
 		return nil, err
 	}
-	if opts.TockTime {
-		tr.maxDur = tr.maxTockDuration()
+	var u universe
+	u.add(tr)
+	for _, extra := range opts.ExtraMessages {
+		if err := checkName("extra message", extra); err != nil {
+			return nil, err
+		}
+		u.msgs.add(extra)
 	}
-	if err := tr.buildProcesses(); err != nil {
-		return nil, err
+	for _, extra := range opts.ExtraTimers {
+		if err := checkName("extra timer", extra); err != nil {
+			return nil, err
+		}
+		u.timers.add(extra)
 	}
-	script := tr.script()
-	return &Result{Script: script, Text: render(script, opts.NodeName), Diags: tr.diags}, nil
+	return tr.extract(u)
+}
+
+// Node is one CAPL node of a network.
+type Node struct {
+	// Prog is the node's parsed CAPL program.
+	Prog *capl.Program
+	// Name is the node's process name.
+	Name string
+	// In and Out are the channels the node receives and emits on.
+	In, Out string
+	// Rename maps CAPL message variable names to constructors.
+	Rename map[string]string
+	// TimerProcess asks for the network's TIMER(t) process.
+	TimerProcess bool
+}
+
+// TranslateNetwork extracts one model per node over the alphabet the
+// nodes share: every node's message constructors and timers and the
+// union of their channels, declared once, in node order, at the head
+// of node 0's text. TIMER(t) is defined at most once, in the first
+// node that asks for it. Every node's names are checked before any
+// node's processes are built; an error names its node. It returns the
+// combined script and each node's Result.
+func TranslateNetwork(nodes []Node) (*cspm.Script, []*Result, error) {
+	trs := make([]*translator, len(nodes))
+	var u universe
+	timerNode := slices.IndexFunc(nodes, func(n Node) bool { return n.TimerProcess })
+	for i, n := range nodes {
+		opts := DefaultOptions(n.Name)
+		opts.InChannel, opts.OutChannel, opts.MessageRename, opts.OmitDecls = n.In, n.Out, n.Rename, i > 0
+		opts.GenerateTimerProcess = i == timerNode
+		var err error
+		if trs[i], err = newTranslator(n.Prog, opts); err != nil {
+			return nil, nil, fmt.Errorf("node %s: %w", n.Name, err)
+		}
+		u.add(trs[i])
+	}
+	script := &cspm.Script{}
+	results := make([]*Result, len(nodes))
+	for i, tr := range trs {
+		res, err := tr.extract(u)
+		if err != nil {
+			return nil, nil, fmt.Errorf("node %s: %w", nodes[i].Name, err)
+		}
+		script.Decls = append(script.Decls, res.Script.Decls...)
+		results[i] = res
+	}
+	return script, results, nil
+}
+
+// universe is the alphabet a model's nodes share: message constructors,
+// timers and channels, each once, in the order first added.
+type universe struct {
+	msgs, timers, chans names
+}
+
+// add adds a node's own constructors, timers and channels.
+func (u *universe) add(tr *translator) {
+	u.msgs.add(tr.msgCtors...)
+	u.timers.add(tr.timers...)
+	u.chans.add(tr.opts.InChannel, tr.opts.OutChannel)
+}
+
+// names is a set of names that keeps the order they were added in.
+type names struct {
+	list []string
+	has  map[string]bool
+}
+
+func (n *names) add(xs ...string) {
+	n.list = slices.Grow(n.list, len(xs))
+	for _, x := range xs {
+		if !n.has[x] {
+			if n.has == nil {
+				n.has = make(map[string]bool, len(xs))
+			}
+			n.has[x] = true
+			n.list = append(n.list, x)
+		}
+	}
 }
 
 // LintError is returned by strict translation when the pre-extraction
@@ -195,11 +273,11 @@ type translator struct {
 	prog *capl.Program
 	opts Options
 
-	msgCtors []string          // datatype constructors, declaration order
+	msgCtors []string          // own constructors, declaration order
 	msgCtor  map[string]string // CAPL var name -> constructor
 	msgByID  map[int64]string  // CAN id -> constructor
-	timers   []string          // timer variable names
-	timerSet map[string]bool
+	timers   []string          // own timer variable names
+	u        universe          // the shared alphabet (set by extract)
 
 	defs     []cspm.ProcDef
 	diags    []caplint.Diagnostic
@@ -220,24 +298,45 @@ func (t *translator) diag(code string, line int, format string, args ...any) {
 }
 
 // ctorFor returns the constructor of a CAPL message variable, checked
-// as a CSPm name.
+// as a CSPm name (a rename's role is spelled out only for a bad one).
 func (t *translator) ctorFor(varName string) (string, error) {
-	ctor, role := varName, "message constructor"
-	if renamed, ok := t.opts.MessageRename[varName]; ok {
-		ctor, role = renamed, "rename of message "+varName
+	ctor, ok := t.opts.MessageRename[varName]
+	switch {
+	case !ok:
+		return varName, checkName("message constructor", varName)
+	case !cspm.IsIdent(ctor):
+		return ctor, checkName("rename of message "+varName, ctor)
 	}
-	return ctor, checkName(role, ctor)
+	return ctor, nil
 }
 
-func (t *translator) collectDecls() error {
+// newTranslator checks the node's outside names and collects its own
+// message constructors and timers.
+func newTranslator(prog *capl.Program, opts Options) (*translator, error) {
+	if opts.MsgDatatype == "" {
+		opts.MsgDatatype = "Msgs"
+	}
+	for _, n := range [][2]string{
+		{"node name", opts.NodeName},
+		{"in channel", opts.InChannel},
+		{"out channel", opts.OutChannel},
+		{"message datatype", opts.MsgDatatype},
+	} {
+		if err := checkName(n[0], n[1]); err != nil {
+			return nil, err
+		}
+	}
+	t := &translator{prog: prog, opts: opts, msgCtor: map[string]string{}, msgByID: map[int64]string{}}
+	decls := prog.MessageDecls()
+	t.msgCtors = make([]string, 0, len(decls))
 	seen := map[string]bool{}
-	for _, d := range t.prog.MessageDecls() {
+	for _, d := range decls {
 		ctor, err := t.ctorFor(d.Name)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if seen[ctor] {
-			return fmt.Errorf("message constructor %q generated twice", ctor)
+			return nil, fmt.Errorf("message constructor %q generated twice", ctor)
 		}
 		seen[ctor] = true
 		t.msgCtors = append(t.msgCtors, ctor)
@@ -246,38 +345,32 @@ func (t *translator) collectDecls() error {
 			t.msgByID[d.MsgID] = ctor
 		}
 	}
-	for _, extra := range t.opts.ExtraMessages {
-		if err := checkName("extra message", extra); err != nil {
-			return err
-		}
-		if !seen[extra] {
-			seen[extra] = true
-			t.msgCtors = append(t.msgCtors, extra)
-		}
-	}
-	if len(t.msgCtors) == 0 {
-		return fmt.Errorf("no message declarations found in variables section")
-	}
-	t.timerSet = map[string]bool{}
-	for _, v := range t.prog.Variables {
+	for _, v := range prog.Variables {
 		if v.Type.Base == capl.TypeMsTimer || v.Type.Base == capl.TypeTimer {
 			if err := checkName("timer", v.Name); err != nil {
-				return err
+				return nil, err
 			}
 			t.timers = append(t.timers, v.Name)
-			t.timerSet[v.Name] = true
 		}
 	}
-	for _, extra := range t.opts.ExtraTimers {
-		if err := checkName("extra timer", extra); err != nil {
-			return err
-		}
-		if !t.timerSet[extra] {
-			t.timers = append(t.timers, extra)
-			t.timerSet[extra] = true
-		}
+	return t, nil
+}
+
+// extract builds the node's processes over the universe u and prints
+// its model, declaring u unless OmitDecls is set.
+func (t *translator) extract(u universe) (*Result, error) {
+	if len(u.msgs.list) == 0 {
+		return nil, fmt.Errorf("no message declarations found in variables section")
 	}
-	return nil
+	t.u = u
+	if t.opts.TockTime {
+		t.maxDur = t.maxTockDuration()
+	}
+	if err := t.buildProcesses(); err != nil {
+		return nil, err
+	}
+	script := t.script()
+	return &Result{Script: script, Text: render(script, t.opts.NodeName), Diags: t.diags}, nil
 }
 
 // mainName returns the name of the node's recurring main process.
@@ -306,18 +399,14 @@ func (t *translator) buildProcesses() error {
 				t.diag(caplint.CodeDroppedHandler, h.Line, "on timer %s dropped (timers disabled)", h.Target)
 				continue
 			}
-			if !t.timerSet[h.Target] {
+			if !t.u.timers.has[h.Target] {
 				return fmt.Errorf("on timer %s: timer not declared in variables section", h.Target)
 			}
 			body, err := t.stmts(h.Body.Stmts, recurse, nil)
 			if err != nil {
 				return err
 			}
-			branches = append(branches, cspm.PrefixE{
-				Chan:   TimeoutChan,
-				Fields: []cspm.FieldE{{Kind: cspm.FieldDot, Expr: cspm.IdentE{Name: h.Target}}},
-				Cont:   body,
-			})
+			branches = append(branches, prefix(TimeoutChan, cspm.FieldDot, cspm.IdentE{Name: h.Target}, body))
 		case capl.OnKey, capl.OnStopMeasurement:
 			t.diag(caplint.CodeDroppedHandler, h.Line, "on %s handler dropped (not part of the network model)", h.Kind)
 		case capl.OnStart:
@@ -363,7 +452,7 @@ func (t *translator) buildProcesses() error {
 	}
 	t.defs = append(t.defs, cspm.ProcDef{Name: main, Body: mainBody})
 
-	if t.opts.GenerateTimerProcess && t.opts.IncludeTimers && len(t.timers) > 0 {
+	if t.opts.GenerateTimerProcess && t.opts.IncludeTimers && len(t.u.timers.list) > 0 {
 		if t.opts.TockTime {
 			t.defs = append(t.defs, tockTimerProcess()...)
 		} else {
@@ -400,32 +489,21 @@ func (t *translator) messageBranch(h *capl.Handler, recurse cspm.ProcExpr) (cspm
 	return cspm.PrefixE{Chan: t.opts.InChannel, Fields: []cspm.FieldE{field}, Cont: body}, nil
 }
 
-// timerProcess builds TIMER(t) = setTimer.t -> ARMED(t) with expiry and
-// cancellation, the standard untimed timer lifecycle.
+// timerProcess builds the standard untimed timer lifecycle:
+//
+//	TIMER(t) = setTimer!t -> (timeout!t -> TIMER(t) [] cancelTimer!t -> TIMER(t))
 func timerProcess() cspm.ProcDef {
 	tVar := cspm.IdentE{Name: "t"}
-	armed := cspm.BinProcE{
-		Op: cspm.OpExtChoice,
-		L: cspm.PrefixE{
-			Chan:   TimeoutChan,
-			Fields: []cspm.FieldE{{Kind: cspm.FieldOut, Expr: tVar}},
-			Cont:   cspm.CallE{Name: "TIMER", Args: []cspm.ExprE{tVar}},
-		},
-		R: cspm.PrefixE{
-			Chan:   CancelTimerChan,
-			Fields: []cspm.FieldE{{Kind: cspm.FieldOut, Expr: tVar}},
-			Cont:   cspm.CallE{Name: "TIMER", Args: []cspm.ExprE{tVar}},
-		},
-	}
-	return cspm.ProcDef{
-		Name:   "TIMER",
-		Params: []string{"t"},
-		Body: cspm.PrefixE{
-			Chan:   SetTimerChan,
-			Fields: []cspm.FieldE{{Kind: cspm.FieldOut, Expr: tVar}},
-			Cont:   armed,
-		},
-	}
+	timer := cspm.CallE{Name: "TIMER", Args: []cspm.ExprE{tVar}}
+	armed := cspm.BinProcE{Op: cspm.OpExtChoice,
+		L: prefix(TimeoutChan, cspm.FieldOut, tVar, timer),
+		R: prefix(CancelTimerChan, cspm.FieldOut, tVar, timer)}
+	return cspm.ProcDef{Name: "TIMER", Params: []string{"t"}, Body: prefix(SetTimerChan, cspm.FieldOut, tVar, armed)}
+}
+
+// prefix builds ch.e -> cont (kind FieldDot) or ch!e -> cont (FieldOut).
+func prefix(ch string, kind cspm.FieldKind, e cspm.ExprE, cont cspm.ProcExpr) cspm.PrefixE {
+	return cspm.PrefixE{Chan: ch, Fields: []cspm.FieldE{{Kind: kind, Expr: e}}, Cont: cont}
 }
 
 // script assembles the declarations and definitions into a cspm.Script:
@@ -446,11 +524,11 @@ func (t *translator) script() *cspm.Script {
 // them.
 func (t *translator) decls() []cspm.Decl {
 	msgs := cspm.TypeRef{Name: t.opts.MsgDatatype}
-	datatypes := []cspm.Decl{cspm.DatatypeDecl{Name: t.opts.MsgDatatype, Ctors: ctorDecls(t.msgCtors)}}
-	channels := []cspm.Decl{cspm.ChannelDecl{Names: []string{t.opts.InChannel, t.opts.OutChannel}, Fields: []cspm.TypeExpr{msgs}}}
-	if t.opts.IncludeTimers && len(t.timers) > 0 {
+	datatypes := []cspm.Decl{cspm.DatatypeDecl{Name: t.opts.MsgDatatype, Ctors: ctorDecls(t.u.msgs.list)}}
+	channels := []cspm.Decl{cspm.ChannelDecl{Names: t.u.chans.list, Fields: []cspm.TypeExpr{msgs}}}
+	if t.opts.IncludeTimers && len(t.u.timers.list) > 0 {
 		timers := cspm.TypeRef{Name: timerType}
-		datatypes = append(datatypes, cspm.DatatypeDecl{Name: timerType, Ctors: ctorDecls(t.timers)})
+		datatypes = append(datatypes, cspm.DatatypeDecl{Name: timerType, Ctors: ctorDecls(t.u.timers.list)})
 		if t.opts.TockTime {
 			channels = append(channels,
 				cspm.ChannelDecl{Names: []string{TockChan}},

@@ -54,6 +54,20 @@ for workers in 1 4; do
     rm -f "$LEARNCHECK_OUT"
 done
 
+# The extractor's output is held byte for byte: the paper report (up to
+# the timed Scalability table) and the generated-program soak.
+echo "==> otacheck -sizes 2,4 (byte-identical vs committed baseline)"
+OTACHECK_OUT=$(mktemp)
+go run ./cmd/otacheck -sizes 2,4 | sed '/^Scalability/,$d' > "$OTACHECK_OUT"
+cmp "$OTACHECK_OUT" testdata/otacheck_baseline.txt
+rm -f "$OTACHECK_OUT"
+
+echo "==> caplgen -seed 1 -n 200 (byte-identical vs committed baseline)"
+CAPLGEN_OUT=$(mktemp)
+go run ./cmd/caplgen -seed 1 -n 200 -o "$CAPLGEN_OUT" > /dev/null
+cmp "$CAPLGEN_OUT" testdata/caplgen_baseline.json
+rm -f "$CAPLGEN_OUT"
+
 echo "==> go test -race ./..."
 go test -race ./...
 
