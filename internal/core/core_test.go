@@ -208,3 +208,40 @@ func TestNetworkBadRenameNamesNode(t *testing.T) {
 		t.Errorf("err = %v, want it to name node B and the rename of message pong", err)
 	}
 }
+
+// TestNetworkDuplicateNodeRefused checks that two nodes with one name
+// are refused up front as ErrDuplicateNode naming the node, not when
+// the combined model defines the process twice.
+func TestNetworkDuplicateNodeRefused(t *testing.T) {
+	p := &core.Pipeline{
+		Nodes: []core.NodeSpec{
+			{Name: "A", Source: pingSrc, In: "ba", Out: "ab"},
+			{Name: "A", Source: pongSrc, In: "ab", Out: "ba"},
+		},
+		Spec: "SYSTEM = A\n",
+	}
+	_, err := p.Build()
+	if !errors.Is(err, translate.ErrDuplicateNode) {
+		t.Fatalf("err = %v, want ErrDuplicateNode", err)
+	}
+	if !strings.Contains(err.Error(), `"A"`) {
+		t.Errorf("err = %v, want it to name node A", err)
+	}
+}
+
+// TestNetworkConstructorNamedLikeChannelRefused checks that a message
+// constructor with a channel's name — node B's message ab on the
+// network's channel ab — is refused, naming both, as FDR refuses it.
+func TestNetworkConstructorNamedLikeChannelRefused(t *testing.T) {
+	p := &core.Pipeline{
+		Nodes: []core.NodeSpec{
+			{Name: "A", Source: pingSrc, In: "ba", Out: "ab"},
+			{Name: "B", Source: "variables { message 0x1 ping; message 0x3 ab; }\non message ping { output(ab); }\n", In: "ab", Out: "ba"},
+		},
+		Spec: "SYSTEM = A [| {| ab, ba |} |] B\n",
+	}
+	_, err := p.Build()
+	if err == nil || !strings.Contains(err.Error(), `constructor "ab"`) || !strings.Contains(err.Error(), `channel "ab"`) {
+		t.Fatalf("err = %v, want the constructor ab refused as channel ab's name", err)
+	}
+}

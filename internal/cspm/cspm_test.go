@@ -393,6 +393,10 @@ func TestEvalErrors(t *testing.T) {
 		{"ctor arity", "datatype T = f.{0..1}\nchannel c : T\nP = c!f -> STOP\n", "expects 1 argument"},
 		{"call arity", "channel a\nP(n) = a -> STOP\nQ = P(1, 2)\n", "expects 1 argument"},
 		{"bad rename", "channel a\nP = (a -> STOP)[[a <- zz]]\n", "undeclared channel"},
+		{"ctor named like a later channel", "datatype M = ab | cd\nchannel ab : M\n",
+			`constructor "ab" of datatype M has the name of channel "ab"`},
+		{"ctor named like an earlier channel", "channel ab\ndatatype M = ab | cd\n",
+			`constructor "ab" of datatype M has the name of channel "ab"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -144,6 +144,9 @@ func (ev *evaluator) declareDatatype(d DatatypeDecl) error {
 		if _, dup := ev.ctors[c.Name]; dup {
 			return fmt.Errorf("constructor %q declared twice", c.Name)
 		}
+		if ev.chans[c.Name] {
+			return clash(c.Name, d.Name)
+		}
 		ctor := csp.Ctor{Head: csp.Sym(c.Name)}
 		for _, f := range c.Fields {
 			ft, err := ev.typeExpr(f)
@@ -182,12 +185,21 @@ func (ev *evaluator) declareChannel(d ChannelDecl) error {
 		fields = append(fields, ft)
 	}
 	for _, name := range d.Names {
+		if c, ok := ev.ctors[name]; ok {
+			return clash(name, c.datatype)
+		}
 		if err := ev.ctx.DeclareChannel(name, fields...); err != nil {
 			return err
 		}
 		ev.chans[name] = true
 	}
 	return nil
+}
+
+// clash reports a constructor of datatype that has a channel's name,
+// which CSPm forbids: the name would denote both.
+func clash(name, datatype string) error {
+	return fmt.Errorf("constructor %q of datatype %s has the name of channel %q", name, datatype, name)
 }
 
 // expr converts a value expression, resolving identifiers against the

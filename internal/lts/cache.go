@@ -1,6 +1,7 @@
 package lts
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -14,6 +15,24 @@ import (
 // per scenario; a shared Cache collapses that to one exploration per
 // distinct (semantics, process, bound) triple, and one subset
 // construction per distinct LTS.
+//
+// A term whose root is a hiding P \ X or a renaming P[[R]] — the term
+// itself, or what its calls and conditionals unfold to, as in
+// DIAG = SYSTEM \ X — is a view of P: the cache takes P's LTS from
+// itself (exploring P on a miss, or deriving it if P is a view too) and
+// derives the view in one pass over P's edges, keeping a reference to
+// P's LTS instead of node records of its own (see view.go). The result
+// is the LTS Explore would build for the term. Three cases explore the
+// term as before: an Options.Checkpoint with a Dir (snapshots and
+// resume stay those of an exploration), a view that reaches itself
+// again through its operands without a guard (Q = Q \ X; exploring it
+// reports the unguarded recursion), and an operand that fails with
+// anything but a budget error (so the error names the view's own
+// state). Hiding and renaming below the root, inside a composition,
+// are explored as before. A budget error of the operand is the view's:
+// a view has at least its operand's states, so an operand over the
+// state bound puts the view over it too, and a view shares its
+// operand's flight, stop included.
 //
 // Entries are keyed by the process's structural node encoding plus the
 // identity of the definition environment and channel context (the same
@@ -31,7 +50,7 @@ import (
 // are safe for concurrent use.
 type Cache struct {
 	// Obs, when set, mirrors the cache statistics to obs counters
-	// (lts.cache.hits / misses / coalesces / evictions). It may be
+	// (lts.cache.hits / misses / derived / coalesces / evictions). It may be
 	// assigned once, before the cache is shared across goroutines.
 	Obs *obs.Observer
 
@@ -41,6 +60,7 @@ type Cache struct {
 
 	hits      atomic.Int64
 	misses    atomic.Int64
+	derived   atomic.Int64
 	coalesces atomic.Int64
 	evictions atomic.Int64
 }
@@ -85,11 +105,16 @@ func NewCache() *Cache {
 // shares the flight it joined, stop included. A resumed exploration
 // counts its snapshot's elapsed time against the leader's deadline.
 func (c *Cache) Explore(sem *csp.Semantics, p csp.Process, opts Options) (*LTS, error) {
+	return c.explore(sem, p, csp.IdentityKey(p), opts)
+}
+
+// explore is Explore of p, whose identity key is proc.
+func (c *Cache) explore(sem *csp.Semantics, p csp.Process, proc string, opts Options) (*LTS, error) {
 	maxStates := opts.MaxStates
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates
 	}
-	key := cacheKey{env: sem.Env, ctx: sem.Ctx, proc: csp.IdentityKey(p), maxStates: maxStates}
+	key := cacheKey{env: sem.Env, ctx: sem.Ctx, proc: proc, maxStates: maxStates}
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {
@@ -103,7 +128,7 @@ func (c *Cache) Explore(sem *csp.Semantics, p csp.Process, opts Options) (*LTS, 
 		fresh = true
 		c.misses.Add(1)
 		c.Obs.Counter("lts.cache.misses").Inc()
-		e.lts, e.err = Explore(sem, p, opts)
+		e.lts, e.err = c.compute(sem, p, proc, opts)
 		e.done.Store(true)
 	})
 	if !fresh {
@@ -131,6 +156,28 @@ func (c *Cache) Explore(sem *csp.Semantics, p csp.Process, opts Options) (*LTS, 
 	return e.lts, nil
 }
 
+// compute explores p, or derives it from its operand's LTS when p is a
+// view (see Cache).
+func (c *Cache) compute(sem *csp.Semantics, p csp.Process, proc string, opts Options) (*LTS, error) {
+	if opts.Checkpoint == nil || opts.Checkpoint.Dir == "" {
+		if v, ok := viewOf(sem, p, proc); ok {
+			base, err := c.explore(sem, v.operand, v.operandKey, opts)
+			if err == nil {
+				c.derived.Add(1)
+				c.Obs.Counter("lts.cache.derived").Inc()
+				return derive(base, v, opts)
+			}
+			var le *LimitError
+			var me *MemoryError
+			var ce *CanceledError
+			if errors.As(err, &le) || errors.As(err, &me) || errors.As(err, &ce) {
+				return nil, err
+			}
+		}
+	}
+	return Explore(sem, p, opts)
+}
+
 // Normalize memoizes the subset construction per explored LTS. The
 // argument is expected to be an LTS returned by this cache's Explore
 // (keyed by pointer identity), but any LTS works — an unknown one is
@@ -148,8 +195,8 @@ func (c *Cache) Normalize(l *LTS) *Normalized {
 }
 
 // Stats reports cache effectiveness: hits is the number of Explore
-// calls answered from memory, misses the number of fresh explorations
-// performed.
+// calls answered from memory, misses the number of entries computed
+// (explored or derived).
 func (c *Cache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }
@@ -159,8 +206,12 @@ type CacheStats struct {
 	// Hits counts Explore calls answered without a fresh exploration
 	// (coalesced joins included).
 	Hits int64
-	// Misses counts fresh explorations performed.
+	// Misses counts the entries computed: fresh explorations and
+	// derived views.
 	Misses int64
+	// Derived counts the subset of misses derived from an operand's LTS
+	// rather than explored.
+	Derived int64
 	// Coalesces counts the subset of hits that joined an exploration
 	// still in flight rather than reading a finished result.
 	Coalesces int64
@@ -175,6 +226,7 @@ func (c *Cache) StatsAll() CacheStats {
 	return CacheStats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
+		Derived:   c.derived.Load(),
 		Coalesces: c.coalesces.Load(),
 		Evictions: c.evictions.Load(),
 		Entries:   c.Len(),

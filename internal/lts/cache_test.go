@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/csp"
+	"repro/internal/obs"
 )
 
 // boundSem builds a semantics with n distinct chain processes P0..Pn-1,
@@ -96,7 +97,8 @@ func TestCacheKeysStructurally(t *testing.T) {
 		t.Errorf("structurally equal root missed the cache: %d hits, want 1", hits)
 	}
 	// Hiding sets that render alike are different sets: hiding either
-	// pun leaves the other visible.
+	// pun leaves the other visible, and each hiding is an entry of its
+	// own, derived from the one exploration of their operand.
 	both := csp.ExtChoice(num, sym)
 	for _, hidden := range []csp.Event{csp.Ev("pun", csp.Int(5)), csp.Ev("pun", csp.Sym("5"))} {
 		l, err := c.Explore(sem, csp.Hide(both, csp.Events(hidden)), Options{})
@@ -107,8 +109,9 @@ func TestCacheKeysStructurally(t *testing.T) {
 			t.Errorf("hiding %#v: events %v, want only the other pun", hidden, l.Events)
 		}
 	}
-	if _, misses := c.Stats(); misses != 4 {
-		t.Errorf("%d misses, want 4: punned hiding sets shared an entry", misses)
+	if st := c.StatsAll(); st.Misses != 5 || st.Derived != 2 {
+		t.Errorf("%d misses, %d derived; want 5 and 2 (the operand explored, each hiding derived): punned hiding sets shared an entry",
+			st.Misses, st.Derived)
 	}
 }
 
@@ -247,5 +250,182 @@ func TestCacheUnboundedDefaultKeepsEverything(t *testing.T) {
 	}
 	if _, misses := c.Stats(); misses != missesBefore {
 		t.Error("unbounded cache re-explored a cached entry")
+	}
+}
+
+// viewSem defines S = a -> b -> S [] c -> SKIP and the views
+// V = S \ {a} and W = V[[b <- c]] over it.
+func viewSem(t *testing.T) *csp.Semantics {
+	t.Helper()
+	sem := testSem(t)
+	sem.Env.MustDefine("S", nil, csp.ExtChoice(
+		csp.DoEvent("a", csp.DoEvent("b", csp.Call("S"))),
+		csp.DoEvent("c", csp.Skip())))
+	sem.Env.MustDefine("V", nil, csp.Hide(csp.Call("S"), csp.EventsOf("a")))
+	sem.Env.MustDefine("W", nil, csp.Rename(csp.Call("V"), map[string]string{"b": "c"}))
+	return sem
+}
+
+// TestCacheDerivesViews pins the statistics and instrumentation of a
+// derived view: W's chain explores S once and derives V and W, each a
+// miss and a derivation, with a lts.derive span naming its size and its
+// base's and a lts.cache.derived count; S and V are then hits.
+func TestCacheDerivesViews(t *testing.T) {
+	sem := viewSem(t)
+	o := obs.New()
+	c := NewCache()
+	c.Obs = o
+	w, err := c.Explore(sem, csp.Call("W"), Options{Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"S", "V"} {
+		if _, err := c.Explore(sem, csp.Call(name), Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := CacheStats{Hits: 2, Misses: 3, Derived: 2, Entries: 3}
+	if st := c.StatsAll(); st != want {
+		t.Errorf("stats %+v, want %+v", st, want)
+	}
+	if n := o.Counter("lts.cache.derived").Value(); n != 2 {
+		t.Errorf("lts.cache.derived = %d, want 2", n)
+	}
+	var derives []obs.SpanRecord
+	explores := 0
+	for _, s := range o.Spans() {
+		switch s.Name {
+		case "lts.explore":
+			explores++
+		case "lts.derive":
+			derives = append(derives, s)
+		}
+	}
+	if explores != 1 || len(derives) != 2 {
+		t.Fatalf("%d lts.explore and %d lts.derive spans, want 1 and 2", explores, len(derives))
+	}
+	// V's derivation ends first, inside W's.
+	v, last := derives[0].Attrs, derives[1].Attrs
+	if last["states"] != int64(w.NumStates()) || last["transitions"] != int64(w.NumTransitions()) ||
+		last["base.states"] != v["states"] {
+		t.Errorf("lts.derive spans %v then %v, want W's size over V's", v, last)
+	}
+	fresh, err := Explore(sem, csp.Call("W"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < fresh.NumStates(); i++ {
+		if w.Key(i) != fresh.Key(i) {
+			t.Fatalf("state %d: key %q, explored %q", i, w.Key(i), fresh.Key(i))
+		}
+	}
+}
+
+// TestCacheViewMemoryWatermark: a view is checked against its
+// operand's estimate plus its own tables, so a watermark below the
+// estimate of an operand already in the cache (explored with no
+// watermark) refuses the view with a *MemoryError, and one above the
+// total admits it.
+func TestCacheViewMemoryWatermark(t *testing.T) {
+	sem := viewSem(t)
+	c := NewCache()
+	s, err := c.Explore(sem, csp.Call("S"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.estBytes <= 0 {
+		t.Fatalf("operand estimate %d", s.estBytes)
+	}
+	_, err = c.Explore(sem, csp.Call("V"), Options{MaxMemBytes: s.estBytes - 1})
+	var me *MemoryError
+	if !errors.As(err, &me) || me.Limit != s.estBytes-1 || me.EstimatedBytes <= s.estBytes {
+		t.Fatalf("err = %v, want a *MemoryError over the operand's estimate", err)
+	}
+	v, err := c.Explore(sem, csp.Call("V"), Options{MaxMemBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.estBytes <= s.estBytes {
+		t.Errorf("view estimate %d, want more than its operand's %d", v.estBytes, s.estBytes)
+	}
+}
+
+// TestCacheCheckpointedViewIsExplored: with checkpointing on, a view is
+// explored as before, not derived.
+func TestCacheCheckpointedViewIsExplored(t *testing.T) {
+	sem := viewSem(t)
+	c := NewCache()
+	l, err := c.Explore(sem, csp.Call("V"), Options{Checkpoint: &CheckpointOptions{Dir: t.TempDir()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.StatsAll(); st.Misses != 1 || st.Derived != 0 || l.view != nil {
+		t.Errorf("stats %+v: a checkpointed view was derived", st)
+	}
+}
+
+// TestCacheUnguardedViewFails: views that come back to themselves
+// without a guard — Q = Q \ X, R = R[[a <- b]], and A = B \ X with
+// B = A[[a <- b]] asked for from both ends at once — fail with the
+// unguarded-recursion error exploring them reports, instead of waiting
+// on their own cache entries.
+func TestCacheUnguardedViewFails(t *testing.T) {
+	sem := testSem(t)
+	sem.Env.MustDefine("Q", nil, csp.Hide(csp.Call("Q"), csp.EventsOf("a")))
+	sem.Env.MustDefine("R", nil, csp.Rename(csp.Call("R"), map[string]string{"a": "b"}))
+	sem.Env.MustDefine("A", nil, csp.Hide(csp.Call("B"), csp.EventsOf("a")))
+	sem.Env.MustDefine("B", nil, csp.Rename(csp.Call("A"), map[string]string{"a": "b"}))
+	c := NewCache()
+	var wg sync.WaitGroup
+	for _, name := range []string{"Q", "R", "A", "B", "A", "B"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := csp.Call(name)
+			_, want := Explore(sem, p, Options{})
+			_, err := c.Explore(sem, p, Options{})
+			if !errors.Is(err, csp.ErrUnguardedRecursion) || err.Error() != want.Error() {
+				t.Errorf("%s: err = %v, want %v", name, err, want)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestCacheConcurrentViews asks one cache for a view chain from many
+// goroutines at once, each starting at a different link: every caller
+// of a term gets the one LTS computed for it, and S is explored once.
+// Run under -race this also checks that derived LTSs render keys from
+// their shared bases safely.
+func TestCacheConcurrentViews(t *testing.T) {
+	sem := viewSem(t)
+	c := NewCache()
+	names := []string{"W", "V", "S"}
+	const goroutines = 12
+	got := make([]*LTS, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			l, err := c.Explore(sem, csp.Call(names[g%len(names)]), Options{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < l.NumStates(); i++ {
+				_ = l.Key(i)
+			}
+			got[g] = l
+		}()
+	}
+	wg.Wait()
+	for g := len(names); g < goroutines; g++ {
+		if got[g] != got[g%len(names)] {
+			t.Fatalf("goroutine %d got a different LTS for %s", g, names[g%len(names)])
+		}
+	}
+	if st := c.StatsAll(); st.Misses != 3 || st.Derived != 2 {
+		t.Errorf("stats %+v, want 3 misses, 2 of them derived", st)
 	}
 }

@@ -51,7 +51,9 @@ func (e *LimitError) Is(target error) bool { return target == ErrStateLimit }
 // state is a node ID: into the exploration's interned node table while
 // it runs, and into the node records the finished LTS keeps. No state
 // carries a process term: Key rebuilds one from the node records on
-// demand, for reports and counterexamples.
+// demand, for reports and counterexamples. An LTS a Cache derives for
+// a hiding or renaming keeps no node records: its states wrap the
+// states of the LTS it was derived from (see view).
 type LTS struct {
 	// Init is the index of the initial state.
 	Init int
@@ -63,15 +65,34 @@ type LTS struct {
 
 	states []csp.TermID // state ID -> node ID
 	c      *compiler    // the node records; after Explore, only those Key needs
+	view   *view        // set instead of states and c on a derived LTS
+
+	// estBytes is the resident-size estimate a view derived from this
+	// LTS starts from: an exploration's final estimate, or a view's
+	// base estimate plus its own tables.
+	estBytes int64
 }
 
 // Key renders the canonical process term of a state, rebuilt from the
 // node records.
-func (l *LTS) Key(id int) string { return l.c.proc(l.states[id]).Key() }
+func (l *LTS) Key(id int) string { return l.proc(id).Key() }
+
+// proc rebuilds the process term of a state.
+func (l *LTS) proc(id int) csp.Process {
+	if l.view != nil {
+		return l.view.proc(id)
+	}
+	return l.c.proc(l.states[id])
+}
 
 // IsOmega reports whether a state is Ω, the terminated process a tick
 // leads to.
-func (l *LTS) IsOmega(id int) bool { return l.states[id] == l.c.omega }
+func (l *LTS) IsOmega(id int) bool {
+	if l.view != nil {
+		return l.view.of[id] == omegaState
+	}
+	return l.states[id] == l.c.omega
+}
 
 // Edge is a transition to state To labelled with event ID Ev.
 type Edge struct {
@@ -103,9 +124,13 @@ type Options struct {
 	// the exploration (the interner's index and node table, the compiled
 	// memo and node records, and the LTS under construction including the
 	// event-intern table), checked once per BFS level. Checkpointing adds
-	// nothing: snapshots persist the exploration's own node table.
-	// Exceeding it returns a *MemoryError — a structured budget verdict
-	// instead of an OOM kill. 0 means unbounded.
+	// nothing: snapshots persist the exploration's own node table. A
+	// view a Cache derives from its operand's LTS is checked, once per
+	// level of its pass, against the operand's estimate (its
+	// exploration's final one, or a derived operand's own total) plus
+	// the view's states, edges and events: what is resident while the
+	// view exists. Exceeding it returns a *MemoryError — a structured
+	// budget verdict instead of an OOM kill. 0 means unbounded.
 	MaxMemBytes int64
 	// Checkpoint, when non-nil with a Dir, enables level-granular
 	// crash-safe checkpointing: snapshots are written atomically every
@@ -249,21 +274,7 @@ func (c *compiler) explore(root csp.Process, opts Options) (lts *LTS, err error)
 		if lts != nil {
 			explored = int64(lts.NumStates())
 		}
-		outcome := "ok"
-		var ce *CanceledError
-		switch {
-		case errors.Is(err, ErrStateLimit):
-			outcome = "state-limit"
-		case errors.Is(err, ErrDeadline):
-			outcome = "deadline"
-		case errors.Is(err, ErrMemoryLimit):
-			outcome = "memory-limit"
-		case errors.As(err, &ce):
-			outcome = "canceled"
-		case err != nil:
-			outcome = "error"
-		}
-		span.End(obs.Int("states", explored), obs.String("outcome", outcome),
+		span.End(obs.Int("states", explored), obs.String("outcome", outcome(err)),
 			obs.Int("nodes.composite", composites), obs.Int("nodes.leaf", leaves),
 			obs.Bool("memo.reused", c.reused))
 	}()
@@ -393,8 +404,27 @@ func (c *compiler) explore(root csp.Process, opts Options) (lts *LTS, err error)
 		ck.write(e.l, merged, levels, time.Since(e.start))
 	}
 	prog.Flush(int64(len(e.l.states)))
+	e.l.estBytes = e.c.in.Bytes() + e.ltsBytes + e.c.bytes()
 	e.l.c = c.records(e.l.states)
 	return e.l, nil
+}
+
+// outcome names how an exploration or derivation ended, for its span.
+func outcome(err error) string {
+	var ce *CanceledError
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, ErrStateLimit):
+		return "state-limit"
+	case errors.Is(err, ErrDeadline):
+		return "deadline"
+	case errors.Is(err, ErrMemoryLimit):
+		return "memory-limit"
+	case errors.As(err, &ce):
+		return "canceled"
+	}
+	return "error"
 }
 
 // add makes a term a state, enforcing the exact bound: a state beyond
@@ -460,19 +490,22 @@ func (e *exploration) expand(s int) (trs []Step, err error) {
 
 // check returns the typed stop error if the stop signal has fired,
 // with the states discovered so far as the partial exploration size.
-func (e *exploration) check() error {
-	if e.ctx == nil {
+func (e *exploration) check() error { return stopped(e.ctx, len(e.l.states)) }
+
+// stopped returns a *CanceledError if ctx, which may be nil, is done.
+func stopped(ctx context.Context, explored int) error {
+	if ctx == nil {
 		return nil
 	}
-	err := e.ctx.Err()
+	err := ctx.Err()
 	if err == nil {
 		return nil
 	}
 	// A context type of the caller's own may report no cause.
-	if cause := context.Cause(e.ctx); cause != nil {
+	if cause := context.Cause(ctx); cause != nil {
 		err = cause
 	}
-	return &CanceledError{Explored: len(e.l.states), Cause: err}
+	return &CanceledError{Explored: explored, Cause: err}
 }
 
 // EventByID returns the event with the given label ID.
@@ -491,7 +524,7 @@ func (l *LTS) EventID(e csp.Event) (int, bool) {
 }
 
 // NumStates returns the number of explored states.
-func (l *LTS) NumStates() int { return len(l.states) }
+func (l *LTS) NumStates() int { return len(l.Edges) }
 
 // NumTransitions returns the total number of edges.
 func (l *LTS) NumTransitions() int {
@@ -555,7 +588,7 @@ func (l *LTS) TauClosure(states []int) []int {
 func (l *LTS) HasTauCycle() (bool, int) {
 	// Iterative DFS over tau edges, one edge per step; colour 1 marks
 	// the states on the current path, 2 the finished ones.
-	colour := make([]byte, len(l.states))
+	colour := make([]byte, l.NumStates())
 	type frame struct{ state, next int }
 	for start := range colour {
 		if colour[start] != 0 {

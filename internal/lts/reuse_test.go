@@ -54,9 +54,9 @@ func render(l *LTS, err error) exploredView {
 	return v
 }
 
-// view explores root over c (fresh or reset) and renders the outcome,
+// exploreView explores root over c (fresh or reset) and renders the outcome,
 // the interner's node table included.
-func view(c *compiler, root csp.Process, opts Options) (*LTS, exploredView) {
+func exploreView(c *compiler, root csp.Process, opts Options) (*LTS, exploredView) {
 	l, err := c.explore(root, opts)
 	v := render(l, err)
 	for _, k := range c.in.Keys() {
@@ -88,7 +88,7 @@ func requireSameView(t *testing.T, label string, got, want exploredView) {
 
 // freshView explores root through a never-used compiler.
 func freshView(sem *csp.Semantics, root csp.Process, opts Options) exploredView {
-	_, v := view(emptyCompiler().begin(sem), root, opts)
+	_, v := exploreView(emptyCompiler().begin(sem), root, opts)
 	return v
 }
 
@@ -119,7 +119,7 @@ func TestReusedCompilerMatchesFresh(t *testing.T) {
 			c.reset()
 		}
 		sem, root := cspgen.Model(seed)
-		l, got := view(c.begin(sem), root, opts)
+		l, got := exploreView(c.begin(sem), root, opts)
 		if i > 0 && !c.reused {
 			t.Fatal("a reset compiler does not report reuse")
 		}

@@ -115,6 +115,10 @@ type Result struct {
 // model could not name it.
 var ErrBadName = errors.New("translate: bad name")
 
+// ErrDuplicateNode reports two nodes of a network with one name: their
+// processes would be defined twice.
+var ErrDuplicateNode = errors.New("translate: duplicate node")
+
 // checkName returns an ErrBadName naming role and name unless name is a
 // CSPm identifier.
 func checkName(role, name string) error {
@@ -184,9 +188,15 @@ type Node struct {
 // union of their channels, declared once, in node order, at the head
 // of node 0's text. TIMER(t) is defined at most once, in the first
 // node that asks for it. Every node's names are checked before any
-// node's processes are built; an error names its node. It returns the
-// combined script and each node's Result.
+// node's processes are built; an error names its node, and two nodes
+// with one name fail with ErrDuplicateNode. It returns the combined
+// script and each node's Result.
 func TranslateNetwork(nodes []Node) (*cspm.Script, []*Result, error) {
+	for i, n := range nodes {
+		if slices.ContainsFunc(nodes[:i], func(m Node) bool { return m.Name == n.Name }) {
+			return nil, nil, fmt.Errorf("%w %q", ErrDuplicateNode, n.Name)
+		}
+	}
 	trs := make([]*translator, len(nodes))
 	var u universe
 	timerNode := slices.IndexFunc(nodes, func(n Node) bool { return n.TimerProcess })
