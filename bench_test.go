@@ -256,6 +256,11 @@ func BenchmarkRefines(b *testing.B) { runLedger(b, "Refines") }
 // exploration of SYSTEML.
 func BenchmarkRunAll(b *testing.B) { runLedger(b, "RunAll") }
 
+// BenchmarkProduct measures the product search of SP02L [T= DIAGL of
+// the lossy system at loss budget 2 (lossy-b2), both terms explored and
+// the specification normalised in a primed cache.
+func BenchmarkProduct(b *testing.B) { runLedger(b, "Product") }
+
 // BenchmarkAcceptsTrace measures on-the-fly trace membership, the
 // conformance soak's check, on the projected trace of one hardened
 // schedule that duplicates a VMG frame (soak).

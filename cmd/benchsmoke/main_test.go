@@ -67,12 +67,16 @@ func TestRunRejectsBadPattern(t *testing.T) {
 
 // TestRunWithMetricsFoldsSnapshot asserts that -metrics embeds the
 // observer snapshot in the JSON artefact: the cached Refines benchmark
-// must register cache hits.
+// must register cache hits, and the product search its steps, which
+// -tracefile also carries on each refine.product span with the size of
+// the search's index.
 func TestRunWithMetricsFoldsSnapshot(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_refine.json")
+	dir := t.TempDir()
+	out := filepath.Join(dir, "BENCH_refine.json")
+	traceFile := filepath.Join(dir, "trace.jsonl")
 	var stdout bytes.Buffer
 	cfg := runConfig{outPath: out, pattern: "^Refines/", benchtime: "1x", gateFactor: 2,
-		obs: obs.Flags{Metrics: true}}
+		obs: obs.Flags{Metrics: true, TraceFile: traceFile}}
 	if err := run(cfg, &stdout); err != nil {
 		t.Fatal(err)
 	}
@@ -92,6 +96,34 @@ func TestRunWithMetricsFoldsSnapshot(t *testing.T) {
 	}
 	if doc.Metrics.Counters["lts.cache.hits"] == 0 {
 		t.Errorf("cached run recorded no cache hits: %+v", doc.Metrics.Counters)
+	}
+	if doc.Metrics.Counters["refine.product.steps"] == 0 {
+		t.Errorf("refine.product.steps counter missing from snapshot: %+v", doc.Metrics.Counters)
+	}
+	trace, err := os.ReadFile(traceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	products := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(trace)), "\n") {
+		var rec obs.SpanRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		if rec.Name != "refine.product" {
+			continue
+		}
+		products++
+		// JSON numbers decode as float64.
+		if steps, _ := rec.Attrs["steps"].(float64); steps <= 0 {
+			t.Errorf("refine.product span without steps: %v", rec.Attrs)
+		}
+		if slots, _ := rec.Attrs["slots"].(float64); slots < 16 {
+			t.Errorf("refine.product span without its index size: %v", rec.Attrs)
+		}
+	}
+	if products == 0 {
+		t.Errorf("no refine.product span in the trace file:\n%s", trace)
 	}
 }
 

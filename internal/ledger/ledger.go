@@ -47,7 +47,8 @@ type Row struct {
 // space (plain and checkpointing every level) and of the five small
 // assertion subjects, a full refinement check (cold vs cached), every
 // assertion of the lossy system (its views derived from one
-// exploration), the soak's trace-membership check, the fault-injection
+// exploration), the product search of one of them over cached
+// explorations, the soak's trace-membership check, the fault-injection
 // campaign (sequential vs parallel scenarios), one fdrserve request (a
 // POST /v1/check of testdata/ota.csp, read relative to the working
 // directory: run from the repository root), the CAPL runtime on the
@@ -246,6 +247,33 @@ func Rows(o *obs.Observer) ([]Row, error) {
 		b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
 	}
 
+	// The product search alone: SP02L [T= DIAGL of the lossy system
+	// with both terms explored and the specification normalised in a
+	// primed cache, so an iteration times the event map and the search.
+	// Its states/s counts product pairs.
+	productLossy := func(b *testing.B) {
+		a := lossy.Model.Asserts[ota.LossyAssertSP02T]
+		c := refine.NewChecker(lossy.Model.Env, lossy.Model.Ctx)
+		c.Cache = lts.NewCache()
+		c.Obs = o
+		if _, err := c.RefinesTraces(a.Spec, a.Impl); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		pairs := 0
+		for i := 0; i < b.N; i++ {
+			res, err := c.RefinesTraces(a.Spec, a.Impl)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.Holds {
+				b.Fatalf("%s failed", a.Text)
+			}
+			pairs += res.ProductStates
+		}
+		b.ReportMetric(float64(pairs)/b.Elapsed().Seconds(), "states/s")
+	}
+
 	// The front end's last stage and the normaliser: CSPm text to an
 	// evaluated model, and the subset construction of SYSTEM's LTS.
 	cspmLoad := func(b *testing.B) {
@@ -341,6 +369,7 @@ func Rows(o *obs.Observer) ([]Row, error) {
 		{"Refines/cold", refines(nil)},
 		{"Refines/cached", refines(primed)},
 		{"RunAll/lossy-b2", runAllLossy},
+		{"Product/lossy-b2", productLossy},
 		{"AcceptsTrace/soak", acceptsTrace},
 		{"FaultCampaign/seq", FaultCampaign(1, o)},
 		{"FaultCampaign/par", FaultCampaign(0, o)},

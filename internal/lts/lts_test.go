@@ -227,6 +227,18 @@ func TestRefusalPossible(t *testing.T) {
 	if !n.RefusalPossible(n.Init, []int{aID, bID}) {
 		t.Error("offering the full acceptance must satisfy the node")
 	}
+	// The offer need not be sorted, and a label the specification lacks
+	// (-1, what the product search maps an unknown event to) matches no
+	// acceptance.
+	if !n.RefusalPossible(n.Init, []int{bID, aID}) {
+		t.Error("an unsorted offer of the full acceptance must satisfy the node")
+	}
+	if n.RefusalPossible(n.Init, []int{bID, -1}) {
+		t.Error("an unknown label must not stand in for a")
+	}
+	if !n.RefusalPossible(n.Init, []int{bID, -1, aID, -1}) {
+		t.Error("unknown labels beside the full acceptance must not hide it")
+	}
 }
 
 func TestToDOT(t *testing.T) {

@@ -106,22 +106,18 @@ func (n *Normalized) NumNodes() int { return len(n.Nodes) }
 
 // RefusalPossible reports whether the node has a minimal acceptance that
 // is a subset of the given offered set, i.e. whether the specification
-// allows an implementation state offering exactly `offered` (a sorted
-// label list) to refuse everything else.
+// allows an implementation state offering exactly `offered` to refuse
+// everything else. offered may repeat labels and may hold labels the
+// specification lacks (any negative ID), which match no acceptance; a
+// sorted offer is tested without allocating, an unsorted one is sorted
+// into a copy first.
 func (n *Normalized) RefusalPossible(node int, offered []int) bool {
-	offSet := make(map[int]bool, len(offered))
-	for _, o := range offered {
-		offSet[o] = true
+	if !slices.IsSorted(offered) {
+		offered = slices.Clone(offered)
+		slices.Sort(offered)
 	}
 	for _, acc := range n.Nodes[node].MinAcceptances {
-		ok := true
-		for _, a := range acc {
-			if !offSet[a] {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if isSubset(acc, offered) {
 			return true
 		}
 	}
@@ -166,13 +162,15 @@ func minAcceptances(l *LTS, states []int) [][]int {
 	return out
 }
 
+// isSubset reports whether every label of a is in b, both sorted
+// ascending, by one merge pass.
 func isSubset(a, b []int) bool {
-	set := make(map[int]bool, len(b))
-	for _, x := range b {
-		set[x] = true
-	}
+	j := 0
 	for _, x := range a {
-		if !set[x] {
+		for j < len(b) && b[j] < x {
+			j++
+		}
+		if j == len(b) || b[j] != x {
 			return false
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/csp"
@@ -64,7 +63,11 @@ type Result struct {
 	// scalability experiments.
 	ImplStates int
 	SpecNodes  int
-	// ProductStates is the number of (impl, spec) pairs visited.
+	// ProductStates is the number of distinct (impl state, normalised
+	// spec node) pairs the product search discovered, the root included:
+	// every pair of a check that holds, and on a failure the pairs found
+	// by the time the search stopped. It does not depend on the search's
+	// table layout.
 	ProductStates int
 }
 
@@ -74,10 +77,13 @@ type Result struct {
 type Budget struct {
 	// MaxStates bounds each LTS exploration; 0 uses the lts default.
 	MaxStates int
-	// MaxProductStates bounds the number of (impl, spec) product pairs
-	// a refinement check may visit; 0 means unbounded. Exhausting it
-	// returns a *BudgetError carrying the partial exploration size, so
-	// campaign-scale checking degrades gracefully instead of hanging.
+	// MaxProductStates bounds the number of distinct (impl, spec)
+	// product pairs a refinement check may discover (Result's
+	// ProductStates); 0 means unbounded, up to the search table's
+	// 2^31-1 records. Discovering one more pair returns a *BudgetError
+	// with phase "product" whose Explored counts the pairs dequeued so
+	// far, so campaign-scale checking degrades gracefully instead of
+	// hanging.
 	MaxProductStates int
 	// MaxSteps bounds the number of transitions examined during the
 	// product search; 0 means unbounded.
@@ -256,7 +262,19 @@ func (c *Checker) explore(ctx context.Context, p csp.Process, role string) (*lts
 // Refines checks spec ⊑ impl in the given model, i.e. FDR's
 // `assert SPEC [T= IMPL`, `assert SPEC [F= IMPL` or
 // `assert SPEC [FD= IMPL`.
-func (c *Checker) Refines(spec, impl csp.Process, model Model) (res Result, err error) {
+func (c *Checker) Refines(spec, impl csp.Process, model Model) (Result, error) {
+	res, _, err := c.refines(spec, impl, model, (*Checker).productCheck)
+	return res, err
+}
+
+// productSearch is the product search Refines runs once both terms are
+// explored and the specification normalised: productCheck, or in tests
+// the reference it is checked against.
+type productSearch func(c *Checker, ctx context.Context, specLTS *lts.LTS, norm *lts.Normalized, implLTS *lts.LTS, model Model) (Result, searchStats, error)
+
+// refines is Refines with the product search given by search; it also
+// returns the search's measurements.
+func (c *Checker) refines(spec, impl csp.Process, model Model, search productSearch) (res Result, st searchStats, err error) {
 	ctx, cancel := c.stopSignal()
 	defer cancel()
 	span := c.Obs.StartSpan("refine.refines", obs.String("model", model.String()))
@@ -264,6 +282,7 @@ func (c *Checker) Refines(spec, impl csp.Process, model Model) (res Result, err 
 	defer func() {
 		c.Obs.Counter("refine.checks").Inc()
 		c.Obs.Counter("refine.product.pairs").Add(int64(res.ProductStates))
+		c.Obs.Counter("refine.product.steps").Add(int64(st.steps))
 		c.Obs.Histogram("refine.check.ns").ObserveSince(checkStart)
 		span.End(obs.String("verdict", verdictOf(res, err)),
 			obs.Int("implStates", int64(res.ImplStates)),
@@ -273,13 +292,13 @@ func (c *Checker) Refines(spec, impl csp.Process, model Model) (res Result, err 
 	specLTS, err := c.explore(ctx, spec, "spec")
 	phase.End()
 	if err != nil {
-		return Result{}, fmt.Errorf("explore specification: %w", err)
+		return Result{}, st, fmt.Errorf("explore specification: %w", err)
 	}
 	phase = span.Child("refine.explore-impl")
 	implLTS, err := c.explore(ctx, impl, "impl")
 	phase.End()
 	if err != nil {
-		return Result{}, fmt.Errorf("explore implementation: %w", err)
+		return Result{}, st, fmt.Errorf("explore implementation: %w", err)
 	}
 	if model == FailuresDivergences {
 		// The implementation must be divergence-free; the failures
@@ -290,7 +309,7 @@ func (c *Checker) Refines(spec, impl csp.Process, model Model) (res Result, err 
 				Counterexample: shortestTraceTo(implLTS, witness),
 				Reason:         "implementation diverges: tau cycle at " + implLTS.Key(witness),
 				ImplStates:     implLTS.NumStates(),
-			}, nil
+			}, st, nil
 		}
 		model = Failures
 	}
@@ -299,7 +318,7 @@ func (c *Checker) Refines(spec, impl csp.Process, model Model) (res Result, err 
 		// a divergent specification (a node with no stable member) has
 		// no meaningful refusals. FDR imposes the same restriction.
 		if diverges, witness := specLTS.HasTauCycle(); diverges {
-			return Result{}, fmt.Errorf(
+			return Result{}, st, fmt.Errorf(
 				"specification diverges (tau cycle at %s); stable-failures refinement requires a divergence-free specification",
 				specLTS.Key(witness))
 		}
@@ -308,14 +327,15 @@ func (c *Checker) Refines(spec, impl csp.Process, model Model) (res Result, err 
 	norm := c.normalize(specLTS)
 	phase.End(obs.Int("specNodes", int64(norm.NumNodes())))
 	phase = span.Child("refine.product")
-	res, err = c.productCheck(ctx, specLTS, norm, implLTS, model)
-	phase.End(obs.Int("productStates", int64(res.ProductStates)))
+	res, st, err = search(c, ctx, specLTS, norm, implLTS, model)
+	phase.End(obs.Int("productStates", int64(res.ProductStates)),
+		obs.Int("steps", int64(st.steps)), obs.Int("slots", int64(st.slots)))
 	if err != nil {
-		return Result{}, err
+		return Result{}, st, err
 	}
 	res.ImplStates = implLTS.NumStates()
 	res.SpecNodes = norm.NumNodes()
-	return res, nil
+	return res, st, nil
 }
 
 // verdictOf renders a check outcome for span attributes: "holds",
@@ -361,165 +381,12 @@ func (c *Checker) RefinesFailures(spec, impl csp.Process) (Result, error) {
 	return c.Refines(spec, impl, Failures)
 }
 
-// productState pairs an implementation state with a normalised
-// specification node.
-type productState struct {
-	impl int
-	spec int
-}
-
+// parentEdge is a BFS parent link over the states of one LTS: the
+// state the search came from and the label of the edge it took, -1 for
+// the initial state.
 type parentEdge struct {
-	from productState
-	ev   int // implementation label ID; -1 for the root
-}
-
-// eventInterners holds reset interners for mapEvents, so a check over
-// cached LTSs builds no interner of its own.
-var eventInterners = sync.Pool{New: func() any { return csp.NewInterner() }}
-
-// mapEvents maps each impl label ID to the spec label ID of the same
-// event, or -1. Identity is csp.Event.Equal: both tables, tau and tick
-// placeholders included, are interned through one interner, so events
-// that merely render alike (pun.Int(5), pun.Sym("5")) stay apart.
-func mapEvents(spec, impl []csp.Event) []int {
-	in := eventInterners.Get().(*csp.Interner)
-	defer eventInterners.Put(in)
-	in.Reset()
-	specTIDs := make([]csp.TermID, len(spec))
-	for id, ev := range spec {
-		specTIDs[id] = in.Event(ev)
-	}
-	// specOf[tid] is the spec label ID + 1 of the event interned as tid,
-	// 0 for any other node. An impl event no spec event equals interns
-	// to a new TermID, past the end.
-	specOf := make([]int, in.Len())
-	for id, tid := range specTIDs {
-		specOf[tid] = id + 1
-	}
-	out := make([]int, len(impl))
-	for i, ev := range impl {
-		out[i] = -1
-		if tid := int(in.Event(ev)); tid < len(specOf) {
-			out[i] = specOf[tid] - 1
-		}
-	}
-	return out
-}
-
-func (c *Checker) productCheck(ctx context.Context, specLTS *lts.LTS, norm *lts.Normalized, implLTS *lts.LTS, model Model) (Result, error) {
-	// Labels the spec has never heard of map to -1 and immediately fail
-	// refinement when performed.
-	implToSpec := mapEvents(specLTS.Events, implLTS.Events)
-
-	start := productState{impl: implLTS.Init, spec: norm.Init}
-	visited := map[productState]parentEdge{start: {ev: -1}}
-	queue := []productState{start}
-
-	rebuild := func(ps productState, extra *csp.Event) csp.Trace {
-		var rev []csp.Event
-		cur := ps
-		for {
-			pe := visited[cur]
-			if pe.ev == -1 {
-				break
-			}
-			if pe.ev != lts.TauID {
-				rev = append(rev, implLTS.EventByID(pe.ev))
-			}
-			cur = pe.from
-		}
-		trace := make(csp.Trace, 0, len(rev)+1)
-		for i := len(rev) - 1; i >= 0; i-- {
-			trace = append(trace, rev[i])
-		}
-		if extra != nil {
-			trace = append(trace, *extra)
-		}
-		return trace
-	}
-
-	steps := 0
-	visitedProduct := 0
-	for len(queue) > 0 {
-		ps := queue[0]
-		queue = queue[1:]
-		visitedProduct++
-		if ctx != nil && visitedProduct%stopCheckInterval == 0 && ctx.Err() != nil {
-			return Result{}, c.stopped(ctx, "product", visitedProduct)
-		}
-
-		if model == Failures && implLTS.IsStable(ps.impl) {
-			offered := implLTS.Initials(ps.impl)
-			mapped := make([]int, 0, len(offered))
-			for _, o := range offered {
-				mapped = append(mapped, implToSpec[o])
-			}
-			if !norm.RefusalPossible(ps.spec, mapped) {
-				return Result{
-					Holds:          false,
-					Counterexample: rebuild(ps, nil),
-					Reason: fmt.Sprintf(
-						"implementation stable state refuses more than the specification allows (offers %s)",
-						labelNames(implLTS, offered)),
-					ProductStates: len(visited),
-				}, nil
-			}
-		}
-
-		for _, e := range implLTS.Edges[ps.impl] {
-			steps++
-			if c.MaxSteps > 0 && steps > c.MaxSteps {
-				return Result{}, &BudgetError{Phase: "product-steps", Explored: steps - 1, Limit: c.MaxSteps}
-			}
-			if e.Ev == lts.TauID {
-				next := productState{impl: e.To, spec: ps.spec}
-				if _, seen := visited[next]; !seen {
-					if c.MaxProductStates > 0 && len(visited) >= c.MaxProductStates {
-						return Result{}, &BudgetError{Phase: "product", Explored: visitedProduct, Limit: c.MaxProductStates}
-					}
-					visited[next] = parentEdge{from: ps, ev: lts.TauID}
-					queue = append(queue, next)
-				}
-				continue
-			}
-			specLabel := implToSpec[e.Ev]
-			var specTo int
-			ok := specLabel >= 0
-			if ok {
-				specTo, ok = norm.Accepts(ps.spec, specLabel)
-			}
-			if !ok {
-				bad := implLTS.EventByID(e.Ev)
-				return Result{
-					Holds:          false,
-					Counterexample: rebuild(ps, &bad),
-					BadEvent:       &bad,
-					Reason:         fmt.Sprintf("implementation performs %s, which the specification cannot", bad),
-					ProductStates:  len(visited),
-				}, nil
-			}
-			next := productState{impl: e.To, spec: specTo}
-			if _, seen := visited[next]; !seen {
-				if c.MaxProductStates > 0 && len(visited) >= c.MaxProductStates {
-					return Result{}, &BudgetError{Phase: "product", Explored: visitedProduct, Limit: c.MaxProductStates}
-				}
-				visited[next] = parentEdge{from: ps, ev: e.Ev}
-				queue = append(queue, next)
-			}
-		}
-	}
-	return Result{Holds: true, ProductStates: len(visited)}, nil
-}
-
-func labelNames(l *lts.LTS, labels []int) string {
-	out := "{"
-	for i, id := range labels {
-		if i > 0 {
-			out += ", "
-		}
-		out += l.EventByID(id).String()
-	}
-	return out + "}"
+	from int
+	ev   int
 }
 
 // DeadlockFree checks that no reachable state of p is a deadlock: a
@@ -545,9 +412,8 @@ func (c *Checker) DeadlockFree(p csp.Process) (res Result, err error) {
 	seen[l.Init] = true
 	parents[l.Init] = parentEdge{ev: -1}
 	queue := []int{l.Init}
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		s := queue[head]
 		if len(l.Edges[s]) == 0 && !l.IsOmega(s) {
 			return Result{
 				Holds:          false,
@@ -559,7 +425,7 @@ func (c *Checker) DeadlockFree(p csp.Process) (res Result, err error) {
 		for _, e := range l.Edges[s] {
 			if !seen[e.To] {
 				seen[e.To] = true
-				parents[e.To] = parentEdge{from: productState{impl: s}, ev: e.Ev}
+				parents[e.To] = parentEdge{from: s, ev: e.Ev}
 				queue = append(queue, e.To)
 			}
 		}
@@ -606,16 +472,15 @@ func shortestTraceTo(l *lts.LTS, target int) csp.Trace {
 	seen[l.Init] = true
 	parents[l.Init] = parentEdge{ev: -1}
 	queue := []int{l.Init}
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		s := queue[head]
 		if s == target {
 			break
 		}
 		for _, e := range l.Edges[s] {
 			if !seen[e.To] {
 				seen[e.To] = true
-				parents[e.To] = parentEdge{from: productState{impl: s}, ev: e.Ev}
+				parents[e.To] = parentEdge{from: s, ev: e.Ev}
 				queue = append(queue, e.To)
 			}
 		}
@@ -634,7 +499,7 @@ func rebuildLinear(l *lts.LTS, parents []parentEdge, state int) csp.Trace {
 		if pe.ev != lts.TauID {
 			rev = append(rev, l.EventByID(pe.ev))
 		}
-		cur = pe.from.impl
+		cur = pe.from
 	}
 	trace := make(csp.Trace, 0, len(rev))
 	for i := len(rev) - 1; i >= 0; i-- {
