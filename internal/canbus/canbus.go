@@ -9,6 +9,7 @@ package canbus
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/obs"
@@ -56,6 +57,13 @@ func (f Frame) String() string {
 		return fmt.Sprintf("%08X#% X", f.ID, f.Data)
 	}
 	return fmt.Sprintf("%03X#% X", f.ID, f.Data)
+}
+
+// TimedFrame is one bus frame with its delivery timestamp, as a
+// monitoring tap records it: one entry of a measurement.
+type TimedFrame struct {
+	At    Time
+	Frame Frame
 }
 
 // bits returns the nominal frame size on the wire: fixed frame overhead
@@ -276,6 +284,32 @@ func (b *Bus) Attach(name string, r Receiver) *Tap {
 	return tap
 }
 
+// ReplayTap is a tap with no node behind it that fabricates traffic:
+// fault harnesses use it to duplicate frames and to replay delayed
+// ones. It retransmits at most a fixed number of frames, so a replayed
+// frame that is replayed again cannot cascade without end.
+type ReplayTap struct {
+	*Tap
+	left int
+}
+
+// AttachReplay registers a replay tap that fabricates at most max
+// frames; r receives the frames other nodes transmit.
+func (b *Bus) AttachReplay(name string, r Receiver, max int) *ReplayTap {
+	return &ReplayTap{Tap: b.Attach(name, r), left: max}
+}
+
+// Replay schedules a retransmission of a copy of f from the tap at the
+// given time, unless the tap's budget is spent.
+func (rt *ReplayTap) Replay(at Time, f Frame) {
+	if rt.left <= 0 {
+		return
+	}
+	rt.left--
+	clone := f.Clone()
+	_ = rt.bus.Schedule(at, func() { _ = rt.bus.Transmit(rt.Tap, clone) })
+}
+
 // Schedule runs fn at the given absolute simulated time. It underpins
 // CAPL timers.
 func (b *Bus) Schedule(at Time, fn func()) error {
@@ -434,27 +468,22 @@ func (b *Bus) Step() bool {
 	return true
 }
 
+// Forever is the horizon of a run that stops only when the bus drains:
+// no event is scheduled past it, and a run to it leaves the clock at
+// the last event processed.
+const Forever Time = math.MaxInt64
+
 // Run processes events until the queue drains or the clock passes
 // `until`. It returns the number of events processed.
 func (b *Bus) Run(until Time) int {
-	n := 0
-	for len(b.events) > 0 && b.events[0].at <= until {
-		b.Step()
-		n++
-	}
-	if b.now < until {
-		b.now = until
-	}
+	n, _ := b.RunLimited(until, math.MaxInt)
 	return n
 }
 
 // RunAll drains the event queue completely (with a safety cap) and
 // returns the number of events processed.
 func (b *Bus) RunAll(maxEvents int) int {
-	n := 0
-	for n < maxEvents && b.Step() {
-		n++
-	}
+	n, _ := b.RunLimited(Forever, maxEvents)
 	return n
 }
 
@@ -472,7 +501,7 @@ func (b *Bus) RunLimited(until Time, maxEvents int) (n int, done bool) {
 		b.Step()
 		n++
 	}
-	if b.now < until {
+	if b.now < until && until != Forever {
 		b.now = until
 	}
 	return n, true

@@ -178,3 +178,27 @@ func TestTamperHookEvadesConfinement(t *testing.T) {
 		t.Error("tampering must not degrade the transmitter")
 	}
 }
+
+// TestReplayTapStopsAtCap replays every completed transmission, the
+// replay tap's own included: each replay is replayed again, and the
+// cascade stops once the tap has fabricated its cap of frames.
+func TestReplayTapStopsAtCap(t *testing.T) {
+	const limit = 5
+	inj := &Injector{}
+	bus := New(Config{Injector: inj})
+	tx := bus.Attach("tx", ReceiverFunc(func(Time, Frame) {}))
+	delivered := 0
+	bus.Attach("rx", ReceiverFunc(func(Time, Frame) { delivered++ }))
+	rt := bus.AttachReplay("replay", ReceiverFunc(func(Time, Frame) {}), limit)
+	inj.Observe = func(at Time, f Frame) { rt.Replay(at+100*Microsecond, f) }
+	if err := bus.Transmit(tx, Frame{ID: 0x10, Data: []byte{1}}); err != nil {
+		t.Fatal(err)
+	}
+	bus.RunAll(1000)
+	if delivered != 1+limit {
+		t.Fatalf("rx saw %d frames, want the original and %d replays", delivered, limit)
+	}
+	if rt.TxCount != limit {
+		t.Errorf("replay tap transmitted %d frames, want %d", rt.TxCount, limit)
+	}
+}

@@ -1,6 +1,7 @@
 package candb_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/canbus"
@@ -56,7 +57,7 @@ on start
 	if err := sim.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.RunAll(100); err != nil {
+	if _, err := sim.RunBounded(context.Background(), canbus.Forever, 100); err != nil {
 		t.Fatal(err)
 	}
 	trace := sim.Trace()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/canbus"
 	"repro/internal/csp"
 )
 
@@ -94,4 +95,38 @@ func (t *Table) Events() []csp.Event {
 		out[i] = e.ev
 	}
 	return out
+}
+
+// UnknownFrameError reports the first frame of a measurement whose
+// identifier the table cannot name.
+type UnknownFrameError struct {
+	Index int // position in the measurement
+	At    canbus.Time
+	ID    uint32
+}
+
+func (e *UnknownFrameError) Error() string {
+	return fmt.Sprintf("candb: frame %d at t=%dus: identifier 0x%03X not in database", e.Index, int64(e.At), e.ID)
+}
+
+// Project maps a measurement onto model events: the trace holds the
+// event of every frame the table knows, in bus order. The error is an
+// *UnknownFrameError naming the first frame it does not know. A caller
+// that judges the whole measurement returns that error; one that treats
+// unknown frames as noise, as a bus monitor does a spoofed identifier
+// it cannot classify, keeps the trace and ignores it.
+func (t *Table) Project(frames []canbus.TimedFrame) (csp.Trace, error) {
+	out := make(csp.Trace, 0, len(frames))
+	var err error
+	for i, tf := range frames {
+		ev, ok := t.Event(tf.Frame.ID)
+		if !ok {
+			if err == nil {
+				err = &UnknownFrameError{Index: i, At: tf.At, ID: tf.Frame.ID}
+			}
+			continue
+		}
+		out = append(out, ev)
+	}
+	return out, err
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/canbus"
 	"repro/internal/csp"
 )
 
@@ -73,5 +74,45 @@ BO_ 257 SwInventoryReq: 4 VMG
 	got := csp.Trace(table.Events()).String()
 	if want := "<rec.swInventoryRpt, send.reqSw>"; got != want {
 		t.Errorf("Events() = %s, want %s", got, want)
+	}
+}
+
+// TestProjectUnknownFrame checks that a projection keeps the event of
+// every frame the table knows and names the first frame it does not
+// know by index, time and identifier.
+func TestProjectUnknownFrame(t *testing.T) {
+	db, err := Parse(`BU_: VMG ECU
+BO_ 257 SwInventoryReq: 4 VMG
+BO_ 258 SwInventoryRpt: 8 ECU
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := NewTable(db, nil, map[string]string{"VMG": "send", "ECU": "rec"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, rpt := csp.Ev("send", csp.Sym("swInventoryReq")), csp.Ev("rec", csp.Sym("swInventoryRpt"))
+	frame := func(at canbus.Time, id uint32) canbus.TimedFrame {
+		return canbus.TimedFrame{At: at, Frame: canbus.Frame{ID: id}}
+	}
+
+	trace, err := table.Project([]canbus.TimedFrame{frame(10, 257), frame(20, 258)})
+	if err != nil || !trace.Equal(csp.Trace{req, rpt}) {
+		t.Errorf("known frames: Project = %s, %v, want %s", trace, err, csp.Trace{req, rpt})
+	}
+
+	trace, err = table.Project([]canbus.TimedFrame{
+		frame(10, 257), frame(20, 0x7FF), frame(30, 258), frame(40, 0x103),
+	})
+	var unknown *UnknownFrameError
+	if !errors.As(err, &unknown) {
+		t.Fatalf("err = %v, want *UnknownFrameError", err)
+	}
+	if *unknown != (UnknownFrameError{Index: 1, At: 20, ID: 0x7FF}) {
+		t.Errorf("unknown frame = %+v, want index 1 at t=20us, ID 0x7FF", *unknown)
+	}
+	if !trace.Equal(csp.Trace{req, rpt}) {
+		t.Errorf("trace alongside the error = %s, want every known frame's event %s", trace, csp.Trace{req, rpt})
 	}
 }

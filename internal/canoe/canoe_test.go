@@ -1,6 +1,8 @@
 package canoe
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -39,10 +41,10 @@ on message ping { output(pong); }
 	if err := sim.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.RunAll(1000); err != nil {
+	if _, err := sim.RunBounded(context.Background(), canbus.Forever, 1000); err != nil {
 		t.Fatal(err)
 	}
-	ids := sim.TraceIDs()
+	ids := traceIDs(sim)
 	want := []uint32{0x100, 0x200, 0x100, 0x200, 0x100, 0x200}
 	if len(ids) != len(want) {
 		t.Fatalf("trace = %#x, want %#x", ids, want)
@@ -84,7 +86,7 @@ on timer heart {
 	if err := sim.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.RunAll(1000); err != nil {
+	if _, err := sim.RunBounded(context.Background(), canbus.Forever, 1000); err != nil {
 		t.Fatal(err)
 	}
 	trace := sim.Trace()
@@ -119,7 +121,7 @@ on timer tmr { output(m); }
 	if err := sim.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.RunAll(100); err != nil {
+	if _, err := sim.RunBounded(context.Background(), canbus.Forever, 100); err != nil {
 		t.Fatal(err)
 	}
 	if len(sim.Trace()) != 0 {
@@ -157,7 +159,7 @@ on message req {
 	if err := sim.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.RunAll(100); err != nil {
+	if _, err := sim.RunBounded(context.Background(), canbus.Forever, 100); err != nil {
 		t.Fatal(err)
 	}
 	trace := sim.Trace()
@@ -208,7 +210,7 @@ int square(int x) { return x * x; }
 	if err := sim.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.RunAll(100); err != nil {
+	if _, err := sim.RunBounded(context.Background(), canbus.Forever, 100); err != nil {
 		t.Fatal(err)
 	}
 	if len(node.Log) != 1 || node.Log[0] != "total is 14" {
@@ -296,7 +298,7 @@ on start { output(m); output(n); }
 	if err := sim.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.RunAll(100); err != nil {
+	if _, err := sim.RunBounded(context.Background(), canbus.Forever, 100); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := listener.globals["any"].v.(int64); got != 2 {
@@ -407,7 +409,7 @@ on stopMeasurement { stopped = 1; write("bye"); }
 	if err := node.PressKey("p"); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.RunAll(10); err != nil {
+	if _, err := sim.RunBounded(context.Background(), canbus.Forever, 10); err != nil {
 		t.Fatal(err)
 	}
 	if len(node.Sent) != 1 || node.Sent[0].ID != 0x42 {
@@ -450,7 +452,7 @@ on start {
 	if err := sim.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.RunAll(10); err != nil {
+	if _, err := sim.RunBounded(context.Background(), canbus.Forever, 10); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := node.Global("readBack"); v.(int64) != 0x1234 {
@@ -538,11 +540,11 @@ on start { write("node %s", label); }
 	}
 }
 
-// TestRunLimitedBudgetExhaustion converts a runaway measurement — a
+// TestRunBoundedBudgetExhaustion converts a runaway measurement — a
 // zero-period timer that re-arms itself on every firing — into a
-// verdict: RunLimited must report the horizon was not reached instead
-// of spinning forever.
-func TestRunLimitedBudgetExhaustion(t *testing.T) {
+// verdict: RunBounded must report ErrEventBudget instead of spinning
+// forever.
+func TestRunBoundedBudgetExhaustion(t *testing.T) {
 	const src = `
 variables {
   message 0x77 m;
@@ -561,12 +563,8 @@ on timer tick {
 	if err := sim.Start(); err != nil {
 		t.Fatal(err)
 	}
-	done, err := sim.RunLimited(canbus.Time(1)*canbus.Millisecond, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done {
-		t.Error("zero-period timer runaway reported as reaching the horizon")
+	if n, err := sim.RunBounded(context.Background(), canbus.Millisecond, 50); !errors.Is(err, ErrEventBudget) || n != 50 {
+		t.Errorf("zero-period timer runaway: RunBounded = %d, %v, want 50, ErrEventBudget", n, err)
 	}
 	// The budget bounds the measurement: the re-arming timer kept the
 	// clock pinned, so the horizon was never reached and the trace stayed
@@ -636,7 +634,7 @@ on start {
 	if err := sim.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.RunAll(100); err != nil {
+	if _, err := sim.RunBounded(context.Background(), canbus.Forever, 100); err != nil {
 		t.Fatal(err)
 	}
 	// The sender observed all three transmissions succeed...
@@ -644,7 +642,7 @@ on start {
 		t.Fatalf("sent = %d frames, want 3", len(node.Sent))
 	}
 	// ...but the monitor only saw the two delivered frames.
-	ids := sim.TraceIDs()
+	ids := traceIDs(sim)
 	if len(ids) != 2 || ids[0] != 0x100 || ids[1] != 0x100 {
 		t.Errorf("monitored trace = %#x, want [0x100 0x100]", ids)
 	}
@@ -665,4 +663,13 @@ func TestGlobalAccessor(t *testing.T) {
 	if _, ok := node.Global("nope"); ok {
 		t.Error("missing global reported present")
 	}
+}
+
+// traceIDs returns the identifiers of the monitor trace, in bus order.
+func traceIDs(sim *Simulation) []uint32 {
+	var ids []uint32
+	for _, tf := range sim.Trace() {
+		ids = append(ids, tf.Frame.ID)
+	}
+	return ids
 }

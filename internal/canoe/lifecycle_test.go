@@ -1,10 +1,14 @@
 package canoe
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/canbus"
+	"repro/internal/obs"
 )
 
 // TestStopIdempotent pins that a second Stop is a no-op returning the
@@ -37,7 +41,7 @@ on stopMeasurement { stops = stops + 1; output(probe); }
 	if got, _ := node.Global("stops"); got != int64(1) {
 		t.Errorf("stop handler ran %v times, want 1", got)
 	}
-	if err := sim.RunAll(100); err != nil {
+	if _, err := sim.RunBounded(context.Background(), canbus.Forever, 100); err != nil {
 		t.Fatal(err)
 	}
 	if len(node.Sent) != 1 {
@@ -131,13 +135,14 @@ on stopMeasurement { cleaned = 1; }
 	}
 }
 
-// TestRunLimitedBudgetAndHorizonOnSameEvent pins the edge where the
+// TestRunBoundedBudgetAndHorizonOnSameEvent pins the edge where the
 // event budget is exhausted by the event that also reaches the horizon:
 // with nothing further scheduled inside the horizon the run is done
 // (the budget was sufficient), while another event pending at the same
 // timestamp means the budget genuinely cut the run short and a
 // follow-up call finishes it without re-running anything.
-func TestRunLimitedBudgetAndHorizonOnSameEvent(t *testing.T) {
+func TestRunBoundedBudgetAndHorizonOnSameEvent(t *testing.T) {
+	ctx := context.Background()
 	sim := NewSimulation(canbus.Config{})
 	fired := 0
 	for _, at := range []canbus.Time{100, 200} {
@@ -145,12 +150,8 @@ func TestRunLimitedBudgetAndHorizonOnSameEvent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	done, err := sim.RunLimited(200, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Error("budget == events within horizon: run should be done")
+	if n, err := sim.RunBounded(ctx, 200, 2); err != nil || n != 2 {
+		t.Errorf("budget == events within horizon: RunBounded = %d, %v, want 2, nil", n, err)
 	}
 	if fired != 2 || sim.Bus.Now() != 200 {
 		t.Errorf("fired = %d at t=%d, want 2 at t=200", fired, sim.Bus.Now())
@@ -165,21 +166,71 @@ func TestRunLimitedBudgetAndHorizonOnSameEvent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	done, err = sim2.RunLimited(200, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done {
-		t.Error("pending event at the horizon: run must report budget exhaustion")
+	if n, err := sim2.RunBounded(ctx, 200, 2); !errors.Is(err, ErrEventBudget) || n != 2 {
+		t.Errorf("pending event at the horizon: RunBounded = %d, %v, want 2, ErrEventBudget", n, err)
 	}
 	if fired2 != 2 {
 		t.Errorf("fired = %d, want exactly the budget of 2", fired2)
 	}
-	done, err = sim2.RunLimited(200, 10)
-	if err != nil {
+	if n, err := sim2.RunBounded(ctx, 200, 10); err != nil || n != 1 || fired2 != 3 {
+		t.Errorf("follow-up run: RunBounded = %d, %v, fired=%d, want 1, nil, 3", n, err, fired2)
+	}
+}
+
+// TestRunBoundedForeverDrainsWithoutMovingClock pins the drain mode:
+// a run to canbus.Forever that needs exactly its budget is complete,
+// leaves the clock at the last event and can be followed by traffic.
+func TestRunBoundedForeverDrainsWithoutMovingClock(t *testing.T) {
+	sim := NewSimulation(canbus.Config{})
+	for _, at := range []canbus.Time{100, 300} {
+		if err := sim.Bus.Schedule(at, func() {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := sim.RunBounded(context.Background(), canbus.Forever, 2); err != nil || n != 2 {
+		t.Fatalf("RunBounded = %d, %v, want 2, nil", n, err)
+	}
+	if now := sim.Bus.Now(); now != 300 {
+		t.Errorf("clock at %d after draining, want 300", now)
+	}
+	if n, err := sim.RunBounded(context.Background(), canbus.Forever, 0); err != nil || n != 0 {
+		t.Errorf("drained bus with no budget left: RunBounded = %d, %v, want 0, nil", n, err)
+	}
+}
+
+// TestRunBoundedStopsOnContext checks that a done context stops the
+// run with its cause before any event.
+func TestRunBoundedStopsOnContext(t *testing.T) {
+	sim := NewSimulation(canbus.Config{})
+	if err := sim.Bus.Schedule(100, func() { t.Error("event ran under a cancelled context") }); err != nil {
 		t.Fatal(err)
 	}
-	if !done || fired2 != 3 {
-		t.Errorf("follow-up run: done=%v fired=%d, want true/3", done, fired2)
+	stop := errors.New("stop")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(stop)
+	if n, err := sim.RunBounded(ctx, 1000, 10); !errors.Is(err, stop) || n != 0 {
+		t.Errorf("RunBounded = %d, %v, want 0, the context's cause", n, err)
+	}
+}
+
+// TestRunBoundedSpan pins the canoe.run span, named after the
+// benchmark's simulation layer, and its attributes.
+func TestRunBoundedSpan(t *testing.T) {
+	o := obs.New()
+	sim := NewSimulation(canbus.Config{Obs: o})
+	tx := sim.Bus.Attach("tx", canbus.ReceiverFunc(func(canbus.Time, canbus.Frame) {}))
+	if err := sim.Bus.Transmit(tx, canbus.Frame{ID: 0x10}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.RunBounded(context.Background(), canbus.Millisecond, 100); err != nil {
+		t.Fatal(err)
+	}
+	spans := o.Spans()
+	if len(spans) != 1 || spans[0].Name != "canoe.run" {
+		t.Fatalf("spans = %+v, want one canoe.run", spans)
+	}
+	want := map[string]any{"events": int64(1), "frames": int64(1), "outcome": "done"}
+	if !reflect.DeepEqual(spans[0].Attrs, want) {
+		t.Errorf("canoe.run attrs = %v, want %v", spans[0].Attrs, want)
 	}
 }

@@ -68,15 +68,6 @@ func NewNode(bus *canbus.Bus, name string, prog *capl.Program) (*Node, error) {
 	return n, nil
 }
 
-// NewNodeFromSource parses CAPL source and builds the node.
-func NewNodeFromSource(bus *canbus.Bus, name, src string) (*Node, error) {
-	prog, err := capl.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("node %s: %w", name, err)
-	}
-	return NewNode(bus, name, prog)
-}
-
 // Err returns the first runtime error raised inside an event handler.
 func (n *Node) Err() error { return n.firstErr }
 

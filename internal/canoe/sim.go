@@ -1,17 +1,18 @@
 package canoe
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/canbus"
+	"repro/internal/capl"
+	"repro/internal/obs"
 )
 
-// TimedFrame is one bus frame with its delivery timestamp, as observed
-// by the simulation's monitoring tap (CANoe's trace window).
-type TimedFrame struct {
-	At    canbus.Time
-	Frame canbus.Frame
-}
+// TimedFrame is one frame of the simulation's monitor trace (CANoe's
+// trace window).
+type TimedFrame = canbus.TimedFrame
 
 // Simulation is a CANoe-style measurement: a bus plus a set of CAPL
 // nodes and a monitoring tap recording all traffic.
@@ -22,11 +23,13 @@ type Simulation struct {
 	trace   []TimedFrame
 	stopped bool
 	stopErr error
+	obs     *obs.Observer
 }
 
-// NewSimulation creates a simulation over a fresh bus.
+// NewSimulation creates a simulation over a fresh bus. The bus's
+// observer also receives the simulation's canoe.run spans.
 func NewSimulation(cfg canbus.Config) *Simulation {
-	sim := &Simulation{Bus: canbus.New(cfg)}
+	sim := &Simulation{Bus: canbus.New(cfg), obs: cfg.Obs}
 	sim.Bus.Attach("__monitor__", canbus.ReceiverFunc(func(t canbus.Time, f canbus.Frame) {
 		sim.trace = append(sim.trace, TimedFrame{At: t, Frame: f})
 	}))
@@ -35,7 +38,17 @@ func NewSimulation(cfg canbus.Config) *Simulation {
 
 // AddNode parses the CAPL source and attaches the node to the bus.
 func (s *Simulation) AddNode(name, src string) (*Node, error) {
-	n, err := NewNodeFromSource(s.Bus, name, src)
+	prog, err := capl.Parse(src)
+	if err != nil {
+		return nil, fmt.Errorf("node %s: %w", name, err)
+	}
+	return s.AddProgram(name, prog)
+}
+
+// AddProgram attaches a node running an already-parsed program. The
+// program is only read, so one parse can serve many simulations.
+func (s *Simulation) AddProgram(name string, prog *capl.Program) (*Node, error) {
+	n, err := NewNode(s.Bus, name, prog)
 	if err != nil {
 		return nil, err
 	}
@@ -60,19 +73,60 @@ func (s *Simulation) Run(until canbus.Time) error {
 	return s.Err()
 }
 
-// RunAll drains all pending activity (bounded by maxEvents).
-func (s *Simulation) RunAll(maxEvents int) error {
-	s.Bus.RunAll(maxEvents)
-	return s.Err()
+// ErrEventBudget is returned by RunBounded when its event budget is
+// spent while events are still due before the horizon: a runaway
+// measurement, such as a zero-period timer rearming itself at a fixed
+// timestamp.
+var ErrEventBudget = errors.New("canoe: simulation event budget exhausted")
+
+// runChunk is how many events RunBounded processes between two looks
+// at its context.
+const runChunk = 10_000
+
+// RunBounded advances the measurement until the clock reaches until
+// (canbus.Forever: until the bus drains) within a budget of maxEvents
+// events, and returns how many it processed. Between chunks of events
+// it stops with the context's cause once ctx is done. It returns
+// ErrEventBudget only if events are still due once the budget is spent;
+// a run that needs exactly maxEvents events is complete. Otherwise it
+// reports the first node runtime error, if any. Each call is one
+// canoe.run span on the bus's observer.
+func (s *Simulation) RunBounded(ctx context.Context, until canbus.Time, maxEvents int) (int, error) {
+	span := s.obs.StartSpan("canoe.run")
+	if span == nil {
+		return s.runBounded(ctx, until, maxEvents)
+	}
+	frames := len(s.trace)
+	events, err := s.runBounded(ctx, until, maxEvents)
+	outcome := "done"
+	if errors.Is(err, ErrEventBudget) {
+		outcome = "event-budget"
+	} else if err != nil {
+		outcome = "error"
+	}
+	span.End(obs.Int("events", int64(events)),
+		obs.Int("frames", int64(len(s.trace)-frames)),
+		obs.String("outcome", outcome))
+	return events, err
 }
 
-// RunLimited advances the measurement until the given time under an
-// event budget. It reports whether the horizon was reached within the
-// budget, so callers can convert a runaway measurement into a verdict
-// instead of hanging.
-func (s *Simulation) RunLimited(until canbus.Time, maxEvents int) (bool, error) {
-	_, done := s.Bus.RunLimited(until, maxEvents)
-	return done, s.Err()
+func (s *Simulation) runBounded(ctx context.Context, until canbus.Time, maxEvents int) (events int, err error) {
+	for {
+		if ctx.Err() != nil {
+			return events, context.Cause(ctx)
+		}
+		n, done := s.Bus.RunLimited(until, min(runChunk, maxEvents-events))
+		events += n
+		if err := s.Err(); err != nil {
+			return events, err
+		}
+		if done {
+			return events, nil
+		}
+		if events >= maxEvents {
+			return events, ErrEventBudget
+		}
+	}
 }
 
 // Err returns the first error any node hit during callbacks.
@@ -89,16 +143,6 @@ func (s *Simulation) Err() error {
 func (s *Simulation) Trace() []TimedFrame {
 	out := make([]TimedFrame, len(s.trace))
 	copy(out, s.trace)
-	return out
-}
-
-// TraceIDs returns just the frame identifiers, in bus order — the raw
-// material compared against the extracted CSP model's traces.
-func (s *Simulation) TraceIDs() []uint32 {
-	out := make([]uint32, len(s.trace))
-	for i, tf := range s.trace {
-		out[i] = tf.Frame.ID
-	}
 	return out
 }
 

@@ -2,6 +2,7 @@ package caplgen
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"math/rand"
 	"os"
@@ -11,13 +12,7 @@ import (
 
 	"repro/internal/canbus"
 	"repro/internal/candb"
-	"repro/internal/canoe"
 )
-
-// simFrame builds a one-frame monitor trace with the given identifier.
-func simFrame(id uint32) []canoe.TimedFrame {
-	return []canoe.TimedFrame{{At: 0, Frame: canbus.Frame{ID: id}}}
-}
 
 var update = flag.Bool("update", false, "rewrite testdata/caplgen_baseline.json")
 
@@ -138,8 +133,8 @@ func TestShrinkMinimises(t *testing.T) {
 	}
 }
 
-// TestProjectTraceRejectsUnknownID pins the projection's totality
-// error path.
+// TestProjectTraceRejectsUnknownID pins that the generated database's
+// table names the driver's stimulus frames and nothing else.
 func TestProjectTraceRejectsUnknownID(t *testing.T) {
 	spec := &Spec{NStim: 1, NResp: 1}
 	db, err := candb.Parse(spec.DBC())
@@ -150,11 +145,11 @@ func TestProjectTraceRejectsUnknownID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := simFrame(0x7FF)
-	if _, err := projectTrace(table, sim); err == nil {
-		t.Error("unknown identifier projected without error")
+	var unknown *candb.UnknownFrameError
+	if _, err := table.Project([]canbus.TimedFrame{{Frame: canbus.Frame{ID: 0x7FF}}}); !errors.As(err, &unknown) || unknown.ID != 0x7FF {
+		t.Errorf("unknown identifier: err = %v, want UnknownFrameError for 0x7FF", err)
 	}
-	if _, err := projectTrace(table, simFrame(stimBaseID)); err != nil {
+	if _, err := table.Project([]canbus.TimedFrame{{Frame: canbus.Frame{ID: stimBaseID}}}); err != nil {
 		t.Errorf("known identifier rejected: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package caplgen
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -95,20 +96,6 @@ type ShrunkCase struct {
 // node and invisible on the wire.
 func hiddenTimerEvents() *csp.EventSet {
 	return csp.EventsOf(translate.SetTimerChan, translate.CancelTimerChan, translate.TimeoutChan)
-}
-
-// projectTrace maps delivered frames onto model events through the
-// generated database's table.
-func projectTrace(table *candb.Table, frames []canoe.TimedFrame) (csp.Trace, error) {
-	out := make(csp.Trace, 0, len(frames))
-	for i, tf := range frames {
-		ev, ok := table.Event(tf.Frame.ID)
-		if !ok {
-			return nil, fmt.Errorf("frame %d at t=%dus: identifier 0x%03X not generated", i, int64(tf.At), tf.Frame.ID)
-		}
-		out = append(out, ev)
-	}
-	return out, nil
 }
 
 // frameTable is the generated database's frame ↔ event table: the
@@ -234,22 +221,12 @@ func RunOne(spec *Spec, cfg Config) (res ProgramResult) {
 		res.Detail = err.Error()
 		return res
 	}
-	const chunk = 10_000
-	for events := 0; ; events += chunk {
-		if events >= cfg.MaxSimEvents {
-			res.Verdict = VerdictSimBudget
-			res.Detail = fmt.Sprintf("sim exceeded %d events", cfg.MaxSimEvents)
-			return res
+	if _, err := sim.RunBounded(context.TODO(), canbus.Time(spec.HorizonUs()), cfg.MaxSimEvents); err != nil {
+		res.Verdict, res.Detail = VerdictSim, err.Error()
+		if errors.Is(err, canoe.ErrEventBudget) {
+			res.Verdict, res.Detail = VerdictSimBudget, fmt.Sprintf("sim exceeded %d events", cfg.MaxSimEvents)
 		}
-		done, err := sim.RunLimited(canbus.Time(spec.HorizonUs()), chunk)
-		if err != nil {
-			res.Verdict = VerdictSim
-			res.Detail = err.Error()
-			return res
-		}
-		if done {
-			break
-		}
+		return res
 	}
 	frames := sim.Trace()
 	res.Frames = len(frames)
@@ -258,7 +235,7 @@ func RunOne(spec *Spec, cfg Config) (res ProgramResult) {
 	table, err := frameTable(db)
 	var trace csp.Trace
 	if err == nil {
-		trace, err = projectTrace(table, frames)
+		trace, err = table.Project(frames)
 	}
 	if err != nil {
 		res.Verdict = VerdictProjection

@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/canbus"
+	"repro/internal/candb"
 	"repro/internal/canoe"
 )
 
@@ -234,7 +236,7 @@ func TestRunScheduleSimEventBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}
-	r.MaxSimEvents = 1 // exhausted after the first chunk probe
+	r.MaxSimEvents = 1 // spent on the first of many events due before the horizon
 	v := r.RunSchedule(Schedule{Variant: VariantNaive, HorizonUs: int64(20 * canbus.Second)})
 	if v.Kind != BudgetExceeded || v.Detail != "sim-events" {
 		t.Fatalf("verdict %s (detail %q), want budget-exceeded/sim-events", v.Kind, v.Detail)
@@ -260,9 +262,10 @@ func TestProjectorRejectsUnknownID(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}
-	_, err = r.project([]canoe.TimedFrame{{Frame: canbus.Frame{ID: 0x7FF}}})
-	if err == nil || !strings.Contains(err.Error(), "identifier 0x7FF not in database") {
-		t.Fatalf("unknown identifier: err = %v, want not in database", err)
+	_, err = r.table.Project([]canoe.TimedFrame{{Frame: canbus.Frame{ID: 0x7FF}}})
+	var unknown *candb.UnknownFrameError
+	if !errors.As(err, &unknown) || unknown.ID != 0x7FF {
+		t.Fatalf("unknown identifier: err = %v, want UnknownFrameError for 0x7FF", err)
 	}
 	if dir := r.direction(0x101); dir != "sendE" {
 		t.Fatalf("direction(0x101) = %q, want sendE", dir)

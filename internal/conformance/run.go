@@ -152,20 +152,6 @@ func (r *Runner) direction(id uint32) string {
 	return ev.Chan
 }
 
-// project maps a monitor trace onto the observed event sequence. A
-// frame the database cannot name is an error.
-func (r *Runner) project(tfs []canoe.TimedFrame) (csp.Trace, error) {
-	out := make(csp.Trace, 0, len(tfs))
-	for i, tf := range tfs {
-		ev, ok := r.table.Event(tf.Frame.ID)
-		if !ok {
-			return nil, fmt.Errorf("frame %d at t=%dus: conformance: identifier 0x%03X not in database", i, int64(tf.At), tf.Frame.ID)
-		}
-		out = append(out, ev)
-	}
-	return out, nil
-}
-
 // model returns the cached observed-bus reference model for the variant
 // and budget tuple, building it on first use. Model builds are
 // deterministic, so errors are cached alongside successes.
@@ -197,26 +183,17 @@ type appliedOp struct {
 	dir string
 }
 
-// simResult is the raw material of a verdict.
-type simResult struct {
-	trace   []canoe.TimedFrame
-	applied []appliedOp
-}
-
 // maxInjectedReplays caps fabricated retransmissions so a duplicated
 // duplicate cannot cascade.
 const maxInjectedReplays = 64
 
-// errSimEvents marks simulation event-budget exhaustion.
-var errSimEvents = errors.New("simulation event budget exhausted")
-
-// simulate runs the schedule on the simulated bus and collects the
-// monitor trace plus the perturbations that fired.
-func (r *Runner) simulate(ctx context.Context, s Schedule) (simResult, error) {
-	var res simResult
+// simulate runs the schedule on the simulated bus and returns the
+// monitor trace plus the perturbations that fired, also those that
+// fired before a failed run stopped.
+func (r *Runner) simulate(ctx context.Context, s Schedule) (frames []canoe.TimedFrame, applied []appliedOp, err error) {
 	ecuSrc, vmgSrc, err := s.Variant.Sources()
 	if err != nil {
-		return res, err
+		return nil, nil, err
 	}
 	inj := &canbus.Injector{}
 	sim := canoe.NewSimulation(canbus.Config{
@@ -229,9 +206,9 @@ func (r *Runner) simulate(ctx context.Context, s Schedule) (simResult, error) {
 		_, err = sim.AddNode("ECU", ecuSrc)
 	}
 	if err != nil {
-		return res, err
+		return nil, nil, err
 	}
-	chaos := sim.Bus.Attach("__chaos__", canbus.ReceiverFunc(func(canbus.Time, canbus.Frame) {}))
+	chaos := sim.Bus.AttachReplay("__chaos__", canbus.ReceiverFunc(func(canbus.Time, canbus.Frame) {}), maxInjectedReplays)
 
 	frameOps := map[int][]Op{}
 	jitterOps := map[int][]Op{}
@@ -243,16 +220,6 @@ func (r *Runner) simulate(ctx context.Context, s Schedule) (simResult, error) {
 		frameOps[op.Nth] = append(frameOps[op.Nth], op)
 	}
 
-	injected := 0
-	replay := func(at canbus.Time, f canbus.Frame) {
-		if injected >= maxInjectedReplays {
-			return
-		}
-		injected++
-		clone := f.Clone()
-		_ = sim.Bus.Schedule(at, func() { _ = sim.Bus.Transmit(chaos, clone) })
-	}
-
 	// Frame ops key off the completed-transmission sequence number,
 	// counted by the Observe hook (which runs before the drop decision,
 	// so Drop sees index txIndex-1).
@@ -262,8 +229,8 @@ func (r *Runner) simulate(ctx context.Context, s Schedule) (simResult, error) {
 		txIndex++
 		for _, op := range frameOps[i] {
 			if op.Kind == OpDupFrame {
-				replay(t+canbus.Time(op.DelayUs), f)
-				res.applied = append(res.applied, appliedOp{op: op, dir: r.direction(f.ID)})
+				chaos.Replay(t+canbus.Time(op.DelayUs), f)
+				applied = append(applied, appliedOp{op: op, dir: r.direction(f.ID)})
 			}
 		}
 	}
@@ -273,11 +240,11 @@ func (r *Runner) simulate(ctx context.Context, s Schedule) (simResult, error) {
 			switch op.Kind {
 			case OpDropFrame:
 				drop = true
-				res.applied = append(res.applied, appliedOp{op: op, dir: r.direction(f.ID)})
+				applied = append(applied, appliedOp{op: op, dir: r.direction(f.ID)})
 			case OpDelayFrame:
 				drop = true
-				replay(t+canbus.Time(op.DelayUs), f)
-				res.applied = append(res.applied, appliedOp{op: op, dir: r.direction(f.ID)})
+				chaos.Replay(t+canbus.Time(op.DelayUs), f)
+				applied = append(applied, appliedOp{op: op, dir: r.direction(f.ID)})
 			}
 		}
 		return drop
@@ -291,40 +258,51 @@ func (r *Runner) simulate(ctx context.Context, s Schedule) (simResult, error) {
 			timerCalls++
 			for _, op := range jitterOps[i] {
 				ms += op.DeltaMs
-				res.applied = append(res.applied, appliedOp{op: op})
+				applied = append(applied, appliedOp{op: op})
 			}
 			return ms
 		}
 	}
 
 	if err := sim.Start(); err != nil {
-		return res, err
+		return nil, applied, err
 	}
-	// Chunked run: watchdog probes between chunks, an overall event
-	// budget contains runaway simulations.
-	const chunk = 20_000
 	maxEvents := r.MaxSimEvents
 	if maxEvents <= 0 {
 		maxEvents = 300_000
 	}
-	for events := 0; ; {
-		if ctx.Err() != nil {
-			return res, context.Cause(ctx)
-		}
-		done, err := sim.RunLimited(canbus.Time(s.HorizonUs), chunk)
-		if err != nil {
-			return res, err
-		}
-		if done {
-			break
-		}
-		events += chunk
-		if events >= maxEvents {
-			return res, errSimEvents
-		}
+	if _, err := sim.RunBounded(ctx, canbus.Time(s.HorizonUs), maxEvents); err != nil {
+		return nil, applied, err
 	}
-	res.trace = sim.Trace()
-	return res, nil
+	return sim.Trace(), applied, nil
+}
+
+// observation is one simulated schedule: the perturbations that fired
+// and, once the simulation completes, the delivered-frame count, the
+// fault budgets they earn, the projected trace and the reference model
+// under those budgets.
+type observation struct {
+	applied   []appliedOp
+	delivered int
+	budgets   ota.ChannelBudgets
+	trace     csp.Trace
+	sys       *ota.System
+}
+
+// observe is the simulate, project, build-model step that RunSchedule
+// and Observe share. On error the observation holds what was reached.
+func (r *Runner) observe(ctx context.Context, s Schedule) (o observation, err error) {
+	frames, applied, err := r.simulate(ctx, s)
+	o.applied = applied
+	if err != nil {
+		return o, err
+	}
+	o.delivered = len(frames)
+	o.budgets = deriveBudgets(applied)
+	if o.trace, err = r.table.Project(frames); err == nil {
+		o.sys, err = r.model(s.Variant, o.budgets)
+	}
+	return o, err
 }
 
 // deriveBudgets converts the perturbations that fired into channel
@@ -384,16 +362,11 @@ func (r *Runner) watchdog() (context.Context, context.CancelFunc) {
 func (r *Runner) Observe(s Schedule) (csp.Trace, *ota.System, error) {
 	ctx, cancel := r.watchdog()
 	defer cancel()
-	sres, err := r.simulate(ctx, s)
+	o, err := r.observe(ctx, s)
 	if err != nil {
 		return nil, nil, err
 	}
-	trace, err := r.project(sres.trace)
-	if err != nil {
-		return nil, nil, err
-	}
-	sys, err := r.model(s.Variant, deriveBudgets(sres.applied))
-	return trace, sys, err
+	return o.trace, o.sys, nil
 }
 
 // divergenceContextLen bounds the observed-event window kept with a
@@ -423,13 +396,14 @@ func (r *Runner) RunSchedule(s Schedule) (v Verdict) {
 	}()
 	ctx, cancel := r.watchdog()
 	defer cancel()
-	sres, err := r.simulate(ctx, s)
-	for _, a := range sres.applied {
+	o, err := r.observe(ctx, s)
+	for _, a := range o.applied {
 		v.AppliedOps = append(v.AppliedOps, a.op.String())
 	}
+	v.DeliveredFrames, v.Budgets = o.delivered, o.budgets
 	if err != nil {
 		switch {
-		case errors.Is(err, errSimEvents):
+		case errors.Is(err, canoe.ErrEventBudget):
 			v.Kind = BudgetExceeded
 			v.Detail = "sim-events"
 		case errors.Is(err, lts.ErrDeadline):
@@ -441,30 +415,16 @@ func (r *Runner) RunSchedule(s Schedule) (v Verdict) {
 		}
 		return v
 	}
-	v.DeliveredFrames = len(sres.trace)
-	v.Budgets = deriveBudgets(sres.applied)
-
-	trace, err := r.project(sres.trace)
-	var sys *ota.System
-	if err == nil {
-		sys, err = r.model(s.Variant, v.Budgets)
-	}
-	if err != nil {
-		v.Kind = InterpreterError
-		v.Detail = err.Error()
-		return v
-	}
-
 	if ctx.Err() != nil {
 		v.Kind = BudgetExceeded
 		v.Detail = "check-deadline"
 		return v
 	}
-	checker := refine.NewChecker(sys.Model.Env, sys.Model.Ctx)
+	checker := refine.NewChecker(o.sys.Model.Env, o.sys.Model.Ctx)
 	checker.MaxStates = r.MaxStates
 	checker.Obs = r.Obs
 	checker.Ctx = ctx
-	res, err := checker.AcceptsTrace(csp.Call(ota.ObservedProcess), trace)
+	res, err := checker.AcceptsTrace(csp.Call(ota.ObservedProcess), o.trace)
 	if err != nil {
 		var be *refine.BudgetError
 		if errors.As(err, &be) {
@@ -493,7 +453,7 @@ func (r *Runner) RunSchedule(s Schedule) (v Verdict) {
 	if start < 0 {
 		start = 0
 	}
-	for _, ev := range trace[start : res.FailedAt+1] {
+	for _, ev := range o.trace[start : res.FailedAt+1] {
 		div.Context = append(div.Context, ev.String())
 	}
 	v.Divergence = div

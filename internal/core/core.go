@@ -14,6 +14,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"maps"
 	"strings"
@@ -160,6 +161,11 @@ func (p *Pipeline) Build() (*Report, error) {
 	return report, nil
 }
 
+// crossValidateMaxEvents bounds CrossValidate's simulation, so a
+// runaway node (a zero-period timer rearming itself at a fixed
+// timestamp) ends in canoe.ErrEventBudget instead of a hang.
+const crossValidateMaxEvents = 1_000_000
+
 // CrossValidate executes the pipeline's node programs on the simulated
 // CAN bus for the given duration, maps the observed frame trace into
 // model events through the CAN database, and checks that the observed
@@ -189,16 +195,12 @@ func (p *Pipeline) CrossValidate(model *cspm.Model, system csp.Process,
 	if err := sim.Start(); err != nil {
 		return nil, fmt.Errorf("core: simulate: %w", err)
 	}
-	if err := sim.Run(duration); err != nil {
+	if _, err := sim.RunBounded(context.TODO(), duration, crossValidateMaxEvents); err != nil {
 		return nil, fmt.Errorf("core: simulate: %w", err)
 	}
-	observed := make(csp.Trace, 0, len(sim.Trace()))
-	for _, tf := range sim.Trace() {
-		ev, ok := table.Event(tf.Frame.ID)
-		if !ok {
-			return nil, fmt.Errorf("core: frame id %#x observed on the bus has no event mapping", tf.Frame.ID)
-		}
-		observed = append(observed, ev)
+	observed, err := table.Project(sim.Trace())
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	res, err := refine.NewChecker(model.Env, model.Ctx).AcceptsTrace(system, observed)
 	if err != nil {

@@ -5,9 +5,11 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/canbus"
 	"repro/internal/candb"
+	"repro/internal/canoe"
 	"repro/internal/core"
 	"repro/internal/csp"
 	"repro/internal/ota"
@@ -118,8 +120,35 @@ func TestCrossValidationUnknownFrame(t *testing.T) {
 	db := otaDatabase(t)
 	db.Messages = slices.DeleteFunc(db.Messages, func(m *candb.Message) bool { return m.ID == 0x102 })
 	_, err = p.CrossValidate(report.Model, csp.Call("SYSTEM"), db, 5*canbus.Millisecond)
-	if err == nil || !strings.Contains(err.Error(), "no event mapping") {
-		t.Errorf("err = %v, want unmapped frame error", err)
+	var unknown *candb.UnknownFrameError
+	if !errors.As(err, &unknown) || unknown.ID != 0x102 {
+		t.Errorf("err = %v, want UnknownFrameError for 0x102", err)
+	}
+}
+
+// TestCrossValidationRunawayTimer checks that a node whose zero-period
+// timer rearms itself at a fixed timestamp ends the cross-validation
+// with canoe.ErrEventBudget instead of hanging it.
+func TestCrossValidationRunawayTimer(t *testing.T) {
+	p := caseStudyPipeline()
+	report, err := p.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Nodes[1].Source = "variables { msTimer spin; }\non start { setTimer(spin, 0); }\non timer spin { setTimer(spin, 0); }\n"
+	db := otaDatabase(t)
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.CrossValidate(report.Model, csp.Call("SYSTEM"), db, 5*canbus.Millisecond)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, canoe.ErrEventBudget) {
+			t.Errorf("err = %v, want canoe.ErrEventBudget", err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("CrossValidate still running after a minute")
 	}
 }
 

@@ -12,44 +12,18 @@ import (
 // unboundedly.
 const maxInjectedFrames = 256
 
-// gremlin is the campaign's bus-level attacker: a tap without a CAPL
-// program used to fabricate traffic (duplicates, delayed replays,
-// babble floods).
-type gremlin struct {
-	bus      *canbus.Bus
-	tap      *canbus.Tap
-	injected int
-	// onFrame, when set, observes every delivered frame.
-	onFrame func(t canbus.Time, f canbus.Frame)
-}
-
-func newGremlin(bus *canbus.Bus) *gremlin {
-	g := &gremlin{bus: bus}
-	g.tap = bus.Attach("__gremlin__", canbus.ReceiverFunc(func(t canbus.Time, f canbus.Frame) {
-		if g.onFrame != nil {
-			g.onFrame(t, f)
-		}
-	}))
-	return g
-}
-
-// replay schedules a fabricated (re)transmission of the frame.
-func (g *gremlin) replay(at canbus.Time, f canbus.Frame) {
-	if g.injected >= maxInjectedFrames {
-		return
-	}
-	g.injected++
-	clone := f.Clone()
-	_ = g.bus.Schedule(at, func() {
-		_ = g.bus.Transmit(g.tap, clone)
-	})
-}
-
 // installFault wires the scenario's fault model into the simulation:
-// injector hooks for in-flight mutation and loss, and a gremlin tap for
-// fabricated traffic.
+// injector hooks for in-flight mutation and loss, and the gremlin, the
+// campaign's bus-level attacker: a replay tap without a CAPL program
+// that fabricates traffic (duplicates, delayed replays, babble floods).
 func installFault(sc Scenario, sim *canoe.Simulation, inj *canbus.Injector, rng *rand.Rand) {
-	g := newGremlin(sim.Bus)
+	// onFrame, when set, observes every frame the gremlin receives.
+	var onFrame func(t canbus.Time, f canbus.Frame)
+	g := sim.Bus.AttachReplay("__gremlin__", canbus.ReceiverFunc(func(t canbus.Time, f canbus.Frame) {
+		if onFrame != nil {
+			onFrame(t, f)
+		}
+	}), maxInjectedFrames)
 	switch sc.Kind {
 	case Drop:
 		inj.Drop = func(canbus.Time, canbus.Frame) bool {
@@ -77,15 +51,15 @@ func installFault(sc Scenario, sim *canoe.Simulation, inj *canbus.Injector, rng 
 			return f
 		}
 	case Duplicate:
-		g.onFrame = func(t canbus.Time, f canbus.Frame) {
+		onFrame = func(t canbus.Time, f canbus.Frame) {
 			if rng.Float64() < sc.Prob {
-				g.replay(t+200*canbus.Microsecond, f)
+				g.Replay(t+200*canbus.Microsecond, f)
 			}
 		}
 	case Delay:
 		inj.Drop = func(t canbus.Time, f canbus.Frame) bool {
 			if rng.Float64() < sc.Prob {
-				g.replay(t+sc.DelayBy, f)
+				g.Replay(t+sc.DelayBy, f)
 				return true
 			}
 			return false
@@ -97,13 +71,13 @@ func installFault(sc Scenario, sim *canoe.Simulation, inj *canbus.Injector, rng 
 	case BabblingIdiot:
 		var flood func()
 		flood = func() {
-			_ = g.bus.Transmit(g.tap, canbus.Frame{ID: sc.TargetID, Data: []byte{0xBB}})
-			next := g.bus.Now() + sc.Period
+			_ = sim.Bus.Transmit(g.Tap, canbus.Frame{ID: sc.TargetID, Data: []byte{0xBB}})
+			next := sim.Bus.Now() + sc.Period
 			if next < sc.Width {
-				_ = g.bus.Schedule(next, flood)
+				_ = sim.Bus.Schedule(next, flood)
 			}
 		}
-		_ = g.bus.Schedule(0, flood)
+		_ = sim.Bus.Schedule(0, flood)
 	case TargetedDrop:
 		inj.Drop = func(_ canbus.Time, f canbus.Frame) bool {
 			return f.ID == sc.TargetID

@@ -1,7 +1,9 @@
 package learn
 
 import (
+	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -200,26 +202,17 @@ func (t *SimTeacher) installProfile(bus *canbus.Bus, inj *canbus.Injector, rng *
 			return f
 		}
 	case ProfileDuplicate, ProfileDelay:
-		gremlin := bus.Attach("__gremlin__", canbus.ReceiverFunc(func(canbus.Time, canbus.Frame) {}))
-		budget := 64
-		replay := func(at canbus.Time, f canbus.Frame) {
-			if budget <= 0 {
-				return
-			}
-			budget--
-			clone := f.Clone()
-			_ = bus.Schedule(at, func() { _ = bus.Transmit(gremlin, clone) })
-		}
+		gremlin := bus.AttachReplay("__gremlin__", canbus.ReceiverFunc(func(canbus.Time, canbus.Frame) {}), 64)
 		if t.cfg.Profile == ProfileDuplicate {
 			inj.Observe = func(at canbus.Time, f canbus.Frame) {
 				if rng.Float64() < prob {
-					replay(at+200*canbus.Microsecond, f)
+					gremlin.Replay(at+200*canbus.Microsecond, f)
 				}
 			}
 		} else {
 			inj.Drop = func(at canbus.Time, f canbus.Frame) bool {
 				if rng.Float64() < prob {
-					replay(at+2*canbus.Millisecond, f)
+					gremlin.Replay(at+2*canbus.Millisecond, f)
 					return true
 				}
 				return false
@@ -298,22 +291,25 @@ func (t *SimTeacher) simulate(stimuli []int, rng *rand.Rand) (csp.Trace, error) 
 	if inj != nil {
 		t.installProfile(sim.Bus, inj, rng)
 	}
-	node, err := canoe.NewNode(sim.Bus, t.cfg.NodeName, t.prog)
-	if err != nil {
+	if _, err := sim.AddProgram(t.cfg.NodeName, t.prog); err != nil {
 		return nil, err
 	}
-	sim.Nodes = append(sim.Nodes, node)
 	driver := sim.Bus.Attach("__learner__", canbus.ReceiverFunc(func(canbus.Time, canbus.Frame) {}))
 	if err := sim.Start(); err != nil {
 		return nil, err
 	}
 
+	// Each stimulus waits for a quiescent bus; one event budget covers
+	// the whole run.
 	remaining := t.cfg.MaxEventsPerQuery
 	quiesce := func() error {
-		n := sim.Bus.RunAll(remaining)
+		n, err := sim.RunBounded(context.TODO(), canbus.Forever, remaining)
 		remaining -= n
-		if remaining <= 0 {
-			return fmt.Errorf("learn: membership run exceeded %d bus events", t.cfg.MaxEventsPerQuery)
+		switch {
+		case errors.Is(err, canoe.ErrEventBudget):
+			return fmt.Errorf("learn: membership run exceeded %d bus events: %w", t.cfg.MaxEventsPerQuery, err)
+		case err != nil:
+			return fmt.Errorf("learn: node fault during membership run: %w", err)
 		}
 		return nil
 	}
@@ -328,26 +324,12 @@ func (t *SimTeacher) simulate(stimuli []int, rng *rand.Rand) (csp.Trace, error) 
 			return nil, err
 		}
 	}
-	if err := sim.Err(); err != nil {
-		return nil, fmt.Errorf("learn: node fault during membership run: %w", err)
-	}
-	observed := t.project(sim.Trace())
+	// Frames the database cannot decode, e.g. tamper-spoofed ones, carry
+	// no model event and are dropped, exactly as a bus monitor would
+	// fail to classify them.
+	observed, _ := t.cfg.Table.Project(sim.Trace())
 	if err := sim.Stop(); err != nil {
 		return nil, fmt.Errorf("learn: measurement stop: %w", err)
 	}
 	return observed, nil
-}
-
-// project maps the monitor trace onto model events through the
-// database dictionary. Frames whose identifier the database cannot
-// decode — e.g. tamper-spoofed ones — carry no model event and are
-// dropped, exactly as a bus monitor would fail to classify them.
-func (t *SimTeacher) project(tfs []canoe.TimedFrame) csp.Trace {
-	out := make(csp.Trace, 0, len(tfs))
-	for _, tf := range tfs {
-		if ev, ok := t.cfg.Table.Event(tf.Frame.ID); ok {
-			out = append(out, ev)
-		}
-	}
-	return out
 }

@@ -1,11 +1,13 @@
 package learn
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/canoe"
 	"repro/internal/csp"
 	"repro/internal/obs"
 )
@@ -312,5 +314,20 @@ func TestSimTeacherPanicAnswersEveryAsker(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "membership run panicked") {
 			t.Fatalf("ask %d: err = %v, want the run's panic", i, err)
 		}
+	}
+}
+
+// TestSimTeacherExactEventBudget pins the budget edge of a membership
+// run: send.reqSw on the naive ECU takes two bus events, so a budget
+// of two answers the query and a budget of one is exceeded.
+func TestSimTeacherExactEventBudget(t *testing.T) {
+	w := csp.Trace{ev("send", "reqSw")}
+	exact := variantTeacher(t, VariantNaive, CampaignConfig{SimEventsPerQuery: 2})
+	if got, err := exact.Membership(w); err != nil || !got {
+		t.Errorf("budget 2: Membership(%s) = %v, %v, want true, nil", w, got, err)
+	}
+	short := variantTeacher(t, VariantNaive, CampaignConfig{SimEventsPerQuery: 1})
+	if _, err := short.Membership(w); !errors.Is(err, canoe.ErrEventBudget) {
+		t.Errorf("budget 1: Membership(%s) err = %v, want canoe.ErrEventBudget", w, err)
 	}
 }

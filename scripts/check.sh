@@ -68,6 +68,20 @@ go run ./cmd/caplgen -seed 1 -n 200 -o "$CAPLGEN_OUT" > /dev/null
 cmp "$CAPLGEN_OUT" testdata/caplgen_baseline.json
 rm -f "$CAPLGEN_OUT"
 
+# The simulation path is held byte for byte too: the conformance soak
+# (bounded runs, replay tap, projection) and the fault campaign.
+echo "==> soak -seed 42 -n 4 -horizon-ms 12 (byte-identical vs committed baseline)"
+SOAK_OUT=$(mktemp)
+go run ./cmd/soak -seed 42 -n 4 -horizon-ms 12 -format json > "$SOAK_OUT"
+cmp "$SOAK_OUT" testdata/soak_baseline.json
+rm -f "$SOAK_OUT"
+
+echo "==> faultcheck -seed 42 -reps 1 -horizon-ms 500 (byte-identical vs committed baseline)"
+FAULTCHECK_OUT=$(mktemp)
+go run ./cmd/faultcheck -seed 42 -reps 1 -horizon-ms 500 -format json > "$FAULTCHECK_OUT"
+cmp "$FAULTCHECK_OUT" testdata/faultcheck_baseline.json
+rm -f "$FAULTCHECK_OUT"
+
 echo "==> go test -race ./..."
 go test -race ./...
 
